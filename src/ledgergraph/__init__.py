@@ -8,7 +8,6 @@ hypergraphs, trust/payment graphs and tangle graphs.
 """
 
 from .core import (
-    AddressId,
     Amount,
     BTC,
     DROP,
@@ -31,7 +30,6 @@ from .core import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AddressId",
     "Amount",
     "BTC",
     "DROP",

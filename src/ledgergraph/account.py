@@ -9,10 +9,12 @@ the executor is strictly single-threaded and calls run sequentially.
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import Edge, EdgeList, Hyperedge, Hypergraph, LedgerError
+from .core import (Edge, EdgeList, Hyperedge, Hypergraph, LedgerError, at_line,
+                   get_field, jsonl_records)
 
 __all__ = [
     "AccountTx",
@@ -24,6 +26,8 @@ __all__ = [
     "NonceError",
     "InsufficientTokenBalanceError",
     "validate_nonce_order",
+    "load_jsonl",
+    "dump_jsonl",
     "build_account_graph",
     "deploy_token",
     "TokenLedger",
@@ -32,6 +36,8 @@ __all__ = [
     "build_trace_hypergraph",
     "trace_value_edges",
     "TraceExecutor",
+    "replay_token_script",
+    "run_trace_script",
     "NULL_ADDRESS",
     "DEFAULT_CALL_BUDGET",
 ]
@@ -70,6 +76,33 @@ class AccountTx:
             raise ValueError("the NULL address cannot initiate a transaction")
         if self.contract_creation and not self.input_data:
             raise ValueError("contract creation carries the code as input data")
+
+
+def load_jsonl(lines: Iterable[str]) -> list[AccountTx]:
+    """Transactions from JSONL, one per line, in any key order:
+    ``{"from", "to", "amount", "nonce", "block", "index", "timestamp"?}``.
+    Integer fields must be JSON integers; a malformed line raises
+    BadJsonError, BadRecordError or BadAmountError naming it."""
+    txs = []
+    for line_no, rec in jsonl_records(lines):
+        with at_line(line_no):
+            txs.append(AccountTx(
+                sender=get_field(rec, "from"), to=get_field(rec, "to"),
+                amount_wei=get_field(rec, "amount", int),
+                nonce=get_field(rec, "nonce", int),
+                block_height=get_field(rec, "block", int),
+                block_index=get_field(rec, "index", int),
+                timestamp=get_field(rec, "timestamp", int, 0)))
+    return txs
+
+
+def dump_jsonl(txs: Iterable[AccountTx]) -> Iterator[str]:
+    """Inverse of load_jsonl, one line per transaction in the given order."""
+    for t in txs:
+        yield json.dumps({
+            "from": t.sender, "to": t.to, "amount": t.amount_wei,
+            "nonce": t.nonce, "block": t.block_height, "index": t.block_index,
+            "timestamp": t.timestamp}, sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -342,3 +375,50 @@ class TraceExecutor:
 
         invoke(sender, to, kind, value)
         return Trace(root_tx, tuple(steps), truncated=truncated)
+
+
+# --------------------------------------------------------------------------
+# Scripts
+
+def replay_token_script(lines: Iterable[str]) -> TokenLedger:
+    """Apply a token script: ``{"op": "deploy", "owner", "symbol",
+    "decimals"?, "supply", "nonce"}`` and ``{"op": "transfer", "token",
+    "from", "to", "amount", "tx"?}`` lines; other ops are skipped."""
+    ledger = TokenLedger()
+    for line_no, r in jsonl_records(lines):
+        with at_line(line_no):
+            op = get_field(r, "op")
+            if op == "deploy":
+                ledger.register(deploy_token(
+                    get_field(r, "owner"), get_field(r, "symbol"),
+                    get_field(r, "decimals", int, 18),
+                    get_field(r, "supply", int), get_field(r, "nonce", int)))
+            elif op == "transfer":
+                ledger.execute_token_transfer(
+                    get_field(r, "token"), get_field(r, "from"),
+                    get_field(r, "to"), get_field(r, "amount", int),
+                    get_field(r, "tx", str, ""))
+    return ledger
+
+
+def run_trace_script(lines: Iterable[str],
+                     call_budget: int = DEFAULT_CALL_BUDGET) -> list[Trace]:
+    """Run a trace script and return one trace per transaction, in order.
+    ``{"op": "behavior", "address", "calls": [{"to", "kind"?, "value"?}]}``
+    sets what a contract calls whenever invoked, from then on;
+    ``{"op": "tx", "id", "from", "to", "value"?}`` runs a transaction."""
+    executor = TraceExecutor(call_budget=call_budget)
+    traces = []
+    for line_no, r in jsonl_records(lines):
+        with at_line(line_no):
+            op = get_field(r, "op")
+            if op == "behavior":
+                executor.behaviors[get_field(r, "address")] = [
+                    (get_field(c, "to"), get_field(c, "kind", str, "call"),
+                     get_field(c, "value", int, 0))
+                    for c in get_field(r, "calls", list)]
+            elif op == "tx":
+                traces.append(executor.run(
+                    get_field(r, "id"), get_field(r, "from"), get_field(r, "to"),
+                    get_field(r, "value", int, 0)))
+    return traces

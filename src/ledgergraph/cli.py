@@ -5,7 +5,8 @@ Exit codes: 0 success, 2 validation error (machine-readable JSON on
 stderr), 3 I/O error. All outputs are deterministic for fixed inputs,
 config and seed. Defaults may come from a key=value config file
 (--config) and are overridden by LEDGERGRAPH_* environment variables,
-then by explicit flags.
+then by explicit flags; a config or environment value is parsed with its
+flag's own type, and one that does not parse exits 2 as bad-config.
 """
 
 from __future__ import annotations
@@ -24,11 +25,15 @@ from . import utxo_graphs as ug
 from .core import LedgerError, export_edge_list, export_hypergraph, export_matrix
 from .iota import bundles as iota_bundles
 from .iota import keys as iota_keys
-from .ripple import load_trust_csv
+from .ripple import dump_trust_csv, load_trust_csv
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_IO = 3
+
+
+class ConfigError(LedgerError):
+    code = "bad-config"
 
 
 def _fail_validation(exc: Exception) -> int:
@@ -66,6 +71,30 @@ def _load_config(path: str | None) -> dict[str, str]:
     return conf
 
 
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
+                  conf: dict[str, str]) -> None:
+    """Fill unset optional flags of the selected (sub)command from
+    config/env values, each parsed with its flag's type (switches take
+    1/true/yes); raises ConfigError."""
+    actions, parsers = {}, [parser]
+    while parsers:
+        for action in parsers.pop()._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.append(action.choices[getattr(args, action.dest)])
+            actions[action.dest] = action
+    for key, value in conf.items():
+        action = actions.get(key)
+        if action is None or getattr(args, key) not in (None, False):
+            continue
+        if isinstance(getattr(args, key), bool):
+            setattr(args, key, value.lower() in ("1", "true", "yes"))
+            continue
+        try:
+            setattr(args, key, action.type(value) if action.type else value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{key}={value!r}: {exc}") from None
+
+
 def _parse_range(text: str | None) -> tuple[int | None, int | None]:
     if not text:
         return None, None
@@ -79,12 +108,8 @@ def _parse_range(text: str | None) -> tuple[int | None, int | None]:
 # subcommand handlers
 
 def _cmd_utxo(args: argparse.Namespace) -> int:
+    ledger = utxo_mod.load_jsonl(_read_lines(args.file), subsidy=args.subsidy)
     if args.action == "validate":
-        try:
-            ledger = utxo_mod.load_jsonl(_read_lines(args.file),
-                                         subsidy=args.subsidy)
-        except LedgerError as exc:
-            return _fail_validation(exc)
         print(json.dumps({
             "blocks": len(ledger.blocks),
             "transactions": len(ledger.transactions),
@@ -93,31 +118,23 @@ def _cmd_utxo(args: argparse.Namespace) -> int:
             "destroyed": ledger.destroyed,
         }, sort_keys=True))
         return EXIT_OK
-    # graph
-    try:
-        ledger = utxo_mod.load_jsonl(_read_lines(args.file), subsidy=args.subsidy)
-        start, end = args.start, args.end
-        if args.kind == "tx":
-            graph = ug.build_transaction_graph(ledger, start, end).to_edge_list()
-        elif args.kind == "address":
-            graph = ug.build_address_graph(ledger, start, end).to_edge_list()
-        else:
-            graph = ug.build_bipartite_graph(ledger, start, end)
-    except LedgerError as exc:
-        return _fail_validation(exc)
+    start, end = args.start, args.end
+    if args.kind == "tx":
+        graph = ug.build_transaction_graph(ledger, start, end).to_edge_list()
+    elif args.kind == "address":
+        graph = ug.build_address_graph(ledger, start, end).to_edge_list()
+    else:
+        graph = ug.build_bipartite_graph(ledger, start, end)
     _write_bytes(args.out, export_edge_list(graph, args.format))
     return EXIT_OK
 
 
 def _cmd_chainlet(args: argparse.Namespace) -> int:
-    try:
-        ledger = utxo_mod.load_jsonl(_read_lines(args.file), subsidy=args.subsidy)
-        start, end = _parse_range(args.window)
-        snap = chainlet_mod.snapshot_from_ledger(ledger, start, end)
-        matrices = chainlet_mod.build_matrices(snap, args.N,
-                                               include_coinbase_row=args.coinbase_row)
-    except LedgerError as exc:
-        return _fail_validation(exc)
+    ledger = utxo_mod.load_jsonl(_read_lines(args.file), subsidy=args.subsidy)
+    start, end = _parse_range(args.window)
+    snap = chainlet_mod.snapshot_from_ledger(ledger, start, end)
+    matrices = chainlet_mod.build_matrices(snap, args.N,
+                                           include_coinbase_row=args.coinbase_row)
     occ_path, amt_path = (args.out.split(",", 1) if args.out and "," in args.out
                           else (args.out, None))
     _write_bytes(occ_path, export_matrix(matrices.occurrence))
@@ -127,174 +144,112 @@ def _cmd_chainlet(args: argparse.Namespace) -> int:
 
 
 def _cmd_account(args: argparse.Namespace) -> int:
-    try:
-        records = [json.loads(ln) for ln in _read_lines(args.file) if ln.strip()]
-        if args.action == "graph":
-            txs = [account_mod.AccountTx(
-                sender=r["from"], to=r["to"], amount_wei=int(r["amount"]),
-                nonce=int(r["nonce"]), block_height=int(r["block"]),
-                block_index=int(r["index"]), timestamp=int(r.get("timestamp", 0)))
-                for r in records]
-            graph = account_mod.build_account_graph(txs)
-            _write_bytes(args.out, export_edge_list(graph, args.format))
-            return EXIT_OK
-        if args.action == "tokens":
-            ledger = account_mod.TokenLedger()
-            for r in records:
-                if r["op"] == "deploy":
-                    ledger.register(account_mod.deploy_token(
-                        r["owner"], r["symbol"], int(r.get("decimals", 18)),
-                        int(r["supply"]), int(r["nonce"])))
-                elif r["op"] == "transfer":
-                    ledger.execute_token_transfer(
-                        r["token"], r["from"], r["to"], int(r["amount"]),
-                        r.get("tx", ""))
-            graphs = account_mod.build_token_graph(ledger.transfers)
-            out = {}
-            for token in sorted(graphs):
-                out[token] = export_edge_list(graphs[token], "json").decode().strip()
-            _write_bytes(args.out, (json.dumps(out, sort_keys=True) + "\n").encode())
-            return EXIT_OK
-        # traces
-        traces = []
-        executor = account_mod.TraceExecutor(call_budget=args.budget)
-        for r in records:
-            if r["op"] == "behavior":
-                executor.behaviors[r["address"]] = [
-                    (c["to"], c.get("kind", "call"), int(c.get("value", 0)))
-                    for c in r["calls"]]
-            elif r["op"] == "tx":
-                traces.append(executor.run(r["id"], r["from"], r["to"],
-                                           int(r.get("value", 0))))
+    lines = _read_lines(args.file)
+    if args.action == "graph":
+        graph = account_mod.build_account_graph(account_mod.load_jsonl(lines))
+        _write_bytes(args.out, export_edge_list(graph, args.format))
+    elif args.action == "tokens":
+        ledger = account_mod.replay_token_script(lines)
+        graphs = account_mod.build_token_graph(ledger.transfers)
+        out = {token: export_edge_list(graphs[token], "json").decode().strip()
+               for token in sorted(graphs)}
+        _write_bytes(args.out, (json.dumps(out, sort_keys=True) + "\n").encode())
+    else:  # traces
+        traces = account_mod.run_trace_script(lines, call_budget=args.budget)
         hg = account_mod.build_trace_hypergraph(traces)
         _write_bytes(args.out, export_hypergraph(hg, args.format))
-        return EXIT_OK
-    except (LedgerError, KeyError, ValueError) as exc:
-        return _fail_validation(exc)
+    return EXIT_OK
 
 
 def _cmd_ripple(args: argparse.Namespace) -> int:
-    try:
-        ledger = load_trust_csv(_read_lines(args.trust)) if args.trust else None
-        if args.action == "trust":
-            _write_bytes(args.out,
-                         export_edge_list(ledger.trust_graph(), args.format))
-            return EXIT_OK
-        if args.action == "pay":
-            led, log = scenario.replay_ripple(_read_lines(args.script), ledger)
-            data = "".join(json.dumps(e, sort_keys=True) + "\n" for e in log)
-            _write_bytes(args.out, data.encode())
-            return EXIT_OK if all(e["ok"] for e in log) or args.keep_going \
-                else EXIT_VALIDATION
-        if args.action == "offers":
-            led, log = scenario.replay_ripple(_read_lines(args.script), ledger)
-            rows = ["gets_currency,gets_issuer,pays_currency,pays_issuer,"
-                    "sequence,gets_remaining,pays_remaining"]
-            for (gk, pk, seq, grem, prem) in led.book_rows():
-                rows.append(",".join([gk[0], gk[1] or "", pk[0], pk[1] or "",
-                                      str(seq), str(grem), str(prem)]))
-            _write_bytes(args.out, ("\n".join(rows) + "\n").encode())
-            return EXIT_OK
-        # report
-        positions = {}
-        for state in ledger.states.values():
-            positions.setdefault(state.currency, 0)
-        report = {
-            "accounts": len(ledger.accounts),
-            "trust_lines": len(ledger.states),
-            "currencies": sorted(positions),
-            "net_positions": {c: dict(sorted(ledger.net_positions(c).items()))
-                              for c in sorted(positions)},
-        }
-        _write_bytes(args.out, (json.dumps(report, sort_keys=True) + "\n").encode())
+    ledger = load_trust_csv(_read_lines(args.trust)) if args.trust else None
+    if args.action == "trust":
+        _write_bytes(args.out, export_edge_list(ledger.trust_graph(), args.format))
         return EXIT_OK
-    except LedgerError as exc:
-        return _fail_validation(exc)
+    if args.action == "pay":
+        led, log = scenario.replay_ripple(_read_lines(args.script), ledger)
+        _write_bytes(args.out, scenario.dump_log(log))
+        return EXIT_OK if all(e["ok"] for e in log) or args.keep_going \
+            else EXIT_VALIDATION
+    if args.action == "offers":
+        led, log = scenario.replay_ripple(_read_lines(args.script), ledger)
+        rows = ["gets_currency,gets_issuer,pays_currency,pays_issuer,"
+                "sequence,gets_remaining,pays_remaining"]
+        for (gk, pk, seq, grem, prem) in led.book_rows():
+            rows.append(",".join([gk[0], gk[1] or "", pk[0], pk[1] or "",
+                                  str(seq), str(grem), str(prem)]))
+        _write_bytes(args.out, ("\n".join(rows) + "\n").encode())
+        return EXIT_OK
+    # report
+    currencies = sorted({state.currency for state in ledger.states.values()})
+    report = {
+        "accounts": len(ledger.accounts),
+        "trust_lines": len(ledger.states),
+        "currencies": currencies,
+        "net_positions": {c: dict(sorted(ledger.net_positions(c).items()))
+                          for c in currencies},
+    }
+    _write_bytes(args.out, (json.dumps(report, sort_keys=True) + "\n").encode())
+    return EXIT_OK
 
 
 def _cmd_iota(args: argparse.Namespace) -> int:
-    try:
-        if args.action == "derive":
-            subseed = iota_keys.derive_subseed(args.seed_trytes, args.index)
-            key = iota_keys.derive_private_key(subseed, args.level)
-            address = iota_keys.derive_address(key, with_checksum=args.checksum)
-            print(json.dumps({"index": args.index, "level": args.level,
-                              "address": address, "key_trytes": len(key)},
-                             sort_keys=True))
-            return EXIT_OK
-        if args.action == "bundle":
-            inputs = [(a, int(l), int(v)) for a, l, v in
-                      (item.split(":") for item in args.inputs.split(","))]
-            outputs = [(a, int(v)) for a, v in
-                       (item.split(":") for item in args.outputs.split(","))]
-            bundle = iota_bundles.build_bundle(inputs, outputs, tag=args.tag)
-            print(json.dumps({
-                "bundle": bundle.bundle_hash,
-                "transactions": len(bundle.transactions),
-                "values": [tx.value for tx in bundle.transactions],
-            }, sort_keys=True))
-            return EXIT_OK
-        # grow / milestone / snapshot run scripts against a tangle
-        genesis = json.loads(args.genesis) if args.genesis else {}
-        state, log = scenario.replay_tangle(_read_lines(args.script),
-                                            genesis_balances=genesis)
-        if args.action in ("milestone", "snapshot"):
-            extra = {"op": args.action}
-            state, log2 = scenario.replay_tangle([json.dumps(extra)], state=state)
-            log.extend(log2)
-        rows = state.export_rows()
-        _write_bytes(args.out, ("\n".join(rows) + "\n").encode())
-        if args.log:
-            data = "".join(json.dumps(e, sort_keys=True) + "\n" for e in log)
-            _write_bytes(args.log, data.encode())
+    if args.action == "derive":
+        subseed = iota_keys.derive_subseed(args.seed_trytes, args.index)
+        key = iota_keys.derive_private_key(subseed, args.level)
+        address = iota_keys.derive_address(key, with_checksum=args.checksum)
+        print(json.dumps({"index": args.index, "level": args.level,
+                          "address": address, "key_trytes": len(key)},
+                         sort_keys=True))
         return EXIT_OK
-    except LedgerError as exc:
-        return _fail_validation(exc)
+    if args.action == "bundle":
+        inputs = [(a, int(l), int(v)) for a, l, v in
+                  (item.split(":") for item in args.inputs.split(","))]
+        outputs = [(a, int(v)) for a, v in
+                   (item.split(":") for item in args.outputs.split(","))]
+        bundle = iota_bundles.build_bundle(inputs, outputs, tag=args.tag)
+        print(json.dumps({
+            "bundle": bundle.bundle_hash,
+            "transactions": len(bundle.transactions),
+            "values": [tx.value for tx in bundle.transactions],
+        }, sort_keys=True))
+        return EXIT_OK
+    # grow / milestone / snapshot run scripts against a tangle
+    genesis = json.loads(args.genesis) if args.genesis else {}
+    state, log = scenario.replay_tangle(_read_lines(args.script),
+                                        genesis_balances=genesis)
+    if args.action in ("milestone", "snapshot"):
+        state, log2 = scenario.replay_tangle([{"op": args.action}], state=state)
+        log.extend(log2)
+    _write_bytes(args.out, ("\n".join(state.export_rows()) + "\n").encode())
+    if args.log:
+        _write_bytes(args.log, scenario.dump_log(log))
+    return EXIT_OK
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    try:
-        if args.chain == "utxo":
-            spec = gen.UtxoSpec(tx_count=args.count, split_bias=args.split_bias,
-                                address_reuse_p=args.reuse_p)
-            ledger = gen.generate_utxo(spec, args.seed)
-            data = "\n".join(utxo_mod.dump_jsonl(ledger)) + "\n"
-            _write_bytes(args.out, data.encode())
-            return EXIT_OK
-        if args.chain == "account":
-            txs = gen.generate_account_txs(gen.AccountSpec(tx_count=args.count),
-                                           args.seed)
-            lines = [json.dumps({
-                "from": t.sender, "to": t.to, "amount": t.amount_wei,
-                "nonce": t.nonce, "block": t.block_height, "index": t.block_index,
-                "timestamp": t.timestamp}, sort_keys=True) for t in txs]
-            _write_bytes(args.out, ("\n".join(lines) + "\n").encode())
-            return EXIT_OK
-        if args.chain == "ripple":
-            led = gen.generate_trust_graph(gen.RippleSpec(), args.seed)
-            rows = ["low,high,currency,balance,low_limit,high_limit"]
-            for key in sorted(led.states):
-                s = led.states[key]
-                rows.append(f"{s.low},{s.high},{s.currency},{s.balance},"
-                            f"{s.low_limit},{s.high_limit}")
-            _write_bytes(args.out, ("\n".join(rows) + "\n").encode())
-            return EXIT_OK
-        # iota
+    if args.chain == "utxo":
+        spec = gen.UtxoSpec(tx_count=args.count, split_bias=args.split_bias,
+                            address_reuse_p=args.reuse_p)
+        lines = utxo_mod.dump_jsonl(gen.generate_utxo(spec, args.seed))
+    elif args.chain == "account":
+        lines = account_mod.dump_jsonl(gen.generate_account_txs(
+            gen.AccountSpec(tx_count=args.count), args.seed))
+    elif args.chain == "ripple":
+        led = gen.generate_trust_graph(gen.RippleSpec(), args.seed)
+        _write_bytes(args.out, dump_trust_csv(led))
+        return EXIT_OK
+    else:  # iota
         state, _totals = gen.generate_tangle(
             gen.TangleSpec(cycles=args.count, snapshot_every=10**9), args.seed)
-        _write_bytes(args.out, ("\n".join(state.export_rows()) + "\n").encode())
-        return EXIT_OK
-    except LedgerError as exc:
-        return _fail_validation(exc)
+        lines = state.export_rows()
+    _write_bytes(args.out, ("\n".join(lines) + "\n").encode())
+    return EXIT_OK
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    try:
-        _state, log = scenario.replay(_read_lines(args.script), args.kind)
-    except LedgerError as exc:
-        return _fail_validation(exc)
-    data = "".join(json.dumps(e, sort_keys=True) + "\n" for e in log)
-    _write_bytes(args.out, data.encode())
+    _state, log = scenario.replay(_read_lines(args.script), args.kind)
+    _write_bytes(args.out, scenario.dump_log(log))
     return EXIT_OK
 
 
@@ -345,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     ra = r.add_subparsers(dest="action", required=True)
     for name in ("trust", "pay", "offers", "report"):
         pp = ra.add_parser(name)
-        pp.add_argument("--trust", help="trust graph CSV", default=None)
+        pp.add_argument("--trust", help="trust graph CSV", default=None,
+                        required=name in ("trust", "report"))
         if name in ("pay", "offers"):
             pp.add_argument("script")
         pp.add_argument("--out", default=None)
@@ -392,15 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    conf = _load_config(args.config)
-    for key, value in conf.items():  # config/env fill unset optional flags
-        if hasattr(args, key) and getattr(args, key) in (None, False):
-            current = getattr(args, key)
-            if isinstance(current, bool):
-                setattr(args, key, value.lower() in ("1", "true", "yes"))
-            else:
-                setattr(args, key, value)
     try:
+        _apply_config(parser, args, _load_config(args.config))
         return args.func(args)
     except OSError as exc:
         print(json.dumps({"error": "io-failure", "message": str(exc)}),

@@ -1,5 +1,6 @@
-"""Shared ledger primitives: identifiers, exact integer amounts, and the
-uniform graph export containers used by every chain model.
+"""Shared ledger primitives: exact integer amounts, the JSONL record
+checks every reader uses, and the uniform graph export containers used by
+every chain model.
 
 All types here are immutable value objects; builders elsewhere return new
 instances instead of mutating. Amounts are integers in the smallest subunit
@@ -12,15 +13,22 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 __all__ = [
     "LedgerError",
     "IncompatibleUnitsError",
     "NonIntegralConversionError",
     "AmountOverflowError",
+    "BadJsonError",
+    "BadRecordError",
+    "BadAmountError",
+    "jsonl_records",
+    "at_line",
+    "get_field",
     "Unit",
     "SATOSHI",
     "BTC",
@@ -33,7 +41,6 @@ __all__ = [
     "issued",
     "Amount",
     "convert_unit",
-    "AddressId",
     "Edge",
     "EdgeList",
     "Hyperedge",
@@ -65,6 +72,75 @@ class NonIntegralConversionError(LedgerError):
 
 class AmountOverflowError(LedgerError):
     code = "amount-overflow"
+
+
+class BadJsonError(LedgerError):
+    code = "bad-json"
+
+
+class BadRecordError(LedgerError):
+    """A record with a missing key or a field of the wrong type."""
+
+    code = "bad-record"
+
+
+class BadAmountError(BadRecordError):
+    """An integer field (amount, nonce, height, index) that holds anything
+    but a JSON integer; floats, bools and numeric strings are never
+    truncated or coerced."""
+
+    code = "bad-amount"
+
+
+# --------------------------------------------------------------------------
+# JSONL records
+
+_REQUIRED = object()
+
+
+def jsonl_records(lines: Iterable[str | dict]) -> Iterator[tuple[int, Any]]:
+    """(1-based line number, decoded value) for every non-blank line.
+    Already decoded dicts pass through, numbered by position."""
+    for line_no, line in enumerate(lines, 1):
+        if isinstance(line, dict):
+            yield line_no, line
+            continue
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise BadJsonError(f"line {line_no}: {exc.msg} at column {exc.colno}") from None
+        yield line_no, record
+
+
+@contextmanager
+def at_line(line_no: int) -> Iterator[None]:
+    """Name the line in a BadRecordError raised inside the block; a
+    ValueError from a record's own invariants becomes a BadRecordError."""
+    try:
+        yield
+    except BadRecordError as exc:
+        raise type(exc)(f"line {line_no}: {exc}") from None
+    except ValueError as exc:
+        raise BadRecordError(f"line {line_no}: {exc}") from None
+
+
+def get_field(record: Any, key: str, kind: type = str, default: Any = _REQUIRED) -> Any:
+    """``record[key]``, which must be exactly of type ``kind`` (JSON values
+    have no subclasses, and a bool is not an int here). An absent key, or
+    a null where the default is None, yields ``default``; with no default
+    it raises BadRecordError."""
+    if type(record) is not dict:
+        raise BadRecordError(f"expected an object, got {record!r}")
+    value = record.get(key, default)
+    if value is _REQUIRED:
+        raise BadRecordError(f"missing key {key!r}")
+    if type(value) is not kind and value is not default:
+        if kind is int:
+            raise BadAmountError(f"{key!r} must be an integer, got {value!r}")
+        raise BadRecordError(f"{key!r} must be of type {kind.__name__}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -171,38 +247,6 @@ def convert_unit(amount: Amount, target: Unit) -> Amount:
             f"{amount} is not an integral number of {target.name}"
         )
     return Amount(amount.value // div, target)
-
-
-# --------------------------------------------------------------------------
-# Identifiers
-
-_LEGAL_KINDS = {
-    "utxo": {"plain", "t-addr", "z-addr"},
-    "account": {"eoa", "contract", "null"},
-    "ripple": {"plain", "gateway", "market", "wallet"},
-    "iota": {"plain"},
-}
-
-
-@dataclass(frozen=True)
-class AddressId:
-    """Opaque chain-scoped address. No base58 or checksum validation."""
-
-    chain: str
-    raw: str
-    kind: str = "plain"
-
-    def __post_init__(self) -> None:
-        if not self.raw:
-            raise ValueError("address raw string must be non-empty")
-        legal = _LEGAL_KINDS.get(self.chain)
-        if legal is None:
-            raise ValueError(f"unknown chain tag {self.chain!r}")
-        if self.kind not in legal:
-            raise ValueError(f"kind {self.kind!r} is not legal for chain {self.chain!r}")
-
-    def __str__(self) -> str:
-        return self.raw
 
 
 # --------------------------------------------------------------------------

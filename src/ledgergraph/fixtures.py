@@ -1,61 +1,39 @@
-"""Hand-built replica ledgers and scenarios for the worked examples that
-the test suite and demos check against. Amounts are in subunits; the coin
-values quoted in comments use 1 coin = 100,000,000 subunits.
+"""The worked examples that the test suite and demos check against.
 
-Each builder is pure and deterministic; `write_all` serializes the same
-fixtures to JSONL/CSV under a directory so the ingestion paths can be
-exercised on identical data.
+Ledgers, the account table and the trace walkthrough are read from the
+committed files under ``fixtures/`` at the repository root, through the
+same readers as any input. Amounts are in subunits; the coin values
+quoted in comments use 1 coin = 100,000,000 subunits.
 """
 
 from __future__ import annotations
 
 import os
 
-from .core import SATOSHI, Amount
-from .utxo import Block, Ledger, Output, UtxoTransaction, dump_jsonl
+from . import account
+from .utxo import Ledger, load_jsonl
 
 COIN = 100_000_000
 
-
-def _tx(txid: str, inputs, outputs, coinbase: bool = False) -> UtxoTransaction:
-    outs = tuple(
-        Output(txid, i, Amount(amount, SATOSHI), addr)
-        for i, (addr, amount) in enumerate(outputs)
-    )
-    return UtxoTransaction(txid, tuple(inputs), outs, coinbase=coinbase)
+_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "fixtures")
 
 
-def coinbase_spending_pair() -> Ledger:
-    """The coinbase-plus-spend walkthrough: t1 claims 1.27B satoshi
-    (1.25B reward + 20M collected fees), then t2 consumes its 1B output
-    into 500M + 495M, implicitly leaving a 5M fee."""
-    ledger = Ledger(subsidy_schedule=lambda h: 1_250_000_000)
-    feeder_cb = _tx("f0", [], [("fa", 600_000_000)], coinbase=True)
-    ledger.apply_block(Block(0, 0, (feeder_cb,), Amount(1_250_000_000, SATOSHI)))
-    # block 1: a spending tx pays the 20M fee that t1 collects
-    t1 = _tx("t1", [], [("a1", 1_000_000_000), ("a2", 270_000_000)], coinbase=True)
-    feeder = _tx("fs", [("f0", 0)], [("fb", 580_000_000)])
-    ledger.apply_block(Block(1, 600, (t1, feeder), Amount(1_250_000_000, SATOSHI)))
-    t2 = _tx("t2", [("t1", 0)], [("a3", 500_000_000), ("a4", 495_000_000)])
-    cb2 = _tx("c2", [], [("m2", 1_250_000_000)], coinbase=True)
-    ledger.apply_block(Block(2, 1200, (cb2, t2), Amount(1_250_000_000, SATOSHI)))
-    return ledger
+def _lines(name: str) -> list[str]:
+    with open(os.path.join(_DIR, name), encoding="utf-8") as fh:
+        return fh.readlines()
+
+
+def _ledger(name: str, subsidy: int) -> Ledger:
+    """A fixture ledger, validated with a flat per-block subsidy large
+    enough for its funding block; block i is stamped i * 600 seconds."""
+    return load_jsonl(_lines(name), subsidy=subsidy, timestamp0=0)
 
 
 def lineage_ledger() -> Ledger:
     """Output-linked graph replica: o6 has two lineages, o1->o4->o6 and
     o2->o6. Returns a ledger where g creates o1/o2, t2 spends o1 into o4,
     and t3 merges o4 with o2 into o6."""
-    ledger = Ledger(subsidy_schedule=lambda h: 10 * COIN)
-    g = _tx("g", [], [("a", 5 * COIN), ("b", 3 * COIN)], coinbase=True)
-    ledger.apply_block(Block(0, 0, (g,), Amount(10 * COIN, SATOSHI)))
-    cb1 = _tx("c1", [], [("m1", 10 * COIN)], coinbase=True)
-    t2 = _tx("t2", [("g", 0)], [("c", 495_000_000)])  # o4 = (t2, 0)
-    ledger.apply_block(Block(1, 600, (cb1, t2), Amount(10 * COIN, SATOSHI)))
-    cb2 = _tx("c2", [], [("m2", 10 * COIN)], coinbase=True)
-    t3 = _tx("t3", [("t2", 0), ("g", 1)], [("d", 790_000_000)])  # o6 = (t3, 0)
-    ledger.apply_block(Block(2, 1200, (cb2, t3), Amount(10 * COIN, SATOSHI)))
-    return ledger
+    return _ledger("lineage.jsonl", 10 * COIN)
 
 
 def six_tx_network() -> Ledger:
@@ -67,25 +45,7 @@ def six_tx_network() -> Ledger:
     t4->t6; t5 re-pays the previously used a1 and t6 sends change back to
     its own input address a10.
     """
-    ledger = Ledger(subsidy_schedule=lambda h: 150_000_000)
-    g1 = _tx("g1", [],
-             [("a1", 2 * COIN), ("a2", 1 * COIN), ("a3", 150_000_000),
-              ("a4", 150_000_000)], coinbase=True)
-    ledger.apply_block(Block(0, 0, (g1,), Amount(6 * COIN, SATOSHI)))
-
-    t3 = _tx("t3", [], [("a9", 60_000_000), ("a10", 90_000_000)], coinbase=True)
-    t1 = _tx("t1", [("g1", 0), ("g1", 1)], [("a5", 295_000_000)])
-    t2 = _tx("t2", [("g1", 2), ("g1", 3)],
-             [("a6", 100_000_000), ("a7", 100_000_000), ("a8", 95_000_000)])
-    ledger.apply_block(Block(1, 600, (t3, t1, t2), Amount(150_000_000, SATOSHI)))
-
-    t4 = _tx("t4", [], [("a10", 70_000_000)], coinbase=True)
-    t5 = _tx("t5", [("t1", 0), ("t2", 0), ("t3", 0)],
-             [("a1", 300_000_000), ("a11", 150_000_000)])
-    t6 = _tx("t6", [("t2", 1), ("t2", 2), ("t3", 1), ("t4", 0)],
-             [("a12", 200_000_000), ("a10", 150_000_000)])
-    ledger.apply_block(Block(2, 1200, (t4, t5, t6), Amount(150_000_000, SATOSHI)))
-    return ledger
+    return _ledger("six_tx_network.jsonl", 6 * COIN)
 
 
 SIX_TX_WINDOW = (1, 2)  # block range holding t1..t6
@@ -94,14 +54,7 @@ SIX_TX_WINDOW = (1, 2)  # block range holding t1..t6
 def weighted_example_ledger() -> Ledger:
     """Worked edge-weight example: inputs of 1 and 3 BTC, outputs of 0.9
     and 2 BTC, so w(2->3) = 27/29 BTC and w(2->4) = 60/29 BTC exactly."""
-    ledger = Ledger(subsidy_schedule=lambda h: 4 * COIN)
-    g = _tx("g", [], [("a1", 1 * COIN), ("a2", 3 * COIN)], coinbase=True)
-    ledger.apply_block(Block(0, 0, (g,), Amount(4 * COIN, SATOSHI)))
-    cb = _tx("c1", [], [("m1", 4 * COIN)], coinbase=True)
-    t = _tx("t", [("g", 0), ("g", 1)],
-            [("a3", 90_000_000), ("a4", 200_000_000)])
-    ledger.apply_block(Block(1, 600, (cb, t), Amount(4 * COIN, SATOSHI)))
-    return ledger
+    return _ledger("weighted_example.jsonl", 4 * COIN)
 
 
 def amount_network() -> Ledger:
@@ -114,28 +67,7 @@ def amount_network() -> Ledger:
         O = [[0,2,0],[1,1,1],[1,0,0]]
         A = [[0,3.58,0],[1.9,1.75,3],[2.8,0,0]]  (coins)
     """
-    ledger = Ledger(subsidy_schedule=lambda h: 12 * COIN)
-    g = _tx("g", [], [
-        ("s1", 100_000_000), ("s2", 95_000_000),           # -> t1
-        ("s3", 150_000_000), ("s4", 155_000_000),          # -> t2
-        ("s5", 185_000_000),                               # -> t3
-        ("s6", 100_000_000), ("s7", 100_000_000), ("s8", 85_000_000),  # -> t4
-        ("s9", 180_000_000),                               # -> t6
-    ], coinbase=True)
-    ledger.apply_block(Block(0, 0, (g,), Amount(12 * COIN, SATOSHI)))
-
-    cb = _tx("cb1", [], [("m1", 10 * COIN)], coinbase=True)
-    t1 = _tx("t1", [("g", 0), ("g", 1)], [("b1", 190_000_000)])
-    t2 = _tx("t2", [("g", 2), ("g", 3)],
-             [("b2", 100_000_000), ("b3", 100_000_000), ("b4", 100_000_000)])
-    t3 = _tx("t3", [("g", 4)], [("b5", 100_000_000), ("b6", 80_000_000)])
-    t4 = _tx("t4", [("g", 5), ("g", 6), ("g", 7)], [("b7", 280_000_000)])
-    t5 = _tx("t5", [("t3", 0), ("t3", 1)],
-             [("b8", 100_000_000), ("b9", 75_000_000)])
-    t6 = _tx("t6", [("g", 8)], [("b10", 100_000_000), ("b11", 78_000_000)])
-    ledger.apply_block(Block(1, 600, (cb, t1, t2, t3, t4, t5, t6),
-                             Amount(10 * COIN, SATOSHI)))
-    return ledger
+    return _ledger("amount_network.jsonl", 12 * COIN)
 
 
 AMOUNT_NETWORK_WINDOW = (1, 1)
@@ -150,40 +82,7 @@ def fold_example_ledger() -> Ledger:
 
     Folding to N=2 must then give O=[[0,3],[2,5]], A=[[0,4.08],[4.7,8.75]].
     """
-    ledger = Ledger(subsidy_schedule=lambda h: 20 * COIN)
-    g = _tx("g", [], [
-        ("s1", 100_000_000), ("s2", 95_000_000),
-        ("s3", 150_000_000), ("s4", 155_000_000),
-        ("s5", 185_000_000),
-        ("s6", 100_000_000), ("s7", 100_000_000), ("s8", 85_000_000),
-        ("s9", 180_000_000),                                   # -> t6
-        ("sj", 55_000_000),                                    # -> t7 C(1,3)
-        ("sa", 35_000_000), ("sb", 35_000_000), ("sc", 35_000_000),  # -> t8
-        ("sd", 35_000_000), ("se", 35_000_000), ("sf", 35_000_000),  # -> t9
-        ("sg", 70_000_000), ("sh", 70_000_000), ("si", 65_000_000),  # -> t10
-    ], coinbase=True)
-    ledger.apply_block(Block(0, 0, (g,), Amount(20 * COIN, SATOSHI)))
-
-    cb = _tx("cb1", [], [("m1", 10 * COIN)], coinbase=True)
-    t1 = _tx("t1", [("g", 0), ("g", 1)], [("b1", 190_000_000)])
-    t2 = _tx("t2", [("g", 2), ("g", 3)],
-             [("b2", 100_000_000), ("b3", 100_000_000), ("b4", 100_000_000)])
-    t3 = _tx("t3", [("g", 4)], [("b5", 100_000_000), ("b6", 80_000_000)])
-    t4 = _tx("t4", [("g", 5), ("g", 6), ("g", 7)], [("b7", 280_000_000)])
-    t5 = _tx("t5", [("t3", 0), ("t3", 1)],
-             [("b8", 100_000_000), ("b9", 75_000_000)])
-    t6 = _tx("t6", [("g", 8)], [("b10", 100_000_000), ("b11", 78_000_000)])
-    t7 = _tx("t7", [("g", 9)],
-             [("b12", 20_000_000), ("b13", 20_000_000), ("b14", 10_000_000)])
-    t8 = _tx("t8", [("g", 10), ("g", 11), ("g", 12)],
-             [("b15", 40_000_000), ("b16", 30_000_000), ("b17", 30_000_000)])
-    t9 = _tx("t9", [("g", 13), ("g", 14), ("g", 15)],
-             [("b18", 50_000_000), ("b19", 30_000_000), ("b20", 20_000_000)])
-    t10 = _tx("t10", [("g", 16), ("g", 17), ("g", 18)],
-              [("b21", 100_000_000), ("b22", 50_000_000), ("b23", 50_000_000)])
-    ledger.apply_block(Block(1, 600, (cb, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10),
-                             Amount(20 * COIN, SATOSHI)))
-    return ledger
+    return _ledger("fold_example.jsonl", 20 * COIN)
 
 
 FOLD_EXAMPLE_WINDOW = (1, 1)
@@ -192,60 +91,20 @@ FOLD_EXAMPLE_WINDOW = (1, 1)
 # --------------------------------------------------------------------------
 # Account model fixtures
 
-ACCOUNT_TABLE_ROWS = [
-    # (block, from, to, amount wei, nonce, block index, timestamp)
-    (10646423, "a1", "a2", 100, 0, 1, 1597252277),
-    (10646423, "a1", "a2", 200, 1, 2, 1597252277),
-    (10646424, "a2", "a3", 249, 0, 1, 1597252278),
-    (10646424, "a2", "a1", 49, 1, 2, 1597252278),
-    (10646425, "a1", "NULL", 24, 2, 1, 1597252286),
-    (10646426, "a1", "a4", 24, 3, 1, 1597252303),
-]
+def account_table_txs() -> list[account.AccountTx]:
+    return account.load_jsonl(_lines("account_table.jsonl"))
 
 
-def account_table_txs():
-    from .account import AccountTx
-    return [
-        AccountTx(sender=f, to=t, amount_wei=a, nonce=n,
-                  block_height=b, block_index=i, timestamp=ts)
-        for (b, f, t, a, n, i, ts) in ACCOUNT_TABLE_ROWS
-    ]
-
-
-TRACE_ADDRESSES = {
-    "owner": "0x0..ow", "watcher": "0x0..1e",
-    "sales": "0x0..a4", "vault": "0x0..25", "converter": "0x0..57",
-}
-
-
-def trace_scenario():
+def trace_scenario() -> list[account.Trace]:
     """Three traces of the salesman-contract walkthrough: a forfeited small
     deposit, the owner's withdrawal, and a successful delegated conversion.
     The final token balance write is a state change only and never appears
     as a trace step."""
-    from .account import Trace, TraceStep
-    ow, le = TRACE_ADDRESSES["owner"], TRACE_ADDRESSES["watcher"]
-    a4, c25, c57 = (TRACE_ADDRESSES["sales"], TRACE_ADDRESSES["vault"],
-                    TRACE_ADDRESSES["converter"])
-    return [
-        Trace("tx1", (TraceStep(ow, a4, "call", 200), TraceStep(a4, c25, "call", 200))),
-        Trace("tx3", (TraceStep(le, c25, "call", 0),)),
-        Trace("tx4", (TraceStep(ow, c25, "call", 2000), TraceStep(c25, c57, "delegatecall", 0))),
-    ]
+    return account.run_trace_script(_lines("trace_calls.jsonl"))
 
 
 # --------------------------------------------------------------------------
 # Ripple fixtures
-
-TRUST_GRAPH_ROWS = [
-    # low, high, currency, balance, low_limit, high_limit (drops scale: ones)
-    ("gateway", "rSA...Adw", "USD", 250, 500, 0),
-    ("gateway", "rf1...Jpn", "USD", 0, 300, 0),
-    ("gateway", "rf1...Jpn", "EUR", 0, 30, 0),
-    ("market", "rf1...Jpn", "EUR", 50, 500, 0),
-    ("market", "r4Y...b3n", "USD", 0, 370, 0),
-]
-
 
 def rippling_network():
     """Five-party USD trust graph for the path-settlement walkthrough.
@@ -281,127 +140,3 @@ IOTA_TABLE_BUNDLE = {
     "input": ("OOC..H9X", 2, 142_998_000),
     "outputs": [("EM9..SYW", 1_000), ("NBN..GJA", 142_997_000)],
 }
-
-
-RIPPLING_SCRIPT = [
-    {"op": "create_account", "address": "alice", "xrp": 100_000_000},
-    {"op": "create_account", "address": "bob", "xrp": 100_000_000},
-    {"op": "create_account", "address": "john", "xrp": 100_000_000},
-    {"op": "create_account", "address": "sarah", "xrp": 100_000_000},
-    {"op": "create_account", "address": "tim", "xrp": 100_000_000},
-    {"op": "set_trust", "lender": "tim", "borrower": "sarah", "currency": "USD",
-     "limit": 100, "no_ripple": False},
-    {"op": "set_trust", "lender": "john", "borrower": "tim", "currency": "USD",
-     "limit": 100, "no_ripple": False},
-    {"op": "set_trust", "lender": "bob", "borrower": "john", "currency": "USD",
-     "limit": 100, "no_ripple": False},
-    {"op": "set_trust", "lender": "bob", "borrower": "alice", "currency": "USD",
-     "limit": 100, "no_ripple": False},
-    {"op": "set_trust", "lender": "alice", "borrower": "sarah", "currency": "USD",
-     "limit": 20, "no_ripple": False},
-    {"op": "adjust_debt", "lender": "john", "borrower": "tim", "currency": "USD",
-     "amount": 25},
-    {"op": "adjust_debt", "lender": "bob", "borrower": "john", "currency": "USD",
-     "amount": 15},
-    {"op": "adjust_debt", "lender": "alice", "borrower": "sarah",
-     "currency": "USD", "amount": 2},
-    # the 50 USD settlement, a doomed repeat, then a partial repeat
-    {"op": "pay", "account": "sarah", "destination": "bob",
-     "amount": {"currency": "USD", "value": 50}},
-    {"op": "pay", "account": "sarah", "destination": "bob",
-     "amount": {"currency": "USD", "value": 50}},
-    {"op": "pay", "account": "sarah", "destination": "bob",
-     "amount": {"currency": "USD", "value": 50}, "partial": True},
-]
-
-DOUBLE_SPEND_SCRIPT = [
-    {"op": "attach_bundle", "as": "t1", "timestamp": 1,
-     "inputs": [{"address": "a1", "level": 1, "amount": 100}],
-     "outputs": [{"address": "r1", "amount": 100}],
-     "tips": ["GENESIS", "GENESIS"]},
-    {"op": "attach_bundle", "as": "t2", "timestamp": 2,
-     "inputs": [{"address": "a1", "level": 1, "amount": 100}],
-     "outputs": [{"address": "r2", "amount": 100}],
-     "tips": ["GENESIS", "GENESIS"]},
-    {"op": "attach_message", "as": "x1", "address": "m1", "timestamp": 3,
-     "tips": ["t2", "t2"]},
-    {"op": "attach_message", "as": "x2", "address": "m2", "timestamp": 4,
-     "tips": ["x1", "t2"]},
-    {"op": "attach_message", "as": "x3", "address": "m3", "timestamp": 5,
-     "tips": ["x2", "x1"]},
-    {"op": "milestone", "tips": ["t1", "t1"], "timestamp": 6},
-]
-
-OFFER_EXAMPLE_SCRIPT = [
-    {"op": "create_account", "address": "issE", "xrp": 1_000_000_000},
-    {"op": "create_account", "address": "issU", "xrp": 1_000_000_000},
-    {"op": "create_account", "address": "o1", "xrp": 1_000_000_000},
-    {"op": "create_account", "address": "o2", "xrp": 1_000_000_000},
-    {"op": "set_trust", "lender": "o1", "borrower": "issE", "currency": "EUR",
-     "limit": 1000, "no_ripple": True},
-    {"op": "set_trust", "lender": "o2", "borrower": "issU", "currency": "USD",
-     "limit": 1000, "no_ripple": True},
-    {"op": "adjust_debt", "lender": "o1", "borrower": "issE", "currency": "EUR",
-     "amount": 7},
-    {"op": "adjust_debt", "lender": "o2", "borrower": "issU", "currency": "USD",
-     "amount": 10},
-    {"op": "offer", "owner": "o1",
-     "gets": {"currency": "EUR", "issuer": "issE", "value": 7},
-     "pays": {"currency": "USD", "issuer": "issU", "value": 10}},
-    {"op": "offer", "owner": "o2",
-     "gets": {"currency": "USD", "issuer": "issU", "value": 10},
-     "pays": {"currency": "EUR", "issuer": "issE", "value": 7}},
-]
-
-TRACE_SCRIPT = [
-    {"op": "behavior", "address": "0x0..a4",
-     "calls": [{"to": "0x0..25", "kind": "call", "value": 200}]},
-    {"op": "tx", "id": "tx1", "from": "0x0..ow", "to": "0x0..a4", "value": 200},
-    {"op": "tx", "id": "tx3", "from": "0x0..1e", "to": "0x0..25", "value": 0},
-    {"op": "behavior", "address": "0x0..25",
-     "calls": [{"to": "0x0..57", "kind": "delegatecall", "value": 0}]},
-    {"op": "tx", "id": "tx4", "from": "0x0..ow", "to": "0x0..25", "value": 2000},
-]
-
-
-def write_all(directory: str) -> list[str]:
-    """Serialize the file-backed fixtures; returns the written paths."""
-    import json
-
-    os.makedirs(directory, exist_ok=True)
-    written = []
-
-    def put(name: str, text: str) -> None:
-        path = os.path.join(directory, name)
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        written.append(path)
-
-    def put_jsonl(name: str, records) -> None:
-        put(name, "".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
-
-    for name, builder in [
-        ("six_tx_network.jsonl", six_tx_network),
-        ("amount_network.jsonl", amount_network),
-        ("fold_example.jsonl", fold_example_ledger),
-        ("weighted_example.jsonl", weighted_example_ledger),
-        ("lineage.jsonl", lineage_ledger),
-    ]:
-        put(name, "\n".join(dump_jsonl(builder())) + "\n")
-
-    rows = ["low,high,currency,balance,low_limit,high_limit"]
-    rows += [",".join(str(v) for v in r) for r in TRUST_GRAPH_ROWS]
-    put("trust_graph.csv", "\n".join(rows) + "\n")
-
-    acct = []
-    for (b, f, t, a, n, i, ts) in ACCOUNT_TABLE_ROWS:
-        acct.append(
-            '{"from":"%s","to":"%s","amount":%d,"nonce":%d,"block":%d,"index":%d,"timestamp":%d}'
-            % (f, t, a, n, b, i, ts))
-    put("account_table.jsonl", "\n".join(acct) + "\n")
-
-    put_jsonl("rippling_payment.jsonl", RIPPLING_SCRIPT)
-    put_jsonl("tangle_double_spend.jsonl", DOUBLE_SPEND_SCRIPT)
-    put_jsonl("offer_examples.jsonl", OFFER_EXAMPLE_SCRIPT)
-    put_jsonl("trace_calls.jsonl", TRACE_SCRIPT)
-    return written

@@ -12,7 +12,7 @@ import numpy as np
 from ..core import LedgerError
 from .keys import KEY_FRAGMENT_TRYTES
 from .sponge import MixerSponge
-from .trinary import ascii_to_trits, encode_trytes, int_to_trits
+from .trinary import ascii_to_trits, encode_trytes
 
 __all__ = ["TangleTransaction", "Bundle", "UnbalancedBundleError", "build_bundle"]
 
@@ -142,8 +142,3 @@ def message_transaction(address: str, tag: str = "", timestamp: int = 0,
     bundle_hash = compute_bundle_hash([tx], sponge_factory)
     tx.bundle = bundle_hash
     return Bundle(bundle_hash, [tx])
-
-
-def int_tag(n: int) -> str:
-    """Small deterministic tryte tag from an integer (convenience)."""
-    return encode_trytes(int_to_trits(n, 27))

@@ -71,7 +71,6 @@ class TangleState:
         self.tips: dict[str, None] = {GENESIS_HASH: None}
         self.confirmed: set[str] = set()
         self.invalid: set[str] = set()
-        self.milestones: list[str] = []
         self.reuse_warnings: dict[str, int] = {}
         self._signed_spends: dict[str, int] = {}
         self._attach_seq: dict[str, int] = {GENESIS_HASH: 0}
@@ -332,7 +331,6 @@ class TangleState:
                 if any(self.balances.get(a, 0) < w for a, w in need.items()):
                     self._invalidate_with_approvers(members)
 
-        self.milestones.append(milestone_hash)
         return {"confirmed_bundles": confirmed_now,
                 "invalid_count": len(self.invalid)}
 

@@ -13,10 +13,11 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from . import scenario
+from . import account, scenario
 from .chainlets import DEFAULT_N, build_matrices, snapshot_from_ledger
-from .core import LedgerError, export_edge_list, export_hypergraph, export_matrix
-from .generate import UtxoSpec, generate_utxo
+from .core import (EdgeList, LedgerError, export_edge_list, export_hypergraph,
+                   export_matrix)
+from .generate import AccountSpec, UtxoSpec, generate_account_txs, generate_utxo
 from .utxo import Ledger, load_jsonl
 from .utxo_graphs import (
     EmptyRangeError,
@@ -53,6 +54,14 @@ def _write(directory: str, name: str, data: bytes) -> str:
     return path
 
 
+def _report(config: RunConfig, outputs: dict[str, str], summary: dict) -> dict:
+    outputs["summary"] = _write(
+        config.output_dir, "summary.json",
+        (json.dumps(summary, sort_keys=True, separators=(",", ":")) + "\n")
+        .encode("utf-8"))
+    return {"outputs": outputs, "summary": summary}
+
+
 def _utxo_pipeline(config: RunConfig) -> dict:
     if config.input_path is not None:
         with open(config.input_path, encoding="utf-8") as fh:
@@ -62,18 +71,14 @@ def _utxo_pipeline(config: RunConfig) -> dict:
     start, end = config.window
     outputs: dict[str, str] = {}
 
-    def graph_or_empty(builder):
+    def edges_or_empty(builder) -> EdgeList:
         try:
-            return builder(ledger, start, end)
+            return builder(ledger, start, end).to_edge_list()
         except EmptyRangeError:
-            from .core import EdgeList
             return EdgeList()
 
-    tx_graph = graph_or_empty(build_transaction_graph)
-    addr_graph = graph_or_empty(build_address_graph)
-    tx_el = tx_graph.to_edge_list() if hasattr(tx_graph, "to_edge_list") else tx_graph
-    addr_el = (addr_graph.to_edge_list()
-               if hasattr(addr_graph, "to_edge_list") else addr_graph)
+    tx_el = edges_or_empty(build_transaction_graph)
+    addr_el = edges_or_empty(build_address_graph)
     outputs["transaction_graph"] = _write(
         config.output_dir, "transaction_graph.csv", export_edge_list(tx_el))
     outputs["address_graph"] = _write(
@@ -102,11 +107,7 @@ def _utxo_pipeline(config: RunConfig) -> dict:
         "occurrence_total": int(mats.occurrence.sum()),
         "amount_total": int(mats.amount.sum()),
     }
-    outputs["summary"] = _write(
-        config.output_dir, "summary.json",
-        (json.dumps(summary, sort_keys=True, separators=(",", ":")) + "\n")
-        .encode("utf-8"))
-    return {"outputs": outputs, "summary": summary}
+    return _report(config, outputs, summary)
 
 
 def _script_pipeline(config: RunConfig) -> dict:
@@ -145,46 +146,25 @@ def _script_pipeline(config: RunConfig) -> dict:
                    "rejected_ops": sum(1 for e in log if not e["ok"])}
     else:
         raise LedgerError(f"unknown chain kind {config.chain!r}")
-    outputs["log"] = _write(
-        config.output_dir, "events.jsonl",
-        "".join(json.dumps(e, sort_keys=True) + "\n" for e in log)
-        .encode("utf-8"))
-    outputs["summary"] = _write(
-        config.output_dir, "summary.json",
-        (json.dumps(summary, sort_keys=True, separators=(",", ":")) + "\n")
-        .encode("utf-8"))
-    return {"outputs": outputs, "summary": summary}
+    outputs["log"] = _write(config.output_dir, "events.jsonl",
+                            scenario.dump_log(log))
+    return _report(config, outputs, summary)
 
 
 def _account_pipeline(config: RunConfig) -> dict:
-    from .account import AccountTx, build_account_graph
-    from .generate import AccountSpec, generate_account_txs
     if config.input_path is not None:
-        txs = []
         with open(config.input_path, encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                r = json.loads(line)
-                txs.append(AccountTx(
-                    sender=r["from"], to=r["to"], amount_wei=int(r["amount"]),
-                    nonce=int(r["nonce"]), block_height=int(r["block"]),
-                    block_index=int(r["index"]),
-                    timestamp=int(r.get("timestamp", 0))))
+            txs = account.load_jsonl(fh)
     else:
         txs = generate_account_txs(AccountSpec(), config.seed)
-    graph = build_account_graph(txs)  # nonce validation gates the build
+    graph = account.build_account_graph(txs)  # nonce validation gates the build
     outputs = {
         "account_graph": _write(config.output_dir, "account_graph.csv",
                                 export_edge_list(graph)),
     }
     summary = {"chain": "account", "transactions": len(txs),
                "graph": graph_stats(graph)}
-    outputs["summary"] = _write(
-        config.output_dir, "summary.json",
-        (json.dumps(summary, sort_keys=True, separators=(",", ":")) + "\n")
-        .encode("utf-8"))
-    return {"outputs": outputs, "summary": summary}
+    return _report(config, outputs, summary)
 
 
 def run_pipeline(config: RunConfig) -> dict:

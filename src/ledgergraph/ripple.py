@@ -18,7 +18,6 @@ Conventions fixed here:
 from __future__ import annotations
 
 import copy
-import json
 from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -49,6 +48,7 @@ __all__ = [
     "EscrowError",
     "fill_amounts",
     "load_trust_csv",
+    "dump_trust_csv",
 ]
 
 BASE_RESERVE_DROPS = 20_000_000  # 20 XRP
@@ -151,9 +151,6 @@ class RippleState:
     @property
     def key(self) -> tuple[str, str, str]:
         return (self.low, self.high, self.currency)
-
-    def limit_of(self, side: str) -> int:
-        return self.low_limit if side == self.low else self.high_limit
 
     def no_ripple_of(self, side: str) -> bool:
         return self.low_no_ripple if side == self.low else self.high_no_ripple
@@ -998,3 +995,12 @@ def load_trust_csv(lines: Iterable[str], ledger: RippleLedger | None = None,
             led.account(high).owned_objects += 1
         led.state_owners[key] = owners
     return led
+
+
+def dump_trust_csv(ledger: RippleLedger) -> bytes:
+    """Inverse of load_trust_csv: a header, then one row per trust line
+    in key order."""
+    rows = ["low,high,currency,balance,low_limit,high_limit"]
+    rows += [f"{s.low},{s.high},{s.currency},{s.balance},{s.low_limit},"
+             f"{s.high_limit}" for _key, s in sorted(ledger.states.items())]
+    return ("\n".join(rows) + "\n").encode("utf-8")

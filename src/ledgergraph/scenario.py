@@ -1,144 +1,165 @@
 """Scripted scenario replay: JSONL commands applied in order against a
 Ripple or tangle state, with an event log recording every transition,
-including rejected operations (which leave state untouched)."""
+including rejected operations (which leave state untouched).
+
+A malformed command (bad JSON, a missing key or a wrong-typed field)
+is not a rejection: it stops the replay with a BadJsonError,
+BadRecordError or BadAmountError naming its line.
+"""
 
 from __future__ import annotations
 
 import json
-from typing import Iterable
+from functools import partial
+from typing import Iterable, Iterator
 
-from .core import LedgerError
+from .core import BadRecordError, LedgerError, at_line, get_field, jsonl_records
 from .ripple import CurrencyValue, PaymentSpec, RippleLedger
 from .iota.bundles import build_bundle
 from .iota.tangle import TangleState
 
-__all__ = ["replay_ripple", "replay_tangle", "replay"]
+__all__ = ["replay_ripple", "replay_tangle", "replay", "dump_log"]
 
 
 def _cv(obj) -> CurrencyValue:
-    return CurrencyValue(obj["currency"], obj.get("issuer"), int(obj["value"]))
+    return CurrencyValue(get_field(obj, "currency"),
+                         get_field(obj, "issuer", str, None),
+                         get_field(obj, "value", int))
+
+
+def _names(value, key: str) -> tuple[str, ...]:
+    if type(value) is not list or not all(type(v) is str for v in value):
+        raise BadRecordError(f"{key!r} must be a list of names, got {value!r}")
+    return tuple(value)
 
 
 def _ripple_step(led: RippleLedger, cmd: dict):
-    op = cmd["op"]
+    op, f = cmd["op"], partial(get_field, cmd)
     if op == "create_account":
-        led.create_account(cmd["address"], int(cmd.get("xrp", 0)))
+        led.create_account(f("address"), f("xrp", int, 0))
         return {"address": cmd["address"]}
     if op == "set_trust":
-        state = led.set_trust(cmd["lender"], cmd["borrower"], cmd["currency"],
-                              int(cmd["limit"]),
-                              no_ripple=bool(cmd.get("no_ripple", True)))
+        state = led.set_trust(f("lender"), f("borrower"), f("currency"),
+                              f("limit", int),
+                              no_ripple=f("no_ripple", bool, True))
         return {"deleted": state is None}
     if op == "adjust_debt":
-        led.adjust_line_debt(cmd["lender"], cmd["borrower"], cmd["currency"],
-                             int(cmd["amount"]))
+        led.adjust_line_debt(f("lender"), f("borrower"), f("currency"),
+                             f("amount", int))
         return {}
     if op == "pay":
+        send_max = f("send_max", dict, None)
         spec = PaymentSpec(
-            account=cmd["account"], destination=cmd["destination"],
-            amount=_cv(cmd["amount"]),
-            send_max=_cv(cmd["send_max"]) if cmd.get("send_max") else None,
-            pathset=tuple(tuple(p) for p in cmd.get("paths", [])),
-            tf_no_direct_ripple=bool(cmd.get("no_direct_ripple", False)),
-            tf_partial_payment=bool(cmd.get("partial", False)),
+            account=f("account"), destination=f("destination"),
+            amount=_cv(f("amount", dict)),
+            send_max=_cv(send_max) if send_max else None,
+            pathset=tuple(_names(p, "paths") for p in f("paths", list, [])),
+            tf_no_direct_ripple=f("no_direct_ripple", bool, False),
+            tf_partial_payment=f("partial", bool, False),
         )
         return led.pay(spec)
     if op == "offer":
-        return led.create_offer(cmd["owner"], _cv(cmd["gets"]), _cv(cmd["pays"]))
+        return led.create_offer(f("owner"), _cv(f("gets", dict)), _cv(f("pays", dict)))
     if op == "cancel_offer":
-        led.cancel_offer(cmd["owner"], int(cmd["sequence"]))
+        led.cancel_offer(f("owner"), f("sequence", int))
         return {}
     if op == "write_check":
-        check = led.write_check(cmd["sender"], cmd["receiver"], _cv(cmd["amount"]),
-                                cmd.get("expiration"))
+        check = led.write_check(f("sender"), f("receiver"), _cv(f("amount", dict)),
+                                f("expiration", int, None))
         return {"check_id": check.check_id}
     if op == "cash_check":
-        cashed = led.cash_check(int(cmd["check_id"]), int(cmd["amount"]),
-                                int(cmd.get("now", 0)))
+        cashed = led.cash_check(f("check_id", int), f("amount", int),
+                                f("now", int, 0))
         return {"cashed": cashed}
     if op == "cancel_check":
-        led.cancel_check(int(cmd["check_id"]), cmd["by"])
+        led.cancel_check(f("check_id", int), f("by"))
         return {}
     if op == "create_escrow":
-        escrow = led.create_escrow(cmd["sender"], cmd["receiver"], int(cmd["drops"]),
-                                   int(cmd["release_time"]), cmd.get("expiration"))
+        escrow = led.create_escrow(f("sender"), f("receiver"), f("drops", int),
+                                   f("release_time", int), f("expiration", int, None))
         return {"escrow_id": escrow.escrow_id}
     if op == "finish_escrow":
-        return {"released": led.finish_escrow(int(cmd["escrow_id"]), int(cmd["now"]))}
+        return {"released": led.finish_escrow(f("escrow_id", int), f("now", int))}
     if op == "cancel_escrow":
-        return {"refunded": led.cancel_escrow(int(cmd["escrow_id"]), int(cmd["now"]))}
+        return {"refunded": led.cancel_escrow(f("escrow_id", int), f("now", int))}
     raise LedgerError(f"unknown ripple op {op!r}")
+
+
+def _rejection(i: int, op: str, exc: LedgerError) -> dict:
+    return {"index": i, "op": op, "ok": False,
+            "error": {"code": getattr(exc, "code", "ledger-error"),
+                      "message": str(exc)}}
 
 
 def replay_ripple(lines: Iterable[str],
                   ledger: RippleLedger | None = None) -> tuple[RippleLedger, list[dict]]:
     led = ledger or RippleLedger()
     log: list[dict] = []
-    for i, line in enumerate(_records(lines)):
+    for i, (line_no, cmd) in enumerate(_records(lines)):
         before = led.state_digest()
         try:
-            result = _ripple_step(led, line)
-            log.append({"index": i, "op": line["op"], "ok": True, "result": result})
+            with at_line(line_no):
+                result = _ripple_step(led, cmd)
+            log.append({"index": i, "op": cmd["op"], "ok": True, "result": result})
+        except BadRecordError:
+            raise
         except LedgerError as exc:
             assert led.state_digest() == before, "failed op must not mutate state"
-            log.append({"index": i, "op": line["op"], "ok": False,
-                        "error": {"code": getattr(exc, "code", "ledger-error"),
-                                  "message": str(exc)}})
+            log.append(_rejection(i, cmd["op"], exc))
     return led, log
 
 
 def _tangle_step(state: TangleState, cmd: dict, aliases: dict[str, str]):
-    op = cmd["op"]
+    op, f = cmd["op"], partial(get_field, cmd)
+    timestamp, alias = f("timestamp", int, 0), f("as", str, None)
     if op == "attach_bundle":
         bundle = build_bundle(
-            [(i["address"], int(i.get("level", 2)), int(i["amount"]))
-             for i in cmd["inputs"]],
-            [(o["address"], int(o["amount"])) for o in cmd["outputs"]],
-            tag=cmd.get("tag", ""), timestamp=int(cmd.get("timestamp", 0)),
+            [(get_field(i, "address"), get_field(i, "level", int, 2),
+              get_field(i, "amount", int)) for i in f("inputs", list)],
+            [(get_field(o, "address"), get_field(o, "amount", int))
+             for o in f("outputs", list)],
+            tag=f("tag", str, ""), timestamp=timestamp,
             sponge_factory=state.sponge_factory)
         tips = _tips(state, cmd, aliases)
-        head = state.attach(bundle, tips, difficulty=int(cmd.get("difficulty", 0)))
-        if cmd.get("as"):
-            aliases[cmd["as"]] = head
-        return {"head": head, "bundle": bundle.bundle_hash}
-    if op == "attach_message":
+        head = state.attach(bundle, tips, difficulty=f("difficulty", int, 0))
+        result = {"head": head, "bundle": bundle.bundle_hash}
+    elif op == "attach_message":
         tips = _tips(state, cmd, aliases)
-        head = state.attach_message(cmd["address"], tips, tag=cmd.get("tag", ""),
-                                    timestamp=int(cmd.get("timestamp", 0)),
-                                    data=cmd.get("data", ""),
-                                    difficulty=int(cmd.get("difficulty", 0)))
-        if cmd.get("as"):
-            aliases[cmd["as"]] = head
-        return {"head": head}
-    if op == "milestone":
+        head = state.attach_message(f("address"), tips, tag=f("tag", str, ""),
+                                    timestamp=timestamp, data=f("data", str, ""),
+                                    difficulty=f("difficulty", int, 0))
+        result = {"head": head}
+    elif op == "milestone":
         if "tips" in cmd:
             tips = _tips(state, cmd, aliases)
             head = state.attach_message(state.coordinator, tips, tag="MILESTONE",
-                                        timestamp=int(cmd.get("timestamp", 0)))
-            result = state.apply_milestone(head)
+                                        timestamp=timestamp)
+            state.apply_milestone(head)
         else:
-            head = state.issue_milestone(timestamp=int(cmd.get("timestamp", 0)))
-            result = {"confirmed_bundles": None}
-        if cmd.get("as"):
-            aliases[cmd["as"]] = head
-        return {"milestone": head, "invalid": sorted(state.invalid),
-                "balances": dict(sorted(state.balances.items()))}
-    if op == "promote":
-        head = state.promote(aliases.get(cmd["tx"], cmd["tx"]),
-                             timestamp=int(cmd.get("timestamp", 0)))
+            head = state.issue_milestone(timestamp=timestamp)
+        result = {"milestone": head, "invalid": sorted(state.invalid),
+                  "balances": dict(sorted(state.balances.items()))}
+    elif op == "promote":
+        head = state.promote(aliases.get(f("tx"), cmd["tx"]), timestamp=timestamp)
         return {"head": head}
-    if op == "select_tips":
-        trunk, branch = state.select_tips(cmd.get("strategy", "uniform-random"),
-                                          int(cmd.get("seed", 0)))
+    elif op == "select_tips":
+        trunk, branch = state.select_tips(f("strategy", str, "uniform-random"),
+                                          f("seed", int, 0))
         return {"trunk": trunk, "branch": branch}
-    raise LedgerError(f"unknown tangle op {op!r}")
+    else:
+        raise LedgerError(f"unknown tangle op {op!r}")
+    if alias:
+        aliases[alias] = head
+    return result
 
 
 def _tips(state: TangleState, cmd: dict, aliases: dict[str, str]) -> tuple[str, str]:
-    if "tips" in cmd:
-        trunk, branch = cmd["tips"]
-        return (aliases.get(trunk, trunk), aliases.get(branch, branch))
-    return state.select_tips("oldest-first")
+    if "tips" not in cmd:
+        return state.select_tips("oldest-first")
+    tips = _names(cmd["tips"], "tips")
+    if len(tips) != 2:
+        raise BadRecordError(f"'tips' must name a trunk and a branch, got {tips!r}")
+    return (aliases.get(tips[0], tips[0]), aliases.get(tips[1], tips[1]))
 
 
 def replay_tangle(lines: Iterable[str],
@@ -149,30 +170,30 @@ def replay_tangle(lines: Iterable[str],
     st = state or TangleState(genesis_balances or {})
     aliases: dict[str, str] = {"GENESIS": GENESIS_HASH}
     log: list[dict] = []
-    for i, cmd in enumerate(_records(lines)):
+    for i, (line_no, cmd) in enumerate(_records(lines)):
         if cmd["op"] == "snapshot":
             balances, st = st.snapshot()
             log.append({"index": i, "op": "snapshot", "ok": True,
                         "result": {"balances": dict(sorted(balances.items()))}})
             continue
         try:
-            result = _tangle_step(st, cmd, aliases)
+            with at_line(line_no):
+                result = _tangle_step(st, cmd, aliases)
             log.append({"index": i, "op": cmd["op"], "ok": True, "result": result})
+        except BadRecordError:
+            raise
         except LedgerError as exc:
-            log.append({"index": i, "op": cmd["op"], "ok": False,
-                        "error": {"code": getattr(exc, "code", "ledger-error"),
-                                  "message": str(exc)}})
+            log.append(_rejection(i, cmd["op"], exc))
     return st, log
 
 
-def _records(lines: Iterable[str]) -> Iterable[dict]:
-    for line in lines:
-        if isinstance(line, dict):
-            yield line
-            continue
-        line = line.strip()
-        if line:
-            yield json.loads(line)
+def _records(lines: Iterable[str | dict]) -> Iterator[tuple[int, dict]]:
+    """(line number, command) per script line; every command needs a
+    string "op"."""
+    for line_no, cmd in jsonl_records(lines):
+        with at_line(line_no):
+            get_field(cmd, "op")
+        yield line_no, cmd
 
 
 def replay(lines: Iterable[str], kind: str):
@@ -182,3 +203,8 @@ def replay(lines: Iterable[str], kind: str):
     if kind == "iota":
         return replay_tangle(lines)
     raise LedgerError(f"scenario replay supports ripple|iota, not {kind!r}")
+
+
+def dump_log(log: Iterable[dict]) -> bytes:
+    """An event log as JSONL: one sorted-key object per event."""
+    return "".join(json.dumps(e, sort_keys=True) + "\n" for e in log).encode("utf-8")

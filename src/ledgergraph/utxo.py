@@ -2,8 +2,7 @@
 Monero-style ring inputs and Zcash transaction-type classification.
 
 A Ledger is single-writer; apply_block() validates the whole block against
-a staged view and commits atomically. Once frozen, a ledger is safe to
-share across threads for parallel graph builds.
+a staged view and commits atomically.
 """
 
 from __future__ import annotations
@@ -13,7 +12,8 @@ import random
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator
 
-from .core import SATOSHI, Amount, LedgerError
+from .core import (SATOSHI, Amount, BadRecordError, LedgerError, at_line,
+                   get_field, jsonl_records)
 
 __all__ = [
     "OutputRef",
@@ -231,7 +231,6 @@ class Ledger:
         self.destroyed: int = 0  # subunits lost to under-claiming coinbases
         self.subsidy_schedule = subsidy_schedule or (lambda height: 0)
         self.zcash_coinbase_shielded = zcash_coinbase_shielded
-        self._frozen = False
 
     # -- queries ----------------------------------------------------------
 
@@ -260,10 +259,6 @@ class Ledger:
 
     def considered_final(self, txid: str, depth: int = 6) -> bool:
         return self.confirmations(txid) >= depth
-
-    def freeze(self) -> "Ledger":
-        self._frozen = True
-        return self
 
     # -- validation -------------------------------------------------------
 
@@ -319,8 +314,6 @@ class Ledger:
         Transactions are checked in block order; any error aborts the whole
         block with the ledger unchanged.
         """
-        if self._frozen:
-            raise LedgerError("ledger is frozen")
         if block.height != self.tip_height + 1:
             raise LedgerError(
                 f"block height {block.height} does not extend tip {self.tip_height}"
@@ -397,36 +390,45 @@ def trace_lineage(ref: OutputRef, ledger: Ledger) -> list[tuple[OutputRef, ...]]
 # --------------------------------------------------------------------------
 # JSONL ingestion (one transaction per line)
 
-def _tx_from_record(rec: dict) -> tuple[UtxoTransaction, int]:
+def _kinds(rec: dict, side: str) -> tuple[str, ...] | None:
+    kinds = get_field(get_field(rec, "kinds", dict, {}), side, list, None)
+    if kinds is None:
+        return None
+    if not all(k in ("t", "z") for k in kinds):
+        raise BadRecordError(f"kinds {side!r} must hold 't' or 'z', got {kinds!r}")
+    return tuple(kinds)
+
+
+def _tx_from_record(rec: dict) -> UtxoTransaction:
+    txid = get_field(rec, "id")
     outputs = tuple(
-        Output(rec["id"], i, Amount(int(o["amount"]), SATOSHI), o["address"],
-               amount_visible=o.get("visible", True))
-        for i, o in enumerate(rec["outputs"])
+        Output(txid, i, Amount(get_field(o, "amount", int), SATOSHI),
+               get_field(o, "address"),
+               amount_visible=get_field(o, "visible", bool, True))
+        for i, o in enumerate(get_field(rec, "outputs", list))
     )
-    kinds = rec.get("kinds") or {}
-    height = int(rec["block"])
-    tx = UtxoTransaction(
-        id=rec["id"],
-        inputs=tuple((i["txid"], int(i["index"])) for i in rec.get("inputs", [])),
+    return UtxoTransaction(
+        id=txid,
+        inputs=tuple((get_field(i, "txid"), get_field(i, "index", int))
+                     for i in get_field(rec, "inputs", list, [])),
         outputs=outputs,
-        coinbase=bool(rec.get("coinbase", False)),
-        block_height=height,
-        input_kinds=tuple(kinds["in"]) if "in" in kinds else None,
-        output_kinds=tuple(kinds["out"]) if "out" in kinds else None,
+        coinbase=get_field(rec, "coinbase", bool, False),
+        block_height=get_field(rec, "block", int),
+        input_kinds=_kinds(rec, "in"),
+        output_kinds=_kinds(rec, "out"),
     )
-    return tx, height
 
 
 def load_jsonl(lines: Iterable[str], subsidy: int = 5_000_000_000,
                timestamp0: int = 1_231_006_505, block_interval: int = 600) -> Ledger:
-    """Build a ledger from ingestion JSONL, validating every block."""
+    """Build a ledger from ingestion JSONL, validating every block.
+    Amounts, heights and indexes must be JSON integers; a malformed line
+    raises BadJsonError, BadRecordError or BadAmountError naming it."""
     by_block: dict[int, list[UtxoTransaction]] = {}
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        tx, height = _tx_from_record(json.loads(line))
-        by_block.setdefault(height, []).append(tx)
+    for line_no, rec in jsonl_records(lines):
+        with at_line(line_no):
+            tx = _tx_from_record(rec)
+        by_block.setdefault(tx.block_height, []).append(tx)
     ledger = Ledger(subsidy_schedule=lambda h: subsidy)
     for height in sorted(by_block):
         txs = by_block[height]

@@ -1,21 +1,27 @@
 """CLI surfaces: subcommands, file formats, exit codes, env overrides."""
 
+import contextlib
+import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ledgergraph import fixtures
 from ledgergraph.cli import main
 from ledgergraph.utxo import dump_jsonl
 
 
+FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
+
+
 @pytest.fixture()
-def fixture_dir(tmp_path):
-    fixtures.write_all(str(tmp_path))
-    return tmp_path
+def fixture_dir():
+    return FIXTURES
 
 
 def run_cli(args):
@@ -213,3 +219,134 @@ def test_console_script_entry_point():
     for sub in ("utxo", "account", "ripple", "iota", "chainlet", "generate",
                 "replay"):
         assert sub in proc.stdout
+
+
+# -- strict readers ---------------------------------------------------------------
+
+UTXO_LINE = ('{"id":"c","block":0,"coinbase":true,'
+             '"outputs":[{"amount":%s,"address":"m"}]}\n')
+ACCOUNT_LINE = ('{"from":"a1","to":"a2","amount":%s,"nonce":0,"block":1,'
+                '"index":0}\n')
+COINBASE = '{"id":"c","block":0,"coinbase":true,"outputs":[{"amount":1,"address":"m"}]}\n'
+
+
+def reader_command(kind, src, out):
+    """The CLI call that reads src with the UTXO or the account reader."""
+    if kind == "utxo":
+        return ["utxo", "validate", str(src), "--subsidy", "600000000"]
+    return ["account", "graph", str(src), "--out", str(out)]
+
+
+@pytest.mark.parametrize("kind,line", [("utxo", UTXO_LINE), ("account", ACCOUNT_LINE)])
+@pytest.mark.parametrize("amount", ["1.5", '"7"', "true", "null", "[1]"])
+def test_non_integer_amount_is_rejected(tmp_path, capsys, kind, line, amount):
+    src = tmp_path / "in.jsonl"
+    src.write_text(line % amount)
+    code = run_cli(reader_command(kind, src, tmp_path / "out.csv"))
+    err = json.loads(capsys.readouterr().err)
+    assert code == 2
+    assert err["error"] == "bad-amount"
+    assert err["message"].startswith("line 1:")
+
+
+@pytest.mark.parametrize("text,code,line", [
+    (COINBASE + '{"id": \n', "bad-json", 2),
+    ('\n{"id":"c","block":0,"coinbase":true,"outputs":5}\n', "bad-record", 2),
+    ('{"id":"c","block":0,"coinbase":true,"outputs":[5]}\n', "bad-record", 1),
+    ('{"block":0,"coinbase":true,"outputs":[]}\n', "bad-record", 1),
+    (COINBASE.replace("true", "1"), "bad-record", 1),
+    (COINBASE.replace('"coinbase":true', '"inputs":[]'), "bad-record", 1),
+])
+def test_malformed_utxo_record_names_its_line(tmp_path, capsys, text, code, line):
+    src = tmp_path / "in.jsonl"
+    src.write_text(text)
+    assert run_cli(["utxo", "validate", src]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == code
+    assert err["message"].startswith(f"line {line}:")
+
+
+def test_malformed_script_command_names_its_line(tmp_path, capsys):
+    script = tmp_path / "s.jsonl"
+    script.write_text(
+        '{"op": "create_account", "address": "a", "xrp": 100000000}\n'
+        '{"op": "set_trust", "lender": "a", "borrower": "b", "currency": "USD",'
+        ' "limit": null}\n')
+    assert run_cli(["replay", script, "--kind", "ripple"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "bad-amount"
+    assert err["message"].startswith("line 2:")
+
+
+MUTANT_VALUES = [None, 1.5, "x", [], [1], True, {}]
+
+
+def _mutate(data, record):
+    """Drop a key or swap a value, at the top level or inside one of the
+    record's nested objects."""
+    targets = [record] + [item for value in record.values()
+                          if isinstance(value, list) for item in value
+                          if isinstance(item, dict)]
+    target = data.draw(st.sampled_from(targets))
+    if not target:
+        return
+    key = data.draw(st.sampled_from(sorted(target)))
+    if data.draw(st.booleans()):
+        del target[key]
+    else:
+        target[key] = data.draw(st.sampled_from(MUTANT_VALUES))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_records_exit_cleanly(tmp_path_factory, data):
+    kind, name = data.draw(st.sampled_from([("utxo", "six_tx_network.jsonl"),
+                                            ("account", "account_table.jsonl")]))
+    records = [json.loads(line)
+               for line in (FIXTURES / name).read_text().splitlines()]
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(data, data.draw(st.sampled_from(records)))
+    lines = [json.dumps(record) for record in records]
+    if data.draw(st.integers(0, 9)) == 0:  # now and then, cut a line short
+        i = data.draw(st.integers(0, len(lines) - 1))
+        lines[i] = lines[i][:data.draw(st.integers(0, len(lines[i]) - 1))]
+    work = tmp_path_factory.mktemp("mutant")
+    src = work / name
+    src.write_text("\n".join(lines) + "\n")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(reader_command(kind, src, work / "out.csv"))
+    assert code in (0, 2, 3)
+    if code == 2:
+        assert json.loads(stderr.getvalue())["error"]
+
+
+# -- usage errors -------------------------------------------------------------------
+
+@pytest.mark.parametrize("action", ["trust", "report"])
+def test_ripple_trust_and_report_require_a_trust_file(action, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["ripple", action])
+    assert exc.value.code == 2
+    assert "--trust" in capsys.readouterr().err
+
+
+def test_env_override_is_parsed_with_the_flag_type(fixture_dir, tmp_path,
+                                                   monkeypatch):
+    out = tmp_path / "tx.csv"
+    monkeypatch.setenv("LEDGERGRAPH_START", "2")
+    code = run_cli(["utxo", "graph", fixture_dir / "six_tx_network.jsonl",
+                    "--subsidy", 600_000_000, "--out", out])
+    assert code == 0
+    # block 2 alone holds the three edges into t5 and t6 from block 2 txs
+    rows = out.read_text().splitlines()[1:]
+    assert rows and all(row.split(",")[1] in ("t5", "t6") for row in rows)
+
+
+def test_unparsable_config_value_is_bad_config(fixture_dir, tmp_path, capsys):
+    conf = tmp_path / "lg.conf"
+    conf.write_text("start=one\n")
+    code = run_cli(["--config", conf, "utxo", "graph",
+                    fixture_dir / "six_tx_network.jsonl", "--subsidy", 600_000_000])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "bad-config"

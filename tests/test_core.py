@@ -11,7 +11,6 @@ from ledgergraph.core import (
     DROP,
     SATOSHI,
     XRP,
-    AddressId,
     Amount,
     AmountOverflowError,
     Edge,
@@ -83,15 +82,6 @@ def test_issued_currency_code_length():
     issued("A" * 40, "gateway")
     with pytest.raises(IncompatibleUnitsError):
         issued("USDX")
-
-
-def test_address_kind_legality():
-    AddressId("utxo", "t1abc", "t-addr")
-    AddressId("account", "0xabc", "contract")
-    with pytest.raises(ValueError):
-        AddressId("utxo", "x", "eoa")
-    with pytest.raises(ValueError):
-        AddressId("account", "", "eoa")
 
 
 def test_simple_graph_rejects_duplicate_edge():

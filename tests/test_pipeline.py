@@ -3,6 +3,7 @@ characteristics the ten graph types must carry."""
 
 import json
 import os
+import pathlib
 
 import pytest
 
@@ -13,10 +14,8 @@ from ledgergraph.pipeline import RunConfig, run_pipeline
 
 
 @pytest.fixture()
-def fixture_dir(tmp_path):
-    d = tmp_path / "fixtures"
-    fixtures.write_all(str(d))
-    return d
+def fixture_dir():
+    return pathlib.Path(__file__).parent.parent / "fixtures"
 
 
 def test_pipeline_on_six_tx_fixture_builds_both_graphs(fixture_dir, tmp_path):
