@@ -7,7 +7,6 @@ ring. Hidden amounts poison value-based graphs, which the builders
 refuse loudly.
 """
 
-from ledgergraph.core import SATOSHI, Amount
 from ledgergraph.utxo import (
     Block,
     Ledger,
@@ -33,16 +32,14 @@ print(f"  real spend hides at position {ring.real_index} "
 print(f"  members: {[m[0] for m in ring.members[:4]]}...")
 
 print("\n=== RingCT-style hidden amounts are contagious ===")
-ledger = Ledger(subsidy_schedule=lambda h: 1000)
-cb = UtxoTransaction("g", (), (Output("g", 0, Amount(1000, SATOSHI), "a"),),
-                     coinbase=True)
-ledger.apply_block(Block(0, 0, (cb,), Amount(1000, SATOSHI)))
-cb1 = UtxoTransaction("c1", (), (Output("c1", 0, Amount(1, SATOSHI), "m"),),
-                      coinbase=True)
+ledger = Ledger()
+cb = UtxoTransaction("g", (), (Output("g", 0, 1000, "a"),), coinbase=True)
+ledger.apply_block(Block(0, 0, (cb,), 1000))
+cb1 = UtxoTransaction("c1", (), (Output("c1", 0, 1, "m"),), coinbase=True)
 shielded = UtxoTransaction(
     "s", (("g", 0),),
-    (Output("s", 0, Amount(990, SATOSHI), "b", amount_visible=False),))
-ledger.apply_block(Block(1, 600, (cb1, shielded), Amount(1000, SATOSHI)))
+    (Output("s", 0, 990, "b", amount_visible=False),))
+ledger.apply_block(Block(1, 600, (cb1, shielded), 1000))
 try:
     build_address_graph(ledger, 1, 1)
 except HiddenAmountError as exc:

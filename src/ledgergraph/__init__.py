@@ -4,48 +4,31 @@ Validates synthetic or ingested ledger data against the structural rules
 of UTXO, account, credit-network and DAG ledgers, and builds the
 associated analytical graphs: transaction graphs, weighted address
 graphs, chainlet occurrence/amount matrices, token graphs, trace
-hypergraphs, trust/payment graphs and tangle graphs.
+hypergraphs, trust/payment graphs and tangle graphs. Amounts are plain
+ints in each chain's smallest subunit.
 """
 
 from .core import (
-    Amount,
-    BTC,
-    DROP,
     EdgeList,
     Edge,
     Hyperedge,
     Hypergraph,
     LedgerError,
-    SATOSHI,
-    Unit,
-    WEI,
-    XRP,
-    convert_unit,
     export_edge_list,
     export_hypergraph,
     export_matrix,
-    issued,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Amount",
-    "BTC",
-    "DROP",
     "Edge",
     "EdgeList",
     "Hyperedge",
     "Hypergraph",
     "LedgerError",
-    "SATOSHI",
-    "Unit",
-    "WEI",
-    "XRP",
-    "convert_unit",
     "export_edge_list",
     "export_hypergraph",
     "export_matrix",
-    "issued",
     "__version__",
 ]

@@ -153,7 +153,7 @@ def build_account_graph(txs: Sequence[AccountTx],
         problems = validate_nonce_order(txs)
         if problems:
             raise NonceError("; ".join(p.detail for p in problems))
-    graph = EdgeList(directed=True, multi=True)
+    graph = EdgeList(multi=True)
     for tx in txs:
         graph.add(Edge.make(
             tx.sender, tx.to, tx.amount_wei,
@@ -259,11 +259,11 @@ def build_token_graph(transfers: Iterable[InternalTransfer],
     for t in transfers:
         if token is not None and t.token != token:
             continue
-        graph = graphs.setdefault(t.token, EdgeList(directed=True, multi=True))
+        graph = graphs.setdefault(t.token, EdgeList(multi=True))
         graph.add(Edge.make(t.sender, t.recipient, t.token_amount,
                             token=t.token, tx=t.triggering_tx))
     if token is not None:
-        graphs.setdefault(token, EdgeList(directed=True, multi=True))
+        graphs.setdefault(token, EdgeList(multi=True))
     return graphs
 
 
@@ -330,7 +330,7 @@ def build_trace_hypergraph(traces: Iterable[Trace]) -> Hypergraph:
 def trace_value_edges(traces: Iterable[Trace]) -> EdgeList:
     """Coin-moving steps as graph edges; this is how a contract-to-EOA
     payout becomes visible, since it never exists as a top-level tx."""
-    graph = EdgeList(directed=True, multi=True)
+    graph = EdgeList(multi=True)
     for trace in traces:
         for step in trace.steps:
             if step.kind == "error" or step.value == 0:

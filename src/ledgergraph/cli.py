@@ -22,7 +22,8 @@ from . import generate as gen
 from . import scenario
 from . import utxo as utxo_mod
 from . import utxo_graphs as ug
-from .core import LedgerError, export_edge_list, export_hypergraph, export_matrix
+from .core import (BadRecordError, LedgerError, export_edge_list,
+                   export_hypergraph, export_matrix, get_field)
 from .iota import bundles as iota_bundles
 from .iota import keys as iota_keys
 from .ripple import dump_trust_csv, load_trust_csv
@@ -71,28 +72,39 @@ def _load_config(path: str | None) -> dict[str, str]:
     return conf
 
 
-def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace,
-                  conf: dict[str, str]) -> None:
-    """Fill unset optional flags of the selected (sub)command from
-    config/env values, each parsed with its flag's type (switches take
-    1/true/yes); raises ConfigError."""
-    actions, parsers = {}, [parser]
+def _parse_args(parser: argparse.ArgumentParser,
+                argv: list[str] | None) -> argparse.Namespace:
+    """Parse argv. An optional flag that the command line leaves out takes
+    its config/env value, parsed with the flag's own type (switches take
+    1/true/yes), or else its default; a flag given on the command line
+    wins whatever its value. Raises ConfigError, or OSError for an
+    unreadable --config file."""
+    # while parsing, each optional flag defaults to its own action, so a
+    # flag left out can be told from one given, even with a falsy value
+    defaults, parsers = {}, [parser]
     while parsers:
         for action in parsers.pop()._actions:
             if isinstance(action, argparse._SubParsersAction):
-                parsers.append(action.choices[getattr(args, action.dest)])
-            actions[action.dest] = action
-    for key, value in conf.items():
-        action = actions.get(key)
-        if action is None or getattr(args, key) not in (None, False):
+                parsers.extend(action.choices.values())
+            elif action.option_strings and action.default is not argparse.SUPPRESS:
+                defaults[action], action.default = action.default, action
+    args = parser.parse_args(argv)
+    omitted = {key: action for key, action in vars(args).items()
+               if isinstance(action, argparse.Action)}
+    for key, action in omitted.items():
+        setattr(args, key, defaults[action])
+    for key, value in _load_config(args.config).items():
+        action = omitted.get(key)
+        if action is None:
             continue
-        if isinstance(getattr(args, key), bool):
+        if isinstance(defaults[action], bool):
             setattr(args, key, value.lower() in ("1", "true", "yes"))
             continue
         try:
             setattr(args, key, action.type(value) if action.type else value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{key}={value!r}: {exc}") from None
+    return args
 
 
 def _parse_range(text: str | None) -> tuple[int | None, int | None]:
@@ -215,9 +227,8 @@ def _cmd_iota(args: argparse.Namespace) -> int:
         }, sort_keys=True))
         return EXIT_OK
     # grow / milestone / snapshot run scripts against a tangle
-    genesis = json.loads(args.genesis) if args.genesis else {}
     state, log = scenario.replay_tangle(_read_lines(args.script),
-                                        genesis_balances=genesis)
+                                        genesis_balances=_genesis(args.genesis))
     if args.action in ("milestone", "snapshot"):
         state, log2 = scenario.replay_tangle([{"op": args.action}], state=state)
         log.extend(log2)
@@ -225,6 +236,17 @@ def _cmd_iota(args: argparse.Namespace) -> int:
     if args.log:
         _write_bytes(args.log, scenario.dump_log(log))
     return EXIT_OK
+
+
+def _genesis(text: str | None) -> dict[str, int]:
+    """The --genesis address->balance map, checked like a JSONL record:
+    a JSON object whose values are JSON integers."""
+    if not text:
+        return {}
+    balances = json.loads(text)
+    if type(balances) is not dict:
+        raise BadRecordError(f"--genesis: expected an object, got {balances!r}")
+    return {address: get_field(balances, address, int) for address in balances}
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -346,10 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        _apply_config(parser, args, _load_config(args.config))
+        args = _parse_args(build_parser(), argv)
         return args.func(args)
     except OSError as exc:
         print(json.dumps({"error": "io-failure", "message": str(exc)}),

@@ -1,11 +1,11 @@
-"""Shared ledger primitives: exact integer amounts, the JSONL record
+"""Shared ledger primitives: the integer amount bound, the JSONL record
 checks every reader uses, and the uniform graph export containers used by
 every chain model.
 
-All types here are immutable value objects; builders elsewhere return new
-instances instead of mutating. Amounts are integers in the smallest subunit
-of their currency family and all ratio-valued weights are exact rationals,
-so conservation invariants can be tested with plain equality.
+Amounts are plain ints in the smallest subunit of their currency family
+(satoshi, wei, drop, iota token), bounds-checked against MAX_AMOUNT where
+they enter a ledger, and all ratio-valued weights are exact rationals, so
+conservation invariants can be tested with plain equality.
 """
 
 from __future__ import annotations
@@ -20,8 +20,6 @@ from typing import Any, Iterable, Iterator, Mapping
 
 __all__ = [
     "LedgerError",
-    "IncompatibleUnitsError",
-    "NonIntegralConversionError",
     "AmountOverflowError",
     "BadJsonError",
     "BadRecordError",
@@ -29,18 +27,6 @@ __all__ = [
     "jsonl_records",
     "at_line",
     "get_field",
-    "Unit",
-    "SATOSHI",
-    "BTC",
-    "WEI",
-    "ETHER",
-    "DROP",
-    "XRP",
-    "IOTA_TOKEN",
-    "MIOTA",
-    "issued",
-    "Amount",
-    "convert_unit",
     "Edge",
     "EdgeList",
     "Hyperedge",
@@ -60,14 +46,6 @@ class LedgerError(Exception):
     """Base class for every validation or contract error in the package."""
 
     code = "ledger-error"
-
-
-class IncompatibleUnitsError(LedgerError):
-    code = "incompatible-units"
-
-
-class NonIntegralConversionError(LedgerError):
-    code = "non-integral-result"
 
 
 class AmountOverflowError(LedgerError):
@@ -143,110 +121,10 @@ def get_field(record: Any, key: str, kind: type = str, default: Any = _REQUIRED)
     return value
 
 
-@dataclass(frozen=True)
-class Unit:
-    """A currency unit: a family tag plus a decimal scale above the subunit.
-
-    ``scale`` is the power of ten separating this unit from the family's
-    smallest subunit (satoshi, wei, drop, iota token). Issued currencies
-    have no subunit hierarchy; their scale is always 0.
-    """
-
-    family: str
-    name: str
-    scale: int = 0
-
-    def __str__(self) -> str:
-        return self.name
-
-
-SATOSHI = Unit("btc", "satoshi", 0)
-BTC = Unit("btc", "BTC", 8)  # one bitcoin contains 100 million satoshis
-WEI = Unit("eth", "wei", 0)
-ETHER = Unit("eth", "ether", 18)
-DROP = Unit("xrp", "drop", 0)
-XRP = Unit("xrp", "XRP", 6)  # 1 XRP = 1 million drops
-IOTA_TOKEN = Unit("iota", "iota", 0)
-MIOTA = Unit("iota", "Miota", 6)
-
-
-def issued(currency: str, issuer: str | None = None) -> Unit:
-    """Unit for a user-issued currency; 3- or 40-character code."""
-    if len(currency) not in (3, 40):
-        raise IncompatibleUnitsError(
-            f"issued currency code must be 3 or 40 characters, got {currency!r}"
-        )
-    tag = f"issued:{currency}" + (f".{issuer}" if issuer else "")
-    return Unit(tag, currency, 0)
-
-
 def _check_bound(value: int) -> int:
     if not -MAX_AMOUNT <= value <= MAX_AMOUNT:
         raise AmountOverflowError(f"amount {value} exceeds the integer boundary")
     return value
-
-
-@dataclass(frozen=True, order=False)
-class Amount:
-    """Signed integer amount in a specific unit. Arithmetic is checked."""
-
-    value: int
-    unit: Unit
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.value, int):
-            raise TypeError("Amount.value must be an int (no floating-point finance)")
-        _check_bound(self.value)
-
-    def _require_same_unit(self, other: "Amount") -> None:
-        if self.unit != other.unit:
-            raise IncompatibleUnitsError(
-                f"cannot combine {self.unit} with {other.unit}"
-            )
-
-    def __add__(self, other: "Amount") -> "Amount":
-        self._require_same_unit(other)
-        return Amount(_check_bound(self.value + other.value), self.unit)
-
-    def __sub__(self, other: "Amount") -> "Amount":
-        self._require_same_unit(other)
-        return Amount(_check_bound(self.value - other.value), self.unit)
-
-    def __neg__(self) -> "Amount":
-        return Amount(_check_bound(-self.value), self.unit)
-
-    def __lt__(self, other: "Amount") -> bool:
-        self._require_same_unit(other)
-        return self.value < other.value
-
-    def __le__(self, other: "Amount") -> bool:
-        self._require_same_unit(other)
-        return self.value <= other.value
-
-    def __str__(self) -> str:
-        return f"{self.value} {self.unit.name}"
-
-
-def convert_unit(amount: Amount, target: Unit) -> Amount:
-    """Exact integer rescaling between units of one currency family.
-
-    Raises IncompatibleUnitsError across families and
-    NonIntegralConversionError when the result would lose precision
-    (e.g. 1 satoshi expressed in BTC).
-    """
-    if amount.unit.family != target.family:
-        raise IncompatibleUnitsError(
-            f"cannot convert {amount.unit} to {target} (different families)"
-        )
-    shift = amount.unit.scale - target.scale
-    if shift >= 0:
-        return Amount(_check_bound(amount.value * 10**shift), target)
-    div = 10**-shift
-    if amount.value % div:
-        raise NonIntegralConversionError(
-            f"{amount} is not an integral number of {target.name}"
-        )
-    return Amount(amount.value // div, target)
 
 
 # --------------------------------------------------------------------------
@@ -282,7 +160,6 @@ class EdgeList:
     unique; duplicates raise at append time.
     """
 
-    directed: bool = True
     multi: bool = True
     edges: list[Edge] = field(default_factory=list)
     _seen: set[tuple[str, str, Any]] = field(default_factory=set, repr=False)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .core import SATOSHI, Amount
 from .utxo import Block, Ledger, Output, OutputRef, UtxoTransaction
 
 __all__ = [
@@ -89,7 +88,7 @@ def generate_utxo(spec: UtxoSpec, seed: int) -> Ledger:
     split_bias (the rest splits evenly between merge and transition)."""
     rng = derive_rng(seed, "utxo")
     addresses = _AddressPool(rng, spec.address_reuse_p)
-    ledger = Ledger(subsidy_schedule=lambda h: spec.subsidy)
+    ledger = Ledger()
 
     pool: list[tuple[OutputRef, int]] = []  # (ref, amount)
 
@@ -137,7 +136,7 @@ def generate_utxo(spec: UtxoSpec, seed: int) -> Ledger:
         out_total = in_sum - fee
         amounts = _partition(rng, out_total, y)
         outputs = tuple(
-            Output(txid, i, Amount(a, SATOSHI), addresses.next())
+            Output(txid, i, a, addresses.next())
             for i, a in enumerate(amounts)
         )
         return UtxoTransaction(txid, tuple(r for r, _a in picks), outputs,
@@ -145,13 +144,13 @@ def generate_utxo(spec: UtxoSpec, seed: int) -> Ledger:
 
     height = 0
     genesis_outs = tuple(
-        Output("gen0", i, Amount(spec.subsidy // 64, SATOSHI), addresses.next())
+        Output("gen0", i, spec.subsidy // 64, addresses.next())
         for i in range(64)
     )
     genesis = UtxoTransaction("gen0", (), genesis_outs, coinbase=True,
                               block_height=0)
-    ledger.apply_block(Block(0, 0, (genesis,), Amount(spec.subsidy, SATOSHI)))
-    pool.extend((o.ref, o.amount.value) for o in genesis_outs)
+    ledger.apply_block(Block(0, 0, (genesis,), spec.subsidy))
+    pool.extend((o.ref, o.amount) for o in genesis_outs)
 
     made = 0
     while made < spec.tx_count:
@@ -163,19 +162,18 @@ def generate_utxo(spec: UtxoSpec, seed: int) -> Ledger:
             txs.append(tx)
             fee_sum += fee
             # same-block chaining: fresh outputs are spendable immediately
-            pool.extend((o.ref, o.amount.value) for o in tx.outputs)
+            pool.extend((o.ref, o.amount) for o in tx.outputs)
         cb_id = f"cb{height:08d}"
         share = spec.subsidy // spec.coinbase_outputs
         cb_outs = tuple(
-            Output(cb_id, i, Amount(share + (fee_sum if i == 0 else 0), SATOSHI),
-                   addresses.next())
+            Output(cb_id, i, share + (fee_sum if i == 0 else 0), addresses.next())
             for i in range(spec.coinbase_outputs)
         )
         coinbase = UtxoTransaction(cb_id, (), cb_outs, coinbase=True,
                                    block_height=height)
         ledger.apply_block(Block(height, height * 600, (coinbase, *txs),
-                                 Amount(spec.subsidy, SATOSHI)))
-        pool.extend((o.ref, o.amount.value) for o in cb_outs)
+                                 spec.subsidy))
+        pool.extend((o.ref, o.amount) for o in cb_outs)
         made += batch
     return ledger
 

@@ -376,7 +376,7 @@ class TangleState:
         """Approval edges as a simple directed graph: each transaction
         points at its trunk and branch tips (one edge per distinct ref)."""
         from ..core import Edge, EdgeList
-        graph = EdgeList(directed=True, multi=False)
+        graph = EdgeList(multi=False)
         for h in sorted(self.transactions):
             tx = self.transactions[h]
             for ref, role in ((tx.trunk, "trunk"), (tx.branch, "branch")):
@@ -410,7 +410,7 @@ class TangleState:
                 for dst, dst_amount in outs:
                     key = (src, dst)
                     totals[key] = totals.get(key, Fraction(0)) + share * dst_amount
-        graph = EdgeList(directed=True, multi=False)
+        graph = EdgeList(multi=False)
         for (src, dst) in sorted(totals):
             graph.add(Edge.make(src, dst, totals[(src, dst)]))
         return graph

@@ -18,13 +18,15 @@ Conventions fixed here:
 from __future__ import annotations
 
 import copy
+import re
 from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor
 from typing import Iterable, Sequence
 
-from .core import Edge, EdgeList, LedgerError, canonical_json
+from .core import (BadAmountError, BadRecordError, Edge, EdgeList, LedgerError,
+                   at_line, canonical_json)
 
 __all__ = [
     "BASE_RESERVE_DROPS",
@@ -951,7 +953,7 @@ class RippleLedger:
     def trust_graph(self) -> EdgeList:
         """Trust lines as a directed multigraph, one edge per extended
         (nonzero-limit) side, weight = limit, used balance as attribute."""
-        graph = EdgeList(directed=True, multi=True)
+        graph = EdgeList(multi=True)
         for key in sorted(self.states):
             s = self.states[key]
             if s.low_limit > 0:
@@ -968,33 +970,46 @@ class RippleLedger:
 def load_trust_csv(lines: Iterable[str], ledger: RippleLedger | None = None,
                    default_xrp: int = 100_000_000) -> RippleLedger:
     """Ingest `low,high,currency,balance,low_limit,high_limit` rows.
-    Accounts are auto-created; flags default to False for ingested graphs."""
+    Accounts are auto-created; flags default to False for ingested graphs.
+    A row must have six cells, canonical order and limits >= 0
+    (BadRecordError), and its balance and limits must be base-10 integers
+    (BadAmountError); each message names the 1-based line."""
     led = ledger or RippleLedger()
-    rows = [ln.strip() for ln in lines if ln.strip()]
-    if rows and rows[0].lower().startswith("low,"):
+    rows = [(n, ln.strip()) for n, ln in enumerate(lines, 1) if ln.strip()]
+    if rows and rows[0][1].lower().startswith("low,"):
         rows = rows[1:]
-    for row in rows:
-        low, high, currency, balance, low_limit, high_limit = [
-            c.strip() for c in row.split(",")]
-        if not low < high:
-            raise LedgerError(f"row not canonical: {low!r} !< {high!r}")
+    for line_no, row in rows:
+        with at_line(line_no):
+            state = _trust_row(row)
+        low, high = state.low, state.high
         for addr in (low, high):
             if addr not in led.accounts:
                 led.create_account(addr, xrp_drops=default_xrp)
-        state = RippleState(low=low, high=high, currency=currency,
-                            balance=int(balance), low_limit=int(low_limit),
-                            high_limit=int(high_limit))
         key = state.key
         led.states[key] = state
         owners = set()
-        if int(low_limit) > 0:
+        if state.low_limit > 0:
             owners.add(low)
             led.account(low).owned_objects += 1
-        if int(high_limit) > 0:
+        if state.high_limit > 0:
             owners.add(high)
             led.account(high).owned_objects += 1
         led.state_owners[key] = owners
     return led
+
+
+def _trust_row(row: str) -> RippleState:
+    cells = [c.strip() for c in row.split(",")]
+    if len(cells) != 6:
+        raise BadRecordError(f"expected 6 cells, got {len(cells)}")
+    for name, cell in zip(("balance", "low_limit", "high_limit"), cells[3:]):
+        if not re.fullmatch(r"-?[0-9]+", cell):
+            raise BadAmountError(f"{name!r} must be an integer, got {cell!r}")
+    low, high, currency = cells[:3]
+    balance, low_limit, high_limit = (int(c) for c in cells[3:])
+    if low_limit < 0 or high_limit < 0:
+        raise BadRecordError("trust limits must be >= 0")
+    return RippleState(low, high, currency, balance, low_limit, high_limit)
 
 
 def dump_trust_csv(ledger: RippleLedger) -> bytes:

@@ -10,9 +10,9 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
-from .core import (SATOSHI, Amount, BadRecordError, LedgerError, at_line,
+from .core import (BadRecordError, LedgerError, _check_bound, at_line,
                    get_field, jsonl_records)
 
 __all__ = [
@@ -97,11 +97,12 @@ class _BlockView:
 
 @dataclass(frozen=True)
 class Output:
-    """An indivisible coin parcel, referenced by (txid, index)."""
+    """An indivisible coin parcel, referenced by (txid, index). The amount
+    is an int in satoshis, within the 128-bit bound."""
 
     txid: str
     index: int
-    amount: Amount
+    amount: int
     address: str
     amount_visible: bool = True  # False for RingCT-style hidden outputs
     spent_by: str | None = None
@@ -111,9 +112,12 @@ class Output:
         return (self.txid, self.index)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.amount, int):
+            raise TypeError("output amount must be an int (no floating-point finance)")
+        _check_bound(self.amount)
         if self.index < 0:
             raise ValueError("output index must be non-negative")
-        if self.amount.value < 0:
+        if self.amount < 0:
             raise ValueError("output amount must be non-negative")
 
 
@@ -161,7 +165,7 @@ class UtxoTransaction:
             raise ValueError("input references must be distinct")
 
     def output_total(self) -> int:
-        return sum(o.amount.value for o in self.outputs)
+        return sum(o.amount for o in self.outputs)
 
 
 @dataclass(frozen=True)
@@ -169,9 +173,10 @@ class Block:
     height: int
     timestamp: int
     transactions: tuple[UtxoTransaction, ...]
-    subsidy: Amount
+    subsidy: int
 
     def __post_init__(self) -> None:
+        _check_bound(self.subsidy)
         if not self.transactions or not self.transactions[0].coinbase:
             raise ValueError("block must start with its coinbase transaction")
         if any(tx.coinbase for tx in self.transactions[1:]):
@@ -222,14 +227,12 @@ class Ledger:
     """Canonical-chain UTXO state. Fork choice is out of scope; blocks are
     ingested already ordered."""
 
-    def __init__(self, subsidy_schedule: Callable[[int], int] | None = None,
-                 zcash_coinbase_shielded: bool = False):
+    def __init__(self, zcash_coinbase_shielded: bool = False):
         self.blocks: list[Block] = []
         self.transactions: dict[str, UtxoTransaction] = {}
         self.utxo: dict[OutputRef, Output] = {}
         self.spent: dict[OutputRef, Output] = {}
         self.destroyed: int = 0  # subunits lost to under-claiming coinbases
-        self.subsidy_schedule = subsidy_schedule or (lambda height: 0)
         self.zcash_coinbase_shielded = zcash_coinbase_shielded
 
     # -- queries ----------------------------------------------------------
@@ -263,7 +266,7 @@ class Ledger:
     # -- validation -------------------------------------------------------
 
     def validate_transaction(self, tx: UtxoTransaction,
-                             view: "_BlockView | None" = None) -> Amount:
+                             view: "_BlockView | None" = None) -> int:
         """Check a spending transaction against the unspent set; return fee.
 
         view defaults to the ledger's UTXO set; apply_block passes a staged
@@ -281,22 +284,22 @@ class Ledger:
                 raise MissingOutputError(f"input {ref} does not exist")
             if out.spent_by is not None:
                 raise DoubleSpendError(f"{ref} already spent by {out.spent_by}")
-            total_in += out.amount.value
+            total_in += out.amount
         fee = total_in - tx.output_total()
         if fee < 0:
             raise OverspendError(
                 f"tx {tx.id} outputs {tx.output_total()} exceed inputs {total_in}"
             )
-        return Amount(fee, SATOSHI)
+        return _check_bound(fee)
 
-    def validate_coinbase(self, tx: UtxoTransaction, block_fee_sum: Amount,
-                          subsidy: Amount) -> Amount:
+    def validate_coinbase(self, tx: UtxoTransaction, block_fee_sum: int,
+                          subsidy: int) -> int:
         """Coinbase may claim up to subsidy + fees; less is allowed and the
         difference is reported as destroyed supply."""
         if not tx.coinbase:
             raise ValueError("not a coinbase transaction")
         claimed = tx.output_total()
-        cap = subsidy.value + block_fee_sum.value
+        cap = subsidy + block_fee_sum
         if claimed > cap:
             raise ExcessiveRewardError(
                 f"coinbase claims {claimed}, cap is {cap}"
@@ -304,7 +307,7 @@ class Ledger:
         if self.zcash_coinbase_shielded and tx.output_kinds is not None:
             if any(k != "z" for k in tx.output_kinds):
                 raise LedgerError("coinbase rewards must go to shielded addresses")
-        return Amount(claimed, SATOSHI)
+        return _check_bound(claimed)
 
     # -- mutation ---------------------------------------------------------
 
@@ -329,16 +332,16 @@ class Ledger:
         fees = 0
         for tx in block.transactions[1:]:
             fee = self.validate_transaction(tx, staged)
-            fees += fee.value
+            fees += fee
             for ref in tx.inputs:
                 staged.spend(ref, tx.id)
             for out in tx.outputs:
                 staged.add(out)
         spent_in_block = staged.consumed
-        claimed = self.validate_coinbase(coinbase, Amount(fees, SATOSHI), block.subsidy)
+        claimed = self.validate_coinbase(coinbase, _check_bound(fees), block.subsidy)
 
         # commit
-        self.destroyed += block.subsidy.value + fees - claimed.value
+        self.destroyed += block.subsidy + fees - claimed
         for tx in block.transactions:
             if tx.block_height != block.height:
                 tx = replace(tx, block_height=block.height)
@@ -373,16 +376,17 @@ def trace_lineage(ref: OutputRef, ledger: Ledger) -> list[tuple[OutputRef, ...]]
     ledger.output(ref)  # raises missing-output
 
     paths: list[tuple[OutputRef, ...]] = []
-
-    def walk(current: OutputRef, tail: tuple[OutputRef, ...]) -> None:
+    # (output, the path from it forward to ref); an explicit stack, so a
+    # long spend chain cannot hit the interpreter's recursion limit
+    stack: list[tuple[OutputRef, tuple[OutputRef, ...]]] = [(ref, ())]
+    while stack:
+        current, tail = stack.pop()
+        path = (current,) + tail
         tx = ledger.creating_tx(current)
         if tx.coinbase:
-            paths.append((current,) + tail)
-            return
-        for parent in tx.inputs:
-            walk(parent, (current,) + tail)
-
-    walk(ref, ())
+            paths.append(path)
+        else:
+            stack.extend((parent, path) for parent in tx.inputs)
     paths.sort()
     return paths
 
@@ -402,8 +406,7 @@ def _kinds(rec: dict, side: str) -> tuple[str, ...] | None:
 def _tx_from_record(rec: dict) -> UtxoTransaction:
     txid = get_field(rec, "id")
     outputs = tuple(
-        Output(txid, i, Amount(get_field(o, "amount", int), SATOSHI),
-               get_field(o, "address"),
+        Output(txid, i, get_field(o, "amount", int), get_field(o, "address"),
                amount_visible=get_field(o, "visible", bool, True))
         for i, o in enumerate(get_field(rec, "outputs", list))
     )
@@ -429,12 +432,12 @@ def load_jsonl(lines: Iterable[str], subsidy: int = 5_000_000_000,
         with at_line(line_no):
             tx = _tx_from_record(rec)
         by_block.setdefault(tx.block_height, []).append(tx)
-    ledger = Ledger(subsidy_schedule=lambda h: subsidy)
+    ledger = Ledger()
     for height in sorted(by_block):
         txs = by_block[height]
         txs.sort(key=lambda t: not t.coinbase)  # coinbase first, stable otherwise
         block = Block(height, timestamp0 + height * block_interval, tuple(txs),
-                      Amount(subsidy, SATOSHI))
+                      subsidy)
         ledger.apply_block(block)
     return ledger
 
@@ -449,7 +452,7 @@ def dump_jsonl(ledger: Ledger) -> Iterator[str]:
                 "coinbase": tx.coinbase,
                 "inputs": [{"txid": t, "index": i} for t, i in tx.inputs],
                 "outputs": [
-                    {"amount": o.amount.value, "address": o.address,
+                    {"amount": o.amount, "address": o.address,
                      **({} if o.amount_visible else {"visible": False})}
                     for o in tx.outputs
                 ],

@@ -44,7 +44,7 @@ class TransactionGraph:
     edges: dict[tuple[str, str], int] = field(default_factory=dict)
 
     def to_edge_list(self) -> EdgeList:
-        el = EdgeList(directed=True, multi=False)
+        el = EdgeList(multi=False)
         for (src, dst), count in self.edges.items():
             el.add(Edge.make(src, dst, count, spent_outputs=count))
         return el
@@ -60,7 +60,7 @@ class AddressGraph:
     edges: list[Edge] = field(default_factory=list)
 
     def to_edge_list(self) -> EdgeList:
-        el = EdgeList(directed=True, multi=True)
+        el = EdgeList(multi=True)
         for e in self.edges:
             el.add(e)
         return el
@@ -134,13 +134,13 @@ def build_address_graph(ledger: Ledger, start: int | None = None,
                     raise HiddenAmountError(
                         f"input {ref} has a hidden amount (RingCT)"
                     )
-                sources.append((spent.address, spent.amount.value))
+                sources.append((spent.address, spent.amount))
         for src_addr, src_amount in sources:
             for out in tx.outputs:
                 if out_total == 0:
                     weight = Fraction(0)
                 else:
-                    weight = Fraction(src_amount) * Fraction(out.amount.value, out_total)
+                    weight = Fraction(src_amount) * Fraction(out.amount, out_total)
                 edge = Edge.make(src_addr, out.address, weight, txid=tx.id)
                 graph.edges.append(edge)
                 seen_nodes.setdefault(src_addr)
@@ -154,16 +154,16 @@ def build_bipartite_graph(ledger: Ledger, start: int | None = None,
     """The raw address-transaction network: address->tx rows for consumed
     outputs, tx->address rows for created outputs."""
     txs = txs_in_range(ledger, start, end)
-    el = EdgeList(directed=True, multi=True)
+    el = EdgeList(multi=True)
     for tx in txs:
         for ref in tx.inputs:
             spent = ledger.output(ref)
             el.add(Edge.make(spent.address, tx.id,
-                             spent.amount.value if spent.amount_visible else None,
+                             spent.amount if spent.amount_visible else None,
                              output=f"{ref[0]}:{ref[1]}"))
         for out in tx.outputs:
             el.add(Edge.make(tx.id, out.address,
-                             out.amount.value if out.amount_visible else None,
+                             out.amount if out.amount_visible else None,
                              output=f"{out.ref[0]}:{out.ref[1]}"))
     return el
 
@@ -190,18 +190,12 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-def graph_stats(graph: TransactionGraph | AddressGraph | EdgeList) -> dict:
-    """Deterministic summary: node/edge counts, degree distribution,
-    weakly connected components, and undirected triangle count."""
-    if isinstance(graph, TransactionGraph):
-        pairs = [(s, t) for (s, t) in graph.edges]
-        nodes = list(graph.nodes)
-    elif isinstance(graph, AddressGraph):
-        pairs = [(e.source, e.target) for e in graph.edges]
-        nodes = list(graph.nodes)
-    else:
-        pairs = [(e.source, e.target) for e in graph.edges]
-        nodes = graph.nodes()
+def graph_stats(graph: AddressGraph | EdgeList) -> dict:
+    """Deterministic summary of a graph's edges: node/edge counts, degree
+    distribution, weakly connected components, and undirected triangle
+    count. The nodes are the edge endpoints in first-seen order."""
+    pairs = [(e.source, e.target) for e in graph.edges]
+    nodes = list(dict.fromkeys(n for pair in pairs for n in pair))
 
     out_deg: Counter[str] = Counter()
     in_deg: Counter[str] = Counter()

@@ -126,22 +126,22 @@ def test_criterion_4_utxo_conservation_at_scale():
         for block in led.blocks:
             fees = 0
             for tx in block.transactions[1:]:
-                total_in = sum(led.output(r).amount.value for r in tx.inputs)
+                total_in = sum(led.output(r).amount for r in tx.inputs)
                 fee = total_in - tx.output_total()
                 assert fee >= 0
                 fees += fee
             fee_by_block[block.height] = fees
             coinbase_claim = block.transactions[0].output_total()
-            assert coinbase_claim <= block.subsidy.value + fees
+            assert coinbase_claim <= block.subsidy + fees
         # final unspent set equals an independent replay from genesis
         created, consumed = {}, set()
         for block in led.blocks:
             for tx in block.transactions:
                 consumed.update(tx.inputs)
                 for out in tx.outputs:
-                    created[out.ref] = out.amount.value
+                    created[out.ref] = out.amount
         replayed = {r: v for r, v in created.items() if r not in consumed}
-        assert {r: o.amount.value for r, o in led.utxo.items()} == replayed
+        assert {r: o.amount for r, o in led.utxo.items()} == replayed
 
 
 def test_criterion_5_rippling_scenario():

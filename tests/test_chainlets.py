@@ -19,7 +19,6 @@ from ledgergraph.chainlets import (
     occurrence_matrix,
     snapshot_from_ledger,
 )
-from ledgergraph.core import SATOSHI, Amount
 from ledgergraph.utxo import Output, UtxoTransaction
 
 COIN = fixtures.COIN
@@ -38,20 +37,19 @@ def chainlet(x, y, total=0, txid="t"):
 def test_two_in_one_out_is_merge():
     # the x:y trichotomy is authoritative for C(2,1)
     tx = UtxoTransaction("t", (("a", 0), ("b", 0)),
-                         (Output("t", 0, Amount(5, SATOSHI), "x"),))
+                         (Output("t", 0, 5, "x"),))
     c = classify_first_order(tx)
     assert (c.x, c.y, c.cls) == (2, 1, "merge")
 
 
 def test_one_in_one_out_is_transition():
-    tx = UtxoTransaction("t", (("a", 0),), (Output("t", 0, Amount(5, SATOSHI), "x"),))
+    tx = UtxoTransaction("t", (("a", 0),), (Output("t", 0, 5, "x"),))
     assert classify_first_order(tx).cls == "transition"
 
 
 def test_coinbase_class_and_dims():
-    tx = UtxoTransaction("t", (), (Output("t", 0, Amount(5, SATOSHI), "x"),
-                                   Output("t", 1, Amount(5, SATOSHI), "y")),
-                         coinbase=True)
+    tx = UtxoTransaction("t", (), (Output("t", 0, 5, "x"),
+                                   Output("t", 1, 5, "y")), coinbase=True)
     c = classify_first_order(tx)
     assert (c.x, c.y, c.cls) == (0, 2, "coinbase")
 

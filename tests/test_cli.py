@@ -350,3 +350,94 @@ def test_unparsable_config_value_is_bad_config(fixture_dir, tmp_path, capsys):
                     fixture_dir / "six_tx_network.jsonl", "--subsidy", 600_000_000])
     assert code == 2
     assert json.loads(capsys.readouterr().err)["error"] == "bad-config"
+
+
+# -- checked option values and trust rows --------------------------------------------
+
+@pytest.mark.parametrize("genesis,error", [
+    ("[1, 2]", "bad-record"),
+    ('{"a1": 100.5, "funder": 1000}', "bad-amount"),
+    ('{"a1": "100", "funder": 1000}', "bad-amount"),
+    ('{"a1": true, "funder": 1000}', "bad-amount"),
+    ('{"a1": null, "funder": 1000}', "bad-amount"),
+])
+def test_genesis_map_is_checked(fixture_dir, capsys, genesis, error):
+    code = run_cli(["iota", "grow", fixture_dir / "tangle_double_spend.jsonl",
+                    "--genesis", genesis])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == error
+
+
+@pytest.mark.parametrize("row,error", [
+    ("a,b,USD,0,5", "bad-record"),
+    ("a,b,USD,1.5,5,10", "bad-amount"),
+    ("a,b,USD,0,-5,10", "bad-record"),
+])
+def test_malformed_trust_row_names_its_line(tmp_path, capsys, row, error):
+    trust = tmp_path / "trust.csv"
+    trust.write_text("low,high,currency,balance,low_limit,high_limit\n"
+                     f"a,c,USD,0,5,0\n{row}\n")
+    assert run_cli(["ripple", "report", "--trust", trust]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == error
+    assert err["message"].startswith("line 3:")
+
+
+@pytest.mark.parametrize("env,flags", [
+    (("LEDGERGRAPH_SEED", "5"), ["account", "--seed", "0", "--count", "3"]),
+    (("LEDGERGRAPH_REUSE_P", "0.5"), ["utxo", "--reuse-p", "0.0", "--count", "20"]),
+])
+def test_explicit_flag_wins_over_env_whatever_its_value(tmp_path, monkeypatch,
+                                                        env, flags):
+    plain, with_env = tmp_path / "plain", tmp_path / "with_env"
+    assert run_cli(["generate", *flags, "--out", plain]) == 0
+    monkeypatch.setenv(*env)
+    assert run_cli(["generate", *flags, "--out", with_env]) == 0
+    assert with_env.read_bytes() == plain.read_bytes()
+
+
+def test_config_value_applies_when_the_flag_is_omitted(tmp_path):
+    conf = tmp_path / "lg.conf"
+    conf.write_text("seed=5\n")
+    outs = {name: tmp_path / name for name in ("config", "flag", "default")}
+    assert run_cli(["--config", conf, "generate", "account", "--count", 3,
+                    "--out", outs["config"]]) == 0
+    assert run_cli(["generate", "account", "--seed", 5, "--count", 3,
+                    "--out", outs["flag"]]) == 0
+    assert run_cli(["generate", "account", "--count", 3,
+                    "--out", outs["default"]]) == 0
+    assert outs["config"].read_bytes() == outs["flag"].read_bytes()
+    assert outs["config"].read_bytes() != outs["default"].read_bytes()
+
+
+# -- the 128-bit amount bound ----------------------------------------------------------
+
+MAX = 2**127 - 1
+
+
+def _coinbase(txid, block, amount):
+    return json.dumps({"id": txid, "block": block, "coinbase": True,
+                       "outputs": [{"amount": amount, "address": "m"}]})
+
+
+def _spend(txid, parents):
+    return json.dumps({"id": txid, "block": 2,
+                       "inputs": [{"txid": p, "index": 0} for p in parents],
+                       "outputs": [{"amount": 1, "address": "x"}]})
+
+
+FUNDED = [_coinbase("c0", 0, MAX), _coinbase("c1", 1, MAX), _coinbase("c2", 2, 0)]
+
+
+@pytest.mark.parametrize("lines,subsidy", [
+    ([_coinbase("c0", 0, 2**127)], 1),  # an output amount
+    ([_coinbase("c0", 0, 1)], 2**127),  # the block subsidy
+    (FUNDED + [_spend("t", ["c0", "c1"])], MAX),  # one transaction's fee
+    (FUNDED + [_spend("t0", ["c0"]), _spend("t1", ["c1"])], MAX),  # a block's fees
+], ids=["output", "subsidy", "fee", "block-fees"])
+def test_amounts_past_the_bound_are_amount_overflow(tmp_path, capsys, lines,
+                                                    subsidy):
+    src = tmp_path / "in.jsonl"
+    src.write_text("\n".join(lines) + "\n")
+    assert run_cli(["utxo", "validate", src, "--subsidy", subsidy]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "amount-overflow"

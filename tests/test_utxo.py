@@ -3,7 +3,6 @@
 import pytest
 
 from ledgergraph import fixtures
-from ledgergraph.core import SATOSHI, Amount
 from ledgergraph.utxo import (
     Block,
     DoubleSpendError,
@@ -24,15 +23,14 @@ from ledgergraph.utxo import (
 
 
 def tx(txid, inputs, outputs, coinbase=False):
-    outs = tuple(Output(txid, i, Amount(v, SATOSHI), a)
-                 for i, (a, v) in enumerate(outputs))
+    outs = tuple(Output(txid, i, v, a) for i, (a, v) in enumerate(outputs))
     return UtxoTransaction(txid, tuple(inputs), outs, coinbase=coinbase)
 
 
 def funded_ledger(amounts, subsidy=10**10):
-    led = Ledger(subsidy_schedule=lambda h: subsidy)
+    led = Ledger()
     g = tx("g", [], [(f"src{i}", v) for i, v in enumerate(amounts)], coinbase=True)
-    led.apply_block(Block(0, 0, (g,), Amount(subsidy, SATOSHI)))
+    led.apply_block(Block(0, 0, (g,), subsidy))
     return led
 
 
@@ -42,13 +40,13 @@ def test_spending_fee_from_coinbase_output():
     # 1B satoshi output spent into 500M + 495M leaves a 5M fee
     led = funded_ledger([1_000_000_000])
     t2 = tx("t2", [("g", 0)], [("a3", 500_000_000), ("a4", 495_000_000)])
-    assert led.validate_transaction(t2).value == 5_000_000
+    assert led.validate_transaction(t2) == 5_000_000
 
 
 def test_zero_fee_is_legal():
     led = funded_ledger([777])
     t = tx("t", [("g", 0)], [("a", 777)])
-    assert led.validate_transaction(t).value == 0
+    assert led.validate_transaction(t) == 0
 
 
 def test_overspend_rejected():
@@ -61,7 +59,7 @@ def test_double_spend_across_blocks_rejected():
     led = funded_ledger([500, 500])
     cb1 = tx("c1", [], [("m1", 10**10)], coinbase=True)
     t1 = tx("t1", [("g", 0)], [("a", 400)])
-    led.apply_block(Block(1, 600, (cb1, t1), Amount(10**10, SATOSHI)))
+    led.apply_block(Block(1, 600, (cb1, t1), 10**10))
     again = tx("t2", [("g", 0)], [("b", 400)])
     with pytest.raises(DoubleSpendError):
         led.validate_transaction(again)
@@ -78,23 +76,21 @@ def test_missing_output_rejected():
 def test_coinbase_may_claim_subsidy_plus_fees():
     led = Ledger()
     cb = tx("c", [], [("m", 1_270_000_000)], coinbase=True)
-    claimed = led.validate_coinbase(cb, Amount(20_000_000, SATOSHI),
-                                    Amount(1_250_000_000, SATOSHI))
-    assert claimed.value == 1_270_000_000
+    claimed = led.validate_coinbase(cb, 20_000_000, 1_250_000_000)
+    assert claimed == 1_270_000_000
 
 
 def test_coinbase_over_cap_rejected():
     led = Ledger()
     cb = tx("c", [], [("m", 1_270_000_001)], coinbase=True)
     with pytest.raises(ExcessiveRewardError):
-        led.validate_coinbase(cb, Amount(20_000_000, SATOSHI),
-                              Amount(1_250_000_000, SATOSHI))
+        led.validate_coinbase(cb, 20_000_000, 1_250_000_000)
 
 
 def test_underclaiming_destroys_supply():
     led = funded_ledger([1000], subsidy=1000)
     cb = tx("c1", [], [("m", 995)], coinbase=True)
-    led.apply_block(Block(1, 600, (cb,), Amount(1000, SATOSHI)))
+    led.apply_block(Block(1, 600, (cb,), 1000))
     assert led.destroyed == 5
 
 
@@ -105,7 +101,7 @@ def test_intra_block_spend_of_earlier_tx():
     cb = tx("c1", [], [("m", 10**10)], coinbase=True)
     tx_x = tx("x", [("g", 0)], [("ax", 900)])
     tx_y = tx("y", [("x", 0)], [("ay", 850)])
-    led.apply_block(Block(1, 600, (cb, tx_x, tx_y), Amount(10**10, SATOSHI)))
+    led.apply_block(Block(1, 600, (cb, tx_x, tx_y), 10**10))
     assert ("x", 0) in led.spent
     assert ("y", 0) in led.utxo
 
@@ -117,14 +113,14 @@ def test_reversed_intra_block_order_rejected_atomically():
     tx_x = tx("x", [("g", 0)], [("ax", 900)])
     tx_y = tx("y", [("x", 0)], [("ay", 850)])
     with pytest.raises(MissingOutputError):
-        led.apply_block(Block(1, 600, (cb, tx_y, tx_x), Amount(10**10, SATOSHI)))
+        led.apply_block(Block(1, 600, (cb, tx_y, tx_x), 10**10))
     assert led.utxo == before_utxo and led.tip_height == 0
 
 
 def test_coinbase_only_block_accepted():
     led = funded_ledger([1000])
     cb = tx("c1", [], [("m", 42)], coinbase=True)
-    led.apply_block(Block(1, 600, (cb,), Amount(10**10, SATOSHI)))
+    led.apply_block(Block(1, 600, (cb,), 10**10))
     assert led.tip_height == 1
 
 
@@ -132,12 +128,12 @@ def test_block_must_extend_tip():
     led = funded_ledger([1000])
     cb = tx("c1", [], [("m", 42)], coinbase=True)
     with pytest.raises(Exception):
-        led.apply_block(Block(5, 600, (cb,), Amount(10**10, SATOSHI)))
+        led.apply_block(Block(5, 600, (cb,), 10**10))
 
 
 def test_block_structure_invariants():
     with pytest.raises(ValueError):
-        Block(0, 0, (tx("t", [("g", 0)], [("a", 1)]),), Amount(0, SATOSHI))
+        Block(0, 0, (tx("t", [("g", 0)], [("a", 1)]),), 0)
 
 
 # -- lineage --------------------------------------------------------------------
@@ -172,11 +168,24 @@ def test_lineage_three_deep_chain():
     a = tx("a", [("g", 0)], [("x1", 900)])
     b = tx("b", [("a", 0)], [("x2", 800)])
     c = tx("c", [("b", 0)], [("x3", 700)])
-    led.apply_block(Block(1, 600, (cb, a, b, c), Amount(10**10, SATOSHI)))
+    led.apply_block(Block(1, 600, (cb, a, b, c), 10**10))
     paths = trace_lineage(("c", 0), led)
     assert paths == brute_force_lineage(("c", 0), led)
     assert len(paths) == 1
     assert len(paths[0]) - 1 == 3  # three hops back to the coinbase
+
+
+def test_lineage_of_a_long_spend_chain():
+    # deeper than the interpreter's default recursion limit of 1,000
+    led = funded_ledger([1000])
+    chain = [tx("s0", [("g", 0)], [("x", 1000)])]
+    for i in range(1, 1500):
+        chain.append(tx(f"s{i}", [(f"s{i - 1}", 0)], [("x", 1000)]))
+    cb = tx("c1", [], [("m", 10**10)], coinbase=True)
+    led.apply_block(Block(1, 600, (cb, *chain), 10**10))
+    path = (("g", 0),) + tuple((f"s{i}", 0) for i in range(1500))
+    assert trace_lineage(("s1499", 0), led) == [path]
+    assert len(path) == 1501
 
 
 def test_lineage_every_path_ends_at_coinbase():
@@ -201,13 +210,13 @@ def brute_force_utxo(ledger):
             for ref in t.inputs:
                 consumed.add(ref)
             for o in t.outputs:
-                created[o.ref] = o.amount.value
+                created[o.ref] = o.amount
     return {r: v for r, v in created.items() if r not in consumed}
 
 
 def test_utxo_set_matches_brute_force_on_fixture():
     led = fixtures.six_tx_network()
-    assert {r: o.amount.value for r, o in led.utxo.items()} == brute_force_utxo(led)
+    assert {r: o.amount for r, o in led.utxo.items()} == brute_force_utxo(led)
 
 
 def test_confirmation_depth_is_reporting_only():
@@ -270,5 +279,5 @@ def test_jsonl_round_trip():
     lines = list(dump_jsonl(led))
     led2 = load_jsonl(lines, subsidy=6 * fixtures.COIN)
     assert list(dump_jsonl(led2)) == lines
-    assert {r: o.amount.value for r, o in led2.utxo.items()} == \
-        {r: o.amount.value for r, o in led.utxo.items()}
+    assert {r: o.amount for r, o in led2.utxo.items()} == \
+        {r: o.amount for r, o in led.utxo.items()}

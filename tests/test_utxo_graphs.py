@@ -16,7 +16,6 @@ from ledgergraph.utxo_graphs import (
     graph_stats,
 )
 from ledgergraph.utxo import Block, Ledger, Output, UtxoTransaction
-from ledgergraph.core import SATOSHI, Amount
 from ledgergraph.generate import UtxoSpec, generate_utxo
 
 COIN = fixtures.COIN
@@ -36,25 +35,22 @@ def test_six_tx_transaction_graph_edges():
 
 def test_single_coinbase_ledger_graph():
     led = Ledger()
-    cb = UtxoTransaction("c", (), (Output("c", 0, Amount(5, SATOSHI), "a"),),
-                         coinbase=True)
-    led.apply_block(Block(0, 0, (cb,), Amount(5, SATOSHI)))
+    cb = UtxoTransaction("c", (), (Output("c", 0, 5, "a"),), coinbase=True)
+    led.apply_block(Block(0, 0, (cb,), 5))
     graph = build_transaction_graph(led)
     assert graph.nodes == ["c"] and graph.edges == {}
 
 
 def test_chain_of_three_is_a_path():
-    led = Ledger(subsidy_schedule=lambda h: 10**9)
-    cb = UtxoTransaction("g", (), (Output("g", 0, Amount(1000, SATOSHI), "a"),),
-                         coinbase=True)
-    led.apply_block(Block(0, 0, (cb,), Amount(10**9, SATOSHI)))
-    cb1 = UtxoTransaction("c1", (), (Output("c1", 0, Amount(1, SATOSHI), "m"),),
-                          coinbase=True)
+    led = Ledger()
+    cb = UtxoTransaction("g", (), (Output("g", 0, 1000, "a"),), coinbase=True)
+    led.apply_block(Block(0, 0, (cb,), 10**9))
+    cb1 = UtxoTransaction("c1", (), (Output("c1", 0, 1, "m"),), coinbase=True)
     t1 = UtxoTransaction("t1", (("g", 0),),
-                         (Output("t1", 0, Amount(900, SATOSHI), "b"),))
+                         (Output("t1", 0, 900, "b"),))
     t2 = UtxoTransaction("t2", (("t1", 0),),
-                         (Output("t2", 0, Amount(800, SATOSHI), "c"),))
-    led.apply_block(Block(1, 600, (cb1, t1, t2), Amount(10**9, SATOSHI)))
+                         (Output("t2", 0, 800, "c"),))
+    led.apply_block(Block(1, 600, (cb1, t1, t2), 10**9))
     graph = build_transaction_graph(led, 1, 1)
     assert graph.edges == {("t1", "t2"): 1}
 
@@ -115,7 +111,7 @@ def test_weight_conservation_per_tx():
         for t in block.transactions:
             if t.coinbase:
                 continue
-            inputs[t.id] = Fraction(sum(led.output(r).amount.value
+            inputs[t.id] = Fraction(sum(led.output(r).amount
                                         for r in t.inputs))
     assert sums == inputs  # exact rational equality
 
@@ -140,16 +136,14 @@ def test_unspent_output_visible_only_in_address_graph():
 
 
 def test_hidden_amounts_block_address_graph():
-    led = Ledger(subsidy_schedule=lambda h: 1000)
-    cb = UtxoTransaction("g", (), (Output("g", 0, Amount(1000, SATOSHI), "a"),),
-                         coinbase=True)
-    led.apply_block(Block(0, 0, (cb,), Amount(1000, SATOSHI)))
-    cb1 = UtxoTransaction("c1", (), (Output("c1", 0, Amount(1, SATOSHI), "m"),),
-                          coinbase=True)
+    led = Ledger()
+    cb = UtxoTransaction("g", (), (Output("g", 0, 1000, "a"),), coinbase=True)
+    led.apply_block(Block(0, 0, (cb,), 1000))
+    cb1 = UtxoTransaction("c1", (), (Output("c1", 0, 1, "m"),), coinbase=True)
     hidden = UtxoTransaction(
         "h", (("g", 0),),
-        (Output("h", 0, Amount(900, SATOSHI), "b", amount_visible=False),))
-    led.apply_block(Block(1, 600, (cb1, hidden), Amount(1000, SATOSHI)))
+        (Output("h", 0, 900, "b", amount_visible=False),))
+    led.apply_block(Block(1, 600, (cb1, hidden), 1000))
     with pytest.raises(HiddenAmountError):
         build_address_graph(led, 1, 1)
 
