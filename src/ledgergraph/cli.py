@@ -22,8 +22,9 @@ from . import generate as gen
 from . import scenario
 from . import utxo as utxo_mod
 from . import utxo_graphs as ug
-from .core import (BadRecordError, LedgerError, export_edge_list,
-                   export_hypergraph, export_matrix, get_field)
+from .core import (BadJsonError, BadRecordError, LedgerError,
+                   export_edge_list, export_hypergraph, export_matrix,
+                   get_field, int_cell, naming)
 from .iota import bundles as iota_bundles
 from .iota import keys as iota_keys
 from .ripple import dump_trust_csv, load_trust_csv
@@ -215,10 +216,9 @@ def _cmd_iota(args: argparse.Namespace) -> int:
                          sort_keys=True))
         return EXIT_OK
     if args.action == "bundle":
-        inputs = [(a, int(l), int(v)) for a, l, v in
-                  (item.split(":") for item in args.inputs.split(","))]
-        outputs = [(a, int(v)) for a, v in
-                   (item.split(":") for item in args.outputs.split(","))]
+        inputs = _bundle_items("--inputs", args.inputs,
+                               ("address", "level", "amount"))
+        outputs = _bundle_items("--outputs", args.outputs, ("address", "amount"))
         bundle = iota_bundles.build_bundle(inputs, outputs, tag=args.tag)
         print(json.dumps({
             "bundle": bundle.bundle_hash,
@@ -238,12 +238,30 @@ def _cmd_iota(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _bundle_items(flag: str, text: str, fields: tuple[str, ...]) -> list[tuple]:
+    """The comma-separated items of --inputs or --outputs, each an address
+    and integer cells joined by ':', checked like CSV cells; an error
+    names the item."""
+    items = []
+    for item in text.split(","):
+        with naming(f"{flag} item {item!r}"):
+            cells = item.split(":")
+            if len(cells) != len(fields):
+                raise BadRecordError(f"expected {':'.join(fields)}")
+            items.append((cells[0], *map(int_cell, fields[1:], cells[1:])))
+    return items
+
+
 def _genesis(text: str | None) -> dict[str, int]:
     """The --genesis address->balance map, checked like a JSONL record:
     a JSON object whose values are JSON integers."""
     if not text:
         return {}
-    balances = json.loads(text)
+    try:
+        balances = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise BadJsonError(
+            f"--genesis: {exc.msg} at column {exc.colno}") from None
     if type(balances) is not dict:
         raise BadRecordError(f"--genesis: expected an object, got {balances!r}")
     return {address: get_field(balances, address, int) for address in balances}

@@ -13,7 +13,8 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-from contextlib import contextmanager
+import re
+from contextlib import AbstractContextManager, contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Iterable, Iterator, Mapping
@@ -26,7 +27,9 @@ __all__ = [
     "BadAmountError",
     "jsonl_records",
     "at_line",
+    "naming",
     "get_field",
+    "int_cell",
     "Edge",
     "EdgeList",
     "Hyperedge",
@@ -93,15 +96,21 @@ def jsonl_records(lines: Iterable[str | dict]) -> Iterator[tuple[int, Any]]:
 
 
 @contextmanager
-def at_line(line_no: int) -> Iterator[None]:
-    """Name the line in a BadRecordError raised inside the block; a
-    ValueError from a record's own invariants becomes a BadRecordError."""
+def naming(where: str) -> Iterator[None]:
+    """Prefix where the record came from to a BadRecordError raised inside
+    the block; a ValueError from a record's own invariants becomes a
+    BadRecordError."""
     try:
         yield
     except BadRecordError as exc:
-        raise type(exc)(f"line {line_no}: {exc}") from None
+        raise type(exc)(f"{where}: {exc}") from None
     except ValueError as exc:
-        raise BadRecordError(f"line {line_no}: {exc}") from None
+        raise BadRecordError(f"{where}: {exc}") from None
+
+
+def at_line(line_no: int) -> AbstractContextManager[None]:
+    """naming() for the 1-based line of a record file."""
+    return naming(f"line {line_no}")
 
 
 def get_field(record: Any, key: str, kind: type = str, default: Any = _REQUIRED) -> Any:
@@ -119,6 +128,14 @@ def get_field(record: Any, key: str, kind: type = str, default: Any = _REQUIRED)
             raise BadAmountError(f"{key!r} must be an integer, got {value!r}")
         raise BadRecordError(f"{key!r} must be of type {kind.__name__}, got {value!r}")
     return value
+
+
+def int_cell(name: str, cell: str) -> int:
+    """An integer field written as text (a CSV cell, a command-line item):
+    base-10 digits with an optional minus sign, else BadAmountError."""
+    if not re.fullmatch(r"-?[0-9]+", cell):
+        raise BadAmountError(f"{name!r} must be an integer, got {cell!r}")
+    return int(cell)
 
 
 def _check_bound(value: int) -> int:

@@ -4,6 +4,21 @@ The default MixerSponge is a fast, deterministic, non-cryptographic
 permute-and-substitute mixer for tests and simulation. A ternary Keccak
 (KERL) is deliberately NOT implemented; anything exposing absorb/squeeze
 over 243-trit blocks can be plugged into the derivation pipeline instead.
+
+Each of the 8 rounds of the mixer permutation gathers the 729-trit state
+s by the stride _PERM, takes two neighbours of the gathered state,
+a = roll(s, 1) and b = roll(s, offset of the round), and sets every trit
+to
+
+    (s + 2a + b + a*b + total + key) mod 3 - 1
+
+where total is the trit sum of the state and key the round's key trit
+for that position. The code computes exactly this, more cheaply: the
+stride and both rolls are composed at import into one (3, 729) gather
+per round; the sum is taken before gathering, since a permutation keeps
+it; and the formula is one lookup in an 81-entry table indexed by s, a,
+b and (key + total) mod 3. Digests equal the roll formula's trit for
+trit; the tests keep that formula as the oracle.
 """
 
 from __future__ import annotations
@@ -33,6 +48,26 @@ _ROUND_KEYS = np.stack([
     for r in range(_ROUNDS)
 ])
 
+# The round works on u = trit + 1 in {0, 1, 2} (int8). _GATHER[r] holds,
+# for every position, where s, a and b of round r sit in the state
+# before it: roll(x[_PERM], k) == x[roll(_PERM, k)].
+_GATHER = np.stack([
+    np.stack([_PERM, np.roll(_PERM, 1), np.roll(_PERM, offset)])
+    for offset in _OFFSETS
+])
+_PLACES = np.array([27, 9, 3], dtype=np.int8)
+# _KEYED[r, c] = (key + c) mod 3 per position; c = total mod 3, which is
+# sum(u) mod 3 because 729 is a multiple of 3
+_KEYED = np.stack([
+    np.stack([(keys + c) % 3 for c in range(3)]) for keys in _ROUND_KEYS
+]).astype(np.int8)
+# _MIX[27(s+1) + 9(a+1) + 3(b+1) + (key + total) mod 3] is the new u
+_MIX = np.array([
+    (s + 2 * a + b + a * b + k) % 3
+    for s in (-1, 0, 1) for a in (-1, 0, 1) for b in (-1, 0, 1)
+    for k in range(3)
+], dtype=np.int8)
+
 
 class Sponge(Protocol):
     """Absorb/squeeze interface over 243-trit blocks (conformance slot)."""
@@ -54,21 +89,22 @@ class MixerSponge:
         self.state[:] = 0
 
     def _transform(self) -> None:
-        s = self.state.astype(np.int64)
+        u = self.state + np.int8(1)
         for rnd in range(_ROUNDS):
-            s = s[_PERM]
-            a, b = np.roll(s, 1), np.roll(s, _OFFSETS[rnd])
-            total = int(s.sum())  # gives single-trit changes global reach
-            # the a*b product keeps the round nonlinear over GF(3), so
-            # difference patterns cannot collapse by linear cancellation
-            s = (s + 2 * a + b + a * b + total + _ROUND_KEYS[rnd]) % 3 - 1
-        self.state = s.astype(np.int8)
+            # the sum gives single-trit changes global reach; the a*b
+            # product keeps the round nonlinear over GF(3), so difference
+            # patterns cannot collapse by linear cancellation
+            keyed = _KEYED[rnd, int(u.sum()) % 3]
+            u = _MIX.take(_PLACES @ u.take(_GATHER[rnd]) + keyed)
+        self.state = u - np.int8(1)
 
     def absorb(self, trits) -> None:
         block = np.asarray(trits, dtype=np.int8)
         if block.size % BLOCK_TRITS:
             raise ValueError(
                 f"absorb length {block.size} is not a multiple of {BLOCK_TRITS}")
+        if block.size and (block.min() < -1 or block.max() > 1):
+            raise ValueError("absorb takes trits, values in {-1, 0, 1}")
         for off in range(0, block.size, BLOCK_TRITS):
             self.state[:BLOCK_TRITS] = block[off:off + BLOCK_TRITS]
             self._transform()

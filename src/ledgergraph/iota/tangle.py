@@ -21,6 +21,7 @@ attached twice shares one bundle hash but not its members.
 from __future__ import annotations
 
 import random
+from collections import deque
 from typing import Iterable
 
 from ..core import LedgerError
@@ -190,9 +191,9 @@ class TangleState:
         skipped by the sweep; since a bundle confirms only after everything
         it approves, no unconfirmed transaction lies behind it."""
         order, seen = [], set()
-        queue = [tx_hash]
+        queue = deque([tx_hash])
         while queue:
-            h = queue.pop(0)
+            h = queue.popleft()
             if h in seen or h == GENESIS_HASH or h not in self.transactions:
                 continue
             seen.add(h)
@@ -233,10 +234,10 @@ class TangleState:
         """Invalidate the bundles of start_members and all their direct and
         indirect approvers, never confirmed history. A valid trunk or
         branch left without a valid approver becomes a tip again."""
-        queue = list(start_members)
+        queue = deque(start_members)
         parents: dict[str, None] = {}
         while queue:
-            h = queue.pop(0)
+            h = queue.popleft()
             if h in self.invalid:
                 continue
             if h in self.confirmed:

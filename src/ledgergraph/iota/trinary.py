@@ -40,22 +40,22 @@ def _tryte_trits(value: int) -> tuple[int, int, int]:
 
 
 _VALUE_TRITS = {v: _tryte_trits(v) for v in range(-13, 14)}
+_TRYTE_PLACES = np.array([1, 3, 9])
+_ALPHABET_BYTES = np.frombuffer(TRYTE_ALPHABET.encode("ascii"), dtype=np.uint8)
 
 
 def encode_trytes(trits) -> str:
     """Trits to characters; length must be a multiple of 3."""
-    trits = list(int(t) for t in trits)
-    if len(trits) % 3:
+    trits = np.asarray(trits, dtype=np.int64)
+    if trits.size % 3:
         raise InvalidTryteError(
-            f"trit length {len(trits)} is not a multiple of 3")
-    chars = []
-    for i in range(0, len(trits), 3):
-        t0, t1, t2 = trits[i], trits[i + 1], trits[i + 2]
-        for t in (t0, t1, t2):
-            if t not in (-1, 0, 1):
-                raise InvalidTryteError(f"trit {t} outside {{-1,0,1}}")
-        chars.append(TRYTE_ALPHABET[(t0 + 3 * t1 + 9 * t2) % 27])
-    return "".join(chars)
+            f"trit length {trits.size} is not a multiple of 3")
+    outside = (trits < -1) | (trits > 1)
+    if outside.any():
+        raise InvalidTryteError(
+            f"trit {trits[outside][0]} outside {{-1,0,1}}")
+    values = trits.reshape(-1, 3) @ _TRYTE_PLACES
+    return _ALPHABET_BYTES[values % 27].tobytes().decode("ascii")
 
 
 def decode_trytes(trytes: str) -> list[int]:
@@ -98,14 +98,19 @@ def trits_to_int(trits) -> int:
     return total
 
 
+# the 6 little-endian trits of every byte value
+_BYTE_TRITS = np.array([int_to_trits(b, 6) for b in range(256)], dtype=np.int8)
+
+
 def ascii_to_trits(text: str, pad_to: int | None = 243) -> np.ndarray:
     """Opaque identifier strings to trits (6 trits per byte), zero-padded
     to a block multiple so they can feed the sponge."""
-    trits: list[int] = []
-    for byte in text.encode("utf-8"):
-        trits.extend(int_to_trits(byte, 6))
+    data = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    size = used = 6 * data.size
     if pad_to:
-        remainder = len(trits) % pad_to
-        if remainder or not trits:
-            trits.extend([0] * (pad_to - remainder))
-    return np.array(trits, dtype=np.int8)
+        remainder = used % pad_to
+        if remainder or not used:
+            size += pad_to - remainder
+    trits = np.zeros(size, dtype=np.int8)
+    trits[:used] = _BYTE_TRITS[data].ravel()
+    return trits

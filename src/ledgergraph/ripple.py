@@ -18,15 +18,14 @@ Conventions fixed here:
 from __future__ import annotations
 
 import copy
-import re
 from bisect import insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor
 from typing import Iterable, Sequence
 
-from .core import (BadAmountError, BadRecordError, Edge, EdgeList, LedgerError,
-                   at_line, canonical_json)
+from .core import (BadRecordError, Edge, EdgeList, LedgerError, at_line,
+                   canonical_json, int_cell)
 
 __all__ = [
     "BASE_RESERVE_DROPS",
@@ -971,9 +970,10 @@ def load_trust_csv(lines: Iterable[str], ledger: RippleLedger | None = None,
                    default_xrp: int = 100_000_000) -> RippleLedger:
     """Ingest `low,high,currency,balance,low_limit,high_limit` rows.
     Accounts are auto-created; flags default to False for ingested graphs.
-    A row must have six cells, canonical order and limits >= 0
-    (BadRecordError), and its balance and limits must be base-10 integers
-    (BadAmountError); each message names the 1-based line."""
+    A row must have six cells, canonical order, limits >= 0 and a
+    (low, high, currency) line of its own (BadRecordError), and its
+    balance and limits must be base-10 integers (BadAmountError); each
+    message names the 1-based line."""
     led = ledger or RippleLedger()
     rows = [(n, ln.strip()) for n, ln in enumerate(lines, 1) if ln.strip()]
     if rows and rows[0][1].lower().startswith("low,"):
@@ -981,6 +981,9 @@ def load_trust_csv(lines: Iterable[str], ledger: RippleLedger | None = None,
     for line_no, row in rows:
         with at_line(line_no):
             state = _trust_row(row)
+            if state.key in led.states:
+                raise BadRecordError(
+                    f"duplicate trust line {','.join(state.key)}")
         low, high = state.low, state.high
         for addr in (low, high):
             if addr not in led.accounts:
@@ -1002,11 +1005,9 @@ def _trust_row(row: str) -> RippleState:
     cells = [c.strip() for c in row.split(",")]
     if len(cells) != 6:
         raise BadRecordError(f"expected 6 cells, got {len(cells)}")
-    for name, cell in zip(("balance", "low_limit", "high_limit"), cells[3:]):
-        if not re.fullmatch(r"-?[0-9]+", cell):
-            raise BadAmountError(f"{name!r} must be an integer, got {cell!r}")
     low, high, currency = cells[:3]
-    balance, low_limit, high_limit = (int(c) for c in cells[3:])
+    balance, low_limit, high_limit = map(
+        int_cell, ("balance", "low_limit", "high_limit"), cells[3:])
     if low_limit < 0 or high_limit < 0:
         raise BadRecordError("trust limits must be >= 0")
     return RippleState(low, high, currency, balance, low_limit, high_limit)

@@ -360,6 +360,7 @@ def test_unparsable_config_value_is_bad_config(fixture_dir, tmp_path, capsys):
     ('{"a1": "100", "funder": 1000}', "bad-amount"),
     ('{"a1": true, "funder": 1000}', "bad-amount"),
     ('{"a1": null, "funder": 1000}', "bad-amount"),
+    ("{bad", "bad-json"),
 ])
 def test_genesis_map_is_checked(fixture_dir, capsys, genesis, error):
     code = run_cli(["iota", "grow", fixture_dir / "tangle_double_spend.jsonl",
@@ -368,10 +369,30 @@ def test_genesis_map_is_checked(fixture_dir, capsys, genesis, error):
     assert json.loads(capsys.readouterr().err)["error"] == error
 
 
+@pytest.mark.parametrize("flag,item,error", [
+    ("--inputs", "a1:1", "bad-record"),
+    ("--inputs", "a1:1:100:7", "bad-record"),
+    ("--inputs", "a1:1:100.5", "bad-amount"),
+    ("--inputs", "a1:two:100", "bad-amount"),
+    ("--outputs", "r1", "bad-record"),
+    ("--outputs", "r1:1e2", "bad-amount"),
+])
+def test_bundle_items_are_checked(capsys, flag, item, error):
+    items = {"--inputs": "a0:1:100", "--outputs": "r0:100"}
+    items[flag] += "," + item
+    code = run_cli(["iota", "bundle", "--inputs", items["--inputs"],
+                    "--outputs", items["--outputs"]])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == error
+    assert err["message"].startswith(f"{flag} item {item!r}:")
+
+
 @pytest.mark.parametrize("row,error", [
     ("a,b,USD,0,5", "bad-record"),
     ("a,b,USD,1.5,5,10", "bad-amount"),
     ("a,b,USD,0,-5,10", "bad-record"),
+    ("a,c,USD,0,7,0", "bad-record"),  # a second row for the line a,c,USD
 ])
 def test_malformed_trust_row_names_its_line(tmp_path, capsys, row, error):
     trust = tmp_path / "trust.csv"

@@ -1,12 +1,15 @@
 """Trinary codec, derivation pipeline, bundles, tangle consensus."""
 
+import hashlib
+import pathlib
 import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ledgergraph import fixtures
+from ledgergraph.cli import main as cli_main
 from ledgergraph.iota import (
     Bundle,
     MixerSponge,
@@ -26,11 +29,16 @@ from ledgergraph.iota import (
     NotCoordinatorError,
     PowBudgetExceededError,
 )
-from ledgergraph.iota.bundles import compute_bundle_hash, message_transaction
+from ledgergraph.iota import sponge as sponge_mod
+from ledgergraph.iota.bundles import (_fragment_blob, compute_bundle_hash,
+                                      message_transaction)
 from ledgergraph.iota.keys import IndexOutOfRangeError
+from ledgergraph.iota.sponge import sponge_hash
 from ledgergraph.iota.tangle import GENESIS_HASH
+from ledgergraph.iota.trinary import ascii_to_trits
 
 SEED = "LEDGER" + "9" * 75
+FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
 
 
 # -- codec -------------------------------------------------------------------
@@ -64,8 +72,9 @@ def test_string_round_trip(s):
 def test_invalid_char_rejected():
     with pytest.raises(InvalidTryteError):
         decode_trytes("abc")
-    with pytest.raises(InvalidTryteError):
-        encode_trytes([0, 0])  # not a trit triple
+    for not_triples in ([0, 0], np.zeros(4, dtype=np.int8)):
+        with pytest.raises(InvalidTryteError):
+            encode_trytes(not_triples)
 
 
 def test_balanced_ternary_int_round_trip():
@@ -184,6 +193,172 @@ def test_bundle_hash_changes_with_any_member():
     mutated = [tx for tx in b1.transactions]
     mutated[0].value = -6
     assert compute_bundle_hash(mutated) != b1.bundle_hash
+
+
+# -- known answers ------------------------------------------------------------
+# Recorded from the roll-based mixer round and the per-trit codec loops
+# (kept below as oracles); every faster implementation must reproduce
+# them trit for trit.
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_sponge_hash_known_answers():
+    assert encode_trytes(sponge_hash([])) == (
+        "IKYVMYGQESBYYNXHBTSZXIZEKTIIJWDRD9MUATSVTKWHFVJALSYPVOY9ZSNMTGZFROUFGAKE9WRAUF9NF")
+    assert encode_trytes(sponge_hash(ascii_to_trits("ledgergraph"))) == (
+        "WHCB9IAHNFUEOAWKXJSVEXOTRJCPYSM9TOWBGYIXZTGOLESOSOM9ULLU9EHWGMIVKPSYJHAQECLHXTLHY")
+    two_blocks = ascii_to_trits("ledgergraph" * 7)
+    assert two_blocks.size == 2 * 243
+    assert encode_trytes(sponge_hash(two_blocks)) == (
+        "UUCZVQJYHNEDYYOICFQOJMSUMXOCGPENBUG9VFBJRSQWBMLICOGXKTLPZTWJ99XRUQOFZOCIFSVYOFEOR")
+
+
+def test_derivation_known_answers():
+    subseed = derive_subseed(SEED, 0)
+    assert subseed == (
+        "ZKUWGGOXFPXXOBIYSTGKCPHVFCTISSVEIEMQK9UHIBSEDRWRKCD99OFZLBMAMJV9UNSOMLXGSSY9QXRQV")
+    assert derive_subseed(SEED, 5) == (
+        "FQEWUFLMQXCNLNDSNUHBUVWLHVULDIKAXEGNTNJIRWSKMDCQJCQNI9RKKGSJT9SK9ZWYHSALOBYFZVVJB")
+    keys = {level: derive_private_key(subseed, level) for level in (1, 2, 3)}
+    assert {level: _sha256(key) for level, key in keys.items()} == {
+        1: "72e0a23e9168b127f6d3a30477c5a9def00f14cef7d4d9de8220e869b13b2699",
+        2: "9447849f6ce27c2eb863a375550d6bff23ccd071f715d860322231f4cbe80c50",
+        3: "d2dfd56e588b3c7becc322dfc1460c9476ba4b80c2cd278e1995481d782196dd",
+    }
+    assert derive_address(keys[2], with_checksum=True) == (
+        "ORAMD9YGMIYKYUJDDRJLUN9JQXHLIHNJFVNXYPOUORSKHLEZVRSJKTUYRCAVYOWTRRQXYHEPPTGTKLLKFYDMDXRPTY")
+
+
+def test_bundle_known_answers():
+    bundle = build_bundle([("A" * 81, 2, 10)], [("B" * 81, 4), ("C" * 81, 6)],
+                          tag="T", timestamp=3)
+    assert bundle.bundle_hash == (
+        "XYCSAANHFNZHOWXPYUIMZOTDX9WLFUIZYWAZNXBWWLBGPABSS9CXVMSIUWSAY9EGPKLOHVNCGHEAFMACC")
+    assert _sha256(_fragment_blob("A" * 81, 1)) == (
+        "3e60a2e6fc291e35fb7c30470a2806f2c2a6cad2979d79c6c89035920cbd2a0b")
+
+
+def test_iota_grow_known_answer(tmp_path):
+    out, log = tmp_path / "tangle.csv", tmp_path / "log.jsonl"
+    code = cli_main(["iota", "grow", str(FIXTURES / "tangle_double_spend.jsonl"),
+                     "--genesis", '{"a1": 100, "funder": 1000}',
+                     "--out", str(out), "--log", str(log)])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "b0d0db860c660eb9efcdbf6848e7f2e406d0a639637580d30db8a87fdd02220d")
+    assert hashlib.sha256(log.read_bytes()).hexdigest() == (
+        "3739e26cb9016f8bcbffdefc5065162d6d15eaff4727256cec80cf9afd7d8b82")
+
+
+# -- oracles for the table-driven round and the vectorised codecs -------------
+
+def roll_round_transform(state: np.ndarray) -> np.ndarray:
+    """The mixer permutation as the formula states it: gather by the
+    stride, two np.roll neighbours, the trit sum, int64 arithmetic."""
+    s = state.astype(np.int64)
+    for rnd in range(sponge_mod._ROUNDS):
+        s = s[sponge_mod._PERM]
+        a, b = np.roll(s, 1), np.roll(s, sponge_mod._OFFSETS[rnd])
+        total = int(s.sum())
+        s = (s + 2 * a + b + a * b + total + sponge_mod._ROUND_KEYS[rnd]) % 3 - 1
+    return s.astype(np.int8)
+
+
+def loop_encode_trytes(trits) -> str:
+    trits = [int(t) for t in trits]
+    if len(trits) % 3:
+        raise InvalidTryteError("length")
+    chars = []
+    for i in range(0, len(trits), 3):
+        t0, t1, t2 = trits[i:i + 3]
+        if not {t0, t1, t2} <= {-1, 0, 1}:
+            raise InvalidTryteError("trit")
+        chars.append(TRYTE_ALPHABET[(t0 + 3 * t1 + 9 * t2) % 27])
+    return "".join(chars)
+
+
+def loop_ascii_to_trits(text: str, pad_to) -> list[int]:
+    trits: list[int] = []
+    for byte in text.encode("utf-8"):
+        trits.extend(int_to_trits(byte, 6))
+    if pad_to:
+        remainder = len(trits) % pad_to
+        if remainder or not trits:
+            trits.extend([0] * (pad_to - remainder))
+    return trits
+
+
+TRIT = st.sampled_from([-1, 0, 1])
+
+
+@given(st.lists(TRIT, min_size=sponge_mod.STATE_TRITS,
+                max_size=sponge_mod.STATE_TRITS))
+@example([0] * sponge_mod.STATE_TRITS)
+@example([1] * sponge_mod.STATE_TRITS)
+@example([-1] * sponge_mod.STATE_TRITS)
+def test_transform_equals_roll_formula(trits):
+    state = np.array(trits, dtype=np.int8)
+    mixer = MixerSponge()
+    mixer.state = state.copy()
+    mixer._transform()
+    assert mixer.state.dtype == np.int8
+    assert np.array_equal(mixer.state, roll_round_transform(state))
+
+
+@pytest.mark.parametrize("bad", [2, -2, 5])
+def test_absorb_rejects_values_outside_trits(bad):
+    block = np.zeros(sponge_mod.BLOCK_TRITS, dtype=np.int8)
+    block[100] = bad
+    with pytest.raises(ValueError):
+        MixerSponge().absorb(block)
+
+
+@given(st.lists(TRIT, max_size=300))
+def test_encode_trytes_equals_loop(trits):
+    trits = trits[:len(trits) - len(trits) % 3]
+    expected = loop_encode_trytes(trits)
+    assert encode_trytes(trits) == expected
+    assert encode_trytes(np.array(trits, dtype=np.int8)) == expected
+
+
+@given(st.lists(TRIT, min_size=1, max_size=30), st.data())
+def test_encode_trytes_rejects_what_the_loop_rejects(trits, data):
+    bad = data.draw(st.sampled_from([2, -2, 3, 13, -13]))
+    trits[data.draw(st.integers(0, len(trits) - 1))] = bad
+    trits = trits + [0] * (-len(trits) % 3)
+    for given_trits in (trits, trits + [0], np.array(trits, dtype=np.int8)):
+        with pytest.raises(InvalidTryteError):
+            loop_encode_trytes(given_trits)
+        with pytest.raises(InvalidTryteError):
+            encode_trytes(given_trits)
+
+
+@given(st.text(max_size=60), st.sampled_from([None, 243, 81, 6]))
+@example("", None)
+@example("", 243)
+@example("ñ€𝄞 ledger", 243)
+def test_ascii_to_trits_equals_loop(text, pad_to):
+    trits = ascii_to_trits(text, pad_to)
+    assert trits.dtype == np.int8
+    assert trits.tolist() == loop_ascii_to_trits(text, pad_to)
+
+
+def test_level2_bundle_transform_count(monkeypatch):
+    calls = []
+    original = MixerSponge._transform
+
+    def counted(self):
+        calls.append(1)
+        original(self)
+
+    monkeypatch.setattr(MixerSponge, "_transform", counted)
+    build_bundle([("A" * 81, 2, 10)], [("B" * 81, 4), ("C" * 81, 6)],
+                 tag="T", timestamp=3)
+    # two fragment blobs of 3 absorbed and 27 squeezed blocks each, then
+    # the bundle hash over four essences of 3 blocks each plus a squeeze
+    assert len(calls) == 2 * (3 + 27) + 4 * 3 + 1
 
 
 # -- tangle -----------------------------------------------------------------------
