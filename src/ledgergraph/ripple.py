@@ -13,12 +13,21 @@ Conventions fixed here:
   - set_trust() creates lines with no_ripple=True (the post-2015 default);
     CSV ingestion defaults the flags to False because ingested rows model
     established gateway graphs.
+
+Atomicity: every operation validates before its first write, and every
+write to ledger state goes through a RippleLedger mutator that bumps
+RippleLedger.writes. A rejected operation leaves `writes` unchanged, so
+comparing the count before and after is at least as strict as comparing
+state digests: it also catches a write that was later undone. Offers
+and check cashing work out all their transfer legs, new trust lines and
+their reserves included, before writing any (see _Legs).
+state_digest() remains the snapshot-equality API.
 """
 
 from __future__ import annotations
 
-import copy
 from bisect import insort
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor
@@ -153,6 +162,9 @@ class RippleState:
     def key(self) -> tuple[str, str, str]:
         return (self.low, self.high, self.currency)
 
+    def limit_of(self, side: str) -> int:
+        return self.low_limit if side == self.low else self.high_limit
+
     def no_ripple_of(self, side: str) -> bool:
         return self.low_no_ripple if side == self.low else self.high_no_ripple
 
@@ -249,7 +261,12 @@ def fill_amounts(maker_gets_rem: int, rate: Fraction, taker_wants_rem: int,
 
 class RippleLedger:
     """Single-writer ledger with transaction-level validate-then-apply;
-    every public operation either fully executes or leaves state intact."""
+    every public operation either fully executes or leaves state intact.
+
+    Every write goes through one of the mutators under "writes" below,
+    each of which bumps `writes`; a rejected operation leaves `writes`
+    as it found it. `line_index` maps (account, currency) to the
+    account's lines in that currency, keyed by peer."""
 
     def __init__(self, base_reserve: int = BASE_RESERVE_DROPS,
                  owner_reserve: int = OWNER_RESERVE_DROPS,
@@ -260,25 +277,155 @@ class RippleLedger:
         self.accounts: dict[str, RippleAccount] = {}
         self.states: dict[tuple[str, str, str], RippleState] = {}
         self.state_owners: dict[tuple[str, str, str], set[str]] = {}
+        self.line_index: dict[tuple[str, str], dict[str, RippleState]] = {}
         self.books: dict[tuple, list[tuple[Fraction, int, Offer]]] = {}
         self.offers_by_seq: dict[int, Offer] = {}
         self.checks: dict[int, Check] = {}
         self.escrows: dict[int, Escrow] = {}
         self.payments: list[dict] = []  # executed settlements, path order
+        self.writes = 0
         self._seq = 0
 
-    # -- basics -------------------------------------------------------------
+    # -- writes ---------------------------------------------------------------
 
     def next_seq(self) -> int:
+        self.writes += 1
         self._seq += 1
         return self._seq
 
     def create_account(self, address: str, xrp_drops: int = 0) -> RippleAccount:
         if address in self.accounts:
             raise LedgerError(f"account {address} exists")
+        self.writes += 1
         acct = RippleAccount(address=address, xrp_balance=xrp_drops)
         self.accounts[address] = acct
         return acct
+
+    def _add_line(self, state: RippleState, owners: set[str]) -> None:
+        """Create a line; each owner carries its reserve."""
+        self.writes += 1
+        self.states[state.key] = state
+        self.state_owners[state.key] = owners
+        for owner in owners:
+            self.accounts[owner].owned_objects += 1
+        for account, peer in ((state.low, state.high), (state.high, state.low)):
+            self.line_index.setdefault((account, state.currency), {})[peer] = state
+
+    def _drop_line(self, key: tuple[str, str, str]) -> None:
+        self.writes += 1
+        state = self.states.pop(key)
+        for owner in self.state_owners.pop(key):
+            self.accounts[owner].owned_objects -= 1
+        for account, peer in ((state.low, state.high), (state.high, state.low)):
+            lines = self.line_index[(account, state.currency)]
+            del lines[peer]
+            if not lines:
+                del self.line_index[(account, state.currency)]
+
+    def _set_owner(self, key: tuple[str, str, str], address: str,
+                   owns: bool) -> None:
+        """Make the address an owner of the line (carrying its reserve)
+        or release it."""
+        self.writes += 1
+        if owns:
+            self.state_owners[key].add(address)
+            self.accounts[address].owned_objects += 1
+        else:
+            self.state_owners[key].discard(address)
+            self.accounts[address].owned_objects -= 1
+
+    def _set_side(self, state: RippleState, side: str, limit: int,
+                  no_ripple: bool) -> None:
+        self.writes += 1
+        if side == state.low:
+            state.low_limit, state.low_no_ripple = limit, no_ripple
+        else:
+            state.high_limit, state.high_no_ripple = limit, no_ripple
+
+    def _apply_debt(self, state: RippleState, lender: str, borrower: str,
+                    amount: int) -> None:
+        self.writes += 1
+        # positive balance == high owes low
+        if lender == state.low:
+            state.balance += amount
+        else:
+            state.balance -= amount
+
+    def _add_xrp(self, address: str, drops: int) -> None:
+        self.writes += 1
+        self.accounts[address].xrp_balance += drops
+
+    def _record_payment(self, path: Sequence[str], currency: str,
+                        requested: int, delivered: int) -> None:
+        self.writes += 1
+        self.payments.append({"path": tuple(path), "currency": currency,
+                              "requested": requested, "delivered": delivered})
+
+    def _commit(self, legs: _Legs) -> None:
+        """Write transfer legs worked out by _Legs."""
+        for address, drops in legs.xrp.items():
+            self._add_xrp(address, drops)
+        for key, owner in legs.new_lines.items():
+            self._add_line(RippleState(*key), {owner})
+        for key, change in legs.debt.items():
+            state = self.states[key]
+            self._apply_debt(state, state.low, state.high, change)
+
+    def _fill(self, maker: Offer, taker: Offer, g: int, p: int) -> dict:
+        """The maker gives g of its gets-currency for p of its
+        pays-currency."""
+        self.writes += 1
+        maker.gets_remaining -= g
+        maker.pays_remaining = max(0, maker.pays_remaining - p)
+        taker.pays_remaining -= g
+        taker.gets_remaining -= p
+        return {"maker": maker.sequence, "taker": taker.sequence,
+                "maker_gave": g, "maker_got": p}
+
+    def _unbook(self, book: list, count: int) -> None:
+        """Take the first `count` offers off a book."""
+        self.writes += 1
+        del book[:count]
+
+    def _put_offer(self, offer: Offer, rest: bool) -> None:
+        self.writes += 1
+        if rest:
+            own_key = (offer.taker_gets.key, offer.taker_pays.key)
+            insort(self.books.setdefault(own_key, []),
+                   (offer.rate, offer.sequence, offer))
+        self.offers_by_seq[offer.sequence] = offer
+
+    def _retire_offer(self, offer: Offer) -> None:
+        self.writes += 1
+        offer.gets_remaining = 0
+        for book in self.books.values():
+            book[:] = [(r, s, o) for (r, s, o) in book if s != offer.sequence]
+
+    def _put_check(self, check: Check) -> None:
+        self.writes += 1
+        self.checks[check.check_id] = check
+        self.accounts[check.sender].owned_objects += 1
+
+    def _cash(self, check: Check, amount: int) -> None:
+        self.writes += 1
+        check.cashed += amount
+
+    def _drop_check(self, check: Check) -> None:
+        self.writes += 1
+        del self.checks[check.check_id]
+        self.accounts[check.sender].owned_objects -= 1
+
+    def _put_escrow(self, escrow: Escrow) -> None:
+        self.writes += 1
+        self.escrows[escrow.escrow_id] = escrow
+        self.accounts[escrow.sender].owned_objects += 1
+
+    def _drop_escrow(self, escrow: Escrow) -> None:
+        self.writes += 1
+        del self.escrows[escrow.escrow_id]
+        self.accounts[escrow.sender].owned_objects -= 1
+
+    # -- basics -------------------------------------------------------------
 
     def account(self, address: str) -> RippleAccount:
         acct = self.accounts.get(address)
@@ -317,9 +464,6 @@ class RippleLedger:
         }
         return canonical_json(payload)
 
-    def snapshot(self) -> "RippleLedger":
-        return copy.deepcopy(self)
-
     # -- trust lines ----------------------------------------------------------
 
     @staticmethod
@@ -343,8 +487,7 @@ class RippleLedger:
         low, high = self.canonical_pair(lender, borrower)
         key = (low, high, currency)
         state = self.states.get(key)
-        creating = state is None
-        if creating:
+        if state is None:
             if limit == 0:
                 return None
             acct = self.account(lender)
@@ -354,33 +497,20 @@ class RippleLedger:
                     f"{lender} cannot cover reserve {needed} for a new trust line"
                 )
             state = RippleState(low=low, high=high, currency=currency)
-            self.states[key] = state
-            self.state_owners[key] = set()
-        owners = self.state_owners[key]
-        if lender not in owners and limit > 0:
-            if not creating:
-                acct = self.account(lender)
-                needed = self.base_reserve + (acct.owned_objects + 1) * self.owner_reserve
-                if acct.xrp_balance < needed:
-                    raise ReserveUnmetError(
-                        f"{lender} cannot cover reserve {needed} to extend trust"
-                    )
-            owners.add(lender)
-            self.account(lender).owned_objects += 1
-        if lender == low:
-            state.low_limit = limit
-            state.low_no_ripple = no_ripple
-        else:
-            state.high_limit = limit
-            state.high_no_ripple = no_ripple
-        if limit == 0 and lender in owners:
-            owners.discard(lender)
-            self.account(lender).owned_objects -= 1
-        if (state.balance == 0 and state.low_limit == 0 and state.high_limit == 0):
-            for owner in owners:
-                self.account(owner).owned_objects -= 1
-            del self.states[key]
-            del self.state_owners[key]
+            self._add_line(state, {lender})
+        elif lender not in self.state_owners[key] and limit > 0:
+            acct = self.account(lender)
+            needed = self.base_reserve + (acct.owned_objects + 1) * self.owner_reserve
+            if acct.xrp_balance < needed:
+                raise ReserveUnmetError(
+                    f"{lender} cannot cover reserve {needed} to extend trust"
+                )
+            self._set_owner(key, lender, True)
+        self._set_side(state, lender, limit, no_ripple)
+        if limit == 0 and lender in self.state_owners[key]:
+            self._set_owner(key, lender, False)
+        if state.balance == 0 and state.low_limit == 0 and state.high_limit == 0:
+            self._drop_line(key)
             return None
         return state
 
@@ -391,10 +521,7 @@ class RippleLedger:
         state = self.line(account, peer, currency)
         if state is None:
             raise LedgerError(f"no {currency} line between {account} and {peer}")
-        if account == state.low:
-            state.low_no_ripple = flag
-        else:
-            state.high_no_ripple = flag
+        self._set_side(state, account, state.limit_of(account), flag)
         return state
 
     def adjust_line_debt(self, lender: str, borrower: str, currency: str,
@@ -406,14 +533,6 @@ class RippleLedger:
             raise LedgerError(f"no {currency} line between {lender} and {borrower}")
         self._apply_debt(state, lender, borrower, amount)
         return state
-
-    def _apply_debt(self, state: RippleState, lender: str, borrower: str,
-                    amount: int) -> None:
-        # positive balance == high owes low
-        if lender == state.low:
-            state.balance += amount
-        else:
-            state.balance -= amount
 
     def available_capacity(self, state: RippleState, borrower: str,
                            rippling: bool = False) -> int:
@@ -453,19 +572,11 @@ class RippleLedger:
 
     def holding(self, address: str, currency: str, issuer: str | None) -> int:
         """Spendable amount of an issued currency (net positive position on
-        the line with the issuer), or the XRP balance."""
+        the line with the issuer, or over all its lines when issuer is
+        None), or the XRP balance."""
         if currency == "XRP":
             return self.account(address).xrp_balance
-        if issuer is None:
-            return max(0, sum(
-                (s.balance if s.low == address else -s.balance)
-                for s in self.states.values()
-                if s.currency == currency and address in (s.low, s.high)))
-        state = self.line(address, issuer, currency)
-        if state is None:
-            return 0
-        pos = state.balance if state.low == address else -state.balance
-        return max(0, pos)
+        return max(0, _Legs(self).position(address, currency, issuer))
 
     # -- direct payments ------------------------------------------------------
 
@@ -488,27 +599,22 @@ class RippleLedger:
                     f"payment of {drops} cannot fund a new account "
                     f"(base reserve {self.base_reserve})"
                 )
-            dst = self.create_account(receiver)
-        if dst.deposit_auth and sender not in dst.authorized:
+            self.create_account(receiver)
+        elif dst.deposit_auth and sender not in dst.authorized:
             raise DepositUnauthorizedError(f"{receiver} requires deposit authorization")
-        src.xrp_balance -= drops
-        dst.xrp_balance += drops
-        self.payments.append({"path": (sender, receiver), "currency": "XRP",
-                              "requested": drops, "delivered": drops})
+        self._add_xrp(sender, -drops)
+        self._add_xrp(receiver, drops)
+        self._record_payment((sender, receiver), "XRP", drops, drops)
 
     # -- pathfinding ------------------------------------------------------------
 
     def _borrowers_of(self, lender: str, currency: str) -> list[tuple[str, RippleState]]:
-        out = []
-        for state in self.states.values():
-            if state.currency != currency:
-                continue
-            if lender == state.low and state.low_limit > 0:
-                out.append((state.high, state))
-            elif lender == state.high and state.high_limit > 0:
-                out.append((state.low, state))
-        out.sort(key=lambda p: p[0])
-        return out
+        """Lines on which the lender extends credit, by borrower."""
+        lines = self.line_index.get((lender, currency))
+        if not lines:
+            return []
+        return [(borrower, state) for borrower, state in sorted(lines.items())
+                if state.limit_of(lender) > 0]
 
     def _path_flags_ok(self, payment_path: Sequence[str], currency: str) -> bool:
         # An intermediate node blocks rippling only when its no_ripple flag
@@ -541,9 +647,9 @@ class RippleLedger:
             raise LedgerError("XRP transfers are direct payments, not rippling")
         need = spec.amount.value if not spec.tf_partial_payment else 1
         found: list[tuple[str, ...]] = []
-        queue: list[tuple[str, ...]] = [(spec.destination,)]
+        queue: deque[tuple[str, ...]] = deque([(spec.destination,)])
         while queue:
-            chain = queue.pop(0)
+            chain = queue.popleft()
             node = chain[-1]
             if len(chain) > self.path_depth:
                 continue
@@ -597,15 +703,12 @@ class RippleLedger:
     def _hop_amounts(self, path: Sequence[str], delivered: int) -> list[int]:
         """Hop i carries the delivered amount plus the transfer fees of all
         intermediaries between that hop and the destination (sender pays)."""
-        k = len(path) - 1
-        fees = []
-        for node in path[1:-1]:
-            rate = self.accounts.get(node, RippleAccount(node)).transfer_fee_rate
-            fees.append(floor(delivered * rate))
-        amounts = []
-        for i in range(k):
-            downstream = sum(fees[i:])  # fees of intermediates p_{i+1}..p_{k-1}
-            amounts.append(delivered + downstream)
+        amounts = [delivered]
+        for node in reversed(path[1:-1]):
+            acct = self.accounts.get(node)
+            rate = acct.transfer_fee_rate if acct is not None else 0
+            amounts.append(amounts[-1] + (floor(delivered * rate) if rate else 0))
+        amounts.reverse()
         return amounts
 
     def _path_feasible(self, path: Sequence[str], states: list[RippleState],
@@ -669,8 +772,7 @@ class RippleLedger:
         for i, state in enumerate(states):
             self._apply_debt(state, lender=path[i + 1], borrower=path[i],
                              amount=amounts[i])
-        self.payments.append({"path": tuple(path), "currency": currency,
-                              "requested": amount, "delivered": delivered})
+        self._record_payment(path, currency, amount, delivered)
         return delivered
 
     def pay(self, spec: PaymentSpec) -> dict:
@@ -705,128 +807,104 @@ class RippleLedger:
             return {"delivered": delivered, "path": list(best[1])}
         errors: list[str] = []
         for path in candidates:
-            before = self.state_digest()
+            writes = self.writes
             try:
                 delivered = self.execute_rippling(path, spec.amount.value,
                                                   spec.amount.currency)
                 return {"delivered": delivered, "path": list(path)}
             except LedgerError as exc:
-                assert self.state_digest() == before  # atomicity
+                if self.writes != writes:
+                    raise AssertionError(
+                        f"a rejected path {path} wrote to the ledger") from exc
                 errors.append(str(exc))
         raise DriedUpPathError("; ".join(errors) or "all candidate paths failed")
 
     # -- offers -----------------------------------------------------------------
 
-    def _credit(self, address: str, cv: CurrencyValue, amount: int,
-                allow_new_line: bool = True) -> None:
-        if cv.is_xrp:
-            self.account(address).xrp_balance += amount
-            return
-        issuer = cv.issuer
-        if issuer is None or issuer == address:
-            return  # issuers redeem their own paper
-        state = self.line(address, issuer, currency=cv.currency)
-        if state is None:
-            if not allow_new_line:
-                raise UnfundedOfferError(f"{address} has no {cv.currency} line")
-            # acquiring issued currency writes a trust line object; the
-            # buyer carries the reserve for it
-            acct = self.account(address)
-            needed = self.base_reserve + (acct.owned_objects + 1) * self.owner_reserve
-            if acct.xrp_balance < needed:
-                raise UnfundedOfferError(
-                    f"{address} cannot cover the reserve for a new {cv.currency} line"
-                )
-            low, high = self.canonical_pair(address, issuer)
-            state = RippleState(low=low, high=high, currency=cv.currency)
-            self.states[(low, high, cv.currency)] = state
-            self.state_owners[(low, high, cv.currency)] = {address}
-            acct.owned_objects += 1
-        if state.low == address:
-            state.balance += amount
-        else:
-            state.balance -= amount
-
-    def _debit(self, address: str, cv: CurrencyValue, amount: int) -> None:
-        if cv.is_xrp:
-            self.account(address).xrp_balance -= amount
-            return
-        if cv.issuer is None or cv.issuer == address:
-            return
-        self._credit(address, cv, -amount)
-
-    def _funded(self, address: str, cv: CurrencyValue, amount: int) -> bool:
-        if cv.is_xrp:
-            return self.account(address).xrp_balance >= amount
-        if cv.issuer == address:
-            return True  # issuing one's own currency
-        return self.holding(address, cv.currency, cv.issuer) >= amount
+    def _credit(self, address: str, cv: CurrencyValue, amount: int) -> None:
+        """Move `amount` of cv to the address (from it, when negative):
+        gateway issue/redeem hook. Acquiring issued currency without a line
+        to its issuer creates one, with the reserve on the address."""
+        legs = _Legs(self)
+        legs.move(address, cv, amount)
+        self._commit(legs)
 
     def create_offer(self, owner: str, taker_gets: CurrencyValue,
                      taker_pays: CurrencyValue) -> dict:
         """Match a new offer against the book at price-time priority;
         crossing fills execute at the makers' rates and any remainder
-        rests as an offer object. Unfunded offers fail."""
+        rests as an offer object. Unfunded offers fail, and so does an
+        offer whose fills would need a trust line that the receiving side
+        cannot reserve; either way nothing is written."""
         if taker_gets.value <= 0 or taker_pays.value <= 0:
             raise ValueError("offer amounts must be positive")
-        if not self._funded(owner, taker_gets, taker_gets.value):
+        legs = _Legs(self)
+        if not legs.funded(owner, taker_gets, taker_gets.value):
             raise UnfundedOfferError(
                 f"{owner} does not hold {taker_gets.value} {taker_gets.currency}"
             )
-        taker = Offer(owner, taker_gets, taker_pays, self.next_seq())
-        limit_rate = Fraction(taker_gets.value, taker_pays.value)
-        book_key = (taker_pays.key, taker_gets.key)  # makers giving what we want
-        book = self.books.setdefault(book_key, [])
-        fills = []
-        while taker.live and book:
-            rate, seq, maker = book[0]
-            if rate > limit_rate:
-                break
-            if not maker.live or not self._funded(maker.owner, maker.taker_gets,
-                                                  min(maker.gets_remaining, 1)):
-                book.pop(0)
-                continue
-            g, p = fill_amounts(maker.gets_remaining, rate,
-                                taker.pays_remaining, taker.gets_remaining)
-            if g <= 0:
-                break
-            if not self._funded(maker.owner, maker.taker_gets, g):
-                book.pop(0)
-                continue
-            # maker gives g of its gets-currency for p of its pays-currency
-            self._debit(maker.owner, maker.taker_gets, g)
-            self._credit(maker.owner, maker.taker_pays, p)
-            self._debit(taker.owner, taker.taker_gets, p)
-            self._credit(taker.owner, taker.taker_pays, g)
-            maker.gets_remaining -= g
-            maker.pays_remaining = max(0, maker.pays_remaining - p)
-            taker.pays_remaining -= g
-            taker.gets_remaining -= p
-            fills.append({"maker": maker.sequence, "taker": taker.sequence,
-                          "maker_gave": g, "maker_got": p})
-            if not maker.live:
-                book.pop(0)
-        rested = False
-        if taker.live:
-            acct = self.account(owner)
-            if acct.xrp_balance >= self.reserve_required(owner):
-                own_key = (taker.taker_gets.key, taker.taker_pays.key)
-                insort(self.books.setdefault(own_key, []),
-                       (taker.rate, taker.sequence, taker))
-                rested = True
-            # below-reserve owners may only consume existing offers
-        self.offers_by_seq[taker.sequence] = taker
+        self.account(owner)  # an issuer offering its own paper holds none
+        taker = Offer(owner, taker_gets, taker_pays, sequence=self._seq + 1)
+        book = self.books.get((taker_pays.key, taker_gets.key), [])
+        planned, consumed = self._match(taker, book, legs)
+        self.next_seq()
+        self._commit(legs)
+        fills = [self._fill(maker, taker, g, p) for maker, g, p in planned]
+        if consumed:
+            self._unbook(book, consumed)
+        # below-reserve owners may only consume existing offers
+        rested = taker.live and \
+            self.accounts[owner].xrp_balance >= self.reserve_required(owner)
+        self._put_offer(taker, rested)
         return {"sequence": taker.sequence, "fills": fills, "rested": rested,
                 "gets_remaining": taker.gets_remaining,
                 "pays_remaining": taker.pays_remaining}
+
+    def _match(self, taker: Offer, book: list,
+               legs: _Legs) -> tuple[list[tuple[Offer, int, int]], int]:
+        """Work out the fills of a new offer against the makers giving
+        what it wants, best rate first, adding their legs to `legs`.
+        Returns the fills as (maker, g, p) and how many offers at the head
+        of the book leave it (filled, dead or unfunded). Writes nothing."""
+        limit_rate = Fraction(taker.taker_gets.value, taker.taker_pays.value)
+        gets_left, pays_left = taker.gets_remaining, taker.pays_remaining
+        fills: list[tuple[Offer, int, int]] = []
+        head = 0
+        maker_left = None  # (gets, pays) still open on book[head]
+        while gets_left > 0 and pays_left > 0 and head < len(book):
+            rate, _seq, maker = book[head]
+            if rate > limit_rate:
+                break
+            m_gets, m_pays = maker_left or (maker.gets_remaining,
+                                            maker.pays_remaining)
+            if m_gets <= 0 or m_pays <= 0 or \
+                    not legs.funded(maker.owner, maker.taker_gets, min(m_gets, 1)):
+                head, maker_left = head + 1, None
+                continue
+            g, p = fill_amounts(m_gets, rate, pays_left, gets_left)
+            if g <= 0:
+                break
+            if not legs.funded(maker.owner, maker.taker_gets, g):
+                head, maker_left = head + 1, None
+                continue
+            legs.move(maker.owner, maker.taker_gets, -g)
+            legs.move(maker.owner, maker.taker_pays, p)
+            legs.move(taker.owner, taker.taker_gets, -p)
+            legs.move(taker.owner, taker.taker_pays, g)
+            fills.append((maker, g, p))
+            m_gets, m_pays = m_gets - g, max(0, m_pays - p)
+            pays_left, gets_left = pays_left - g, gets_left - p
+            if m_gets > 0 and m_pays > 0:
+                maker_left = (m_gets, m_pays)
+            else:
+                head, maker_left = head + 1, None
+        return fills, head
 
     def cancel_offer(self, owner: str, sequence: int) -> None:
         offer = self.offers_by_seq.get(sequence)
         if offer is None or offer.owner != owner:
             raise LedgerError(f"no offer {sequence} owned by {owner}")
-        offer.gets_remaining = 0
-        for book in self.books.values():
-            book[:] = [(r, s, o) for (r, s, o) in book if s != sequence]
+        self._retire_offer(offer)
 
     def book_rows(self) -> list[tuple]:
         """Deterministic listing of live resting offers."""
@@ -848,13 +926,14 @@ class RippleLedger:
         self.account(sender)
         self.account(receiver)
         check = Check(self.next_seq(), sender, receiver, amount, expiration)
-        self.checks[check.check_id] = check
-        self.account(sender).owned_objects += 1
+        self._put_check(check)
         return check
 
     def cash_check(self, check_id: int, amount: int, now: int = 0) -> int:
         """Cash up to the remaining face value; the sender needs the funds
-        only now, at cashing time. Checks may pay deposit-auth receivers."""
+        only now, at cashing time. Checks may pay deposit-auth receivers.
+        A receiver without a line to the issuer gets one, and must cover
+        its reserve (UnfundedOfferError)."""
         check = self.checks.get(check_id)
         if check is None:
             raise CheckError(f"no check {check_id}")
@@ -863,18 +942,18 @@ class RippleLedger:
         if not 0 < amount <= check.remaining:
             raise CheckError(f"cash amount {amount} exceeds remaining {check.remaining}")
         cv = check.amount
+        legs = _Legs(self)
         if cv.is_xrp:
             src = self.account(check.sender)
-            if src.xrp_balance - amount < self.reserve_required(check.sender):
-                raise CheckError("sender-unfunded-at-cash")
-            src.xrp_balance -= amount
-            self.account(check.receiver).xrp_balance += amount
+            funded = src.xrp_balance - amount >= self.reserve_required(check.sender)
         else:
-            if not self._funded(check.sender, cv, amount):
-                raise CheckError("sender-unfunded-at-cash")
-            self._debit(check.sender, cv, amount)
-            self._credit(check.receiver, cv, amount)
-        check.cashed += amount
+            funded = legs.funded(check.sender, cv, amount)
+        if not funded:
+            raise CheckError("sender-unfunded-at-cash")
+        legs.move(check.sender, cv, -amount)
+        legs.move(check.receiver, cv, amount)
+        self._commit(legs)
+        self._cash(check, amount)
         if check.remaining == 0:
             self._drop_check(check)
         return amount
@@ -886,10 +965,6 @@ class RippleLedger:
         if by not in (check.sender, check.receiver):
             raise CheckError("only the sender or receiver can cancel")
         self._drop_check(check)
-
-    def _drop_check(self, check: Check) -> None:
-        del self.checks[check.check_id]
-        self.account(check.sender).owned_objects -= 1
 
     # -- escrows ----------------------------------------------------------------
 
@@ -903,11 +978,10 @@ class RippleLedger:
             raise ValueError("escrow amount must be positive")
         if src.xrp_balance - drops < self.reserve_required(sender):
             raise EscrowError("sender cannot lock below its reserve")
-        src.xrp_balance -= drops
-        src.owned_objects += 1
+        self._add_xrp(sender, -drops)
         escrow = Escrow(self.next_seq(), sender, receiver, drops,
                         release_time, expiration)
-        self.escrows[escrow.escrow_id] = escrow
+        self._put_escrow(escrow)
         return escrow
 
     def finish_escrow(self, escrow_id: int, now: int) -> int:
@@ -918,9 +992,8 @@ class RippleLedger:
             raise EscrowError("not-yet-releasable")
         if escrow.expiration is not None and now > escrow.expiration:
             raise EscrowError("expired")
-        self.account(escrow.receiver).xrp_balance += escrow.drops
-        self.account(escrow.sender).owned_objects -= 1
-        del self.escrows[escrow_id]
+        self._add_xrp(escrow.receiver, escrow.drops)
+        self._drop_escrow(escrow)
         return escrow.drops
 
     def cancel_escrow(self, escrow_id: int, now: int) -> int:
@@ -929,9 +1002,8 @@ class RippleLedger:
             raise EscrowError(f"no escrow {escrow_id}")
         if escrow.expiration is None or now <= escrow.expiration:
             raise EscrowError("escrow has not expired")
-        self.account(escrow.sender).xrp_balance += escrow.drops
-        self.account(escrow.sender).owned_objects -= 1
-        del self.escrows[escrow_id]
+        self._add_xrp(escrow.sender, escrow.drops)
+        self._drop_escrow(escrow)
         return escrow.drops
 
     # -- graph export -------------------------------------------------------------
@@ -966,7 +1038,73 @@ class RippleLedger:
         return graph
 
 
-def load_trust_csv(lines: Iterable[str], ledger: RippleLedger | None = None,
+class _Legs:
+    """Transfer legs worked out against a ledger before any is written.
+
+    `move` takes the legs in order, each crediting an account (debiting
+    it when negative), and raises where the ledger could not carry one;
+    `funded` and `position` read the ledger as the legs so far would
+    leave it. RippleLedger._commit then writes them all, so an operation
+    that stops on a leg has written nothing."""
+
+    def __init__(self, ledger: RippleLedger):
+        self.ledger = ledger
+        self.xrp: dict[str, int] = {}  # drops per account
+        self.debt: dict[tuple[str, str, str], int] = {}  # balance change per line
+        self.new_lines: dict[tuple[str, str, str], str] = {}  # line -> owner
+
+    def position(self, address: str, currency: str, issuer: str | None) -> int:
+        """Signed position in an issued currency: on the line with the
+        issuer, or summed over the address's lines when issuer is None."""
+        led = self.ledger
+        if issuer is not None:
+            keys = {(*led.canonical_pair(address, issuer), currency)}
+        else:
+            keys = {(*led.canonical_pair(address, peer), currency)
+                    for peer in led.line_index.get((address, currency), ())}
+            keys.update(k for k in self.debt
+                        if k[2] == currency and address in k[:2])
+        total = 0
+        for key in keys:
+            state = led.states.get(key)
+            balance = (state.balance if state else 0) + self.debt.get(key, 0)
+            total += balance if key[0] == address else -balance
+        return total
+
+    def funded(self, address: str, cv: CurrencyValue, amount: int) -> bool:
+        if cv.is_xrp:
+            return (self.ledger.account(address).xrp_balance
+                    + self.xrp.get(address, 0)) >= amount
+        if cv.issuer == address:
+            return True  # issuing one's own currency
+        return max(0, self.position(address, cv.currency, cv.issuer)) >= amount
+
+    def move(self, address: str, cv: CurrencyValue, amount: int) -> None:
+        led = self.ledger
+        if cv.is_xrp:
+            led.account(address)
+            self.xrp[address] = self.xrp.get(address, 0) + amount
+            return
+        issuer = cv.issuer
+        if issuer is None or issuer == address:
+            return  # issuers redeem their own paper
+        low, high = led.canonical_pair(address, issuer)
+        key = (low, high, cv.currency)
+        if key not in led.states and key not in self.new_lines:
+            # acquiring issued currency writes a trust line object; the
+            # buyer carries the reserve for it
+            acct = led.account(address)
+            opened = sum(1 for owner in self.new_lines.values() if owner == address)
+            needed = led.base_reserve + (acct.owned_objects + opened + 1) * led.owner_reserve
+            if acct.xrp_balance + self.xrp.get(address, 0) < needed:
+                raise UnfundedOfferError(
+                    f"{address} cannot cover the reserve for a new {cv.currency} line"
+                )
+            self.new_lines[key] = address
+        self.debt[key] = self.debt.get(key, 0) + (amount if low == address else -amount)
+
+
+def load_trust_csv(lines: Iterable[str],
                    default_xrp: int = 100_000_000) -> RippleLedger:
     """Ingest `low,high,currency,balance,low_limit,high_limit` rows.
     Accounts are auto-created; flags default to False for ingested graphs.
@@ -974,7 +1112,7 @@ def load_trust_csv(lines: Iterable[str], ledger: RippleLedger | None = None,
     (low, high, currency) line of its own (BadRecordError), and its
     balance and limits must be base-10 integers (BadAmountError); each
     message names the 1-based line."""
-    led = ledger or RippleLedger()
+    led = RippleLedger()
     rows = [(n, ln.strip()) for n, ln in enumerate(lines, 1) if ln.strip()]
     if rows and rows[0][1].lower().startswith("low,"):
         rows = rows[1:]
@@ -984,20 +1122,11 @@ def load_trust_csv(lines: Iterable[str], ledger: RippleLedger | None = None,
             if state.key in led.states:
                 raise BadRecordError(
                     f"duplicate trust line {','.join(state.key)}")
-        low, high = state.low, state.high
-        for addr in (low, high):
+        for addr in (state.low, state.high):
             if addr not in led.accounts:
                 led.create_account(addr, xrp_drops=default_xrp)
-        key = state.key
-        led.states[key] = state
-        owners = set()
-        if state.low_limit > 0:
-            owners.add(low)
-            led.account(low).owned_objects += 1
-        if state.high_limit > 0:
-            owners.add(high)
-            led.account(high).owned_objects += 1
-        led.state_owners[key] = owners
+        led._add_line(state, {side for side in (state.low, state.high)
+                              if state.limit_of(side) > 0})
     return led
 
 

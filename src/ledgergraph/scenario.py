@@ -2,6 +2,12 @@
 Ripple or tangle state, with an event log recording every transition,
 including rejected operations (which leave state untouched).
 
+A rejected Ripple operation is checked to have written nothing: every
+ledger write bumps RippleLedger.writes, so the count must read the same
+after the rejection as before it. A write that was later undone fails
+the check too. A rejection that wrote is a program fault and raises
+AssertionError (also under python -O).
+
 A malformed command (bad JSON, a missing key or a wrong-typed field)
 is not a rejection: it stops the replay with a BadJsonError,
 BadRecordError or BadAmountError naming its line.
@@ -96,7 +102,7 @@ def replay_ripple(lines: Iterable[str],
     led = ledger or RippleLedger()
     log: list[dict] = []
     for i, (line_no, cmd) in enumerate(_records(lines)):
-        before = led.state_digest()
+        writes = led.writes
         try:
             with at_line(line_no):
                 result = _ripple_step(led, cmd)
@@ -104,7 +110,10 @@ def replay_ripple(lines: Iterable[str],
         except BadRecordError:
             raise
         except LedgerError as exc:
-            assert led.state_digest() == before, "failed op must not mutate state"
+            if led.writes != writes:
+                raise AssertionError(
+                    f"rejected {cmd['op']} on line {line_no} wrote to the ledger"
+                ) from exc
             log.append(_rejection(i, cmd["op"], exc))
     return led, log
 

@@ -1,13 +1,23 @@
 """Trust lines, rippling, offers (against a brute-force matcher oracle),
-checks and escrows."""
+checks and escrows; path search against brute-force enumeration, and
+the write counter against state digests on random scripts."""
 
+import copy
+import json
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ledgergraph import fixtures
+from ledgergraph.cli import main
+from ledgergraph.core import LedgerError
 from ledgergraph.generate import OfferSpec, generate_offer_stream
+from ledgergraph.scenario import _ripple_step, replay_ripple
 from ledgergraph.ripple import (
+    BASE_RESERVE_DROPS,
+    OWNER_RESERVE_DROPS,
     BelowReserveError,
     CheckError,
     CurrencyValue,
@@ -21,6 +31,7 @@ from ledgergraph.ripple import (
     RippleState,
     UnfundedOfferError,
     ZeroDeliverableError,
+    _Legs,
     fill_amounts,
     infer_issuer,
     load_trust_csv,
@@ -299,19 +310,36 @@ def test_buying_issued_currency_creates_trust_line_and_reserve():
 
 # brute-force matcher oracle: same fill convention, naive book as a list
 class NaiveBook:
+    """Traders listed in `xrp` carry the reserve for each currency they
+    hold on a line: a fill that would give one of them a new line it
+    cannot reserve rejects the whole offer ("no-reserve:<trader>"), and
+    a remainder rests only while its owner meets its reserve. Traders
+    not listed never run short."""
+
     def __init__(self):
         self.resting = []  # (owner, gets_cur, pays_cur, gets_rem, pays_rem, rate, seq)
         self.balances = {}
+        self.lines = {}  # owner -> currencies held on a line
+        self.xrp = {}  # owner -> drops
         self.seq = 0
+        self.last_fills = []  # (maker seq, maker gave, maker got)
+        self.last_rested = False
 
     def fund(self, owner, currency, amount):
         self.balances[(owner, currency)] = \
             self.balances.get((owner, currency), 0) + amount
+        self.lines.setdefault(owner, set()).add(currency)
+
+    def _reserve_ok(self, owner, lines):
+        return owner not in self.xrp or self.xrp[owner] >= \
+            BASE_RESERVE_DROPS + lines * OWNER_RESERVE_DROPS
 
     def submit(self, owner, gets, pays):
         if self.balances.get((owner, gets.currency), 0) < gets.value:
             return "unfunded"
+        saved = copy.deepcopy((self.resting, self.balances, self.lines, self.seq))
         self.seq += 1
+        self.last_fills, self.last_rested = [], False
         taker = {"owner": owner, "gets_c": gets.currency, "pays_c": pays.currency,
                  "gets_rem": gets.value, "pays_rem": pays.value, "seq": self.seq}
         limit_rate = Fraction(gets.value, pays.value)
@@ -334,19 +362,28 @@ class NaiveBook:
             if self.balances.get((maker["owner"], maker["gets_c"]), 0) < g:
                 self.resting.remove(maker)
                 continue
-            self.fund(maker["owner"], maker["gets_c"], -g)
-            self.fund(maker["owner"], maker["pays_c"], p)
-            self.fund(taker["owner"], taker["gets_c"], -p)
-            self.fund(taker["owner"], taker["pays_c"], g)
+            for who, currency, amount in (
+                    (maker["owner"], maker["gets_c"], -g),
+                    (maker["owner"], maker["pays_c"], p),
+                    (taker["owner"], taker["gets_c"], -p),
+                    (taker["owner"], taker["pays_c"], g)):
+                held = self.lines.get(who, set())
+                if currency not in held and not self._reserve_ok(who, len(held) + 1):
+                    self.resting, self.balances, self.lines, self.seq = saved
+                    return f"no-reserve:{who}"
+                self.fund(who, currency, amount)
             maker["gets_rem"] -= g
             maker["pays_rem"] = max(0, maker["pays_rem"] - p)
             taker["pays_rem"] -= g
             taker["gets_rem"] -= p
+            self.last_fills.append((maker["seq"], g, p))
             if maker["gets_rem"] <= 0 or maker["pays_rem"] <= 0:
                 self.resting.remove(maker)
-        if taker["gets_rem"] > 0 and taker["pays_rem"] > 0:
+        if taker["gets_rem"] > 0 and taker["pays_rem"] > 0 and \
+                self._reserve_ok(owner, len(self.lines.get(owner, ()))):
             taker["rate"] = Fraction(pays.value, gets.value)
             self.resting.append(taker)
+            self.last_rested = True
         return "ok"
 
     def book_rows(self):
@@ -413,6 +450,136 @@ def test_residual_book_matches_brute_force_on_random_streams():
             assert led.holding(t, cur, "issuerX") == oracle.balances[(t, cur)]
 
 
+def test_near_reserve_engine_and_oracle_agree():
+    # Besides traders rich in XRP and both currencies, some hold only one
+    # currency and sit near the reserve: a fill paying them the other
+    # would open a line that n0 and n1 cannot reserve (n2 just can).
+    # n0 and n1 ask more, so their offers rest behind the others.
+    rng = random.Random(7)
+    base, per_line = BASE_RESERVE_DROPS, OWNER_RESERVE_DROPS
+    roster = {f"r{i}": (10**12, ("USD", "EUR")) for i in range(4)}
+    roster.update(n0=(base + per_line, ("USD",)),
+                  n1=(base + 2 * per_line - 1, ("EUR",)),
+                  n2=(base + 2 * per_line, ("USD",)),
+                  n3=(10**12, ("EUR",)))
+    traders = sorted(roster)
+    led = RippleLedger()
+    oracle = NaiveBook()
+    led.create_account("issuerX", xrp_drops=10**12)
+    for t, (xrp, held) in roster.items():
+        led.create_account(t, xrp_drops=xrp)
+        oracle.xrp[t] = xrp
+        for cur in held:
+            amount = rng.randint(50, 300)
+            led._credit(t, CurrencyValue(cur, "issuerX", 0), amount)
+            oracle.fund(t, cur, amount)
+    outcomes = {"ok": 0, "unfunded": 0, "no-reserve": 0}
+    fills = 0
+    for _ in range(400):
+        owner = rng.choice(traders)
+        a, b = rng.sample(["USD", "EUR"], 2)
+        premium = 30 if owner in ("n0", "n1") else 0
+        gets = CurrencyValue(a, "issuerX", rng.randint(1, 40))
+        pays = CurrencyValue(b, "issuerX", rng.randint(1, 40) + premium)
+        expected = oracle.submit(owner, gets, pays)
+        if expected == "ok":
+            result = led.create_offer(owner, gets, pays)
+            assert [(f["maker"], f["maker_gave"], f["maker_got"])
+                    for f in result["fills"]] == oracle.last_fills
+            assert result["rested"] == oracle.last_rested
+            fills += len(result["fills"])
+        else:
+            kind, _, who = expected.partition(":")
+            message = (f"{who} cannot cover the reserve for a new"
+                       if kind == "no-reserve" else "does not hold")
+            writes, digest = led.writes, led.state_digest()
+            with pytest.raises(UnfundedOfferError, match=message):
+                led.create_offer(owner, gets, pays)
+            assert (led.writes, led.state_digest()) == (writes, digest)
+        outcomes[expected.partition(":")[0]] += 1
+    assert min(outcomes.values()) > 0 and fills > 0, outcomes
+    engine_rows = [(g[0], p[0], seq, grem, prem)
+                   for (g, p, seq, grem, prem) in led.book_rows()]
+    assert engine_rows == oracle.book_rows()
+    for t in traders:
+        for cur in ("USD", "EUR"):
+            assert led.holding(t, cur, "issuerX") == oracle.balances.get((t, cur), 0)
+        assert led.account(t).owned_objects == len(oracle.lines[t])
+
+
+# -- rejections that need a new line write nothing ------------------------------------
+
+GW_EUR = {"currency": "EUR", "issuer": "gw"}
+GW_USD = {"currency": "USD", "issuer": "gw"}
+
+# The receiver holds exactly the base reserve and has no EUR line to gw,
+# so cashing an EUR check would need a line it cannot reserve.
+CHECK_TO_UNRESERVED = [
+    {"op": "create_account", "address": "gw", "xrp": 10**12},
+    {"op": "create_account", "address": "s", "xrp": 100_000_000},
+    {"op": "create_account", "address": "r", "xrp": BASE_RESERVE_DROPS},
+    {"op": "set_trust", "lender": "s", "borrower": "gw", "currency": "EUR",
+     "limit": 1000},
+    {"op": "adjust_debt", "lender": "s", "borrower": "gw", "currency": "EUR",
+     "amount": 100},
+    {"op": "write_check", "sender": "s", "receiver": "r",
+     "amount": {**GW_EUR, "value": 50}},
+    {"op": "cash_check", "check_id": 1, "amount": 50},
+]
+
+# The maker's XRP covers one owned line only; the crossing fill would pay
+# it EUR, on a second line.
+OFFER_TO_UNRESERVED_MAKER = [
+    {"op": "create_account", "address": "gw", "xrp": 10**12},
+    {"op": "create_account", "address": "m",
+     "xrp": BASE_RESERVE_DROPS + OWNER_RESERVE_DROPS},
+    {"op": "create_account", "address": "t", "xrp": 100_000_000},
+    {"op": "set_trust", "lender": "m", "borrower": "gw", "currency": "USD",
+     "limit": 1000},
+    {"op": "adjust_debt", "lender": "m", "borrower": "gw", "currency": "USD",
+     "amount": 100},
+    {"op": "set_trust", "lender": "t", "borrower": "gw", "currency": "EUR",
+     "limit": 1000},
+    {"op": "adjust_debt", "lender": "t", "borrower": "gw", "currency": "EUR",
+     "amount": 100},
+    {"op": "offer", "owner": "m", "gets": {**GW_USD, "value": 10},
+     "pays": {**GW_EUR, "value": 10}},
+    {"op": "offer", "owner": "t", "gets": {**GW_EUR, "value": 10},
+     "pays": {**GW_USD, "value": 10}},
+]
+
+
+@pytest.mark.parametrize("script,who", [(CHECK_TO_UNRESERVED, "r"),
+                                        (OFFER_TO_UNRESERVED_MAKER, "m")],
+                         ids=["check", "offer"])
+def test_rejection_needing_a_new_line_writes_nothing(script, who, tmp_path, capsys):
+    lines = [json.dumps(cmd) for cmd in script]
+    setup, _ = replay_ripple(lines[:-1])
+    led, log = replay_ripple(lines)
+    assert [e["ok"] for e in log] == [True] * (len(script) - 1) + [False]
+    assert log[-1]["error"] == {
+        "code": "unfunded-offer",
+        "message": f"{who} cannot cover the reserve for a new EUR line"}
+    assert led.state_digest() == setup.state_digest()
+    assert led.book_rows() == setup.book_rows()
+    assert led.writes == setup.writes
+    path = tmp_path / "script.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["replay", str(path), "--kind", "ripple"]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1]) == log[-1]
+
+
+def test_legs_reserve_every_line_they_open():
+    led = funded_ledger(["gw"])
+    led.create_account("r", xrp_drops=BASE_RESERVE_DROPS + OWNER_RESERVE_DROPS)
+    writes = led.writes
+    legs = _Legs(led)
+    legs.move("r", usd(5, "gw"), 5)  # the first new line is covered
+    with pytest.raises(UnfundedOfferError, match="r cannot cover .* new EUR line"):
+        legs.move("r", eur(5, "gw"), 5)
+    assert led.writes == writes and not led.states
+
+
 # -- checks --------------------------------------------------------------------------
 
 def test_partial_check_cashing():
@@ -474,3 +641,260 @@ def test_self_escrow_allowed():
     escrow = led.create_escrow("s", "s", 5_000, release_time=1)
     led.finish_escrow(escrow.escrow_id, now=2)
     assert led.account("s").xrp_balance == 10 * XRP_100
+
+
+# -- path search against brute-force enumeration -------------------------------------
+
+NODES = [f"n{i}" for i in range(5)]
+
+
+@st.composite
+def trust_networks(draw):
+    """A ledger where each ordered pair of a few accounts may have a USD or
+    EUR line, some partly used, frozen or without rippling, and a
+    payment to route."""
+    names = NODES[:draw(st.sampled_from([5, 4, 3]))]
+    led = RippleLedger(path_depth=draw(st.sampled_from([4, 3, 2, 1])))
+    for name in names:
+        led.create_account(name, xrp_drops=10**10)
+    # each sampled_from list starts with its common case, which Hypothesis
+    # draws most often; dense networks give search something to find
+    rarely = st.sampled_from([False] * 6 + [True])
+    for lender in names:
+        for borrower in names:
+            limit = draw(st.sampled_from([50, 100, 20, 0, 0]))
+            if lender == borrower or not limit:
+                continue
+            currency = draw(st.sampled_from(["USD", "USD", "EUR"]))
+            state = led.set_trust(lender, borrower, currency, limit,
+                                  no_ripple=draw(rarely))
+            led.adjust_line_debt(lender, borrower, currency,
+                                 draw(st.sampled_from([0, 10, 30, -20])))
+            state.frozen = draw(rarely)
+    sender, dest = draw(st.lists(st.sampled_from(names), min_size=2, max_size=2,
+                                 unique=True))
+    issuer = st.one_of(st.none(), st.none(), st.none(), st.sampled_from(names))
+    amount = draw(st.sampled_from([20, 10, 40, 30, 1, 50]))  # capacities recur
+    spec = PaymentSpec(sender, dest, usd(amount, draw(issuer)),
+                       send_max=usd(1, draw(issuer)) if draw(rarely) else None,
+                       tf_no_direct_ripple=draw(st.booleans()),
+                       tf_partial_payment=draw(st.booleans()))
+    return led, spec
+
+
+def brute_force_paths(led, spec):
+    """Every simple sender-to-destination chain of at most path_depth hops
+    whose lender extends credit on each hop with room for the amount (1
+    for a partial payment), through the same admissibility and rippling
+    filters as find_paths, shortest then lexicographically smallest."""
+    currency = spec.amount.currency
+    need = 1 if spec.tf_partial_payment else spec.amount.value
+    names = sorted(led.accounts)
+
+    def room(borrower, lender):
+        state = led.states.get((min(borrower, lender), max(borrower, lender),
+                                currency))
+        if state is None:
+            return 0
+        if lender == state.low:
+            limit, owed = state.low_limit, state.balance
+        else:
+            limit, owed = state.high_limit, -state.balance
+        return limit - owed if limit > 0 else 0
+
+    found = []
+
+    def extend(path):
+        if path[-1] == spec.destination:
+            found.append(tuple(path))
+            return
+        if len(path) > led.path_depth:
+            return
+        for nxt in names:
+            if nxt not in path and room(path[-1], nxt) >= need:
+                extend(path + [nxt])
+
+    extend([spec.account])
+    found = [p for p in found if led._admissible(p, spec)
+             and led._path_flags_ok(p, currency)
+             and (len(p) > 2 or not spec.tf_no_direct_ripple)]
+    return sorted(found, key=lambda p: (len(p), p))
+
+
+@settings(max_examples=300, deadline=None)
+@given(trust_networks())
+def test_find_paths_matches_brute_force(network):
+    led, spec = network
+    expected = brute_force_paths(led, spec)
+    if not expected:
+        with pytest.raises(NoPathError):
+            led.find_paths(spec)
+    else:
+        assert led.find_paths(spec) == expected
+
+
+# -- the write counter against state digests on random scripts ----------------------
+
+ACCOUNTS = ["a", "b", "c", "gw"]
+XRP_LEVELS = [BASE_RESERVE_DROPS, BASE_RESERVE_DROPS + OWNER_RESERVE_DROPS,
+              BASE_RESERVE_DROPS + 2 * OWNER_RESERVE_DROPS, 10**9]
+
+_name = st.sampled_from(ACCOUNTS)
+_currency = st.sampled_from(["USD", "USD", "EUR", "XRP"])
+_value = st.sampled_from([1, 7, 40, 150, 5_000_000, 30_000_000])
+_nth = st.integers(0, 3)
+_time = st.integers(0, 8)
+_maybe_time = st.none() | _time
+
+
+def _amount(currency, value):
+    return {"currency": currency, "issuer": None if currency == "XRP" else "gw",
+            "value": value}
+
+
+_amounts = st.builds(_amount, _currency, _value)
+
+
+def _offer(owner, sides, gets, pays):
+    return {"op": "offer", "owner": owner, "gets": _amount(sides[0], gets),
+            "pays": _amount(sides[1], pays)}
+
+
+_issued_offers = st.builds(_offer, _name, st.permutations(["USD", "EUR"]),
+                           st.integers(1, 60), st.integers(1, 60))
+_payments = st.fixed_dictionaries({
+    "op": st.just("pay"), "account": _name,
+    "destination": st.sampled_from(ACCOUNTS + ["d"]), "amount": _amounts,
+    "partial": st.booleans()})
+_cashes = st.fixed_dictionaries({"op": st.just("cash_check"), "check_id": _nth,
+                                 "amount": st.sampled_from([1, 7, 40, 150]),
+                                 "now": _time})
+
+# Fields named in REFS hold "the k-th newest" check, escrow, offer or line
+# rather than its key, so that scripts mostly act on objects that exist;
+# resolve() turns them into keys. Payments, crossable offers and cashes
+# are listed more than once so that fills and cashes happen often.
+SCRIPT_OPS = st.one_of(
+    st.fixed_dictionaries({"op": st.just("create_account"),
+                           "address": st.sampled_from(ACCOUNTS + ["d"]),
+                           "xrp": st.sampled_from(XRP_LEVELS)}),
+    st.fixed_dictionaries({"op": st.just("set_trust"), "lender": _name,
+                           "borrower": _name,
+                           "currency": st.sampled_from(["USD", "USD", "EUR"]),
+                           "limit": st.sampled_from([0, 50, 1000]),
+                           "no_ripple": st.booleans()}),
+    st.fixed_dictionaries({"op": st.just("set_trust"), "line": _nth,
+                           "low_side": st.booleans(),
+                           "limit": st.sampled_from([0, 0, 50]),
+                           "no_ripple": st.booleans()}),
+    st.fixed_dictionaries({"op": st.just("adjust_debt"), "line": _nth,
+                           "low_side": st.booleans(),
+                           "amount": st.integers(-60, 120)}),
+    _payments, _payments,
+    st.builds(_offer, _name,
+              st.permutations(["USD", "EUR", "XRP"]).map(lambda p: p[:2]),
+              _value, _value),
+    _issued_offers, _issued_offers, _issued_offers,
+    st.fixed_dictionaries({"op": st.just("cancel_offer"),
+                           "owner": st.none() | _name, "sequence": _nth}),
+    st.fixed_dictionaries({"op": st.just("write_check"), "sender": _name,
+                           "receiver": _name, "amount": _amounts,
+                           "expiration": _maybe_time}),
+    _cashes, _cashes,
+    st.fixed_dictionaries({"op": st.just("cancel_check"), "check_id": _nth,
+                           "by": _name}),
+    st.fixed_dictionaries({"op": st.just("create_escrow"), "sender": _name,
+                           "receiver": _name,
+                           "drops": st.sampled_from([1, 5_000_000, 40_000_000]),
+                           "release_time": _time, "expiration": _maybe_time}),
+    st.fixed_dictionaries({"op": st.just("finish_escrow"), "escrow_id": _nth,
+                           "now": _time}),
+    st.fixed_dictionaries({"op": st.just("cancel_escrow"), "escrow_id": _nth,
+                           "now": _time}),
+)
+
+REFS = {"check_id": "checks", "escrow_id": "escrows",
+        "sequence": "offers_by_seq", "line": "states"}
+
+
+def resolve(led, cmd):
+    """The script command with its REFS fields turned into keys: a k past
+    the newest objects becomes a key that does not exist. A line names
+    lender, borrower and currency; an offer cancel without an owner is
+    made by the offer's owner."""
+    cmd = dict(cmd)
+    for field, table in REFS.items():
+        if field in cmd:
+            keys = sorted(getattr(led, table), reverse=True)
+            k = cmd.pop(field)
+            cmd[field] = keys[k] if k < len(keys) else None
+    if "line" in cmd:
+        low, high, currency = cmd.pop("line") or ("a", "b", "USD")
+        lender, borrower = (low, high) if cmd.pop("low_side") else (high, low)
+        cmd.update(lender=lender, borrower=borrower, currency=currency)
+    for field in ("check_id", "escrow_id", "sequence"):
+        if field in cmd and cmd[field] is None:
+            cmd[field] = 10**6
+    if cmd["op"] == "cancel_offer" and cmd["owner"] is None:
+        offer = led.offers_by_seq.get(cmd["sequence"])
+        cmd["owner"] = offer.owner if offer else "a"
+    return cmd
+
+
+def observed(led):
+    """Everything a script can change: the digest plus what it leaves out
+    (books, settlements, sequence numbers, line owners)."""
+    return (led.state_digest(), led.book_rows(), list(led.payments), led._seq,
+            {key: sorted(owners) for key, owners in led.state_owners.items()})
+
+
+def rebuilt_index(led):
+    index = {}
+    for state in led.states.values():
+        index.setdefault((state.low, state.currency), {})[state.high] = state
+        index.setdefault((state.high, state.currency), {})[state.low] = state
+    return index
+
+
+def script_ledger(levels, held):
+    """gw issues USD and EUR; a, b and c start at the given XRP levels,
+    each holding 100 of the currencies in `held` that its XRP can
+    reserve a line for."""
+    led = RippleLedger()
+    led.create_account("gw", xrp_drops=10**12)
+    for name, xrp, currencies in zip(["a", "b", "c"], levels, held):
+        led.create_account(name, xrp_drops=xrp)
+        for currency in currencies:
+            try:
+                led.set_trust(name, "gw", currency, 1000, no_ripple=False)
+            except ReserveUnmetError:
+                continue
+            led.adjust_line_debt(name, "gw", currency, 100)
+    return led
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(XRP_LEVELS), min_size=3, max_size=3),
+       st.lists(st.sampled_from([(), ("USD",), ("EUR",), ("USD", "EUR")]),
+                min_size=3, max_size=3),
+       st.lists(SCRIPT_OPS, min_size=20, max_size=50))
+def test_writes_track_every_state_change(levels, held, script):
+    led = script_ledger(levels, held)
+    for cmd in script:
+        cmd = resolve(led, cmd)
+        before, writes = observed(led), led.writes
+        try:
+            _ripple_step(led, cmd)
+            rejected = False
+        except LedgerError:
+            rejected = True
+        after = observed(led)
+        if rejected:
+            assert (led.writes, after) == (writes, before), cmd
+        elif after != before:
+            assert led.writes != writes, cmd
+        index = rebuilt_index(led)
+        assert led.line_index.keys() == index.keys()
+        for key, peers in index.items():
+            assert {p: id(s) for p, s in led.line_index[key].items()} == \
+                {p: id(s) for p, s in peers.items()}
