@@ -11,13 +11,12 @@ conservation invariants can be tested with plain equality.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import re
 from contextlib import AbstractContextManager, contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator
 
 __all__ = [
     "LedgerError",
@@ -147,12 +146,17 @@ def _check_bound(value: int) -> int:
 # --------------------------------------------------------------------------
 # Graph containers
 
-def canonical_json(attrs: Mapping[str, Any]) -> str:
-    """Stable JSON for attribute maps: sorted keys, compact separators."""
-    return json.dumps(attrs, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                              ensure_ascii=False)
 
 
-@dataclass(frozen=True)
+def canonical_json(value: Any) -> str:
+    """Stable JSON for attribute maps and exports: sorted keys, compact
+    separators, non-ASCII text kept as is."""
+    return _CANONICAL.encode(value)
+
+
+@dataclass(frozen=True, slots=True)
 class Edge:
     source: str
     target: str
@@ -230,22 +234,13 @@ class Hypergraph:
 
 _EDGE_HEADER = "source,target,weight_num,weight_den,attr_json"
 
-
-def _edge_row(edge: Edge) -> tuple[str, str, str, str, str]:
-    if edge.weight is None:
-        num = den = ""
-    else:
-        w = Fraction(edge.weight)
-        num, den = str(w.numerator), str(w.denominator)
-    return edge.source, edge.target, num, den, canonical_json(edge.attr_dict)
-
-
-def _attr_hash(attr_json: str) -> str:
-    return hashlib.sha256(attr_json.encode("utf-8")).hexdigest()
+# Equal attribute values of one of these types serialise alike, so maps
+# of them can key the export memo; 0.0 and -0.0, or (1, True) and (1, 1), do not.
+_MEMO_TYPES = frozenset({str, int, bool, type(None)})
 
 
 def _csv_quote(cell: str) -> str:
-    if any(c in cell for c in ',"\n'):
+    if "," in cell or '"' in cell or "\n" in cell:
         return '"' + cell.replace('"', '""') + '"'
     return cell
 
@@ -253,28 +248,52 @@ def _csv_quote(cell: str) -> str:
 def export_edge_list(graph: EdgeList | Iterable[Edge], fmt: str = "csv") -> bytes:
     """Serialize a graph deterministically; re-export is byte-identical.
 
-    Rows are sorted by (source, target, attribute hash) so two builds of
-    the same ledger produce identical bytes regardless of build order.
+    Each edge is a row (source, target, weight_num, weight_den, attr_json)
+    with the weight reduced (empty cells for None) and attr_json from
+    canonical_json. Rows sort as the string tuples (source, target,
+    sha256 hex of attr_json, weight_num, weight_den, attr_json), whatever
+    the build order. A CSV cell with a comma, double quote or newline is
+    quoted, inner quotes doubled. Each distinct attribute map's JSON, hash
+    and quoted cell are computed once per call.
     """
     edges = graph.edges if isinstance(graph, EdgeList) else list(graph)
-    rows = sorted(
-        (_edge_row(e) for e in edges),
-        key=lambda r: (r[0], r[1], _attr_hash(r[4]), r[2], r[3]),
-    )
+    memo: dict[tuple, tuple[str, str, str]] = {}  # typed attrs -> hash, json, cell
+    rows = []
+    attrs = cached = None
+    for e in edges:
+        if e.attrs is not attrs:
+            attrs = e.attrs
+            key = tuple([(k, type(v), v) for k, v in attrs])
+            if not all(t in _MEMO_TYPES for _k, t, _v in key):
+                key = None
+            cached = memo.get(key)
+            if cached is None:
+                attr_json = canonical_json(dict(attrs))
+                cached = (hashlib.sha256(attr_json.encode("utf-8")).hexdigest(),
+                          attr_json, _csv_quote(attr_json))
+                if key is not None:
+                    memo[key] = cached
+        w = e.weight
+        if w is None:
+            num = den = ""
+        elif type(w) is int:
+            num, den = str(w), "1"
+        else:
+            w = w if type(w) is Fraction else Fraction(w)
+            num, den = str(w.numerator), str(w.denominator)
+        rows.append((e.source, e.target, cached[0], num, den, cached[1], cached[2]))
+    rows.sort()
     if fmt == "csv":
-        out = io.StringIO()
-        out.write(_EDGE_HEADER + "\n")
-        for row in rows:
-            out.write(",".join(_csv_quote(c) for c in row) + "\n")
-        return out.getvalue().encode("utf-8")
+        return "".join([_EDGE_HEADER + "\n"] + [
+            f"{_csv_quote(s)},{_csv_quote(t)},{num},{den},{cell}\n"
+            for s, t, _h, num, den, _a, cell in rows]).encode("utf-8")
     if fmt == "json":
         payload = [
             {"source": s, "target": t, "weight_num": n, "weight_den": d,
              "attrs": json.loads(a)}
-            for s, t, n, d, a in rows
+            for s, t, _h, n, d, a, _c in rows
         ]
-        return (json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                           ensure_ascii=False) + "\n").encode("utf-8")
+        return (canonical_json(payload) + "\n").encode("utf-8")
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -285,19 +304,15 @@ def export_hypergraph(graph: Hypergraph, fmt: str = "csv") -> bytes:
         for pos, member in enumerate(h.members):
             rows.append((h.label, str(pos), member))
     if fmt == "csv":
-        out = io.StringIO()
-        out.write("label,position,member\n")
-        for row in rows:
-            out.write(",".join(_csv_quote(c) for c in row) + "\n")
-        return out.getvalue().encode("utf-8")
+        return "".join(["label,position,member\n"] + [
+            ",".join(map(_csv_quote, row)) + "\n" for row in rows]).encode("utf-8")
     if fmt == "json":
         payload = [
             {"label": h.label, "members": list(h.members),
              "step_attrs": dict(h.step_attrs)}
             for h in sorted(graph.edges, key=lambda h: (h.label, h.members))
         ]
-        return (json.dumps(payload, sort_keys=True, separators=(",", ":"),
-                           ensure_ascii=False) + "\n").encode("utf-8")
+        return (canonical_json(payload) + "\n").encode("utf-8")
     raise ValueError(f"unknown format {fmt!r}")
 
 

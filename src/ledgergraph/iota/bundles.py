@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import LedgerError
+from ..core import BadAmountError, BadRecordError, LedgerError
 from .keys import KEY_FRAGMENT_TRYTES
 from .sponge import MixerSponge
 from .trinary import ascii_to_trits, encode_trytes
@@ -96,18 +96,22 @@ def build_bundle(inputs: list[tuple[str, int, int]],
                  tag: str = "", timestamp: int = 0,
                  sponge_factory=MixerSponge) -> Bundle:
     """Assemble a bundle from (address, security level, amount) inputs and
-    (address, amount) outputs. Input amounts must equal output amounts
-    (no fee); each level-s input contributes one negative-value
+    (address, amount) outputs. Amounts are non-negative and levels 1-3
+    (else BadAmountError, BadRecordError); input amounts must equal output
+    amounts (no fee). Each level-s input contributes one negative-value
     transaction plus s-1 zero-value fragment transactions immediately
     after it, outputs follow as positive-value transactions."""
+    for (address, level, amount) in inputs:
+        if level not in (1, 2, 3):
+            raise BadRecordError(f"{address}: security level {level} is not 1, 2 or 3")
+    for (address, amount) in [(a, v) for (a, _l, v) in inputs] + list(outputs):
+        if amount < 0:
+            raise BadAmountError(f"{address}: amount must be >= 0, got {amount}")
     total_in = sum(amount for (_a, _l, amount) in inputs)
     total_out = sum(amount for (_a, amount) in outputs)
     if total_in != total_out:
         raise UnbalancedBundleError(
             f"inputs {total_in} != outputs {total_out}; bundles carry no fee")
-    for (_a, level, _v) in inputs:
-        if level not in (1, 2, 3):
-            raise ValueError("security level must be 1, 2 or 3")
 
     txs: list[TangleTransaction] = []
     for (address, level, amount) in inputs:

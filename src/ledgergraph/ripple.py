@@ -438,7 +438,8 @@ class RippleLedger:
                                                       self.owner_reserve)
 
     def state_digest(self) -> str:
-        """Canonical serialization for snapshot-equality assertions."""
+        """Canonical serialization of the whole ledger state, line owners,
+        book order, payments and the sequence counter included."""
         payload = {
             "accounts": {
                 a.address: [a.xrp_balance, a.owned_objects, a.deposit_auth,
@@ -448,19 +449,22 @@ class RippleLedger:
             },
             "states": {
                 "|".join(k): [s.balance, s.low_limit, s.high_limit,
-                              s.low_no_ripple, s.high_no_ripple, s.frozen]
+                              s.low_no_ripple, s.high_no_ripple, s.frozen,
+                              sorted(self.state_owners[k])]
                 for k, s in self.states.items()
             },
-            "offers": {
-                str(seq): [o.owner, o.taker_gets.currency, o.taker_gets.issuer or "",
-                           o.taker_pays.currency, o.taker_pays.issuer or "",
-                           o.gets_remaining, o.pays_remaining]
-                for seq, o in self.offers_by_seq.items() if o.live
+            "books": {
+                str(key): [[seq, o.owner, o.taker_gets.value, o.taker_pays.value,
+                            o.gets_remaining, o.pays_remaining]
+                           for _rate, seq, o in book]
+                for key, book in self.books.items() if book
             },
             "checks": {str(c.check_id): [c.sender, c.receiver, c.remaining]
                        for c in self.checks.values()},
             "escrows": {str(e.escrow_id): [e.sender, e.receiver, e.drops]
                         for e in self.escrows.values()},
+            "payments": self.payments,
+            "sequence": self._seq,
         }
         return canonical_json(payload)
 

@@ -6,7 +6,7 @@ network, and a deterministic summary used to verify structural claims
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -46,7 +46,7 @@ class TransactionGraph:
     def to_edge_list(self) -> EdgeList:
         el = EdgeList(multi=False)
         for (src, dst), count in self.edges.items():
-            el.add(Edge.make(src, dst, count, spent_outputs=count))
+            el.add(Edge(src, dst, count, (("spent_outputs", count),)))
         return el
 
 
@@ -60,10 +60,7 @@ class AddressGraph:
     edges: list[Edge] = field(default_factory=list)
 
     def to_edge_list(self) -> EdgeList:
-        el = EdgeList(multi=True)
-        for e in self.edges:
-            el.add(e)
-        return el
+        return EdgeList(multi=True, edges=list(self.edges))
 
 
 def txs_in_range(ledger: Ledger, start: int | None = None,
@@ -112,7 +109,7 @@ def build_address_graph(ledger: Ledger, start: int | None = None,
     if not txs:
         raise EmptyRangeError(f"no transactions in blocks [{start}, {end}]")
     graph = AddressGraph()
-    seen_nodes: dict[str, None] = {}
+    edges = graph.edges
 
     for tx in txs:
         for out in tx.outputs:
@@ -135,17 +132,13 @@ def build_address_graph(ledger: Ledger, start: int | None = None,
                         f"input {ref} has a hidden amount (RingCT)"
                     )
                 sources.append((spent.address, spent.amount))
+        attrs = (("txid", tx.id),)
         for src_addr, src_amount in sources:
             for out in tx.outputs:
-                if out_total == 0:
-                    weight = Fraction(0)
-                else:
-                    weight = Fraction(src_amount) * Fraction(out.amount, out_total)
-                edge = Edge.make(src_addr, out.address, weight, txid=tx.id)
-                graph.edges.append(edge)
-                seen_nodes.setdefault(src_addr)
-                seen_nodes.setdefault(out.address)
-    graph.nodes = list(seen_nodes)
+                weight = (Fraction(src_amount * out.amount, out_total)
+                          if out_total else Fraction(0))
+                edges.append(Edge(src_addr, out.address, weight, attrs))
+    graph.nodes = list(dict.fromkeys(n for e in edges for n in (e.source, e.target)))
     return graph
 
 
@@ -154,80 +147,64 @@ def build_bipartite_graph(ledger: Ledger, start: int | None = None,
     """The raw address-transaction network: address->tx rows for consumed
     outputs, tx->address rows for created outputs."""
     txs = txs_in_range(ledger, start, end)
-    el = EdgeList(multi=True)
+    edges = []
     for tx in txs:
         for ref in tx.inputs:
             spent = ledger.output(ref)
-            el.add(Edge.make(spent.address, tx.id,
-                             spent.amount if spent.amount_visible else None,
-                             output=f"{ref[0]}:{ref[1]}"))
+            edges.append(Edge(spent.address, tx.id,
+                              spent.amount if spent.amount_visible else None,
+                              (("output", f"{ref[0]}:{ref[1]}"),)))
         for out in tx.outputs:
-            el.add(Edge.make(tx.id, out.address,
-                             out.amount if out.amount_visible else None,
-                             output=f"{out.ref[0]}:{out.ref[1]}"))
-    return el
+            edges.append(Edge(tx.id, out.address,
+                              out.amount if out.amount_visible else None,
+                              (("output", f"{out.ref[0]}:{out.ref[1]}"),)))
+    return EdgeList(multi=True, edges=edges)
 
 
 # --------------------------------------------------------------------------
 # Summary statistics
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict[str, str] = {}
-
-    def find(self, x: str) -> str:
-        self.parent.setdefault(x, x)
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: str, b: str) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 def graph_stats(graph: AddressGraph | EdgeList) -> dict:
     """Deterministic summary of a graph's edges: node/edge counts, degree
     distribution, weakly connected components, and undirected triangle
     count. The nodes are the edge endpoints in first-seen order."""
-    pairs = [(e.source, e.target) for e in graph.edges]
-    nodes = list(dict.fromkeys(n for pair in pairs for n in pair))
+    ids: dict[str, int] = {}
+    pairs = []
+    for e in graph.edges:
+        s = ids.setdefault(e.source, len(ids))
+        pairs.append((s, ids.setdefault(e.target, len(ids))))
+    n = len(ids)
 
-    out_deg: Counter[str] = Counter()
-    in_deg: Counter[str] = Counter()
-    uf = _UnionFind()
-    for n in nodes:
-        uf.find(n)
-    neighbors: dict[str, set[str]] = defaultdict(set)
+    out_deg = [0] * n
+    in_deg = [0] * n
+    parent = list(range(n))
+    higher: list[set[int]] = [set() for _ in range(n)]  # undirected, by id
     for s, t in pairs:
         out_deg[s] += 1
         in_deg[t] += 1
-        uf.union(s, t)
+        if s < t:
+            higher[s].add(t)
+        elif t < s:
+            higher[t].add(s)
+        else:
+            continue
+        while parent[s] != s:
+            parent[s] = s = parent[parent[s]]
+        while parent[t] != t:
+            parent[t] = t = parent[parent[t]]
         if s != t:
-            neighbors[s].add(t)
-            neighbors[t].add(s)
+            parent[t] = s
+    components = sum(1 for i in range(n) if parent[i] == i)
+    # a triangle a < b < c is counted once, at its edge (a, b)
+    triangles = sum(len(up & higher[b]) for up in higher for b in up)
 
-    components = len({uf.find(n) for n in nodes}) if nodes else 0
-    triangles = 0
-    order = {n: i for i, n in enumerate(sorted(neighbors))}
-    for a in sorted(neighbors):
-        for b in neighbors[a]:
-            if order.get(b, -1) <= order[a]:
-                continue
-            common = neighbors[a] & neighbors[b]
-            triangles += sum(1 for c in common if order.get(c, -1) > order[b])
-
-    degree_hist = Counter(in_deg[n] + out_deg[n] for n in nodes)
+    degree_hist = Counter(i + o for i, o in zip(in_deg, out_deg))
     return {
-        "nodes": len(nodes),
+        "nodes": n,
         "edges": len(pairs),
         "components": components,
         "triangles": triangles,
         "degree_distribution": dict(sorted(degree_hist.items())),
-        "max_in_degree": max(in_deg.values(), default=0),
-        "max_out_degree": max(out_deg.values(), default=0),
+        "max_in_degree": max(in_deg, default=0),
+        "max_out_degree": max(out_deg, default=0),
     }

@@ -388,6 +388,19 @@ def test_bundle_items_are_checked(capsys, flag, item, error):
     assert err["message"].startswith(f"{flag} item {item!r}:")
 
 
+@pytest.mark.parametrize("inputs,outputs,error", [
+    ("a1:1:-5", "b:-5", "bad-amount"),
+    ("a1:1:5", "b:-5,c:10", "bad-amount"),
+    ("a1:4:5", "b:5", "bad-record"),
+    ("a1:0:5", "b:5", "bad-record"),
+])
+def test_bundle_rejects_negative_amounts_and_bad_levels(capsys, inputs, outputs,
+                                                        error):
+    code = run_cli(["iota", "bundle", "--inputs", inputs, "--outputs", outputs])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == error
+
+
 @pytest.mark.parametrize("row,error", [
     ("a,b,USD,0,5", "bad-record"),
     ("a,b,USD,1.5,5,10", "bad-amount"),

@@ -155,3 +155,25 @@ def test_merge_matrices_linearity():
     assert (merged.occurrence == whole.occurrence).all()
     assert (merged.amount == whole.amount).all()
     assert (merged.coinbase_occurrence == whole.coinbase_occurrence).all()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_utxo_full_artifacts_match_recorded_digests(seed, tmp_path):
+    """The utxo-full benchmark input, made as its worker makes it, gives
+    the artifacts whose sha256 bench/golden.json records."""
+    import hashlib
+
+    from ledgergraph.generate import UtxoSpec, generate_utxo
+    from ledgergraph.utxo import dump_jsonl
+
+    golden = pathlib.Path(__file__).parent.parent / "bench" / "golden.json"
+    expected = json.loads(golden.read_text())["utxo-full"][str(seed)]["digests"]
+    source = tmp_path / "input.jsonl"
+    with open(source, "w", encoding="utf-8") as fh:
+        for line in dump_jsonl(generate_utxo(UtxoSpec(tx_count=2500), seed)):
+            fh.write(line + "\n")
+    report = run_pipeline(RunConfig(input_path=str(source),
+                                    output_dir=str(tmp_path / "out")))
+    actual = {name: hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
+              for name, path in report["outputs"].items()}
+    assert actual == expected

@@ -292,6 +292,27 @@ def test_no_cross_rests_in_book():
     assert len(led.book_rows()) == 1
 
 
+def test_digest_sees_an_unfunded_maker_leave_its_book():
+    """A resting maker whose USD is redeemed is dropped from its book by a
+    crossing offer, which is then cancelled: only book membership and
+    the sequence counter changed, and the digest must show it."""
+    led = RippleLedger()
+    for name in ("gw", "m", "t"):
+        led.create_account(name, xrp_drops=10 * XRP_100)
+    led.set_trust("m", "gw", "USD", 1000)
+    led.adjust_line_debt("m", "gw", "USD", 100)
+    led.set_trust("t", "gw", "EUR", 1000)
+    led.adjust_line_debt("t", "gw", "EUR", 100)
+    led.create_offer("m", CurrencyValue("USD", "gw", 10), CurrencyValue("EUR", "gw", 10))
+    led.adjust_line_debt("m", "gw", "USD", -100)
+    before, rows = led.state_digest(), led.book_rows()
+    crossing = led.create_offer("t", CurrencyValue("EUR", "gw", 10),
+                                CurrencyValue("USD", "gw", 10))
+    led.cancel_offer("t", crossing["sequence"])
+    assert len(rows) == 1 and led.book_rows() == []
+    assert led.state_digest() != before
+
+
 def test_unfunded_offer_fails():
     led = offer_ledger()
     with pytest.raises(UnfundedOfferError):
@@ -841,13 +862,6 @@ def resolve(led, cmd):
     return cmd
 
 
-def observed(led):
-    """Everything a script can change: the digest plus what it leaves out
-    (books, settlements, sequence numbers, line owners)."""
-    return (led.state_digest(), led.book_rows(), list(led.payments), led._seq,
-            {key: sorted(owners) for key, owners in led.state_owners.items()})
-
-
 def rebuilt_index(led):
     index = {}
     for state in led.states.values():
@@ -882,13 +896,13 @@ def test_writes_track_every_state_change(levels, held, script):
     led = script_ledger(levels, held)
     for cmd in script:
         cmd = resolve(led, cmd)
-        before, writes = observed(led), led.writes
+        before, writes = led.state_digest(), led.writes
         try:
             _ripple_step(led, cmd)
             rejected = False
         except LedgerError:
             rejected = True
-        after = observed(led)
+        after = led.state_digest()
         if rejected:
             assert (led.writes, after) == (writes, before), cmd
         elif after != before:

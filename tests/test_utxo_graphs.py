@@ -1,12 +1,14 @@
 """Transaction graph, weighted address graph, bipartite export, stats."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ledgergraph import fixtures
-from ledgergraph.core import export_edge_list
+from ledgergraph.core import Edge, EdgeList, export_edge_list
 from ledgergraph.utxo_graphs import (
     EmptyRangeError,
     HiddenAmountError,
@@ -205,3 +207,25 @@ def test_triangle_count_matches_brute_force_with_reuse():
     graph = build_address_graph(led)
     pairs = [(e.source, e.target) for e in graph.edges]
     assert graph_stats(graph)["triangles"] == brute_force_triangles(pairs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=40))
+def test_stats_agree_with_networkx(pairs):
+    """Directed multigraphs with self-loops and parallel edges: every
+    statistic equals networkx's on the same edges."""
+    nx = pytest.importorskip("networkx")
+    stats = graph_stats(EdgeList(edges=[Edge(f"n{s}", f"n{t}") for s, t in pairs]))
+    multi = nx.MultiDiGraph()
+    multi.add_edges_from((f"n{s}", f"n{t}") for s, t in pairs)
+    simple = nx.Graph(multi.to_undirected())
+    simple.remove_edges_from(nx.selfloop_edges(simple))
+    in_deg, out_deg = dict(multi.in_degree()), dict(multi.out_degree())
+    assert stats["nodes"] == multi.number_of_nodes()
+    assert stats["edges"] == multi.number_of_edges() == len(pairs)
+    assert stats["components"] == nx.number_weakly_connected_components(multi)
+    assert stats["triangles"] == sum(nx.triangles(simple).values()) // 3
+    hist = Counter(in_deg[n] + out_deg[n] for n in multi)
+    assert stats["degree_distribution"] == dict(sorted(hist.items()))
+    assert stats["max_in_degree"] == max(in_deg.values(), default=0)
+    assert stats["max_out_degree"] == max(out_deg.values(), default=0)
