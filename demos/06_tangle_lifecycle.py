@@ -1,7 +1,7 @@
 """Tangle lifecycle: derive, bundle, attach, confirm, snapshot
 ===============================================================
 
-One-time addresses derive from a seed through a pluggable sponge; value
+One-time addresses derive from a seed through a ternary sponge; value
 moves in zero-sum bundles; milestones confirm the reachable subtangle
 and invalidate double-spends together with everything built on them.
 """

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import (Edge, EdgeList, Hyperedge, Hypergraph, LedgerError, at_line,
                    get_field, jsonl_records)
@@ -145,14 +145,13 @@ def validate_nonce_order(txs: Iterable[AccountTx]) -> list[NonceGap]:
     return problems
 
 
-def build_account_graph(txs: Sequence[AccountTx],
-                        require_valid_nonces: bool = True) -> EdgeList:
+def build_account_graph(txs: Sequence[AccountTx]) -> EdgeList:
     """Directed weighted multigraph: one edge per transaction with the
-    full feature set of the edge table."""
-    if require_valid_nonces:
-        problems = validate_nonce_order(txs)
-        if problems:
-            raise NonceError("; ".join(p.detail for p in problems))
+    full feature set of the edge table. Nonce gaps or disorder raise
+    NonceError."""
+    problems = validate_nonce_order(txs)
+    if problems:
+        raise NonceError("; ".join(p.detail for p in problems))
     graph = EdgeList(multi=True)
     for tx in txs:
         graph.add(Edge.make(
@@ -165,11 +164,6 @@ def build_account_graph(txs: Sequence[AccountTx],
 
 # --------------------------------------------------------------------------
 # Tokens
-
-def _default_digest(owner: str, nonce: int) -> str:
-    raw = hashlib.sha256(f"{owner}:{nonce}".encode("utf-8")).hexdigest()
-    return "0x" + raw[:40]
-
 
 @dataclass
 class TokenContract:
@@ -202,12 +196,14 @@ class InternalTransfer:
     triggering_tx: str
 
 
-def deploy_token(owner: str, symbol: str, decimals: int, supply: int, nonce: int,
-                 digest: Callable[[str, int], str] = _default_digest) -> TokenContract:
+def deploy_token(owner: str, symbol: str, decimals: int, supply: int,
+                 nonce: int) -> TokenContract:
     """Create a token contract at the address deterministically derived
-    from (owner, nonce). Replaying the same pair yields the same address;
+    from (owner, nonce): "0x" and the first 40 hex digits of
+    sha256("owner:nonce"). Replaying the same pair yields the same address;
     symbols are not assumed unique."""
-    address = digest(owner, nonce)
+    raw = hashlib.sha256(f"{owner}:{nonce}".encode("utf-8")).hexdigest()
+    address = "0x" + raw[:40]
     return TokenContract(address=address, owner=owner, symbol=symbol,
                          decimals=decimals, total_supply=supply,
                          balances={owner: supply})

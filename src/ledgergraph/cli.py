@@ -22,7 +22,7 @@ from . import generate as gen
 from . import scenario
 from . import utxo as utxo_mod
 from . import utxo_graphs as ug
-from .core import (BadJsonError, BadRecordError, LedgerError,
+from .core import (BadJsonError, BadRecordError, LedgerError, csv_row,
                    export_edge_list, export_hypergraph, export_matrix,
                    get_field, int_cell, naming)
 from .iota import bundles as iota_bundles
@@ -189,8 +189,8 @@ def _cmd_ripple(args: argparse.Namespace) -> int:
         rows = ["gets_currency,gets_issuer,pays_currency,pays_issuer,"
                 "sequence,gets_remaining,pays_remaining"]
         for (gk, pk, seq, grem, prem) in led.book_rows():
-            rows.append(",".join([gk[0], gk[1] or "", pk[0], pk[1] or "",
-                                  str(seq), str(grem), str(prem)]))
+            rows.append(csv_row([gk[0], gk[1] or "", pk[0], pk[1] or "",
+                                 str(seq), str(grem), str(prem)]))
         _write_bytes(args.out, ("\n".join(rows) + "\n").encode())
         return EXIT_OK
     # report
@@ -332,8 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
         pp = aa.add_parser(name)
         pp.add_argument("file")
         pp.add_argument("--out", default=None)
-        pp.add_argument("--format", choices=("csv", "json"), default="csv")
-        pp.add_argument("--budget", type=int, default=account_mod.DEFAULT_CALL_BUDGET)
+        if name != "tokens":  # tokens always writes JSON
+            pp.add_argument("--format", choices=("csv", "json"), default="csv")
+        if name == "traces":
+            pp.add_argument("--budget", type=int,
+                            default=account_mod.DEFAULT_CALL_BUDGET)
     a.set_defaults(func=_cmd_account)
 
     r = sub.add_parser("ripple", help="trust graph and payment scenarios")
@@ -345,8 +348,10 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("pay", "offers"):
             pp.add_argument("script")
         pp.add_argument("--out", default=None)
-        pp.add_argument("--format", choices=("csv", "json"), default="csv")
-        pp.add_argument("--keep-going", action="store_true")
+        if name == "trust":
+            pp.add_argument("--format", choices=("csv", "json"), default="csv")
+        if name == "pay":
+            pp.add_argument("--keep-going", action="store_true")
     r.set_defaults(func=_cmd_ripple)
 
     i = sub.add_parser("iota", help="derivation, bundles and tangle scripts")

@@ -37,6 +37,7 @@ __all__ = [
     "export_hypergraph",
     "export_matrix",
     "canonical_json",
+    "csv_row",
 ]
 
 # Signed 128-bit bound; Python ints never wrap, so the overflow contract is
@@ -245,6 +246,12 @@ def _csv_quote(cell: str) -> str:
     return cell
 
 
+def csv_row(cells: Iterable[str]) -> str:
+    """One CSV line (no newline); a cell with a comma, double quote or
+    newline is quoted, inner quotes doubled."""
+    return ",".join(map(_csv_quote, cells))
+
+
 def export_edge_list(graph: EdgeList | Iterable[Edge], fmt: str = "csv") -> bytes:
     """Serialize a graph deterministically; re-export is byte-identical.
 
@@ -253,8 +260,9 @@ def export_edge_list(graph: EdgeList | Iterable[Edge], fmt: str = "csv") -> byte
     canonical_json. Rows sort as the string tuples (source, target,
     sha256 hex of attr_json, weight_num, weight_den, attr_json), whatever
     the build order. A CSV cell with a comma, double quote or newline is
-    quoted, inner quotes doubled. Each distinct attribute map's JSON, hash
-    and quoted cell are computed once per call.
+    quoted, inner quotes doubled. JSON is the canonical_json list of the
+    rows as objects, the attribute map under "attrs". Each distinct
+    attribute map's JSON, hash and quoted cell are computed once per call.
     """
     edges = graph.edges if isinstance(graph, EdgeList) else list(graph)
     memo: dict[tuple, tuple[str, str, str]] = {}  # typed attrs -> hash, json, cell
@@ -288,12 +296,12 @@ def export_edge_list(graph: EdgeList | Iterable[Edge], fmt: str = "csv") -> byte
             f"{_csv_quote(s)},{_csv_quote(t)},{num},{den},{cell}\n"
             for s, t, _h, num, den, _a, cell in rows]).encode("utf-8")
     if fmt == "json":
-        payload = [
-            {"source": s, "target": t, "weight_num": n, "weight_den": d,
-             "attrs": json.loads(a)}
-            for s, t, _h, n, d, a, _c in rows
-        ]
-        return (canonical_json(payload) + "\n").encode("utf-8")
+        # canonical_json of the row objects, keys in sorted order, with
+        # each row's attr_json spliced in as its "attrs" value
+        return ("[" + ",".join([
+            f'{{"attrs":{a},"source":{canonical_json(s)},'
+            f'"target":{canonical_json(t)},"weight_den":"{d}","weight_num":"{n}"}}'
+            for s, t, _h, n, d, a, _c in rows]) + "]\n").encode("utf-8")
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -305,7 +313,7 @@ def export_hypergraph(graph: Hypergraph, fmt: str = "csv") -> bytes:
             rows.append((h.label, str(pos), member))
     if fmt == "csv":
         return "".join(["label,position,member\n"] + [
-            ",".join(map(_csv_quote, row)) + "\n" for row in rows]).encode("utf-8")
+            csv_row(row) + "\n" for row in rows]).encode("utf-8")
     if fmt == "json":
         payload = [
             {"label": h.label, "members": list(h.members),

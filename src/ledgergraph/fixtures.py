@@ -8,6 +8,7 @@ quoted in comments use 1 coin = 100,000,000 subunits.
 
 from __future__ import annotations
 
+import json
 import os
 
 from . import account
@@ -112,23 +113,13 @@ def rippling_network():
     Lender->borrower lines (limit, already used): tim->sarah (100, 0),
     john->tim (100, 25), bob->john (100, 15), bob->alice (100, 0),
     alice->sarah (20, 2). The 50 USD payment sarah->bob must settle over
-    tim and john; the alice route offers only 18.
+    tim and john; the alice route offers only 18. Built by replaying the
+    set-up lines (every line but the payments) of rippling_payment.jsonl.
     """
-    from .ripple import RippleLedger
-    led = RippleLedger()
-    for name in ("alice", "bob", "john", "sarah", "tim"):
-        led.create_account(name, xrp_drops=100_000_000)
-    lines = [
-        ("tim", "sarah", 100, 0),
-        ("john", "tim", 100, 25),
-        ("bob", "john", 100, 15),
-        ("bob", "alice", 100, 0),
-        ("alice", "sarah", 20, 2),
-    ]
-    for lender, borrower, limit, used in lines:
-        led.set_trust(lender, borrower, "USD", limit, no_ripple=False)
-        if used:
-            led.adjust_line_debt(lender, borrower, "USD", used)
+    from .scenario import replay_ripple
+    setup = [line for line in _lines("rippling_payment.jsonl")
+             if json.loads(line)["op"] != "pay"]
+    led, _log = replay_ripple(setup)
     return led
 
 

@@ -253,7 +253,6 @@ class OfferSpec:
     traders: int = 8
     currencies: tuple[str, ...] = ("USD", "EUR")
     amount_max: int = 100
-    funding: int = 10**6
 
 
 def generate_offer_stream(spec: OfferSpec, seed: int):

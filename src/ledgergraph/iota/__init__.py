@@ -1,5 +1,5 @@
 """DAG-ledger mechanics: balanced-ternary codec, seed-to-address
-derivation over a pluggable sponge, bundles with signature fragmentation,
+derivation over one ternary sponge, bundles with signature fragmentation,
 and tangle growth with milestones, promotion and snapshots."""
 
 from .trinary import (
@@ -11,7 +11,7 @@ from .trinary import (
     int_to_trits,
     trits_to_int,
 )
-from .sponge import MixerSponge, Sponge, sponge_hash
+from .sponge import MixerSponge, sponge_hash
 from .keys import (
     MAX_KEY_INDEX,
     SEED_TRYTES,
@@ -36,7 +36,6 @@ __all__ = [
     "int_to_trits",
     "trits_to_int",
     "MixerSponge",
-    "Sponge",
     "sponge_hash",
     "MAX_KEY_INDEX",
     "SEED_TRYTES",

@@ -48,10 +48,6 @@ class TangleTransaction:
     def is_input(self) -> bool:
         return self.value < 0
 
-    @property
-    def is_output(self) -> bool:
-        return self.value > 0
-
     def essence(self) -> str:
         return (f"{self.address}|{self.value}|{self.tag}|"
                 f"{self.index[0]}/{self.index[1]}|{self.timestamp}")
@@ -65,27 +61,19 @@ class Bundle:
     def value_sum(self) -> int:
         return sum(tx.value for tx in self.transactions)
 
-    def inputs(self) -> list[TangleTransaction]:
-        return [tx for tx in self.transactions if tx.is_input]
 
-    def outputs(self) -> list[TangleTransaction]:
-        return [tx for tx in self.transactions if tx.is_output]
-
-
-def compute_bundle_hash(txs: list[TangleTransaction],
-                        sponge_factory=MixerSponge) -> str:
+def compute_bundle_hash(txs: list[TangleTransaction]) -> str:
     """Digest over every member's essence; changing any transaction
     invalidates the hash."""
-    sponge = sponge_factory()
+    sponge = MixerSponge()
     for tx in txs:
         sponge.absorb(ascii_to_trits(tx.essence()))
     return encode_trytes(sponge.squeeze())
 
 
-def _fragment_blob(address: str, position: int,
-                   sponge_factory=MixerSponge) -> str:
+def _fragment_blob(address: str, position: int) -> str:
     """Opaque signature stand-in of exactly one fragment (2187 trytes)."""
-    sponge = sponge_factory()
+    sponge = MixerSponge()
     sponge.absorb(ascii_to_trits(f"sig|{address}|{position}"))
     blocks = [sponge.squeeze() for _ in range(27)]
     return encode_trytes(np.concatenate(blocks))
@@ -93,8 +81,7 @@ def _fragment_blob(address: str, position: int,
 
 def build_bundle(inputs: list[tuple[str, int, int]],
                  outputs: list[tuple[str, int]],
-                 tag: str = "", timestamp: int = 0,
-                 sponge_factory=MixerSponge) -> Bundle:
+                 tag: str = "", timestamp: int = 0) -> Bundle:
     """Assemble a bundle from (address, security level, amount) inputs and
     (address, amount) outputs. Amounts are non-negative and levels 1-3
     (else BadAmountError, BadRecordError); input amounts must equal output
@@ -117,11 +104,11 @@ def build_bundle(inputs: list[tuple[str, int, int]],
     for (address, level, amount) in inputs:
         txs.append(TangleTransaction(
             address=address, value=-amount, tag=tag, timestamp=timestamp,
-            signature_fragment=_fragment_blob(address, 0, sponge_factory)))
+            signature_fragment=_fragment_blob(address, 0)))
         for extra in range(1, level):
             txs.append(TangleTransaction(
                 address=address, value=0, tag=tag, timestamp=timestamp,
-                signature_fragment=_fragment_blob(address, extra, sponge_factory)))
+                signature_fragment=_fragment_blob(address, extra)))
     for (address, amount) in outputs:
         txs.append(TangleTransaction(address=address, value=amount, tag=tag,
                                      timestamp=timestamp))
@@ -129,20 +116,19 @@ def build_bundle(inputs: list[tuple[str, int, int]],
     last = len(txs) - 1
     for pos, tx in enumerate(txs):
         tx.index = (pos, last)
-    bundle_hash = compute_bundle_hash(txs, sponge_factory)
+    bundle_hash = compute_bundle_hash(txs)
     for tx in txs:
         tx.bundle = bundle_hash
     return Bundle(bundle_hash, txs)
 
 
 def message_transaction(address: str, tag: str = "", timestamp: int = 0,
-                        data: str = "",
-                        sponge_factory=MixerSponge) -> Bundle:
+                        data: str = "") -> Bundle:
     """A standalone zero-value (message) transaction as its own bundle."""
     tx = TangleTransaction(address=address, value=0, tag=tag,
                            timestamp=timestamp,
                            signature_fragment=data[:KEY_FRAGMENT_TRYTES])
     tx.index = (0, 0)
-    bundle_hash = compute_bundle_hash([tx], sponge_factory)
+    bundle_hash = compute_bundle_hash([tx])
     tx.bundle = bundle_hash
     return Bundle(bundle_hash, [tx])

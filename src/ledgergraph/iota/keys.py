@@ -69,29 +69,27 @@ def _add_index_into_tail(trits: list[int], index: int) -> list[int]:
     return out
 
 
-def derive_subseed(seed: str, index: int, sponge_factory=MixerSponge) -> str:
+def derive_subseed(seed: str, index: int) -> str:
     """81-tryte subseed for one key index of a seed."""
     if not 0 <= index <= MAX_KEY_INDEX:
         raise IndexOutOfRangeError(
             f"index must lie in [0, {MAX_KEY_INDEX}], got {index}")
     trits = _add_index_into_tail(_seed_trits(seed), index)
-    return encode_trytes(sponge_hash(trits, sponge_factory))
+    return encode_trytes(sponge_hash(trits))
 
 
-def derive_private_key(subseed: str, level: int,
-                       sponge_factory=MixerSponge) -> str:
+def derive_private_key(subseed: str, level: int) -> str:
     """Private key of level * 2187 trytes: the sponge absorbs the subseed
     and squeezes 27 blocks of 81 trytes per security level."""
     if level not in (1, 2, 3):
         raise ValueError("security level must be 1, 2 or 3")
-    sponge = sponge_factory()
+    sponge = MixerSponge()
     sponge.absorb(np.array(decode_trytes(subseed), dtype=np.int8))
     blocks = [sponge.squeeze() for _ in range(_BLOCKS_PER_LEVEL * level)]
     return encode_trytes(np.concatenate(blocks))
 
 
-def derive_address(private_key: str, with_checksum: bool = False,
-                   sponge_factory=MixerSponge) -> str:
+def derive_address(private_key: str, with_checksum: bool = False) -> str:
     """81-tryte address (90 with checksum): hash every 81-tryte key
     segment 26 times, then digest the segment hashes together."""
     if len(private_key) % KEY_FRAGMENT_TRYTES:
@@ -99,15 +97,15 @@ def derive_address(private_key: str, with_checksum: bool = False,
             f"private key length {len(private_key)} is not a multiple of "
             f"{KEY_FRAGMENT_TRYTES} trytes")
     key_trits = np.array(decode_trytes(private_key), dtype=np.int8)
-    outer = sponge_factory()
+    outer = MixerSponge()
     for off in range(0, key_trits.size, BLOCK_TRITS):
         digest = key_trits[off:off + BLOCK_TRITS]
         for _ in range(SEGMENT_ROUNDS):
-            digest = sponge_hash(digest, sponge_factory)
+            digest = sponge_hash(digest)
         outer.absorb(digest)
     address_trits = outer.squeeze()
     address = encode_trytes(address_trits)
     if with_checksum:
-        digest = sponge_hash(address_trits, sponge_factory)
+        digest = sponge_hash(address_trits)
         address += encode_trytes(digest)[-CHECKSUM_TRYTES:]
     return address

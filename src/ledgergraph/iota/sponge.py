@@ -1,9 +1,9 @@
-"""Pluggable sponge over 243-trit blocks.
+"""Sponge over 243-trit blocks.
 
-The default MixerSponge is a fast, deterministic, non-cryptographic
-permute-and-substitute mixer for tests and simulation. A ternary Keccak
-(KERL) is deliberately NOT implemented; anything exposing absorb/squeeze
-over 243-trit blocks can be plugged into the derivation pipeline instead.
+MixerSponge is a fast, deterministic, non-cryptographic
+permute-and-substitute mixer for tests and simulation; every hash in
+the package goes through it. A ternary Keccak (KERL) is deliberately
+NOT implemented.
 
 Each of the 8 rounds of the mixer permutation gathers the 729-trit state
 s by the stride _PERM, takes two neighbours of the gathered state,
@@ -23,11 +23,9 @@ trit; the tests keep that formula as the oracle.
 
 from __future__ import annotations
 
-from typing import Protocol
-
 import numpy as np
 
-__all__ = ["Sponge", "MixerSponge", "sponge_hash", "BLOCK_TRITS"]
+__all__ = ["MixerSponge", "sponge_hash", "BLOCK_TRITS"]
 
 BLOCK_TRITS = 243
 STATE_TRITS = 729
@@ -69,24 +67,11 @@ _MIX = np.array([
 ], dtype=np.int8)
 
 
-class Sponge(Protocol):
-    """Absorb/squeeze interface over 243-trit blocks (conformance slot)."""
-
-    def absorb(self, trits) -> None: ...
-
-    def squeeze(self) -> np.ndarray: ...
-
-    def reset(self) -> None: ...
-
-
 class MixerSponge:
     """729-trit state; absorb overwrites the rate then permutes."""
 
     def __init__(self) -> None:
         self.state = np.zeros(STATE_TRITS, dtype=np.int8)
-
-    def reset(self) -> None:
-        self.state[:] = 0
 
     def _transform(self) -> None:
         u = self.state + np.int8(1)
@@ -115,7 +100,7 @@ class MixerSponge:
         return out
 
 
-def sponge_hash(trits, sponge_factory=MixerSponge) -> np.ndarray:
+def sponge_hash(trits) -> np.ndarray:
     """One-shot 243-trit digest of a trit sequence."""
     trits = np.asarray(trits, dtype=np.int8)
     if trits.size == 0 or trits.size % BLOCK_TRITS:
@@ -123,6 +108,6 @@ def sponge_hash(trits, sponge_factory=MixerSponge) -> np.ndarray:
         if trits.size == 0:
             pad = BLOCK_TRITS
         trits = np.concatenate([trits, np.zeros(pad, dtype=np.int8)])
-    sponge = sponge_factory()
+    sponge = MixerSponge()
     sponge.absorb(trits)
     return sponge.squeeze()

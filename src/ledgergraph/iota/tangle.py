@@ -24,9 +24,9 @@ import random
 from collections import deque
 from typing import Iterable
 
-from ..core import LedgerError
+from ..core import LedgerError, csv_row
 from .bundles import Bundle, TangleTransaction, message_transaction
-from .sponge import MixerSponge, sponge_hash
+from .sponge import sponge_hash
 from .trinary import ascii_to_trits, encode_trytes
 
 __all__ = [
@@ -57,11 +57,9 @@ class PowBudgetExceededError(LedgerError):
 class TangleState:
     """Single-writer DAG ledger state anchored at a genesis snapshot."""
 
-    def __init__(self, genesis_balances: dict[str, int] | None = None,
-                 coordinator: str = "COORDINATOR",
-                 sponge_factory=MixerSponge):
-        self.coordinator = coordinator
-        self.sponge_factory = sponge_factory
+    coordinator = "COORDINATOR"  # the one address that may issue milestones
+
+    def __init__(self, genesis_balances: dict[str, int] | None = None):
         self.balances: dict[str, int] = dict(genesis_balances or {})
         self.supply = sum(self.balances.values())
         self.transactions: dict[str, TangleTransaction] = {}
@@ -86,8 +84,7 @@ class TangleState:
                   budget: int) -> tuple[str, int]:
         base = f"{tx.essence()}|{tx.trunk}|{tx.branch}|"
         for nonce in range(budget):
-            trits = sponge_hash(ascii_to_trits(base + str(nonce)),
-                                self.sponge_factory)
+            trits = sponge_hash(ascii_to_trits(base + str(nonce)))
             if difficulty == 0 or not trits[-difficulty:].any():
                 return encode_trytes(trits), nonce
         raise PowBudgetExceededError(
@@ -145,8 +142,7 @@ class TangleState:
     def attach_message(self, address: str, tips: tuple[str, str], tag: str = "",
                        timestamp: int = 0, data: str = "",
                        difficulty: int = 0) -> str:
-        bundle = message_transaction(address, tag, timestamp, data,
-                                     self.sponge_factory)
+        bundle = message_transaction(address, tag, timestamp, data)
         return self.attach(bundle, tips, difficulty)
 
     # -- tip selection --------------------------------------------------------
@@ -357,7 +353,7 @@ class TangleState:
         """Discard confirmed history and drop unconfirmed transactions;
         balances carry over exactly into a fresh genesis."""
         balances = dict(self.balances)
-        fresh = TangleState(balances, self.coordinator, self.sponge_factory)
+        fresh = TangleState(balances)
         return balances, fresh
 
     # -- integrity and export ----------------------------------------------------
@@ -417,11 +413,12 @@ class TangleState:
         return graph
 
     def export_rows(self) -> list[str]:
-        """Table-style CSV rows: tx_hash,epoch,value,bundle,tag,address,branch,trunk."""
+        """Table-style CSV rows: tx_hash,epoch,value,bundle,tag,address,branch,trunk;
+        a cell with a comma, double quote or newline is quoted."""
         rows = ["tx_hash,epoch,value,bundle,tag,address,branch,trunk"]
         for h in sorted(self.transactions):
             tx = self.transactions[h]
-            rows.append(",".join([
+            rows.append(csv_row([
                 tx.hash, str(tx.timestamp), str(tx.value), tx.bundle,
                 tx.tag, tx.address, tx.branch, tx.trunk,
             ]))

@@ -62,7 +62,7 @@ __all__ = [
 ]
 
 BASE_RESERVE_DROPS = 20_000_000  # 20 XRP
-OWNER_RESERVE_DROPS = 5_000_000  # 5 XRP; artifact default, configurable
+OWNER_RESERVE_DROPS = 5_000_000  # 5 XRP per owned object
 DEFAULT_PATH_DEPTH = 8
 
 
@@ -135,9 +135,8 @@ class RippleAccount:
     transfer_fee_rate: Fraction = Fraction(0)
     frozen_currencies: set[str] = field(default_factory=set)
 
-    def reserve_required(self, base: int = BASE_RESERVE_DROPS,
-                         owner: int = OWNER_RESERVE_DROPS) -> int:
-        return base + self.owned_objects * owner
+    def reserve_required(self) -> int:
+        return BASE_RESERVE_DROPS + self.owned_objects * OWNER_RESERVE_DROPS
 
 
 @dataclass
@@ -268,11 +267,7 @@ class RippleLedger:
     as it found it. `line_index` maps (account, currency) to the
     account's lines in that currency, keyed by peer."""
 
-    def __init__(self, base_reserve: int = BASE_RESERVE_DROPS,
-                 owner_reserve: int = OWNER_RESERVE_DROPS,
-                 path_depth: int = DEFAULT_PATH_DEPTH):
-        self.base_reserve = base_reserve
-        self.owner_reserve = owner_reserve
+    def __init__(self, path_depth: int = DEFAULT_PATH_DEPTH):
         self.path_depth = path_depth
         self.accounts: dict[str, RippleAccount] = {}
         self.states: dict[tuple[str, str, str], RippleState] = {}
@@ -434,8 +429,7 @@ class RippleLedger:
         return acct
 
     def reserve_required(self, address: str) -> int:
-        return self.account(address).reserve_required(self.base_reserve,
-                                                      self.owner_reserve)
+        return self.account(address).reserve_required()
 
     def state_digest(self) -> str:
         """Canonical serialization of the whole ledger state, line owners,
@@ -495,7 +489,7 @@ class RippleLedger:
             if limit == 0:
                 return None
             acct = self.account(lender)
-            needed = self.base_reserve + (acct.owned_objects + 1) * self.owner_reserve
+            needed = acct.reserve_required() + OWNER_RESERVE_DROPS
             if acct.xrp_balance < needed:
                 raise ReserveUnmetError(
                     f"{lender} cannot cover reserve {needed} for a new trust line"
@@ -504,7 +498,7 @@ class RippleLedger:
             self._add_line(state, {lender})
         elif lender not in self.state_owners[key] and limit > 0:
             acct = self.account(lender)
-            needed = self.base_reserve + (acct.owned_objects + 1) * self.owner_reserve
+            needed = acct.reserve_required() + OWNER_RESERVE_DROPS
             if acct.xrp_balance < needed:
                 raise ReserveUnmetError(
                     f"{lender} cannot cover reserve {needed} to extend trust"
@@ -598,10 +592,10 @@ class RippleLedger:
                 f"({src.xrp_balance - drops} < {self.reserve_required(sender)})"
             )
         if dst is None:
-            if drops < self.base_reserve:
+            if drops < BASE_RESERVE_DROPS:
                 raise BelowReserveError(
                     f"payment of {drops} cannot fund a new account "
-                    f"(base reserve {self.base_reserve})"
+                    f"(base reserve {BASE_RESERVE_DROPS})"
                 )
             self.create_account(receiver)
         elif dst.deposit_auth and sender not in dst.authorized:
@@ -733,6 +727,12 @@ class RippleLedger:
             states = self._hop_states(path, currency)
         except LedgerError:
             return 0
+        return self._most_feasible(path, states, amount)
+
+    def _most_feasible(self, path: Sequence[str], states: list[RippleState],
+                       amount: int) -> int:
+        """Largest delivered amount in [0, amount] the path can carry, by
+        binary search: feasibility is monotone in the delivered amount."""
         lo, hi = 0, amount
         while lo < hi:
             mid = (lo + hi + 1) // 2
@@ -762,14 +762,7 @@ class RippleLedger:
                 f"path cannot carry {amount} {currency} at execution time"
             )
         else:
-            lo, hi = 0, amount  # feasibility is monotone in the delivered amount
-            while lo < hi:
-                mid = (lo + hi + 1) // 2
-                if self._path_feasible(path, states, mid):
-                    lo = mid
-                else:
-                    hi = mid - 1
-            delivered = lo
+            delivered = self._most_feasible(path, states, amount)
             if delivered <= 0:
                 raise ZeroDeliverableError("path capacity is exhausted")
         amounts = self._hop_amounts(path, delivered)
@@ -1099,7 +1092,7 @@ class _Legs:
             # buyer carries the reserve for it
             acct = led.account(address)
             opened = sum(1 for owner in self.new_lines.values() if owner == address)
-            needed = led.base_reserve + (acct.owned_objects + opened + 1) * led.owner_reserve
+            needed = acct.reserve_required() + (opened + 1) * OWNER_RESERVE_DROPS
             if acct.xrp_balance + self.xrp.get(address, 0) < needed:
                 raise UnfundedOfferError(
                     f"{address} cannot cover the reserve for a new {cv.currency} line"
@@ -1108,10 +1101,10 @@ class _Legs:
         self.debt[key] = self.debt.get(key, 0) + (amount if low == address else -amount)
 
 
-def load_trust_csv(lines: Iterable[str],
-                   default_xrp: int = 100_000_000) -> RippleLedger:
+def load_trust_csv(lines: Iterable[str]) -> RippleLedger:
     """Ingest `low,high,currency,balance,low_limit,high_limit` rows.
-    Accounts are auto-created; flags default to False for ingested graphs.
+    Accounts are auto-created holding 100 XRP; flags default to False for
+    ingested graphs.
     A row must have six cells, canonical order, limits >= 0 and a
     (low, high, currency) line of its own (BadRecordError), and its
     balance and limits must be base-10 integers (BadAmountError); each
@@ -1128,7 +1121,7 @@ def load_trust_csv(lines: Iterable[str],
                     f"duplicate trust line {','.join(state.key)}")
         for addr in (state.low, state.high):
             if addr not in led.accounts:
-                led.create_account(addr, xrp_drops=default_xrp)
+                led.create_account(addr, xrp_drops=100_000_000)
         led._add_line(state, {side for side in (state.low, state.high)
                               if state.limit_of(side) > 0})
     return led

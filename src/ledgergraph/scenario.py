@@ -127,8 +127,7 @@ def _tangle_step(state: TangleState, cmd: dict, aliases: dict[str, str]):
               get_field(i, "amount", int)) for i in f("inputs", list)],
             [(get_field(o, "address"), get_field(o, "amount", int))
              for o in f("outputs", list)],
-            tag=f("tag", str, ""), timestamp=timestamp,
-            sponge_factory=state.sponge_factory)
+            tag=f("tag", str, ""), timestamp=timestamp)
         tips = _tips(state, cmd, aliases)
         head = state.attach(bundle, tips, difficulty=f("difficulty", int, 0))
         result = {"head": head, "bundle": bundle.bundle_hash}

@@ -423,8 +423,9 @@ def _tx_from_record(rec: dict) -> UtxoTransaction:
 
 
 def load_jsonl(lines: Iterable[str], subsidy: int = 5_000_000_000,
-               timestamp0: int = 1_231_006_505, block_interval: int = 600) -> Ledger:
-    """Build a ledger from ingestion JSONL, validating every block.
+               timestamp0: int = 1_231_006_505) -> Ledger:
+    """Build a ledger from ingestion JSONL, validating every block; block
+    h is stamped timestamp0 + 600 h seconds.
     Amounts, heights and indexes must be JSON integers; a malformed line
     raises BadJsonError, BadRecordError or BadAmountError naming it."""
     by_block: dict[int, list[UtxoTransaction]] = {}
@@ -436,7 +437,7 @@ def load_jsonl(lines: Iterable[str], subsidy: int = 5_000_000_000,
     for height in sorted(by_block):
         txs = by_block[height]
         txs.sort(key=lambda t: not t.coinbase)  # coinbase first, stable otherwise
-        block = Block(height, timestamp0 + height * block_interval, tuple(txs),
+        block = Block(height, timestamp0 + height * 600, tuple(txs),
                       subsidy)
         ledger.apply_block(block)
     return ledger

@@ -1,6 +1,7 @@
 """CLI surfaces: subcommands, file formats, exit codes, env overrides."""
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -329,6 +330,87 @@ def test_ripple_trust_and_report_require_a_trust_file(action, capsys):
         run_cli(["ripple", action])
     assert exc.value.code == 2
     assert "--trust" in capsys.readouterr().err
+
+
+TRUST = FIXTURES / "trust_graph.csv"
+PAYMENTS = FIXTURES / "rippling_payment.jsonl"
+OFFERS = FIXTURES / "offer_examples.jsonl"
+ACCOUNTS = FIXTURES / "account_table.jsonl"
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(["ripple", "pay", PAYMENTS, "--format", "json"], id="pay-format"),
+    pytest.param(["ripple", "offers", OFFERS, "--format", "json"],
+                 id="offers-format"),
+    pytest.param(["ripple", "report", "--trust", TRUST, "--format", "json"],
+                 id="report-format"),
+    pytest.param(["account", "tokens", ACCOUNTS, "--format", "csv"],
+                 id="tokens-format"),
+    pytest.param(["ripple", "trust", "--trust", TRUST, "--keep-going"],
+                 id="trust-keep-going"),
+    pytest.param(["ripple", "offers", OFFERS, "--keep-going"],
+                 id="offers-keep-going"),
+    pytest.param(["ripple", "report", "--trust", TRUST, "--keep-going"],
+                 id="report-keep-going"),
+    pytest.param(["account", "graph", ACCOUNTS, "--budget", 5], id="graph-budget"),
+    pytest.param(["account", "tokens", ACCOUNTS, "--budget", 5],
+                 id="tokens-budget"),
+])
+def test_flag_the_subcommand_never_reads_is_a_usage_error(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args)
+    assert exc.value.code == 2
+    flag = next(a for a in args[2:] if str(a).startswith("--") and a != "--trust")
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    pytest.param(["ripple", "trust", "--trust", TRUST, "--format", "json"],
+                 id="trust-format"),
+    pytest.param(["ripple", "pay", PAYMENTS, "--keep-going"], id="pay-keep-going"),
+    pytest.param(["account", "graph", ACCOUNTS, "--format", "json"],
+                 id="graph-format"),
+    pytest.param(["account", "traces", FIXTURES / "trace_calls.jsonl",
+                  "--budget", 50, "--format", "json"], id="traces-budget-format"),
+])
+def test_flags_the_subcommand_reads_still_apply(args, capsys):
+    assert run_cli(args) == 0
+    out = capsys.readouterr().out
+    for line in out.splitlines():
+        json.loads(line)
+
+
+# -- CSV cells ----------------------------------------------------------------------
+
+def test_iota_grow_quotes_cells_with_commas_and_quotes(tmp_path):
+    script = tmp_path / "grow.jsonl"
+    cmds = [{"op": "attach_message", "address": "a,1", "tag": 'T"G',
+             "tips": ["GENESIS", "GENESIS"]},
+            {"op": "attach_message", "address": 'q"x', "tag": "A,B"}]
+    script.write_text("".join(json.dumps(c) + "\n" for c in cmds))
+    out = tmp_path / "tangle.csv"
+    assert run_cli(["iota", "grow", script, "--out", out]) == 0
+    rows = list(csv.reader(io.StringIO(out.read_text(), newline="")))
+    assert all(len(row) == 8 for row in rows)
+    assert sorted((row[4], row[5]) for row in rows[1:]) == \
+        [("A,B", 'q"x'), ('T"G', "a,1")]
+
+
+def test_ripple_offers_quotes_cells_with_commas_and_quotes(tmp_path, capsys):
+    gets = {"currency": "E,R", "issuer": "is,E", "value": 7}
+    pays = {"currency": 'U"D', "issuer": 'is"U', "value": 10}
+    cmds = [{"op": "create_account", "address": a, "xrp": 10**9}
+            for a in ("is,E", 'is"U', "o1")]
+    cmds += [{"op": "set_trust", "lender": "o1", "borrower": "is,E",
+              "currency": "E,R", "limit": 1000},
+             {"op": "adjust_debt", "lender": "o1", "borrower": "is,E",
+              "currency": "E,R", "amount": 7},
+             {"op": "offer", "owner": "o1", "gets": gets, "pays": pays}]
+    script = tmp_path / "offers.jsonl"
+    script.write_text("".join(json.dumps(c) + "\n" for c in cmds))
+    assert run_cli(["ripple", "offers", script]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out, newline="")))
+    assert rows[1:] == [["E,R", "is,E", 'U"D', 'is"U', "1", "7", "10"]]
 
 
 def test_env_override_is_parsed_with_the_flag_type(fixture_dir, tmp_path,

@@ -1,9 +1,10 @@
 """The shipped fixture files replay to the documented outcomes through
 the file-based paths."""
 
+import hashlib
 import os
 
-from ledgergraph import scenario
+from ledgergraph import fixtures, scenario
 from ledgergraph.ripple import load_trust_csv
 
 REPO_FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -20,6 +21,15 @@ def test_rippling_script_outcomes():
     assert payments[0]["ok"] and payments[0]["result"]["delivered"] == 50
     assert not payments[1]["ok"]  # repeat: capacity 25 < 50
     assert payments[2]["ok"] and payments[2]["result"]["delivered"] == 25
+
+
+def test_rippling_network_is_the_script_set_up():
+    # known answer recorded when rippling_network() still built the five
+    # accounts, five lines and three debts by hand
+    led = fixtures.rippling_network()
+    assert hashlib.sha256(led.state_digest().encode()).hexdigest() == \
+        "a8f3fba0969a000a6a7c89502e44b8de563668e11c5bdc770abed4e8f820e2e0"
+    assert led.writes == 18
 
 
 def test_double_spend_script_outcome():

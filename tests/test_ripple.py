@@ -83,7 +83,7 @@ def test_zero_limit_on_clean_line_deletes():
 
 def test_reserve_unmet_blocks_new_line():
     led = RippleLedger()
-    led.create_account("poor", xrp_drops=led.base_reserve)  # no slack at all
+    led.create_account("poor", xrp_drops=BASE_RESERVE_DROPS)  # no slack at all
     led.create_account("b", xrp_drops=XRP_100)
     with pytest.raises(ReserveUnmetError):
         led.set_trust("poor", "b", "USD", 10)
