@@ -29,7 +29,8 @@ for (src, dst), spent in sorted(tx_graph.edges.items()):
 
 print("\n=== address graph keeps what the tx graph loses ===")
 addr_graph = build_address_graph(ledger, *window)
-print(f"  nodes: {len(addr_graph.nodes)}, edges: {len(addr_graph.edges)}")
+addr_nodes = addr_graph.to_edge_list().nodes()
+print(f"  nodes: {len(addr_nodes)}, edges: {len(addr_graph.edges)}")
 reuse = [e for e in addr_graph.edges if (e.source, e.target) == ("a9", "a1")]
 loop = [e for e in addr_graph.edges if e.source == e.target == "a10"]
 print(f"  past reuse edge a9->a1 present: {bool(reuse)}")

@@ -353,24 +353,18 @@ class TraceExecutor:
     def run(self, root_tx: str, sender: str, to: str, value: int = 0,
             kind: str = "call") -> Trace:
         steps: list[TraceStep] = []
-        budget = self.call_budget
-        truncated = False
-
-        def invoke(caller: str, callee: str, call_kind: str, amount: int) -> bool:
-            nonlocal budget, truncated
-            if budget <= 0:
+        # pending calls, the next one on top; an explicit stack, so a
+        # contract that calls itself cannot hit the recursion limit
+        stack = [(sender, to, kind, value)]
+        while stack:
+            caller, callee, call_kind, amount = stack.pop()
+            if len(steps) >= self.call_budget:
                 steps.append(TraceStep(caller, callee, "error", 0))
-                truncated = True
-                return False
-            budget -= 1
+                return Trace(root_tx, tuple(steps), truncated=True)
             steps.append(TraceStep(caller, callee, call_kind, amount))
-            for nxt_callee, nxt_kind, nxt_value in self.behaviors.get(callee, []):
-                if not invoke(callee, nxt_callee, nxt_kind, nxt_value):
-                    return False
-            return True
-
-        invoke(sender, to, kind, value)
-        return Trace(root_tx, tuple(steps), truncated=truncated)
+            calls = self.behaviors.get(callee, [])
+            stack.extend((callee, *call) for call in reversed(calls))
+        return Trace(root_tx, tuple(steps), truncated=False)
 
 
 # --------------------------------------------------------------------------

@@ -123,13 +123,7 @@ def _parse_range(text: str | None) -> tuple[int | None, int | None]:
 def _cmd_utxo(args: argparse.Namespace) -> int:
     ledger = utxo_mod.load_jsonl(_read_lines(args.file), subsidy=args.subsidy)
     if args.action == "validate":
-        print(json.dumps({
-            "blocks": len(ledger.blocks),
-            "transactions": len(ledger.transactions),
-            "unspent_outputs": len(ledger.utxo),
-            "total_supply": ledger.total_supply(),
-            "destroyed": ledger.destroyed,
-        }, sort_keys=True))
+        print(json.dumps(ledger.summary(), sort_keys=True))
         return EXIT_OK
     start, end = args.start, args.end
     if args.kind == "tx":

@@ -307,18 +307,16 @@ def export_edge_list(graph: EdgeList | Iterable[Edge], fmt: str = "csv") -> byte
 
 def export_hypergraph(graph: Hypergraph, fmt: str = "csv") -> bytes:
     """Hyperedges as (label, position, member) rows or JSON objects."""
-    rows = []
-    for h in sorted(graph.edges, key=lambda h: (h.label, h.members)):
-        for pos, member in enumerate(h.members):
-            rows.append((h.label, str(pos), member))
+    edges = sorted(graph.edges, key=lambda h: (h.label, h.members))
     if fmt == "csv":
         return "".join(["label,position,member\n"] + [
-            csv_row(row) + "\n" for row in rows]).encode("utf-8")
+            csv_row((h.label, str(pos), member)) + "\n"
+            for h in edges for pos, member in enumerate(h.members)]).encode("utf-8")
     if fmt == "json":
         payload = [
             {"label": h.label, "members": list(h.members),
              "step_attrs": dict(h.step_attrs)}
-            for h in sorted(graph.edges, key=lambda h: (h.label, h.members))
+            for h in edges
         ]
         return (canonical_json(payload) + "\n").encode("utf-8")
     raise ValueError(f"unknown format {fmt!r}")

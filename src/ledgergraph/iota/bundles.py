@@ -7,11 +7,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..core import BadAmountError, BadRecordError, LedgerError
 from .keys import KEY_FRAGMENT_TRYTES
-from .sponge import MixerSponge
+from .sponge import MixerSponge, squeeze_blocks
 from .trinary import ascii_to_trits, encode_trytes
 
 __all__ = ["TangleTransaction", "Bundle", "UnbalancedBundleError", "build_bundle"]
@@ -73,10 +71,8 @@ def compute_bundle_hash(txs: list[TangleTransaction]) -> str:
 
 def _fragment_blob(address: str, position: int) -> str:
     """Opaque signature stand-in of exactly one fragment (2187 trytes)."""
-    sponge = MixerSponge()
-    sponge.absorb(ascii_to_trits(f"sig|{address}|{position}"))
-    blocks = [sponge.squeeze() for _ in range(27)]
-    return encode_trytes(np.concatenate(blocks))
+    trits = ascii_to_trits(f"sig|{address}|{position}")
+    return encode_trytes(squeeze_blocks(trits, 27))
 
 
 def build_bundle(inputs: list[tuple[str, int, int]],
@@ -128,7 +124,6 @@ def message_transaction(address: str, tag: str = "", timestamp: int = 0,
     tx = TangleTransaction(address=address, value=0, tag=tag,
                            timestamp=timestamp,
                            signature_fragment=data[:KEY_FRAGMENT_TRYTES])
-    tx.index = (0, 0)
     bundle_hash = compute_bundle_hash([tx])
     tx.bundle = bundle_hash
     return Bundle(bundle_hash, [tx])

@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import LedgerError
-from .sponge import BLOCK_TRITS, MixerSponge, sponge_hash
-from .trinary import decode_trytes, encode_trytes, int_to_trits
+from .sponge import BLOCK_TRITS, MixerSponge, sponge_hash, squeeze_blocks
+from .trinary import decode_trytes, encode_trytes, int_to_trits, trits_to_int
 
 __all__ = [
     "SEED_TRYTES",
@@ -48,25 +48,15 @@ def _seed_trits(seed: str) -> list[int]:
 
 
 def _add_index_into_tail(trits: list[int], index: int) -> list[int]:
-    # balanced-ternary addition with carry; trit 242 is least significant
-    out = list(trits)
-    digits = int_to_trits(index)
-    pos = len(out) - 1
-    carry = 0
-    i = 0
-    while (i < len(digits) or carry) and pos >= 0:
-        s = out[pos] + (digits[i] if i < len(digits) else 0) + carry
-        carry = 0
-        while s > 1:
-            s -= 3
-            carry += 1
-        while s < -1:
-            s += 3
-            carry -= 1
-        out[pos] = s
-        pos -= 1
-        i += 1
-    return out
+    # balanced-ternary addition, trit 242 least significant; a carry off
+    # trit 0 is dropped, so the sum wraps modulo 3^243 into the balanced range
+    modulus = 3 ** len(trits)
+    half = modulus // 2
+    total = (trits_to_int(reversed(trits)) + index + half) % modulus - half
+    digits = int_to_trits(abs(total), len(trits))
+    if total < 0:
+        digits = [-d for d in digits]
+    return digits[::-1]
 
 
 def derive_subseed(seed: str, index: int) -> str:
@@ -83,10 +73,8 @@ def derive_private_key(subseed: str, level: int) -> str:
     and squeezes 27 blocks of 81 trytes per security level."""
     if level not in (1, 2, 3):
         raise ValueError("security level must be 1, 2 or 3")
-    sponge = MixerSponge()
-    sponge.absorb(np.array(decode_trytes(subseed), dtype=np.int8))
-    blocks = [sponge.squeeze() for _ in range(_BLOCKS_PER_LEVEL * level)]
-    return encode_trytes(np.concatenate(blocks))
+    return encode_trytes(squeeze_blocks(decode_trytes(subseed),
+                                        _BLOCKS_PER_LEVEL * level))
 
 
 def derive_address(private_key: str, with_checksum: bool = False) -> str:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["MixerSponge", "sponge_hash", "BLOCK_TRITS"]
+__all__ = ["MixerSponge", "sponge_hash", "squeeze_blocks", "BLOCK_TRITS"]
 
 BLOCK_TRITS = 243
 STATE_TRITS = 729
@@ -111,3 +111,11 @@ def sponge_hash(trits) -> np.ndarray:
     sponge = MixerSponge()
     sponge.absorb(trits)
     return sponge.squeeze()
+
+
+def squeeze_blocks(trits, count: int) -> np.ndarray:
+    """Absorb a block-multiple trit sequence, then squeeze `count` blocks
+    of 243 trits, concatenated."""
+    sponge = MixerSponge()
+    sponge.absorb(trits)
+    return np.concatenate([sponge.squeeze() for _ in range(count)])

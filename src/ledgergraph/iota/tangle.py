@@ -61,7 +61,6 @@ class TangleState:
 
     def __init__(self, genesis_balances: dict[str, int] | None = None):
         self.balances: dict[str, int] = dict(genesis_balances or {})
-        self.supply = sum(self.balances.values())
         self.transactions: dict[str, TangleTransaction] = {}
         # members per attachment, keyed by head hash, and each member's head
         self.bundles: dict[str, list[str]] = {}
@@ -73,7 +72,6 @@ class TangleState:
         self.reuse_warnings: dict[str, int] = {}
         self._signed_spends: dict[str, int] = {}
         self._attach_seq: dict[str, int] = {GENESIS_HASH: 0}
-        self._counter = 0
 
     # -- attachment ---------------------------------------------------------
 
@@ -118,9 +116,8 @@ class TangleState:
                     "(identical bundle, tips and timestamp)")
 
         for tx in reversed(txs):  # mining order, so trunk refs are older
-            self._counter += 1
             self.transactions[tx.hash] = tx
-            self._attach_seq[tx.hash] = self._counter
+            self._attach_seq[tx.hash] = len(self._attach_seq)
             self.approvers.setdefault(tx.trunk, []).append(tx.hash)
             self.approvers.setdefault(tx.branch, []).append(tx.hash)
             if tx.is_input:

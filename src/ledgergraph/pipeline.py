@@ -18,7 +18,7 @@ from .chainlets import DEFAULT_N, build_matrices, snapshot_from_ledger
 from .core import (EdgeList, LedgerError, export_edge_list, export_hypergraph,
                    export_matrix)
 from .generate import AccountSpec, UtxoSpec, generate_account_txs, generate_utxo
-from .utxo import Ledger, load_jsonl
+from .utxo import load_jsonl
 from .utxo_graphs import (
     EmptyRangeError,
     build_address_graph,
@@ -97,11 +97,7 @@ def _utxo_pipeline(config: RunConfig) -> dict:
 
     summary = {
         "chain": "utxo",
-        "blocks": len(ledger.blocks),
-        "transactions": len(ledger.transactions),
-        "unspent_outputs": len(ledger.utxo),
-        "total_supply": ledger.total_supply(),
-        "destroyed": ledger.destroyed,
+        **ledger.summary(),
         "tx_graph": graph_stats(tx_el),
         "address_graph": graph_stats(addr_el),
         "occurrence_total": int(mats.occurrence.sum()),

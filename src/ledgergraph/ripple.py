@@ -26,6 +26,7 @@ state_digest() remains the snapshot-equality API.
 
 from __future__ import annotations
 
+import csv
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field
@@ -34,7 +35,7 @@ from math import ceil, floor
 from typing import Iterable, Sequence
 
 from .core import (BadRecordError, Edge, EdgeList, LedgerError, at_line,
-                   canonical_json, int_cell)
+                   canonical_json, csv_row, int_cell)
 
 __all__ = [
     "BASE_RESERVE_DROPS",
@@ -428,9 +429,6 @@ class RippleLedger:
             raise LedgerError(f"unknown account {address}")
         return acct
 
-    def reserve_required(self, address: str) -> int:
-        return self.account(address).reserve_required()
-
     def state_digest(self) -> str:
         """Canonical serialization of the whole ledger state, line owners,
         book order, payments and the sequence counter included."""
@@ -586,10 +584,10 @@ class RippleLedger:
             raise ValueError("payment must be positive")
         src = self.account(sender)
         dst = self.accounts.get(receiver)
-        if src.xrp_balance - drops < self.reserve_required(sender):
+        if src.xrp_balance - drops < src.reserve_required():
             raise BelowReserveError(
                 f"{sender} would drop below its reserve "
-                f"({src.xrp_balance - drops} < {self.reserve_required(sender)})"
+                f"({src.xrp_balance - drops} < {src.reserve_required()})"
             )
         if dst is None:
             if drops < BASE_RESERVE_DROPS:
@@ -614,15 +612,18 @@ class RippleLedger:
         return [(borrower, state) for borrower, state in sorted(lines.items())
                 if state.limit_of(lender) > 0]
 
-    def _path_flags_ok(self, payment_path: Sequence[str], currency: str) -> bool:
-        # An intermediate node blocks rippling only when its no_ripple flag
+    def _open_hops(self, payment_path: Sequence[str],
+                   currency: str) -> list[RippleState] | None:
+        """The path's lines, hop by hop, or None when the path is blocked."""
+        # A missing line blocks, and so does a frozen one at any hop. An
+        # intermediate node blocks rippling only when its no_ripple flag
         # is set on both incident lines; an account-level default_ripple
-        # overrides the per-line flags. Frozen lines block at any hop.
+        # overrides the per-line flags.
         lines = []
         for i in range(len(payment_path) - 1):
             state = self.line(payment_path[i], payment_path[i + 1], currency)
             if state is None or self._effectively_frozen(state):
-                return False
+                return None
             lines.append(state)
         for i in range(1, len(payment_path) - 1):
             node = payment_path[i]
@@ -630,8 +631,8 @@ class RippleLedger:
             if acct is not None and acct.default_ripple:
                 continue
             if lines[i - 1].no_ripple_of(node) and lines[i].no_ripple_of(node):
-                return False
-        return True
+                return None
+        return lines
 
     def find_paths(self, spec: PaymentSpec) -> list[tuple[str, ...]]:
         """Breadth-first enumeration of lender->borrower chains from the
@@ -660,7 +661,7 @@ class RippleLedger:
                 if borrower == spec.account:
                     payment_order = tuple(reversed(nxt))
                     if self._admissible(payment_order, spec) and \
-                            self._path_flags_ok(payment_order, currency):
+                            self._open_hops(payment_order, currency) is not None:
                         found.append(payment_order)
                 else:
                     queue.append(nxt)
@@ -687,17 +688,6 @@ class RippleLedger:
 
     # -- rippling execution ----------------------------------------------------
 
-    def _hop_states(self, path: Sequence[str], currency: str) -> list[RippleState]:
-        states = []
-        for i in range(len(path) - 1):
-            state = self.line(path[i], path[i + 1], currency)
-            if state is None:
-                raise DriedUpPathError(
-                    f"no {currency} line between {path[i]} and {path[i + 1]}"
-                )
-            states.append(state)
-        return states
-
     def _hop_amounts(self, path: Sequence[str], delivered: int) -> list[int]:
         """Hop i carries the delivered amount plus the transfer fees of all
         intermediaries between that hop and the destination (sender pays)."""
@@ -721,11 +711,8 @@ class RippleLedger:
     def deliverable(self, path: Sequence[str], amount: int, currency: str) -> int:
         """Largest amount (<= requested) this path can carry right now,
         fees included; 0 when blocked or exhausted. Never mutates."""
-        if not self._path_flags_ok(path, currency):
-            return 0
-        try:
-            states = self._hop_states(path, currency)
-        except LedgerError:
+        states = self._open_hops(path, currency)
+        if states is None:
             return 0
         return self._most_feasible(path, states, amount)
 
@@ -752,9 +739,9 @@ class RippleLedger:
             raise ValueError("a path needs at least sender and destination")
         if amount <= 0:
             raise ValueError("amount must be positive")
-        if not self._path_flags_ok(path, currency):
+        states = self._open_hops(path, currency)
+        if states is None:
             raise DriedUpPathError("path blocked by frozen line or no_ripple flags")
-        states = self._hop_states(path, currency)
         if self._path_feasible(path, states, amount):
             delivered = amount
         elif not partial:
@@ -850,8 +837,8 @@ class RippleLedger:
         if consumed:
             self._unbook(book, consumed)
         # below-reserve owners may only consume existing offers
-        rested = taker.live and \
-            self.accounts[owner].xrp_balance >= self.reserve_required(owner)
+        acct = self.accounts[owner]
+        rested = taker.live and acct.xrp_balance >= acct.reserve_required()
         self._put_offer(taker, rested)
         return {"sequence": taker.sequence, "fills": fills, "rested": rested,
                 "gets_remaining": taker.gets_remaining,
@@ -905,13 +892,11 @@ class RippleLedger:
 
     def book_rows(self) -> list[tuple]:
         """Deterministic listing of live resting offers."""
-        rows = []
-        for key in sorted(self.books, key=str):
-            for rate, seq, offer in self.books[key]:
-                if offer.live:
-                    rows.append((offer.taker_gets.key, offer.taker_pays.key,
-                                 seq, offer.gets_remaining, offer.pays_remaining))
-        rows.sort(key=lambda r: r[2])
+        rows = [(offer.taker_gets.key, offer.taker_pays.key,
+                 seq, offer.gets_remaining, offer.pays_remaining)
+                for book in self.books.values()
+                for _rate, seq, offer in book if offer.live]
+        rows.sort(key=lambda r: r[2])  # sequence numbers are unique
         return rows
 
     # -- checks -----------------------------------------------------------------
@@ -942,7 +927,7 @@ class RippleLedger:
         legs = _Legs(self)
         if cv.is_xrp:
             src = self.account(check.sender)
-            funded = src.xrp_balance - amount >= self.reserve_required(check.sender)
+            funded = src.xrp_balance - amount >= src.reserve_required()
         else:
             funded = legs.funded(check.sender, cv, amount)
         if not funded:
@@ -973,7 +958,7 @@ class RippleLedger:
         self.account(receiver)  # the destination must already exist
         if drops <= 0:
             raise ValueError("escrow amount must be positive")
-        if src.xrp_balance - drops < self.reserve_required(sender):
+        if src.xrp_balance - drops < src.reserve_required():
             raise EscrowError("sender cannot lock below its reserve")
         self._add_xrp(sender, -drops)
         escrow = Escrow(self.next_seq(), sender, receiver, drops,
@@ -1108,7 +1093,8 @@ def load_trust_csv(lines: Iterable[str]) -> RippleLedger:
     A row must have six cells, canonical order, limits >= 0 and a
     (low, high, currency) line of its own (BadRecordError), and its
     balance and limits must be base-10 integers (BadAmountError); each
-    message names the 1-based line."""
+    message names the 1-based line. Cells are split as CSV, so a quoted
+    cell may hold commas and doubled quotes."""
     led = RippleLedger()
     rows = [(n, ln.strip()) for n, ln in enumerate(lines, 1) if ln.strip()]
     if rows and rows[0][1].lower().startswith("low,"):
@@ -1128,7 +1114,10 @@ def load_trust_csv(lines: Iterable[str]) -> RippleLedger:
 
 
 def _trust_row(row: str) -> RippleState:
-    cells = [c.strip() for c in row.split(",")]
+    try:
+        cells = [c.strip() for c in next(csv.reader([row]))]
+    except csv.Error as exc:
+        raise BadRecordError(f"unreadable CSV row: {exc}") from None
     if len(cells) != 6:
         raise BadRecordError(f"expected 6 cells, got {len(cells)}")
     low, high, currency = cells[:3]
@@ -1143,6 +1132,7 @@ def dump_trust_csv(ledger: RippleLedger) -> bytes:
     """Inverse of load_trust_csv: a header, then one row per trust line
     in key order."""
     rows = ["low,high,currency,balance,low_limit,high_limit"]
-    rows += [f"{s.low},{s.high},{s.currency},{s.balance},{s.low_limit},"
-             f"{s.high_limit}" for _key, s in sorted(ledger.states.items())]
+    rows += [csv_row([s.low, s.high, s.currency, str(s.balance),
+                      str(s.low_limit), str(s.high_limit)])
+             for _key, s in sorted(ledger.states.items())]
     return ("\n".join(rows) + "\n").encode("utf-8")

@@ -138,13 +138,7 @@ def _tangle_step(state: TangleState, cmd: dict, aliases: dict[str, str]):
                                     difficulty=f("difficulty", int, 0))
         result = {"head": head}
     elif op == "milestone":
-        if "tips" in cmd:
-            tips = _tips(state, cmd, aliases)
-            head = state.attach_message(state.coordinator, tips, tag="MILESTONE",
-                                        timestamp=timestamp)
-            state.apply_milestone(head)
-        else:
-            head = state.issue_milestone(timestamp=timestamp)
+        head = state.issue_milestone(_tips(state, cmd, aliases), timestamp=timestamp)
         result = {"milestone": head, "invalid": sorted(state.invalid),
                   "balances": dict(sorted(state.balances.items()))}
     elif op == "promote":

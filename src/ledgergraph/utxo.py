@@ -80,7 +80,7 @@ class _BlockView:
     def __init__(self, base: dict):
         self.base = base
         self.added: dict[OutputRef, "Output"] = {}
-        self.consumed: dict[OutputRef, str] = {}
+        self.consumed: dict[OutputRef, None] = {}  # ordered set, spend order
 
     def get(self, ref: OutputRef) -> "Output | None":
         if ref in self.consumed:
@@ -88,8 +88,8 @@ class _BlockView:
         out = self.added.get(ref)
         return out if out is not None else self.base.get(ref)
 
-    def spend(self, ref: OutputRef, spender: str) -> None:
-        self.consumed[ref] = spender
+    def spend(self, ref: OutputRef) -> None:
+        self.consumed[ref] = None
 
     def add(self, out: "Output") -> None:
         self.added[out.ref] = out
@@ -105,7 +105,6 @@ class Output:
     amount: int
     address: str
     amount_visible: bool = True  # False for RingCT-style hidden outputs
-    spent_by: str | None = None
 
     @property
     def ref(self) -> OutputRef:
@@ -263,6 +262,16 @@ class Ledger:
     def considered_final(self, txid: str, depth: int = 6) -> bool:
         return self.confirmations(txid) >= depth
 
+    def summary(self) -> dict[str, int]:
+        """Chain size and supply figures, as `utxo validate` prints them."""
+        return {
+            "blocks": len(self.blocks),
+            "transactions": len(self.transactions),
+            "unspent_outputs": len(self.utxo),
+            "total_supply": self.total_supply(),
+            "destroyed": self.destroyed,
+        }
+
     # -- validation -------------------------------------------------------
 
     def validate_transaction(self, tx: UtxoTransaction,
@@ -282,8 +291,6 @@ class Ledger:
                 if ref in self.spent or ref in utxo.consumed:
                     raise DoubleSpendError(f"{ref} is already spent")
                 raise MissingOutputError(f"input {ref} does not exist")
-            if out.spent_by is not None:
-                raise DoubleSpendError(f"{ref} already spent by {out.spent_by}")
             total_in += out.amount
         fee = total_in - tx.output_total()
         if fee < 0:
@@ -334,7 +341,7 @@ class Ledger:
             fee = self.validate_transaction(tx, staged)
             fees += fee
             for ref in tx.inputs:
-                staged.spend(ref, tx.id)
+                staged.spend(ref)
             for out in tx.outputs:
                 staged.add(out)
         spent_in_block = staged.consumed
@@ -347,14 +354,13 @@ class Ledger:
                 tx = replace(tx, block_height=block.height)
             self.transactions[tx.id] = tx
             for out in tx.outputs:
-                spender = spent_in_block.get(out.ref)
-                if spender is None:
+                if out.ref in spent_in_block:  # created and consumed in this block
+                    self.spent[out.ref] = out
+                else:
                     self.utxo[out.ref] = out
-                else:  # created and consumed within this very block
-                    self.spent[out.ref] = replace(out, spent_by=spender)
-        for ref, spender in spent_in_block.items():
+        for ref in spent_in_block:
             if ref in self.utxo:
-                self.spent[ref] = replace(self.utxo.pop(ref), spent_by=spender)
+                self.spent[ref] = self.utxo.pop(ref)
         self.blocks.append(block)
         return self
 

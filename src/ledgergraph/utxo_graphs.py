@@ -54,9 +54,9 @@ class TransactionGraph:
 class AddressGraph:
     """Directed multigraph on addresses; one edge per (tx, input, output)
     triple so the |I|x|O| identity stays exactly testable. Weights are
-    exact rational subunits."""
+    exact rational subunits. Its nodes, in first-seen order, are
+    ``to_edge_list().nodes()``."""
 
-    nodes: list[str] = field(default_factory=list)
     edges: list[Edge] = field(default_factory=list)
 
     def to_edge_list(self) -> EdgeList:
@@ -138,7 +138,6 @@ def build_address_graph(ledger: Ledger, start: int | None = None,
                 weight = (Fraction(src_amount * out.amount, out_total)
                           if out_total else Fraction(0))
                 edges.append(Edge(src_addr, out.address, weight, attrs))
-    graph.nodes = list(dict.fromkeys(n for e in edges for n in (e.source, e.target)))
     return graph
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from ledgergraph import fixtures
 from ledgergraph.account import (
+    DEFAULT_CALL_BUDGET,
     NULL_ADDRESS,
     AccountTx,
     InsufficientTokenBalanceError,
@@ -15,10 +16,12 @@ from ledgergraph.account import (
     build_token_graph,
     build_trace_hypergraph,
     deploy_token,
+    run_trace_script,
     shared_traders,
     trace_value_edges,
     validate_nonce_order,
 )
+from ledgergraph.cli import main as cli_main
 
 
 def atx(sender, to, amount, nonce, block, index):
@@ -213,6 +216,25 @@ def test_call_loop_truncated_at_budget():
     assert trace.truncated
     assert trace.steps[-1].kind == "error"
     assert len([s for s in trace.steps if s.kind != "error"]) == 10
+
+
+def test_self_calling_contract_truncates_at_the_default_budget(tmp_path):
+    script = tmp_path / "self_call.jsonl"
+    script.write_text('{"op":"behavior","address":"A","calls":[{"to":"A"}]}\n'
+                      '{"op":"tx","id":"t1","from":"S","to":"A"}\n')
+    (trace,) = run_trace_script(script.read_text().splitlines())
+    assert trace.truncated
+    assert [s.kind for s in trace.steps] == ["call"] * DEFAULT_CALL_BUDGET + ["error"]
+    assert cli_main(["account", "traces", str(script),
+                     "--out", str(tmp_path / "traces.csv")]) == 0
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_budget_of_zero_or_below_truncates_at_once(budget):
+    trace = TraceExecutor(behaviors={"c1": [("c2", "call", 1)]},
+                          call_budget=budget).run("t", "eoa", "c1")
+    assert trace.truncated
+    assert trace.steps == (TraceStep("eoa", "c1", "error", 0),)
 
 
 def test_executor_respects_generous_budget():

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from ledgergraph import fixtures
 from ledgergraph.cli import main
+from ledgergraph.pipeline import RunConfig, run_pipeline
 from ledgergraph.utxo import dump_jsonl
 
 
@@ -35,6 +36,18 @@ def test_utxo_validate_ok(fixture_dir, capsys):
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     assert out["transactions"] == 7  # six in the window plus the funding block
+
+
+def test_utxo_validate_prints_the_pipeline_summary_fields(fixture_dir, tmp_path,
+                                                          capsys):
+    path = fixture_dir / "six_tx_network.jsonl"
+    assert run_cli(["utxo", "validate", path, "--subsidy", 600_000_000]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    run_pipeline(RunConfig(input_path=str(path), output_dir=str(tmp_path),
+                           subsidy=600_000_000))
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert printed == {key: summary[key] for key in (
+        "blocks", "transactions", "unspent_outputs", "total_supply", "destroyed")}
 
 
 def test_utxo_validate_bad_input_exits_2(tmp_path, capsys):
@@ -488,6 +501,8 @@ def test_bundle_rejects_negative_amounts_and_bad_levels(capsys, inputs, outputs,
     ("a,b,USD,1.5,5,10", "bad-amount"),
     ("a,b,USD,0,-5,10", "bad-record"),
     ("a,c,USD,0,7,0", "bad-record"),  # a second row for the line a,c,USD
+    pytest.param("a" * 140_000 + ",b,USD,0,5,10", "bad-record",
+                 id="cell-past-the-csv-field-limit"),
 ])
 def test_malformed_trust_row_names_its_line(tmp_path, capsys, row, error):
     trust = tmp_path / "trust.csv"

@@ -221,6 +221,11 @@ def test_derivation_known_answers():
         "ZKUWGGOXFPXXOBIYSTGKCPHVFCTISSVEIEMQK9UHIBSEDRWRKCD99OFZLBMAMJV9UNSOMLXGSSY9QXRQV")
     assert derive_subseed(SEED, 5) == (
         "FQEWUFLMQXCNLNDSNUHBUVWLHVULDIKAXEGNTNJIRWSKMDCQJCQNI9RKKGSJT9SK9ZWYHSALOBYFZVVJB")
+    # Every trit of an all-M seed is +1, so adding the index carries off trit 0.
+    assert derive_subseed("M" * 81, 1) == (
+        "OUGOYDVKBDKLLV9VJTNSXCTFNPUUUUKCWNOGWXJDZNXFIZJQLIKBNGYAGIEAIVIAKTJBKXYXCPUKYZCXG")
+    assert derive_subseed("M" * 81, MAX_KEY_INDEX) == (
+        "GOUUHMLPBCPBRMONFDXGXSK9KGCKJZAAQCUHMGGHUVJDLWJKUDLVVIQDKPWAQA9PSWKOXVVZUXKRYH99B")
     keys = {level: derive_private_key(subseed, level) for level in (1, 2, 3)}
     assert {level: _sha256(key) for level, key in keys.items()} == {
         1: "72e0a23e9168b127f6d3a30477c5a9def00f14cef7d4d9de8220e869b13b2699",

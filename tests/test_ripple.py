@@ -32,6 +32,7 @@ from ledgergraph.ripple import (
     UnfundedOfferError,
     ZeroDeliverableError,
     _Legs,
+    dump_trust_csv,
     fill_amounts,
     infer_issuer,
     load_trust_csv,
@@ -70,6 +71,17 @@ def test_table_row_shape():
     state = led.line("gateway", "rSA...Adw", "USD")
     assert (state.balance, state.low_limit, state.high_limit) == (250, 500, 0)
     assert infer_issuer(state) == "high"
+
+
+def test_trust_csv_round_trips_names_with_commas_and_quotes():
+    led = load_trust_csv(
+        ["low,high,currency,balance,low_limit,high_limit",
+         '"a,b",c,USD,3,10,0',
+         'c,"q""x",USD,-2,0,5'])
+    assert led.line("a,b", "c", "USD").balance == 3
+    assert led.line("c", 'q"x', "USD").high_limit == 5
+    text = dump_trust_csv(led).decode("utf-8")
+    assert load_trust_csv(text.splitlines()).state_digest() == led.state_digest()
 
 
 def test_zero_limit_on_clean_line_deletes():
@@ -737,7 +749,7 @@ def brute_force_paths(led, spec):
 
     extend([spec.account])
     found = [p for p in found if led._admissible(p, spec)
-             and led._path_flags_ok(p, currency)
+             and led._open_hops(p, currency) is not None
              and (len(p) > 2 or not spec.tf_no_direct_ripple)]
     return sorted(found, key=lambda p: (len(p), p))
 

@@ -124,7 +124,7 @@ def test_address_graph_records_reuse_and_self_loop():
     pairs = {(e.source, e.target) for e in graph.edges}
     assert ("a9", "a1") in pairs  # past address reuse stays visible
     assert ("a10", "a10") in pairs  # change-back self-loop
-    assert len(graph.nodes) == 12
+    assert len(graph.to_edge_list().nodes()) == 12
 
 
 def test_unspent_output_visible_only_in_address_graph():
