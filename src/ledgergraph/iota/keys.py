@@ -84,13 +84,13 @@ def derive_address(private_key: str, with_checksum: bool = False) -> str:
         raise LedgerError(
             f"private key length {len(private_key)} is not a multiple of "
             f"{KEY_FRAGMENT_TRYTES} trytes")
-    key_trits = np.array(decode_trytes(private_key), dtype=np.int8)
+    # the segments' hash chains are independent: one batch, row per segment
+    digests = np.array(decode_trytes(private_key), dtype=np.int8)
+    digests = digests.reshape(-1, BLOCK_TRITS)
+    for _ in range(SEGMENT_ROUNDS):
+        digests = sponge_hash(digests)
     outer = MixerSponge()
-    for off in range(0, key_trits.size, BLOCK_TRITS):
-        digest = key_trits[off:off + BLOCK_TRITS]
-        for _ in range(SEGMENT_ROUNDS):
-            digest = sponge_hash(digest)
-        outer.absorb(digest)
+    outer.absorb(digests.ravel())
     address_trits = outer.squeeze()
     address = encode_trytes(address_trits)
     if with_checksum:

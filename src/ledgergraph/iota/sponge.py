@@ -19,6 +19,14 @@ per round; the sum is taken before gathering, since a permutation keeps
 it; and the formula is one lookup in an 81-entry table indexed by s, a,
 b and (key + total) mod 3. Digests equal the roll formula's trit for
 trit; the tests keep that formula as the oracle.
+
+A sponge holds one state or a batch of independent states, shape
+(..., 729); every step acts on each state alike, so k chains that do not
+depend on each other (fragments, key segments) advance through one
+permutation call instead of k. The permutation that follows a
+squeezed block runs only when something reads on: before the next
+squeeze, or before the next absorb. A one-shot hash therefore runs none
+after its only read, and squeezing n blocks runs n - 1 after absorbing.
 """
 
 from __future__ import annotations
@@ -68,10 +76,12 @@ _MIX = np.array([
 
 
 class MixerSponge:
-    """729-trit state; absorb overwrites the rate then permutes."""
+    """729-trit state, or a batch_shape + (729,) array of independent
+    states; absorb overwrites the rate then permutes, squeeze reads it."""
 
-    def __init__(self) -> None:
-        self.state = np.zeros(STATE_TRITS, dtype=np.int8)
+    def __init__(self, batch_shape: tuple[int, ...] = ()) -> None:
+        self.state = np.zeros((*batch_shape, STATE_TRITS), dtype=np.int8)
+        self._squeezed = False  # the permutation after a read is owed
 
     def _transform(self) -> None:
         u = self.state + np.int8(1)
@@ -79,43 +89,54 @@ class MixerSponge:
             # the sum gives single-trit changes global reach; the a*b
             # product keeps the round nonlinear over GF(3), so difference
             # patterns cannot collapse by linear cancellation
-            keyed = _KEYED[rnd, int(u.sum()) % 3]
-            u = _MIX.take(_PLACES @ u.take(_GATHER[rnd]) + keyed)
+            keyed = _KEYED[rnd, u.sum(axis=-1) % 3]
+            gathered = u.take(_GATHER[rnd], axis=-1)
+            u = _MIX.take(np.einsum("c,...cn->...n", _PLACES, gathered) + keyed)
         self.state = u - np.int8(1)
+
+    def _settle(self) -> None:
+        """Run the permutation that the last squeeze left owed."""
+        if self._squeezed:
+            self._transform()
+            self._squeezed = False
 
     def absorb(self, trits) -> None:
         block = np.asarray(trits, dtype=np.int8)
-        if block.size % BLOCK_TRITS:
+        if block.shape[-1] % BLOCK_TRITS:
             raise ValueError(
-                f"absorb length {block.size} is not a multiple of {BLOCK_TRITS}")
+                f"absorb length {block.shape[-1]} is not a multiple of {BLOCK_TRITS}")
         if block.size and (block.min() < -1 or block.max() > 1):
             raise ValueError("absorb takes trits, values in {-1, 0, 1}")
-        for off in range(0, block.size, BLOCK_TRITS):
-            self.state[:BLOCK_TRITS] = block[off:off + BLOCK_TRITS]
+        self._settle()
+        for off in range(0, block.shape[-1], BLOCK_TRITS):
+            self.state[..., :BLOCK_TRITS] = block[..., off:off + BLOCK_TRITS]
             self._transform()
 
     def squeeze(self) -> np.ndarray:
-        out = self.state[:BLOCK_TRITS].copy()
-        self._transform()
-        return out
+        self._settle()
+        self._squeezed = True
+        return self.state[..., :BLOCK_TRITS].copy()
 
 
 def sponge_hash(trits) -> np.ndarray:
-    """One-shot 243-trit digest of a trit sequence."""
+    """One-shot 243-trit digest of a trit sequence, zero-padded to whole
+    blocks (an empty one to one block); of each row, for equal-length
+    rows."""
     trits = np.asarray(trits, dtype=np.int8)
-    if trits.size == 0 or trits.size % BLOCK_TRITS:
-        pad = BLOCK_TRITS - (trits.size % BLOCK_TRITS or BLOCK_TRITS)
-        if trits.size == 0:
-            pad = BLOCK_TRITS
-        trits = np.concatenate([trits, np.zeros(pad, dtype=np.int8)])
-    sponge = MixerSponge()
+    size = trits.shape[-1]
+    pad = -size % BLOCK_TRITS if size else BLOCK_TRITS
+    if pad:
+        trits = np.concatenate(
+            [trits, np.zeros((*trits.shape[:-1], pad), dtype=np.int8)], axis=-1)
+    sponge = MixerSponge(trits.shape[:-1])
     sponge.absorb(trits)
     return sponge.squeeze()
 
 
 def squeeze_blocks(trits, count: int) -> np.ndarray:
-    """Absorb a block-multiple trit sequence, then squeeze `count` blocks
-    of 243 trits, concatenated."""
-    sponge = MixerSponge()
+    """Absorb a block-multiple trit sequence (or equal-length rows of
+    them), then squeeze `count` blocks of 243 trits, concatenated."""
+    trits = np.asarray(trits, dtype=np.int8)
+    sponge = MixerSponge(trits.shape[:-1])
     sponge.absorb(trits)
-    return np.concatenate([sponge.squeeze() for _ in range(count)])
+    return np.concatenate([sponge.squeeze() for _ in range(count)], axis=-1)

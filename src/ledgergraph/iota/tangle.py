@@ -24,9 +24,9 @@ import random
 from collections import deque
 from typing import Iterable
 
-from ..core import LedgerError, csv_row
+from ..core import BadRecordError, LedgerError, csv_row
 from .bundles import Bundle, TangleTransaction, message_transaction
-from .sponge import sponge_hash
+from .sponge import BLOCK_TRITS, sponge_hash
 from .trinary import ascii_to_trits, encode_trytes
 
 __all__ = [
@@ -91,7 +91,12 @@ class TangleState:
     def attach(self, bundle: Bundle, tips: tuple[str, str], difficulty: int = 0,
                pow_budget: int = DEFAULT_POW_BUDGET) -> str:
         """Mine and add a bundle referencing two prior transactions.
-        Returns the head transaction hash (the new tip)."""
+        Returns the head transaction hash (the new tip). The difficulty
+        counts the zero trits a hash must end in, 0-243 (else
+        BadRecordError)."""
+        if not 0 <= difficulty <= BLOCK_TRITS:
+            raise BadRecordError(
+                f"proof-of-work difficulty {difficulty} is not in 0-{BLOCK_TRITS}")
         trunk_tip, branch_tip = tips
         for ref in (trunk_tip, branch_tip):
             if not self._known(ref):

@@ -1093,15 +1093,26 @@ def load_trust_csv(lines: Iterable[str]) -> RippleLedger:
     A row must have six cells, canonical order, limits >= 0 and a
     (low, high, currency) line of its own (BadRecordError), and its
     balance and limits must be base-10 integers (BadAmountError); each
-    message names the 1-based line. Cells are split as CSV, so a quoted
-    cell may hold commas and doubled quotes."""
+    message names the 1-based line the record starts on. The lines are
+    read as one CSV text, so a quoted cell may hold commas, doubled quotes
+    and, when the lines keep their line ends, newlines."""
     led = RippleLedger()
-    rows = [(n, ln.strip()) for n, ln in enumerate(lines, 1) if ln.strip()]
-    if rows and rows[0][1].lower().startswith("low,"):
+    reader = csv.reader(lines, skipinitialspace=True)
+    rows: list[tuple[int, list[str]]] = []  # (first line, cells)
+    first_line = 1
+    try:
+        for cells in reader:
+            rows.append((first_line, [c.strip() for c in cells]))
+            first_line = reader.line_num + 1
+    except csv.Error as exc:
+        with at_line(first_line):
+            raise BadRecordError(f"unreadable CSV row: {exc}") from None
+    rows = [(n, cells) for n, cells in rows if cells not in ([], [""])]
+    if rows and rows[0][1][0].lower() == "low":
         rows = rows[1:]
-    for line_no, row in rows:
+    for line_no, cells in rows:
         with at_line(line_no):
-            state = _trust_row(row)
+            state = _trust_row(cells)
             if state.key in led.states:
                 raise BadRecordError(
                     f"duplicate trust line {','.join(state.key)}")
@@ -1113,11 +1124,7 @@ def load_trust_csv(lines: Iterable[str]) -> RippleLedger:
     return led
 
 
-def _trust_row(row: str) -> RippleState:
-    try:
-        cells = [c.strip() for c in next(csv.reader([row]))]
-    except csv.Error as exc:
-        raise BadRecordError(f"unreadable CSV row: {exc}") from None
+def _trust_row(cells: list[str]) -> RippleState:
     if len(cells) != 6:
         raise BadRecordError(f"expected 6 cells, got {len(cells)}")
     low, high, currency = cells[:3]

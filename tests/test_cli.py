@@ -496,6 +496,20 @@ def test_bundle_rejects_negative_amounts_and_bad_levels(capsys, inputs, outputs,
     assert json.loads(capsys.readouterr().err)["error"] == error
 
 
+@pytest.mark.parametrize("difficulty", [-1, 244, 300])
+def test_pow_difficulty_outside_0_243_is_a_bad_record(tmp_path, capsys,
+                                                      difficulty):
+    script = tmp_path / "grow.jsonl"
+    cmds = [{"op": "attach_message", "address": "a", "difficulty": d}
+            for d in (1, difficulty)]
+    script.write_text("".join(json.dumps(c) + "\n" for c in cmds))
+    assert run_cli(["iota", "grow", script]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "bad-record"
+    assert err["message"] == (
+        f"line 2: proof-of-work difficulty {difficulty} is not in 0-243")
+
+
 @pytest.mark.parametrize("row,error", [
     ("a,b,USD,0,5", "bad-record"),
     ("a,b,USD,1.5,5,10", "bad-amount"),

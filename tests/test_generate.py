@@ -2,6 +2,8 @@
 
 from collections import Counter
 
+import pytest
+
 from ledgergraph.chainlets import snapshot_from_ledger
 from ledgergraph.generate import (
     AccountSpec,
@@ -82,3 +84,18 @@ def test_tangle_generator_conserves_supply():
     state, totals = generate_tangle(TangleSpec(cycles=8), seed=8)
     assert len(set(totals)) == 1
     assert state.verify_dag()
+
+
+@pytest.mark.parametrize("seed,digest,nonce", [
+    (0, "01d47bc39e54c428ef94f30043df9600c333ccf49e8fc5bcf506f402a0e49b64", 35),
+    (1, "4024c71a0f6c210b9aad536b198e4f69c61e1e6f4e56e1296eeaed89b54c0ae0", 31),
+])
+def test_tangle_generator_with_pow_matches_recorded_export(seed, digest, nonce):
+    """Difficulty 2 runs the nonce search on every transaction, so the
+    recorded export pins proof of work as well as the hashes."""
+    import hashlib
+
+    state, _totals = generate_tangle(TangleSpec(cycles=2, difficulty=2), seed)
+    text = "\n".join(state.export_rows()) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert max(tx.nonce for tx in state.transactions.values()) == nonce

@@ -30,10 +30,10 @@ from ledgergraph.iota import (
     PowBudgetExceededError,
 )
 from ledgergraph.iota import sponge as sponge_mod
-from ledgergraph.iota.bundles import (_fragment_blob, compute_bundle_hash,
+from ledgergraph.iota.bundles import (_fragment_blobs, compute_bundle_hash,
                                       message_transaction)
 from ledgergraph.iota.keys import IndexOutOfRangeError
-from ledgergraph.iota.sponge import sponge_hash
+from ledgergraph.iota.sponge import sponge_hash, squeeze_blocks
 from ledgergraph.iota.tangle import GENESIS_HASH
 from ledgergraph.iota.trinary import ascii_to_trits
 
@@ -241,7 +241,7 @@ def test_bundle_known_answers():
                           tag="T", timestamp=3)
     assert bundle.bundle_hash == (
         "XYCSAANHFNZHOWXPYUIMZOTDX9WLFUIZYWAZNXBWWLBGPABSS9CXVMSIUWSAY9EGPKLOHVNCGHEAFMACC")
-    assert _sha256(_fragment_blob("A" * 81, 1)) == (
+    assert _sha256(_fragment_blobs("A" * 81, 2)[1]) == (
         "3e60a2e6fc291e35fb7c30470a2806f2c2a6cad2979d79c6c89035920cbd2a0b")
 
 
@@ -359,11 +359,90 @@ def test_level2_bundle_transform_count(monkeypatch):
         original(self)
 
     monkeypatch.setattr(MixerSponge, "_transform", counted)
+    _fragment_blobs.cache_clear()
     build_bundle([("A" * 81, 2, 10)], [("B" * 81, 4), ("C" * 81, 6)],
                  tag="T", timestamp=3)
-    # two fragment blobs of 3 absorbed and 27 squeezed blocks each, then
-    # the bundle hash over four essences of 3 blocks each plus a squeeze
-    assert len(calls) == 2 * (3 + 27) + 4 * 3 + 1
+    # the two fragment blobs squeeze as one batch: 3 absorbed blocks, then
+    # 27 blocks read with 26 permutations between them; the bundle hash
+    # absorbs four essences of 3 blocks each and reads its digest with no
+    # permutation after it
+    assert len(calls) == (3 + 26) + 4 * 3
+
+
+# -- oracles for the batched sponge ----------------------------------------------
+
+def random_trits(seed: int, shape) -> np.ndarray:
+    return np.random.default_rng(seed).integers(-1, 2, shape).astype(np.int8)
+
+
+def loop_squeeze(trits: np.ndarray, count: int) -> np.ndarray:
+    """A one-state sponge over the roll-formula round that permutes after
+    every read: overwrite the rate and permute per block, then read and
+    permute per squeezed block (the last permutation is never read)."""
+    state = np.zeros(sponge_mod.STATE_TRITS, dtype=np.int8)
+    for off in range(0, trits.size, sponge_mod.BLOCK_TRITS):
+        state[:sponge_mod.BLOCK_TRITS] = trits[off:off + sponge_mod.BLOCK_TRITS]
+        state = roll_round_transform(state)
+    blocks = []
+    for _ in range(count):
+        blocks.append(state[:sponge_mod.BLOCK_TRITS].copy())
+        state = roll_round_transform(state)
+    return np.concatenate(blocks)
+
+
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_batched_transform_equals_roll_formula_per_row(k, seed):
+    states = random_trits(seed, (k, sponge_mod.STATE_TRITS))
+    mixer = MixerSponge((k,))
+    mixer.state = states.copy()
+    mixer._transform()
+    assert mixer.state.dtype == np.int8
+    assert np.array_equal(mixer.state,
+                          np.stack([roll_round_transform(row) for row in states]))
+
+
+@given(st.integers(1, 5), st.integers(0, 3 * sponge_mod.BLOCK_TRITS),
+       st.integers(0, 2**32 - 1))
+def test_batched_sponge_hash_equals_per_row(k, length, seed):
+    rows = random_trits(seed, (k, length))
+    per_row = [sponge_hash(row) for row in rows]
+    block = sponge_mod.BLOCK_TRITS
+    padded = length + (-length % block if length else block)
+    for row, digest in zip(rows, per_row):
+        trits = np.concatenate([row, np.zeros(padded - length, dtype=np.int8)])
+        assert np.array_equal(digest, loop_squeeze(trits, 1))
+    assert np.array_equal(sponge_hash(rows), np.stack(per_row))
+
+
+@given(st.integers(1, 4), st.integers(0, 2), st.integers(1, 4),
+       st.integers(0, 2**32 - 1))
+def test_batched_squeeze_blocks_equals_per_row(k, blocks, count, seed):
+    rows = random_trits(seed, (k, blocks * sponge_mod.BLOCK_TRITS))
+    per_row = [squeeze_blocks(row, count) for row in rows]
+    for row, squeezed in zip(rows, per_row):
+        assert np.array_equal(squeezed, loop_squeeze(row, count))
+    assert np.array_equal(squeeze_blocks(rows, count), np.stack(per_row))
+
+
+def test_fragment_memo_hit_returns_the_blob_a_miss_squeezed(monkeypatch):
+    calls = []
+    original = MixerSponge._transform
+
+    def counted(self):
+        calls.append(1)
+        original(self)
+
+    monkeypatch.setattr(MixerSponge, "_transform", counted)
+    direct = tuple(encode_trytes(loop_squeeze(ascii_to_trits(f"sig|A1|{p}"), 27))
+                   for p in range(3))
+    _fragment_blobs.cache_clear()
+    calls.clear()
+    assert _fragment_blobs("A1", 3) == direct  # a miss
+    assert len(calls) == 1 + 26  # one batch: a 1-block absorb, 27 reads
+    calls.clear()
+    assert _fragment_blobs("A1", 3) == direct  # a hit
+    assert calls == []
+    assert _fragment_blobs.cache_info()[:2] == (1, 1)  # hits, misses
 
 
 # -- tangle -----------------------------------------------------------------------

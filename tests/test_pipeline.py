@@ -177,3 +177,50 @@ def test_utxo_full_artifacts_match_recorded_digests(seed, tmp_path):
     actual = {name: hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
               for name, path in report["outputs"].items()}
     assert actual == expected
+
+
+# sha256 of each tangle-replay artifact, recorded when every hash took one
+# sponge state at a time. The benchmark's own check re-derives these
+# artifacts with the code under test, so only a recorded value catches a
+# sponge change that alters them.
+TANGLE_REPLAY_DIGESTS = {
+    1: {
+        "tangle": "5a55032b388094579b0a2698cfa5766a5970a1c359317a30534b9effcb07d319",
+        "tangle_graph": "9c924440705d4099c81becd72bee1f6e3a471544f5f4355dd4bd51691fb09504",
+        "transaction_graph": "95a7d7000290173af0c49222ee775f9392636f50e5f7c7d40f510a268b7f078a",
+        "log": "7b3f02b4b6f386dfe44babc2f676aa18c5ea69640448e9ab019615018589a972",
+        "summary": "194c87f8cf6fa33cd2d55d63ab082ad69fc9866d81b9140351176149da005901",
+    },
+    7: {
+        "tangle": "1b4b1080d832b17fd732557851bad4f070ca30efb61339490dcacea8706b1a4a",
+        "tangle_graph": "89c9d09ab7528292e0072c559597d6577bcdcca60cbab4c8e4a5c5bb85d0322d",
+        "transaction_graph": "138ebc7e50b848055296200c03354e28a80659a4b353ad08f53f48f76dc4ae50",
+        "log": "5d9219f126858a8a3454b9c4df17a225f087111eb676530036d9ec57d8ad0ed2",
+        "summary": "c9c356ccbb68710070a2db50927b84a7bfa2a426eeba8dfa485388e55e9f344a",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(TANGLE_REPLAY_DIGESTS))
+def test_tangle_replay_artifacts_match_recorded_digests(seed, tmp_path):
+    """The tangle-replay benchmark input, made as its worker makes it,
+    gives the recorded artifacts. bench/inputs.py is loaded, not changed."""
+    import hashlib
+    import importlib.util
+
+    bench = pathlib.Path(__file__).parent.parent / "bench"
+    spec = importlib.util.spec_from_file_location("bench_inputs",
+                                                  bench / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    params = json.loads((bench / "workloads.json").read_text())[
+        "tangle-replay"]["params"]
+    genesis, script = inputs.tangle_script(seed, **params)
+    source = tmp_path / "input.jsonl"
+    source.write_text("".join(json.dumps(cmd) + "\n" for cmd in script))
+    report = run_pipeline(RunConfig(chain="iota", input_path=str(source),
+                                    output_dir=str(tmp_path / "out"),
+                                    genesis_balances=genesis))
+    actual = {name: hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
+              for name, path in report["outputs"].items()}
+    assert actual == TANGLE_REPLAY_DIGESTS[seed]

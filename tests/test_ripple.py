@@ -84,6 +84,20 @@ def test_trust_csv_round_trips_names_with_commas_and_quotes():
     assert load_trust_csv(text.splitlines()).state_digest() == led.state_digest()
 
 
+def test_trust_csv_round_trips_names_with_newlines():
+    led = load_trust_csv(
+        ["low,high,currency,balance,low_limit,high_limit\n",
+         '"a\nb",c,USD,1,0,10\n',
+         '  "c,d",e,USD,0,5,0\n'])  # indented
+    assert led.line("a\nb", "c", "USD").balance == 1
+    assert led.line("c,d", "e", "USD").low_limit == 5
+    lines = dump_trust_csv(led).decode("utf-8").splitlines(keepends=True)
+    assert len(lines) == 4  # the first record spans two lines
+    assert load_trust_csv(lines).state_digest() == led.state_digest()
+    with pytest.raises(LedgerError, match="^line 5: expected 6 cells, got 5$"):
+        load_trust_csv(lines + ['"p\nq",r,USD,0,5\n'])
+
+
 def test_zero_limit_on_clean_line_deletes():
     led = funded_ledger(["a", "b"])
     led.set_trust("a", "b", "USD", 100)
