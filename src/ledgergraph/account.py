@@ -152,14 +152,11 @@ def build_account_graph(txs: Sequence[AccountTx]) -> EdgeList:
     problems = validate_nonce_order(txs)
     if problems:
         raise NonceError("; ".join(p.detail for p in problems))
-    graph = EdgeList(multi=True)
-    for tx in txs:
-        graph.add(Edge.make(
-            tx.sender, tx.to, tx.amount_wei,
-            nonce=tx.nonce, block=tx.block_height, index=tx.block_index,
-            timestamp=tx.timestamp,
-        ))
-    return graph
+    return EdgeList([
+        Edge.make(tx.sender, tx.to, tx.amount_wei, nonce=tx.nonce,
+                  block=tx.block_height, index=tx.block_index,
+                  timestamp=tx.timestamp)
+        for tx in txs])
 
 
 # --------------------------------------------------------------------------
@@ -255,11 +252,11 @@ def build_token_graph(transfers: Iterable[InternalTransfer],
     for t in transfers:
         if token is not None and t.token != token:
             continue
-        graph = graphs.setdefault(t.token, EdgeList(multi=True))
-        graph.add(Edge.make(t.sender, t.recipient, t.token_amount,
-                            token=t.token, tx=t.triggering_tx))
+        graphs.setdefault(t.token, EdgeList()).edges.append(Edge.make(
+            t.sender, t.recipient, t.token_amount, token=t.token,
+            tx=t.triggering_tx))
     if token is not None:
-        graphs.setdefault(token, EdgeList(multi=True))
+        graphs.setdefault(token, EdgeList())
     return graphs
 
 
@@ -326,14 +323,11 @@ def build_trace_hypergraph(traces: Iterable[Trace]) -> Hypergraph:
 def trace_value_edges(traces: Iterable[Trace]) -> EdgeList:
     """Coin-moving steps as graph edges; this is how a contract-to-EOA
     payout becomes visible, since it never exists as a top-level tx."""
-    graph = EdgeList(multi=True)
-    for trace in traces:
-        for step in trace.steps:
-            if step.kind == "error" or step.value == 0:
-                continue
-            graph.add(Edge.make(step.caller, step.callee, step.value,
-                                kind=step.kind, tx=trace.root_tx))
-    return graph
+    return EdgeList([
+        Edge.make(step.caller, step.callee, step.value, kind=step.kind,
+                  tx=trace.root_tx)
+        for trace in traces for step in trace.steps
+        if step.kind != "error" and step.value != 0])
 
 
 class TraceExecutor:

@@ -200,23 +200,23 @@ def build_matrices(snapshot: Sequence[FirstOrderChainlet], n: int = DEFAULT_N,
     return ChainletMatrices(n, occ, amt, occ_cb, amt_cb, window)
 
 
+def _fold_axis(a: np.ndarray, n_prime: int, axis: int) -> np.ndarray:
+    """Fold one axis of length N down to N' (1 <= N' <= N): entries at or
+    beyond the new boundary sum into the last position."""
+    n = a.shape[axis]
+    if not 1 <= n_prime <= n:
+        raise ValueError(f"cannot fold {n} to {n_prime}")
+    head, tail = np.split(a, [n_prime - 1], axis=axis)
+    return np.concatenate(
+        [head, tail.sum(axis=axis, keepdims=True, dtype=a.dtype)], axis=axis)
+
+
 def fold_matrix(matrix: np.ndarray, n_prime: int) -> np.ndarray:
     """Fold an N x N chainlet matrix down to N' x N' (N' <= N): entries at
     or beyond the new boundary sum into the last row/column."""
-    n = matrix.shape[0]
-    if matrix.shape != (n, n):
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("chainlet matrices are square")
-    if not 1 <= n_prime <= n:
-        raise ValueError(f"cannot fold {n}x{n} to {n_prime}x{n_prime}")
-    if n_prime == n:
-        return matrix.copy()
-    b = n_prime - 1  # 0-based boundary
-    folded = np.zeros((n_prime, n_prime), dtype=matrix.dtype)
-    folded[:b, :b] = matrix[:b, :b]
-    folded[:b, b] = matrix[:b, b:].sum(axis=1)
-    folded[b, :b] = matrix[b:, :b].sum(axis=0)
-    folded[b, b] = matrix[b:, b:].sum()
-    return folded
+    return _fold_axis(_fold_axis(matrix, n_prime, 0), n_prime, 1)
 
 
 def merge_matrices(parts: Sequence[ChainletMatrices]) -> ChainletMatrices:
@@ -244,13 +244,7 @@ def merge_matrices(parts: Sequence[ChainletMatrices]) -> ChainletMatrices:
 
 
 def fold_coinbase_row(row: np.ndarray, n_prime: int) -> np.ndarray:
-    n = row.shape[0]
-    if not 1 <= n_prime <= n:
-        raise ValueError(f"cannot fold row of {n} to {n_prime}")
-    folded = np.zeros(n_prime, dtype=row.dtype)
-    folded[: n_prime - 1] = row[: n_prime - 1]
-    folded[n_prime - 1] = row[n_prime - 1:].sum()
-    return folded
+    return _fold_axis(row, n_prime, 0)
 
 
 def extreme_chainlet_report(snapshot: Sequence[FirstOrderChainlet],

@@ -45,7 +45,8 @@ def _fail_validation(exc: Exception) -> int:
 
 
 def _read_lines(path: str) -> list[str]:
-    with open(path, "r", encoding="utf-8") as fh:
+    # line ends kept as written, so a \r inside a quoted CSV cell survives
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         return fh.readlines()
 
 
@@ -109,12 +110,12 @@ def _parse_args(parser: argparse.ArgumentParser,
 
 
 def _parse_range(text: str | None) -> tuple[int | None, int | None]:
-    if not text:
-        return None, None
-    if ":" in text:
-        lo, hi = text.split(":", 1)
-        return (int(lo) if lo else None, int(hi) if hi else None)
-    return int(text), int(text)
+    """--window A:B, with either bound left open, or one block A."""
+    lo, sep, hi = (text or "").partition(":")
+    if not sep:
+        hi = lo
+    return (int_cell("--window", lo) if lo else None,
+            int_cell("--window", hi) if hi else None)
 
 
 # --------------------------------------------------------------------------

@@ -177,22 +177,9 @@ class Edge:
 @dataclass
 class EdgeList:
     """Uniform export container for the directed/weighted graph types.
+    Each builder's docstring says whether its graph has parallel edges."""
 
-    With multi=False, (source, target, currency-attribute) triples must be
-    unique; duplicates raise at append time.
-    """
-
-    multi: bool = True
     edges: list[Edge] = field(default_factory=list)
-    _seen: set[tuple[str, str, Any]] = field(default_factory=set, repr=False)
-
-    def add(self, edge: Edge) -> None:
-        if not self.multi:
-            key = (edge.source, edge.target, edge.attr_dict.get("currency"))
-            if key in self._seen:
-                raise ValueError(f"duplicate edge {key} in simple graph")
-            self._seen.add(key)
-        self.edges.append(edge)
 
     def nodes(self) -> list[str]:
         seen: dict[str, None] = {}
@@ -241,14 +228,14 @@ _MEMO_TYPES = frozenset({str, int, bool, type(None)})
 
 
 def _csv_quote(cell: str) -> str:
-    if "," in cell or '"' in cell or "\n" in cell:
+    if "," in cell or '"' in cell or "\n" in cell or "\r" in cell:
         return '"' + cell.replace('"', '""') + '"'
     return cell
 
 
 def csv_row(cells: Iterable[str]) -> str:
-    """One CSV line (no newline); a cell with a comma, double quote or
-    newline is quoted, inner quotes doubled."""
+    """One CSV line (no newline); a cell with a comma, double quote,
+    newline or carriage return is quoted, inner quotes doubled."""
     return ",".join(map(_csv_quote, cells))
 
 
@@ -259,10 +246,10 @@ def export_edge_list(graph: EdgeList | Iterable[Edge], fmt: str = "csv") -> byte
     with the weight reduced (empty cells for None) and attr_json from
     canonical_json. Rows sort as the string tuples (source, target,
     sha256 hex of attr_json, weight_num, weight_den, attr_json), whatever
-    the build order. A CSV cell with a comma, double quote or newline is
-    quoted, inner quotes doubled. JSON is the canonical_json list of the
-    rows as objects, the attribute map under "attrs". Each distinct
-    attribute map's JSON, hash and quoted cell are computed once per call.
+    the build order. CSV cells are quoted as csv_row quotes them. JSON is
+    the canonical_json list of the rows as objects, the attribute map
+    under "attrs". Each distinct attribute map's JSON, hash and quoted
+    cell are computed once per call.
     """
     edges = graph.edges if isinstance(graph, EdgeList) else list(graph)
     memo: dict[tuple, tuple[str, str, str]] = {}  # typed attrs -> hash, json, cell

@@ -375,13 +375,12 @@ class TangleState:
         """Approval edges as a simple directed graph: each transaction
         points at its trunk and branch tips (one edge per distinct ref)."""
         from ..core import Edge, EdgeList
-        graph = EdgeList(multi=False)
+        graph = EdgeList()
         for h in sorted(self.transactions):
             tx = self.transactions[h]
-            for ref, role in ((tx.trunk, "trunk"), (tx.branch, "branch")):
-                if role == "branch" and ref == tx.trunk:
-                    continue  # both tips equal: single approval edge
-                graph.add(Edge.make(h, ref, None, tip=role))
+            graph.edges.append(Edge.make(h, tx.trunk, None, tip="trunk"))
+            if tx.branch != tx.trunk:  # both tips equal: single approval edge
+                graph.edges.append(Edge.make(h, tx.branch, None, tip="branch"))
         return graph
 
     def transaction_graph(self):
@@ -409,14 +408,12 @@ class TangleState:
                 for dst, dst_amount in outs:
                     key = (src, dst)
                     totals[key] = totals.get(key, Fraction(0)) + share * dst_amount
-        graph = EdgeList(multi=False)
-        for (src, dst) in sorted(totals):
-            graph.add(Edge.make(src, dst, totals[(src, dst)]))
-        return graph
+        return EdgeList([Edge.make(src, dst, totals[(src, dst)])
+                         for (src, dst) in sorted(totals)])
 
     def export_rows(self) -> list[str]:
-        """Table-style CSV rows: tx_hash,epoch,value,bundle,tag,address,branch,trunk;
-        a cell with a comma, double quote or newline is quoted."""
+        """Table-style CSV rows, cells quoted as csv_row quotes them:
+        tx_hash,epoch,value,bundle,tag,address,branch,trunk."""
         rows = ["tx_hash,epoch,value,bundle,tag,address,branch,trunk"]
         for h in sorted(self.transactions):
             tx = self.transactions[h]

@@ -131,7 +131,6 @@ class RippleAccount:
     owned_objects: int = 0
     deposit_auth: bool = False
     default_ripple: bool = False
-    require_dest: bool = False  # recognized but never enforced
     authorized: set[str] = field(default_factory=set)
     transfer_fee_rate: Fraction = Fraction(0)
     frozen_currencies: set[str] = field(default_factory=set)
@@ -486,21 +485,11 @@ class RippleLedger:
         if state is None:
             if limit == 0:
                 return None
-            acct = self.account(lender)
-            needed = acct.reserve_required() + OWNER_RESERVE_DROPS
-            if acct.xrp_balance < needed:
-                raise ReserveUnmetError(
-                    f"{lender} cannot cover reserve {needed} for a new trust line"
-                )
+            self._require_owner_reserve(lender, "for a new trust line")
             state = RippleState(low=low, high=high, currency=currency)
             self._add_line(state, {lender})
         elif lender not in self.state_owners[key] and limit > 0:
-            acct = self.account(lender)
-            needed = acct.reserve_required() + OWNER_RESERVE_DROPS
-            if acct.xrp_balance < needed:
-                raise ReserveUnmetError(
-                    f"{lender} cannot cover reserve {needed} to extend trust"
-                )
+            self._require_owner_reserve(lender, "to extend trust")
             self._set_owner(key, lender, True)
         self._set_side(state, lender, limit, no_ripple)
         if limit == 0 and lender in self.state_owners[key]:
@@ -509,6 +498,14 @@ class RippleLedger:
             self._drop_line(key)
             return None
         return state
+
+    def _require_owner_reserve(self, lender: str, purpose: str) -> None:
+        """Raise unless the lender's XRP covers one more owned object."""
+        acct = self.account(lender)
+        needed = acct.reserve_required() + OWNER_RESERVE_DROPS
+        if acct.xrp_balance < needed:
+            raise ReserveUnmetError(
+                f"{lender} cannot cover reserve {needed} {purpose}")
 
     def set_no_ripple(self, account: str, peer: str, currency: str,
                       flag: bool = True) -> RippleState:
@@ -530,21 +527,15 @@ class RippleLedger:
         self._apply_debt(state, lender, borrower, amount)
         return state
 
-    def available_capacity(self, state: RippleState, borrower: str,
-                           rippling: bool = False) -> int:
-        """Remaining credit the lender extends toward the borrower. For
-        rippling use, frozen lines and lines whose lender disallows
-        rippling report zero; first/last-hop use passes rippling=False."""
+    def available_capacity(self, state: RippleState, borrower: str) -> int:
+        """Remaining credit the lender extends toward the borrower. Freeze
+        and no-ripple flags block whole paths, in _open_hops."""
         if borrower == state.high:
-            lender = state.low
             capacity = state.low_limit - state.balance
         elif borrower == state.low:
-            lender = state.high
             capacity = state.high_limit + state.balance
         else:
             raise ValueError(f"{borrower} is not on this line")
-        if rippling and (self._effectively_frozen(state) or state.no_ripple_of(lender)):
-            return 0
         return max(0, capacity)
 
     def _effectively_frozen(self, state: RippleState) -> bool:
@@ -655,7 +646,7 @@ class RippleLedger:
             for borrower, state in self._borrowers_of(node, currency):
                 if borrower in chain:
                     continue
-                if self.available_capacity(state, borrower, rippling=False) < need:
+                if self.available_capacity(state, borrower) < need:
                     continue
                 nxt = chain + (borrower,)
                 if borrower == spec.account:
@@ -704,7 +695,7 @@ class RippleLedger:
         amounts = self._hop_amounts(path, delivered)
         for i, state in enumerate(states):
             borrower = path[i]
-            if self.available_capacity(state, borrower, rippling=False) < amounts[i]:
+            if self.available_capacity(state, borrower) < amounts[i]:
                 return False
         return True
 
@@ -1006,17 +997,16 @@ class RippleLedger:
     def trust_graph(self) -> EdgeList:
         """Trust lines as a directed multigraph, one edge per extended
         (nonzero-limit) side, weight = limit, used balance as attribute."""
-        graph = EdgeList(multi=True)
+        graph = EdgeList()
         for key in sorted(self.states):
             s = self.states[key]
-            if s.low_limit > 0:
-                graph.add(Edge.make(s.low, s.high, s.low_limit,
-                                    currency=s.currency,
-                                    used=max(0, s.balance)))
-            if s.high_limit > 0:
-                graph.add(Edge.make(s.high, s.low, s.high_limit,
-                                    currency=s.currency,
-                                    used=max(0, -s.balance)))
+            for lender, borrower, limit, used in (
+                    (s.low, s.high, s.low_limit, s.balance),
+                    (s.high, s.low, s.high_limit, -s.balance)):
+                if limit > 0:
+                    graph.edges.append(Edge.make(lender, borrower, limit,
+                                                 currency=s.currency,
+                                                 used=max(0, used)))
         return graph
 
 
@@ -1095,9 +1085,13 @@ def load_trust_csv(lines: Iterable[str]) -> RippleLedger:
     balance and limits must be base-10 integers (BadAmountError); each
     message names the 1-based line the record starts on. The lines are
     read as one CSV text, so a quoted cell may hold commas, doubled quotes
-    and, when the lines keep their line ends, newlines."""
+    and, when the lines keep their line ends, newlines; whitespace before
+    a record or after a comma is skipped."""
     led = RippleLedger()
-    reader = csv.reader(lines, skipinitialspace=True)
+    # the reader pulls lines one at a time, so a line pulled right after a
+    # whole record was read starts the next one: only it loses its indent
+    reader = csv.reader((ln.lstrip() if reader.line_num + 1 == first_line else ln
+                         for ln in lines), skipinitialspace=True)
     rows: list[tuple[int, list[str]]] = []  # (first line, cells)
     first_line = 1
     try:

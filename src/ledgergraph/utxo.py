@@ -230,7 +230,6 @@ class Ledger:
         self.blocks: list[Block] = []
         self.transactions: dict[str, UtxoTransaction] = {}
         self.utxo: dict[OutputRef, Output] = {}
-        self.spent: dict[OutputRef, Output] = {}
         self.destroyed: int = 0  # subunits lost to under-claiming coinbases
         self.zcash_coinbase_shielded = zcash_coinbase_shielded
 
@@ -241,10 +240,7 @@ class Ledger:
         return self.blocks[-1].height if self.blocks else -1
 
     def output(self, ref: OutputRef) -> Output:
-        out = self.utxo.get(ref) or self.spent.get(ref)
-        if out is None:
-            raise MissingOutputError(f"unknown output {ref}")
-        return out
+        return self.creating_tx(ref).outputs[ref[1]]
 
     def total_supply(self) -> int:
         return sum(tx.output_total() for tx in self.transactions.values()
@@ -288,7 +284,7 @@ class Ledger:
         for ref in tx.inputs:
             out = utxo.get(ref)
             if out is None:
-                if ref in self.spent or ref in utxo.consumed:
+                if ref in utxo.consumed or self._created(ref):
                     raise DoubleSpendError(f"{ref} is already spent")
                 raise MissingOutputError(f"input {ref} does not exist")
             total_in += out.amount
@@ -354,23 +350,22 @@ class Ledger:
                 tx = replace(tx, block_height=block.height)
             self.transactions[tx.id] = tx
             for out in tx.outputs:
-                if out.ref in spent_in_block:  # created and consumed in this block
-                    self.spent[out.ref] = out
-                else:
-                    self.utxo[out.ref] = out
+                self.utxo[out.ref] = out
         for ref in spent_in_block:
-            if ref in self.utxo:
-                self.spent[ref] = self.utxo.pop(ref)
+            del self.utxo[ref]
         self.blocks.append(block)
         return self
 
     # -- lineage ----------------------------------------------------------
 
-    def creating_tx(self, ref: OutputRef) -> UtxoTransaction:
+    def _created(self, ref: OutputRef) -> bool:
         tx = self.transactions.get(ref[0])
-        if tx is None or ref[1] >= len(tx.outputs):
+        return tx is not None and 0 <= ref[1] < len(tx.outputs)
+
+    def creating_tx(self, ref: OutputRef) -> UtxoTransaction:
+        if not self._created(ref):
             raise MissingOutputError(f"unknown output {ref}")
-        return tx
+        return self.transactions[ref[0]]
 
 
 def trace_lineage(ref: OutputRef, ledger: Ledger) -> list[tuple[OutputRef, ...]]:

@@ -44,10 +44,8 @@ class TransactionGraph:
     edges: dict[tuple[str, str], int] = field(default_factory=dict)
 
     def to_edge_list(self) -> EdgeList:
-        el = EdgeList(multi=False)
-        for (src, dst), count in self.edges.items():
-            el.add(Edge(src, dst, count, (("spent_outputs", count),)))
-        return el
+        return EdgeList([Edge(src, dst, count, (("spent_outputs", count),))
+                         for (src, dst), count in self.edges.items()])
 
 
 @dataclass
@@ -60,7 +58,7 @@ class AddressGraph:
     edges: list[Edge] = field(default_factory=list)
 
     def to_edge_list(self) -> EdgeList:
-        return EdgeList(multi=True, edges=list(self.edges))
+        return EdgeList(self.edges)
 
 
 def txs_in_range(ledger: Ledger, start: int | None = None,
@@ -143,8 +141,8 @@ def build_address_graph(ledger: Ledger, start: int | None = None,
 
 def build_bipartite_graph(ledger: Ledger, start: int | None = None,
                           end: int | None = None) -> EdgeList:
-    """The raw address-transaction network: address->tx rows for consumed
-    outputs, tx->address rows for created outputs."""
+    """The raw address-transaction multigraph: one address->tx edge per
+    consumed output, one tx->address edge per created output."""
     txs = txs_in_range(ledger, start, end)
     edges = []
     for tx in txs:
@@ -157,7 +155,7 @@ def build_bipartite_graph(ledger: Ledger, start: int | None = None,
             edges.append(Edge(tx.id, out.address,
                               out.amount if out.amount_visible else None,
                               (("output", f"{out.ref[0]}:{out.ref[1]}"),)))
-    return EdgeList(multi=True, edges=edges)
+    return EdgeList(edges)
 
 
 # --------------------------------------------------------------------------

@@ -409,6 +409,21 @@ def test_iota_grow_quotes_cells_with_commas_and_quotes(tmp_path):
         [("A,B", 'q"x'), ('T"G', "a,1")]
 
 
+def test_trust_names_with_carriage_returns_survive_a_file(tmp_path, capsys):
+    from ledgergraph.ripple import RippleLedger, dump_trust_csv
+
+    led = RippleLedger()
+    for name in ("a\rb", "c"):
+        led.create_account(name, xrp_drops=10**9)
+    led.set_trust("a\rb", "c", "USD", 10)
+    trust = tmp_path / "trust.csv"
+    trust.write_bytes(dump_trust_csv(led))
+    assert run_cli(["ripple", "report", "--trust", trust]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["trust_lines"] == 1
+    assert sorted(report["net_positions"]["USD"]) == ["a\rb", "c"]
+
+
 def test_ripple_offers_quotes_cells_with_commas_and_quotes(tmp_path, capsys):
     gets = {"currency": "E,R", "issuer": "is,E", "value": 7}
     pays = {"currency": 'U"D', "issuer": 'is"U', "value": 10}
@@ -462,6 +477,16 @@ def test_genesis_map_is_checked(fixture_dir, capsys, genesis, error):
                     "--genesis", genesis])
     assert code == 2
     assert json.loads(capsys.readouterr().err)["error"] == error
+
+
+@pytest.mark.parametrize("window", ["a:b", "1:x", "2.5", "1:+2"])
+def test_window_bounds_are_checked(fixture_dir, capsys, window):
+    code = run_cli(["chainlet", fixture_dir / "amount_network.jsonl",
+                    "--window", window])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "bad-amount"
+    assert err["message"].startswith("'--window' must be an integer")
 
 
 @pytest.mark.parametrize("flag,item,error", [

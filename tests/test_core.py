@@ -41,14 +41,6 @@ def test_issued_currency_code_length():
         CurrencyValue("USDX", "gateway", 1)
 
 
-def test_simple_graph_rejects_duplicate_edge():
-    el = EdgeList(multi=False)
-    el.add(Edge.make("a", "b", 1, currency="USD"))
-    el.add(Edge.make("a", "b", 1, currency="EUR"))  # distinct currency is fine
-    with pytest.raises(ValueError):
-        el.add(Edge.make("a", "b", 2, currency="USD"))
-
-
 def test_hyperedge_needs_two_members():
     with pytest.raises(ValueError):
         Hyperedge(("only",))
@@ -62,8 +54,7 @@ def test_export_empty_graph_is_header_only():
 def test_export_single_edge():
     import csv
     import io
-    el = EdgeList()
-    el.add(Edge.make("a", "b", Fraction(27, 29), txid="t"))
+    el = EdgeList([Edge.make("a", "b", Fraction(27, 29), txid="t")])
     text = export_edge_list(el).decode()
     assert text.splitlines()[0] == "source,target,weight_num,weight_den,attr_json"
     rows = list(csv.reader(io.StringIO(text)))
@@ -74,11 +65,7 @@ def test_export_is_order_independent_and_stable():
     e1 = Edge.make("a", "b", 1, txid="t1")
     e2 = Edge.make("a", "a", 2, txid="t2")
     e3 = Edge.make("b", "a", None, txid="t3")
-    g1, g2 = EdgeList(), EdgeList()
-    for e in (e1, e2, e3):
-        g1.add(e)
-    for e in (e3, e1, e2):
-        g2.add(e)
+    g1, g2 = EdgeList([e1, e2, e3]), EdgeList([e3, e1, e2])
     assert export_edge_list(g1) == export_edge_list(g2)
     assert export_edge_list(g1) == export_edge_list(g1)
     payload = json.loads(export_edge_list(g1, "json").decode())

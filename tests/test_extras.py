@@ -180,15 +180,6 @@ def test_send_max_issuer_must_be_second():
     assert led.find_paths(spec) == [("s", "gw1", "d")]
 
 
-def test_no_ripple_lender_capacity_view():
-    led = RippleLedger()
-    led.create_account("a", xrp_drops=10**9)
-    led.create_account("b", xrp_drops=10**9)
-    state = led.set_trust("a", "b", "USD", 60, no_ripple=True)
-    assert led.available_capacity(state, "b", rippling=True) == 0
-    assert led.available_capacity(state, "b") == 60
-
-
 @given(st.lists(st.tuples(st.integers(1, 200), st.integers(0, 150)),
                 min_size=1, max_size=6),
        st.integers(1, 300))

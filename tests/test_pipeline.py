@@ -4,8 +4,10 @@ characteristics the ten graph types must carry."""
 import json
 import os
 import pathlib
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ledgergraph import fixtures
 from ledgergraph.chainlets import build_matrices, merge_matrices, snapshot_from_ledger
@@ -98,20 +100,24 @@ def test_pipeline_account(fixture_dir, tmp_path):
 
 # -- cross-cutting graph characteristics -----------------------------------------
 
+def pair_counts(graph) -> Counter:
+    return Counter((e.source, e.target) for e in graph.edges)
+
+
 def test_graph_characteristics_table():
     # UTXO: address graph weighted directed multi; tx graph collapsed simple
     led = fixtures.six_tx_network()
     from ledgergraph.utxo_graphs import build_address_graph, build_transaction_graph
     addr = build_address_graph(led, *fixtures.SIX_TX_WINDOW).to_edge_list()
-    assert addr.multi
+    assert len(pair_counts(addr)) < len(addr)
     assert all(e.weight is not None for e in addr.edges)
     tx = build_transaction_graph(led, *fixtures.SIX_TX_WINDOW).to_edge_list()
-    assert not tx.multi
+    assert set(pair_counts(tx).values()) == {1}
 
     # account: transaction and token graphs are weighted directed multi
     from ledgergraph.account import build_account_graph
     acct = build_account_graph(fixtures.account_table_txs())
-    assert acct.multi
+    assert len(acct) == len(fixtures.account_table_txs())  # one edge per tx
 
     # traces: directed hypergraph
     from ledgergraph.account import build_trace_hypergraph
@@ -121,7 +127,8 @@ def test_graph_characteristics_table():
     # ripple: trust graph weighted directed multi; payment graph hypergraph
     ripple = fixtures.rippling_network()
     trust = ripple.trust_graph()
-    assert trust.multi
+    assert len(trust) == sum((s.low_limit > 0) + (s.high_limit > 0)
+                             for s in ripple.states.values())
     from ledgergraph.ripple import CurrencyValue, PaymentSpec
     ripple.pay(PaymentSpec("sarah", "bob", CurrencyValue("USD", None, 50)))
     payments = ripple.payment_graph()
@@ -138,11 +145,31 @@ def test_graph_characteristics_table():
     state.apply_milestone(state.attach_message(state.coordinator, (head, head),
                                                tag="MILESTONE"))
     tangle = state.tangle_graph()
-    assert not tangle.multi
+    assert set(pair_counts(tangle).values()) == {1}
     txg = state.transaction_graph()
-    assert not txg.multi
+    assert set(pair_counts(txg).values()) == {1}
     weights = {(e.source, e.target): e.weight for e in txg.edges}
     assert weights == {("a1", "r1"): 60, ("a1", "r2"): 40}
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 120),
+       st.sampled_from(["uniform-random", "oldest-first"]))
+def test_simple_graphs_never_repeat_a_pair(seed, tx_count, tip_strategy):
+    """The UTXO transaction graph and the tangle's approval and value
+    graphs are simple: no (source, target) pair occurs twice."""
+    from ledgergraph.generate import (TangleSpec, UtxoSpec, generate_tangle,
+                                      generate_utxo)
+    from ledgergraph.utxo_graphs import build_transaction_graph
+
+    ledger = generate_utxo(UtxoSpec(tx_count=tx_count, txs_per_block=5), seed)
+    graphs = [build_transaction_graph(ledger).to_edge_list()]
+    state, _totals = generate_tangle(
+        TangleSpec(cycles=2, bundles_per_cycle=3, tip_strategy=tip_strategy),
+        seed)
+    graphs += [state.tangle_graph(), state.transaction_graph()]
+    for graph in graphs:
+        assert set(pair_counts(graph).values()) <= {1}
 
 
 def test_merge_matrices_linearity():
@@ -224,3 +251,30 @@ def test_tangle_replay_artifacts_match_recorded_digests(seed, tmp_path):
     actual = {name: hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
               for name, path in report["outputs"].items()}
     assert actual == TANGLE_REPLAY_DIGESTS[seed]
+
+
+BENCH = pathlib.Path(__file__).parent.parent / "bench"
+
+
+@pytest.mark.parametrize("workload,seed", [
+    ("ripple-replay", 0), ("ripple-replay", 1), ("utxo-full", 0),
+    ("tangle-replay", 1)])
+def test_benchmark_run_passes_the_benchmark_checks(workload, seed, tmp_path,
+                                                   monkeypatch):
+    """A run made and checked as the benchmark worker makes and checks
+    one, with bench/ loaded, not changed: the artifact digests and
+    rejected-operation count that bench/golden.json records (Ripple and
+    UTXO), the |I|x|O| address-graph identity (UTXO) and the untimed
+    replay (tangle)."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import checks
+    import worker
+
+    params = worker.load_workloads()[workload]["params"]
+    config, script, genesis = worker.prepare(workload, params, seed,
+                                             str(tmp_path))
+    report = run_pipeline(config)
+    expected = worker.load_golden().get(workload, {}).get(str(seed))
+    assert (expected is None) == (workload == "tangle-replay")
+    assert worker.check(workload, report, checks.digests(report["outputs"]),
+                        expected, script, genesis, replay_check=True) == []

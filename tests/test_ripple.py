@@ -88,13 +88,15 @@ def test_trust_csv_round_trips_names_with_newlines():
     led = load_trust_csv(
         ["low,high,currency,balance,low_limit,high_limit\n",
          '"a\nb",c,USD,1,0,10\n',
-         '  "c,d",e,USD,0,5,0\n'])  # indented
+         '  "c,d",e,USD,0,5,0\n',  # indented
+         '\t"f,g",h,USD,0,0,10\n'])  # tab-indented
     assert led.line("a\nb", "c", "USD").balance == 1
     assert led.line("c,d", "e", "USD").low_limit == 5
+    assert led.line("f,g", "h", "USD").high_limit == 10
     lines = dump_trust_csv(led).decode("utf-8").splitlines(keepends=True)
-    assert len(lines) == 4  # the first record spans two lines
+    assert len(lines) == 5  # the first record spans two lines
     assert load_trust_csv(lines).state_digest() == led.state_digest()
-    with pytest.raises(LedgerError, match="^line 5: expected 6 cells, got 5$"):
+    with pytest.raises(LedgerError, match="^line 6: expected 6 cells, got 5$"):
         load_trust_csv(lines + ['"p\nq",r,USD,0,5\n'])
 
 
@@ -141,9 +143,10 @@ def test_fresh_line_capacity_is_limit():
 def test_frozen_line_reports_zero_for_rippling():
     led = funded_ledger(["a", "b"])
     state = led.set_trust("a", "b", "USD", 123, no_ripple=False)
+    assert led.deliverable(("b", "a"), 50, "USD") == 50
     state.frozen = True
-    assert led.available_capacity(state, "b", rippling=True) == 0
-    assert led.available_capacity(state, "b", rippling=False) == 123
+    assert led.deliverable(("b", "a"), 50, "USD") == 0
+    assert led.available_capacity(state, "b") == 123
 
 
 # -- direct payments -----------------------------------------------------------------

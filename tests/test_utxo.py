@@ -71,6 +71,18 @@ def test_missing_output_rejected():
         led.validate_transaction(tx("t", [("nope", 0)], [("a", 1)]))
 
 
+@pytest.mark.parametrize("index", [-1, 1])
+def test_index_outside_the_creating_tx_is_missing(index):
+    led = funded_ledger([500])  # ("g", 0) is its one output
+    ref = ("g", index)
+    with pytest.raises(MissingOutputError):
+        led.validate_transaction(tx("t", [ref], [("a", 1)]))
+    with pytest.raises(MissingOutputError):
+        led.output(ref)
+    with pytest.raises(MissingOutputError):
+        led.creating_tx(ref)
+
+
 # -- validate_coinbase ---------------------------------------------------------
 
 def test_coinbase_may_claim_subsidy_plus_fees():
@@ -102,7 +114,8 @@ def test_intra_block_spend_of_earlier_tx():
     tx_x = tx("x", [("g", 0)], [("ax", 900)])
     tx_y = tx("y", [("x", 0)], [("ay", 850)])
     led.apply_block(Block(1, 600, (cb, tx_x, tx_y), 10**10))
-    assert ("x", 0) in led.spent
+    assert ("x", 0) not in led.utxo
+    assert led.output(("x", 0)) == tx_x.outputs[0]
     assert ("y", 0) in led.utxo
 
 
