@@ -20,7 +20,6 @@ report = run_pipeline(RunConfig(
     seed=42,
     generator=UtxoSpec(tx_count=2_000, split_bias=0.75),
     fold_n=5,
-    coinbase_row=True,
 ))
 
 print("=== written artifacts ===")

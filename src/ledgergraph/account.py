@@ -13,8 +13,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .core import (Edge, EdgeList, Hyperedge, Hypergraph, LedgerError, at_line,
-                   get_field, jsonl_records)
+from .core import (BadRecordError, Edge, EdgeList, Hyperedge, Hypergraph,
+                   LedgerError, at_line, get_field, jsonl_records)
 
 __all__ = [
     "AccountTx",
@@ -67,15 +67,12 @@ class AccountTx:
     block_index: int
     timestamp: int = 0
     input_data: bytes = b""
-    contract_creation: bool = False
 
     def __post_init__(self) -> None:
         if self.nonce < 0:
-            raise ValueError("nonce must be non-negative")
+            raise BadRecordError("nonce must be non-negative")
         if self.sender == NULL_ADDRESS:
-            raise ValueError("the NULL address cannot initiate a transaction")
-        if self.contract_creation and not self.input_data:
-            raise ValueError("contract creation carries the code as input data")
+            raise BadRecordError("the NULL address cannot initiate a transaction")
 
 
 def load_jsonl(lines: Iterable[str]) -> list[AccountTx]:
@@ -231,7 +228,7 @@ class TokenLedger:
         if contract is None:
             raise LedgerError(f"no token contract at {contract_address}")
         if token_amount < 0:
-            raise ValueError("token amount must be non-negative")
+            raise BadRecordError("token amount must be non-negative")
         if contract.balance_of(caller) < token_amount:
             raise InsufficientTokenBalanceError(
                 f"{caller} holds {contract.balance_of(caller)} < {token_amount}"
@@ -286,7 +283,7 @@ class TraceStep:
 
     def __post_init__(self) -> None:
         if self.kind not in _CALL_KINDS:
-            raise ValueError(f"unknown call kind {self.kind!r}")
+            raise BadRecordError(f"unknown call kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
@@ -344,12 +341,11 @@ class TraceExecutor:
         self.behaviors = behaviors or {}
         self.call_budget = call_budget
 
-    def run(self, root_tx: str, sender: str, to: str, value: int = 0,
-            kind: str = "call") -> Trace:
+    def run(self, root_tx: str, sender: str, to: str, value: int = 0) -> Trace:
         steps: list[TraceStep] = []
         # pending calls, the next one on top; an explicit stack, so a
         # contract that calls itself cannot hit the recursion limit
-        stack = [(sender, to, kind, value)]
+        stack = [(sender, to, "call", value)]
         while stack:
             caller, callee, call_kind, amount = stack.pop()
             if len(steps) >= self.call_budget:

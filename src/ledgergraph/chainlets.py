@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import LedgerError
+from .core import BadRecordError, LedgerError
 from .utxo import Ledger, UtxoTransaction
 from .utxo_graphs import HiddenAmountError, txs_in_range
 
@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 DEFAULT_N = 20  # distinguishes 400 chainlet shapes and keeps the matrix dense
+MAX_N = 1_000  # two N x N int64 matrices of at most 8 MB each
 
 
 class UnsupportedKError(LedgerError):
@@ -153,8 +154,8 @@ def _fold_index(v: int, n: int) -> int:
 
 def _accumulate(snapshot: Iterable[FirstOrderChainlet], n: int, want_amount: bool,
                 include_coinbase_row: bool, skip_hidden: bool = False):
-    if n < 1:
-        raise ValueError("N must be >= 1")
+    if not 1 <= n <= MAX_N:
+        raise BadRecordError(f"N must lie in 1-{MAX_N}, got {n}")
     core = np.zeros((n, n), dtype=np.int64)
     cb_row = np.zeros(n, dtype=np.int64)
     for c in snapshot:

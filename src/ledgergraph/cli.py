@@ -1,12 +1,12 @@
 """ledgergraph command-line entry point.
 
-Subcommands: utxo | account | ripple | iota | chainlet | generate | replay.
-Exit codes: 0 success, 2 validation error (machine-readable JSON on
-stderr), 3 I/O error. All outputs are deterministic for fixed inputs,
-config and seed. Defaults may come from a key=value config file
-(--config) and are overridden by LEDGERGRAPH_* environment variables,
-then by explicit flags; a config or environment value is parsed with its
-flag's own type, and one that does not parse exits 2 as bad-config.
+Subcommands: utxo | account | ripple | iota | chainlet | generate <chain>
+| replay. Exit codes: 0 success, 2 rejected input (a LedgerError's code and
+message as JSON on stderr), 3 I/O error; any other exception is a bug. All
+output is deterministic for fixed inputs, config and seed. Defaults come
+from a key=value --config file, then LEDGERGRAPH_* environment variables,
+then flags; a key names a flag's dest in any case, its value parsed with
+the flag's type: one that does not parse or holds a NUL is bad-config.
 """
 
 from __future__ import annotations
@@ -38,16 +38,13 @@ class ConfigError(LedgerError):
     code = "bad-config"
 
 
-def _fail_validation(exc: Exception) -> int:
-    payload = {"error": getattr(exc, "code", "validation-error"), "message": str(exc)}
-    print(json.dumps(payload, sort_keys=True), file=sys.stderr)
-    return EXIT_VALIDATION
-
-
-def _read_lines(path: str) -> list[str]:
-    # line ends kept as written, so a \r inside a quoted CSV cell survives
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return fh.readlines()
+def _read_lines(path: str, error: type[LedgerError] = BadRecordError) -> list[str]:
+    try:
+        # line ends kept as written, so a \r inside a quoted CSV cell survives
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _write_bytes(path: str | None, data: bytes) -> None:
@@ -62,7 +59,7 @@ def _load_config(path: str | None) -> dict[str, str]:
     """Key=value config, '#' comments; LEDGERGRAPH_* env vars override."""
     conf: dict[str, str] = {}
     if path:
-        for raw in _read_lines(path):
+        for raw in _read_lines(path, ConfigError):
             line = raw.strip()
             if not line or line.startswith("#") or "=" not in line:
                 continue
@@ -91,19 +88,22 @@ def _parse_args(parser: argparse.ArgumentParser,
             elif action.option_strings and action.default is not argparse.SUPPRESS:
                 defaults[action], action.default = action.default, action
     args = parser.parse_args(argv)
-    omitted = {key: action for key, action in vars(args).items()
+    # config and environment keys arrive lower-cased; dests may not be (N)
+    omitted = {dest.lower(): action for dest, action in vars(args).items()
                if isinstance(action, argparse.Action)}
-    for key, action in omitted.items():
-        setattr(args, key, defaults[action])
+    for action in omitted.values():
+        setattr(args, action.dest, defaults[action])
     for key, value in _load_config(args.config).items():
         action = omitted.get(key)
         if action is None:
             continue
+        if "\0" in value:  # open() refuses it, and no name or number holds one
+            raise ConfigError(f"{key}={value!r}: holds a NUL character")
         if isinstance(defaults[action], bool):
-            setattr(args, key, value.lower() in ("1", "true", "yes"))
+            setattr(args, action.dest, value.lower() in ("1", "true", "yes"))
             continue
         try:
-            setattr(args, key, action.type(value) if action.type else value)
+            setattr(args, action.dest, action.type(value) if action.type else value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{key}={value!r}: {exc}") from None
     return args
@@ -141,8 +141,7 @@ def _cmd_chainlet(args: argparse.Namespace) -> int:
     ledger = utxo_mod.load_jsonl(_read_lines(args.file), subsidy=args.subsidy)
     start, end = _parse_range(args.window)
     snap = chainlet_mod.snapshot_from_ledger(ledger, start, end)
-    matrices = chainlet_mod.build_matrices(snap, args.N,
-                                           include_coinbase_row=args.coinbase_row)
+    matrices = chainlet_mod.build_matrices(snap, args.N)
     occ_path, amt_path = (args.out.split(",", 1) if args.out and "," in args.out
                           else (args.out, None))
     _write_bytes(occ_path, export_matrix(matrices.occurrence))
@@ -283,7 +282,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    _state, log = scenario.replay(_read_lines(args.script), args.kind)
+    replay = scenario.replay_ripple if args.kind == "ripple" else scenario.replay_tangle
+    _state, log = replay(_read_lines(args.script))
     _write_bytes(args.out, scenario.dump_log(log))
     return EXIT_OK
 
@@ -318,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--window", help="block range A:B")
     c.add_argument("--out", help="occ.csv[,amt.csv]")
     c.add_argument("--subsidy", type=int, default=5_000_000_000)
-    c.add_argument("--coinbase-row", action="store_true")
     c.set_defaults(func=_cmd_chainlet)
 
     a = sub.add_parser("account", help="account/token/trace graphs")
@@ -369,12 +368,16 @@ def build_parser() -> argparse.ArgumentParser:
     i.set_defaults(func=_cmd_iota)
 
     gn = sub.add_parser("generate", help="synthetic ledgers")
-    gn.add_argument("chain", choices=("utxo", "account", "ripple", "iota"))
-    gn.add_argument("--seed", type=int, default=0)
-    gn.add_argument("--count", type=int, default=1000)
-    gn.add_argument("--split-bias", type=float, default=0.75)
-    gn.add_argument("--reuse-p", type=float, default=0.0)
-    gn.add_argument("--out", default=None)
+    gc = gn.add_subparsers(dest="chain", required=True)
+    for name in ("utxo", "account", "ripple", "iota"):
+        pp = gc.add_parser(name)
+        pp.add_argument("--seed", type=int, default=0)
+        if name != "ripple":  # the trust graph has a fixed size
+            pp.add_argument("--count", type=int, default=1000)
+        if name == "utxo":
+            pp.add_argument("--split-bias", type=float, default=0.75)
+            pp.add_argument("--reuse-p", type=float, default=0.0)
+        pp.add_argument("--out", default=None)
     gn.set_defaults(func=_cmd_generate)
 
     rp = sub.add_parser("replay", help="scenario scripts")
@@ -393,9 +396,11 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps({"error": "io-failure", "message": str(exc)}),
               file=sys.stderr)
         return EXIT_IO
-    except (LedgerError, ValueError, KeyError) as exc:
-        # malformed scripts and records are validation failures, not crashes
-        return _fail_validation(exc)
+    except LedgerError as exc:
+        # rejected input; any other exception is a bug, left to its traceback
+        print(json.dumps({"error": exc.code, "message": str(exc)}, sort_keys=True),
+              file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -81,7 +81,8 @@ _REQUIRED = object()
 
 def jsonl_records(lines: Iterable[str | dict]) -> Iterator[tuple[int, Any]]:
     """(1-based line number, decoded value) for every non-blank line.
-    Already decoded dicts pass through, numbered by position."""
+    Already decoded dicts pass through, numbered by position. A \\u escape
+    of a lone surrogate is bad JSON too: no UTF-8 output can hold it."""
     for line_no, line in enumerate(lines, 1):
         if isinstance(line, dict):
             yield line_no, line
@@ -90,22 +91,23 @@ def jsonl_records(lines: Iterable[str | dict]) -> Iterator[tuple[int, Any]]:
             continue
         try:
             record = json.loads(line)
+            if "\\u" in line:
+                json.dumps(record, ensure_ascii=False).encode("utf-8")
         except json.JSONDecodeError as exc:
             raise BadJsonError(f"line {line_no}: {exc.msg} at column {exc.colno}") from None
+        except UnicodeEncodeError:
+            raise BadJsonError(f"line {line_no}: lone surrogate in a \\u escape") from None
         yield line_no, record
 
 
 @contextmanager
 def naming(where: str) -> Iterator[None]:
     """Prefix where the record came from to a BadRecordError raised inside
-    the block; a ValueError from a record's own invariants becomes a
-    BadRecordError."""
+    the block, a record's own invariants included."""
     try:
         yield
     except BadRecordError as exc:
         raise type(exc)(f"{where}: {exc}") from None
-    except ValueError as exc:
-        raise BadRecordError(f"{where}: {exc}") from None
 
 
 def at_line(line_no: int) -> AbstractContextManager[None]:

@@ -26,8 +26,8 @@ def _lines(name: str) -> list[str]:
 
 def _ledger(name: str, subsidy: int) -> Ledger:
     """A fixture ledger, validated with a flat per-block subsidy large
-    enough for its funding block; block i is stamped i * 600 seconds."""
-    return load_jsonl(_lines(name), subsidy=subsidy, timestamp0=0)
+    enough for its funding block."""
+    return load_jsonl(_lines(name), subsidy=subsidy)
 
 
 def lineage_ledger() -> Ledger:

@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import BadAmountError, BadRecordError, LedgerError
-from .keys import KEY_FRAGMENT_TRYTES
+from ..core import BadAmountError, LedgerError
+from .keys import KEY_FRAGMENT_TRYTES, check_security_level
 from .sponge import MixerSponge, squeeze_blocks
 from .trinary import ascii_to_trits, encode_trytes
 
@@ -95,8 +95,7 @@ def build_bundle(inputs: list[tuple[str, int, int]],
     transaction plus s-1 zero-value fragment transactions immediately
     after it, outputs follow as positive-value transactions."""
     for (address, level, amount) in inputs:
-        if level not in (1, 2, 3):
-            raise BadRecordError(f"{address}: security level {level} is not 1, 2 or 3")
+        check_security_level(address, level)
     for (address, amount) in [(a, v) for (a, _l, v) in inputs] + list(outputs):
         if amount < 0:
             raise BadAmountError(f"{address}: amount must be >= 0, got {amount}")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core import LedgerError
+from ..core import BadRecordError, LedgerError
 from .sponge import BLOCK_TRITS, MixerSponge, sponge_hash, squeeze_blocks
 from .trinary import decode_trytes, encode_trytes, int_to_trits, trits_to_int
 
@@ -23,6 +23,7 @@ __all__ = [
     "SEGMENT_TRYTES",
     "SEGMENT_ROUNDS",
     "CHECKSUM_TRYTES",
+    "check_security_level",
     "derive_subseed",
     "derive_private_key",
     "derive_address",
@@ -68,11 +69,16 @@ def derive_subseed(seed: str, index: int) -> str:
     return encode_trytes(sponge_hash(trits))
 
 
+def check_security_level(owner: str, level: int) -> None:
+    """BadRecordError naming the key's owner unless the level is 1, 2 or 3."""
+    if level not in (1, 2, 3):
+        raise BadRecordError(f"{owner}: security level {level} is not 1, 2 or 3")
+
+
 def derive_private_key(subseed: str, level: int) -> str:
     """Private key of level * 2187 trytes: the sponge absorbs the subseed
     and squeezes 27 blocks of 81 trytes per security level."""
-    if level not in (1, 2, 3):
-        raise ValueError("security level must be 1, 2 or 3")
+    check_security_level("private key", level)
     return encode_trytes(squeeze_blocks(decode_trytes(subseed),
                                         _BLOCKS_PER_LEVEL * level))
 

@@ -170,16 +170,16 @@ class TangleState:
         if strategy == "oldest-first":
             ordered = sorted(tips, key=lambda t: self._attach_seq[t])
             return ordered[0], ordered[1]
-        raise ValueError(f"unknown tip selection strategy {strategy!r}")
+        raise BadRecordError(f"unknown tip selection strategy {strategy!r}")
 
     # -- milestones -----------------------------------------------------------
 
     def issue_milestone(self, tips: tuple[str, str] | None = None,
-                        timestamp: int = 0, difficulty: int = 0) -> str:
+                        timestamp: int = 0) -> str:
         if tips is None:
             tips = self.select_tips("oldest-first")
         head = self.attach_message(self.coordinator, tips, tag="MILESTONE",
-                                   timestamp=timestamp, difficulty=difficulty)
+                                   timestamp=timestamp)
         self.apply_milestone(head)
         return head
 
@@ -335,8 +335,7 @@ class TangleState:
 
     # -- promotion and snapshots ------------------------------------------------
 
-    def promote(self, stuck_hash: str, timestamp: int = 0,
-                difficulty: int = 0) -> str:
+    def promote(self, stuck_hash: str, timestamp: int = 0) -> str:
         """Attach a zero-value transaction approving a stuck transaction so
         future tips pull it toward confirmation."""
         tx = self.transactions.get(stuck_hash)
@@ -348,8 +347,7 @@ class TangleState:
         branch = min(others, key=lambda t: self._attach_seq[t]) if others \
             else stuck_hash
         return self.attach_message(tx.address, (stuck_hash, branch),
-                                   tag="PROMOTE", timestamp=timestamp,
-                                   difficulty=difficulty)
+                                   tag="PROMOTE", timestamp=timestamp)
 
     def snapshot(self) -> tuple[dict[str, int], "TangleState"]:
         """Discard confirmed history and drop unconfirmed transactions;

@@ -104,8 +104,9 @@ _BYTE_TRITS = np.array([int_to_trits(b, 6) for b in range(256)], dtype=np.int8)
 
 def ascii_to_trits(text: str, pad_to: int | None = 243) -> np.ndarray:
     """Opaque identifier strings to trits (6 trits per byte), zero-padded
-    to a block multiple so they can feed the sponge."""
-    data = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    to a block multiple so they can feed the sponge. A command-line byte
+    that is not UTF-8 (decoded to a surrogate) is hashed as that byte."""
+    data = np.frombuffer(text.encode("utf-8", "surrogateescape"), dtype=np.uint8)
     size = used = 6 * data.size
     if pad_to:
         remainder = used % pad_to

@@ -41,7 +41,6 @@ class RunConfig:
     seed: int = 0
     window: tuple[int | None, int | None] = (None, None)
     fold_n: int = DEFAULT_N
-    coinbase_row: bool = False
     subsidy: int = 5_000_000_000
     generator: UtxoSpec = field(default_factory=UtxoSpec)
     genesis_balances: dict[str, int] = field(default_factory=dict)
@@ -88,8 +87,7 @@ def _utxo_pipeline(config: RunConfig) -> dict:
         export_edge_list(build_bipartite_graph(ledger, start, end)))
 
     snapshot = snapshot_from_ledger(ledger, start, end)
-    mats = build_matrices(snapshot, config.fold_n,
-                          include_coinbase_row=config.coinbase_row)
+    mats = build_matrices(snapshot, config.fold_n)
     outputs["occurrence"] = _write(config.output_dir, "occurrence.csv",
                                    export_matrix(mats.occurrence))
     outputs["amount"] = _write(config.output_dir, "amount.csv",

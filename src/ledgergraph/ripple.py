@@ -113,7 +113,7 @@ class CurrencyValue:
 
     def __post_init__(self) -> None:
         if self.currency != "XRP" and len(self.currency) not in (3, 40):
-            raise ValueError("currency code must be XRP or 3/40 characters")
+            raise BadRecordError("currency code must be XRP or 3/40 characters")
 
     @property
     def is_xrp(self) -> bool:
@@ -155,7 +155,7 @@ class RippleState:
 
     def __post_init__(self) -> None:
         if not self.low < self.high:
-            raise ValueError("low account must sort below high account")
+            raise BadRecordError("low account must sort below high account")
 
     @property
     def key(self) -> tuple[str, str, str]:
@@ -189,7 +189,7 @@ class Offer:
 
     def __post_init__(self) -> None:
         if self.taker_gets.key == self.taker_pays.key:
-            raise ValueError("offer sides must differ in (currency, issuer)")
+            raise BadRecordError("offer sides must differ in (currency, issuer)")
         if self.gets_remaining < 0:
             self.gets_remaining = self.taker_gets.value
         if self.pays_remaining < 0:
@@ -477,7 +477,7 @@ class RippleLedger:
         if lender == borrower:
             raise LedgerError("cannot trust oneself")
         if limit < 0:
-            raise ValueError("trust limit must be >= 0")
+            raise BadRecordError("trust limit must be >= 0")
         self.account(borrower)
         low, high = self.canonical_pair(lender, borrower)
         key = (low, high, currency)
@@ -572,7 +572,7 @@ class RippleLedger:
         reserve; a previously unfunded receiver must be funded to at least
         the base reserve by this very payment."""
         if drops <= 0:
-            raise ValueError("payment must be positive")
+            raise BadRecordError("payment must be positive")
         src = self.account(sender)
         dst = self.accounts.get(receiver)
         if src.xrp_balance - drops < src.reserve_required():
@@ -727,9 +727,9 @@ class RippleLedger:
         delivered amount shrinks to what the path can carry. Returns the
         delivered amount."""
         if len(path) < 2:
-            raise ValueError("a path needs at least sender and destination")
+            raise BadRecordError("a path needs at least sender and destination")
         if amount <= 0:
-            raise ValueError("amount must be positive")
+            raise BadRecordError("amount must be positive")
         states = self._open_hops(path, currency)
         if states is None:
             raise DriedUpPathError("path blocked by frozen line or no_ripple flags")
@@ -787,6 +787,8 @@ class RippleLedger:
                 delivered = self.execute_rippling(path, spec.amount.value,
                                                   spec.amount.currency)
                 return {"delivered": delivered, "path": list(path)}
+            except BadRecordError:
+                raise  # a malformed payment, not a path that dried up
             except LedgerError as exc:
                 if self.writes != writes:
                     raise AssertionError(
@@ -812,7 +814,7 @@ class RippleLedger:
         offer whose fills would need a trust line that the receiving side
         cannot reserve; either way nothing is written."""
         if taker_gets.value <= 0 or taker_pays.value <= 0:
-            raise ValueError("offer amounts must be positive")
+            raise BadRecordError("offer amounts must be positive")
         legs = _Legs(self)
         if not legs.funded(owner, taker_gets, taker_gets.value):
             raise UnfundedOfferError(
@@ -948,7 +950,7 @@ class RippleLedger:
         src = self.account(sender)
         self.account(receiver)  # the destination must already exist
         if drops <= 0:
-            raise ValueError("escrow amount must be positive")
+            raise BadRecordError("escrow amount must be positive")
         if src.xrp_balance - drops < src.reserve_required():
             raise EscrowError("sender cannot lock below its reserve")
         self._add_xrp(sender, -drops)

@@ -24,7 +24,7 @@ from .ripple import CurrencyValue, PaymentSpec, RippleLedger
 from .iota.bundles import build_bundle
 from .iota.tangle import TangleState
 
-__all__ = ["replay_ripple", "replay_tangle", "replay", "dump_log"]
+__all__ = ["replay_ripple", "replay_tangle", "dump_log"]
 
 
 def _cv(obj) -> CurrencyValue:
@@ -93,8 +93,7 @@ def _ripple_step(led: RippleLedger, cmd: dict):
 
 def _rejection(i: int, op: str, exc: LedgerError) -> dict:
     return {"index": i, "op": op, "ok": False,
-            "error": {"code": getattr(exc, "code", "ledger-error"),
-                      "message": str(exc)}}
+            "error": {"code": exc.code, "message": str(exc)}}
 
 
 def replay_ripple(lines: Iterable[str],
@@ -196,15 +195,6 @@ def _records(lines: Iterable[str | dict]) -> Iterator[tuple[int, dict]]:
         with at_line(line_no):
             get_field(cmd, "op")
         yield line_no, cmd
-
-
-def replay(lines: Iterable[str], kind: str):
-    """Dispatch by chain kind; returns (final_state, event_log)."""
-    if kind == "ripple":
-        return replay_ripple(lines)
-    if kind == "iota":
-        return replay_tangle(lines)
-    raise LedgerError(f"scenario replay supports ripple|iota, not {kind!r}")
 
 
 def dump_log(log: Iterable[dict]) -> bytes:

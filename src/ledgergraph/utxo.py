@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
 from .core import (BadRecordError, LedgerError, _check_bound, at_line,
-                   get_field, jsonl_records)
+                   get_field, jsonl_records, naming)
 
 __all__ = [
     "OutputRef",
@@ -115,9 +115,9 @@ class Output:
             raise TypeError("output amount must be an int (no floating-point finance)")
         _check_bound(self.amount)
         if self.index < 0:
-            raise ValueError("output index must be non-negative")
+            raise BadRecordError("output index must be non-negative")
         if self.amount < 0:
-            raise ValueError("output amount must be non-negative")
+            raise BadRecordError("output amount must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -147,21 +147,20 @@ class UtxoTransaction:
     outputs: tuple[Output, ...]
     coinbase: bool = False
     block_height: int | None = None
-    ring_inputs: tuple[RingInput, ...] | None = None
     input_kinds: tuple[str, ...] | None = None  # t / z per input side
     output_kinds: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.coinbase:
             if self.inputs:
-                raise ValueError("coinbase transaction must have no inputs")
+                raise BadRecordError("coinbase transaction must have no inputs")
             if not self.outputs:
-                raise ValueError("coinbase transaction needs at least one output")
+                raise BadRecordError("coinbase transaction needs at least one output")
         else:
             if not self.inputs or not self.outputs:
-                raise ValueError("spending transaction needs >=1 input and >=1 output")
+                raise BadRecordError("spending transaction needs >=1 input and >=1 output")
         if len(set(self.inputs)) != len(self.inputs):
-            raise ValueError("input references must be distinct")
+            raise BadRecordError("input references must be distinct")
 
     def output_total(self) -> int:
         return sum(o.amount for o in self.outputs)
@@ -177,9 +176,9 @@ class Block:
     def __post_init__(self) -> None:
         _check_bound(self.subsidy)
         if not self.transactions or not self.transactions[0].coinbase:
-            raise ValueError("block must start with its coinbase transaction")
+            raise BadRecordError("block must start with its coinbase transaction")
         if any(tx.coinbase for tx in self.transactions[1:]):
-            raise ValueError("only one coinbase per block, at position 0")
+            raise BadRecordError("only one coinbase per block, at position 0")
 
 
 def classify_zcash_tx(input_kinds: Iterable[str], output_kinds: Iterable[str]) -> str:
@@ -423,12 +422,12 @@ def _tx_from_record(rec: dict) -> UtxoTransaction:
     )
 
 
-def load_jsonl(lines: Iterable[str], subsidy: int = 5_000_000_000,
-               timestamp0: int = 1_231_006_505) -> Ledger:
+def load_jsonl(lines: Iterable[str], subsidy: int = 5_000_000_000) -> Ledger:
     """Build a ledger from ingestion JSONL, validating every block; block
-    h is stamped timestamp0 + 600 h seconds.
+    h is stamped 1,231,006,505 + 600 h seconds.
     Amounts, heights and indexes must be JSON integers; a malformed line
-    raises BadJsonError, BadRecordError or BadAmountError naming it."""
+    raises BadJsonError, BadRecordError or BadAmountError naming it, and a
+    block whose coinbase is missing or doubled raises one naming the block."""
     by_block: dict[int, list[UtxoTransaction]] = {}
     for line_no, rec in jsonl_records(lines):
         with at_line(line_no):
@@ -438,8 +437,9 @@ def load_jsonl(lines: Iterable[str], subsidy: int = 5_000_000_000,
     for height in sorted(by_block):
         txs = by_block[height]
         txs.sort(key=lambda t: not t.coinbase)  # coinbase first, stable otherwise
-        block = Block(height, timestamp0 + height * 600, tuple(txs),
-                      subsidy)
+        with naming(f"block {height}"):
+            block = Block(height, 1_231_006_505 + height * 600, tuple(txs),
+                          subsidy)
         ledger.apply_block(block)
     return ledger
 

@@ -270,6 +270,7 @@ def test_non_integer_amount_is_rejected(tmp_path, capsys, kind, line, amount):
     ('{"block":0,"coinbase":true,"outputs":[]}\n', "bad-record", 1),
     (COINBASE.replace("true", "1"), "bad-record", 1),
     (COINBASE.replace('"coinbase":true', '"inputs":[]'), "bad-record", 1),
+    (COINBASE + COINBASE.replace('"m"', '"\\ud800"'), "bad-json", 2),
 ])
 def test_malformed_utxo_record_names_its_line(tmp_path, capsys, text, code, line):
     src = tmp_path / "in.jsonl"
@@ -292,15 +293,17 @@ def test_malformed_script_command_names_its_line(tmp_path, capsys):
     assert err["message"].startswith("line 2:")
 
 
-MUTANT_VALUES = [None, 1.5, "x", [], [1], True, {}]
+MUTANT_VALUES = [None, 1.5, "x", "", [], [1], ["x"], True, {}, 0, -1]
+MUTANT_CELLS = ["", "x", "1.5", "-1", '"', "a,b"]
 
 
 def _mutate(data, record):
     """Drop a key or swap a value, at the top level or inside one of the
     record's nested objects."""
-    targets = [record] + [item for value in record.values()
-                          if isinstance(value, list) for item in value
-                          if isinstance(item, dict)]
+    targets = [record] + [value for value in record.values()
+                          if isinstance(value, dict)] + [
+        item for value in record.values() if isinstance(value, list)
+        for item in value if isinstance(item, dict)]
     target = data.draw(st.sampled_from(targets))
     if not target:
         return
@@ -311,28 +314,66 @@ def _mutate(data, record):
         target[key] = data.draw(st.sampled_from(MUTANT_VALUES))
 
 
-@settings(max_examples=150, deadline=None)
+def _mutate_row(data, cells):
+    """Drop a CSV cell or swap its text."""
+    i = data.draw(st.integers(0, len(cells) - 1))
+    if data.draw(st.booleans()):
+        del cells[i]
+    else:
+        cells[i] = data.draw(st.sampled_from(MUTANT_CELLS))
+
+
+# every committed fixture, with each subcommand that reads it
+READERS = [
+    ("account_table.jsonl", ["account", "graph", "{src}", "--out", "{out}"]),
+    ("account_table.jsonl", ["account", "tokens", "{src}", "--out", "{out}"]),
+    ("amount_network.jsonl", ["chainlet", "{src}", "--window", "1:1", "--out", "{out}"]),
+    ("fold_example.jsonl", ["chainlet", "{src}", "--N", "3", "--out", "{out}"]),
+    ("lineage.jsonl", ["utxo", "validate", "{src}"]),
+    ("six_tx_network.jsonl", ["utxo", "validate", "{src}", "--subsidy", "600000000"]),
+    ("weighted_example.jsonl", ["utxo", "graph", "{src}", "--kind", "address",
+                                "--out", "{out}"]),
+    ("offer_examples.jsonl", ["ripple", "offers", "{src}", "--out", "{out}"]),
+    ("rippling_payment.jsonl", ["ripple", "pay", "{src}", "--keep-going",
+                                "--out", "{out}"]),
+    ("rippling_payment.jsonl", ["replay", "{src}", "--kind", "ripple", "--out", "{out}"]),
+    ("tangle_double_spend.jsonl", ["iota", "grow", "{src}", "--genesis",
+                                   '{"a1": 100, "funder": 1000}', "--out", "{out}"]),
+    ("trace_calls.jsonl", ["account", "traces", "{src}", "--out", "{out}"]),
+    ("trust_graph.csv", ["ripple", "report", "--trust", "{src}", "--out", "{out}"]),
+]
+
+
+@settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_mutated_records_exit_cleanly(tmp_path_factory, data):
-    kind, name = data.draw(st.sampled_from([("utxo", "six_tx_network.jsonl"),
-                                            ("account", "account_table.jsonl")]))
-    records = [json.loads(line)
-               for line in (FIXTURES / name).read_text().splitlines()]
-    for _ in range(data.draw(st.integers(1, 3))):
-        _mutate(data, data.draw(st.sampled_from(records)))
-    lines = [json.dumps(record) for record in records]
+    """Whatever a mutated record holds, the reader exits 0, or 2 with a
+    specific error code, or 3; any other exception fails the test."""
+    name, args = data.draw(st.sampled_from(READERS))
+    text = (FIXTURES / name).read_text()
+    if name.endswith(".csv"):
+        records = list(csv.reader(io.StringIO(text)))
+        for _ in range(data.draw(st.integers(1, 3))):
+            _mutate_row(data, data.draw(st.sampled_from(records[1:])))
+        lines = [",".join(cells) for cells in records]
+    else:
+        records = [json.loads(line) for line in text.splitlines()]
+        for _ in range(data.draw(st.integers(1, 3))):
+            _mutate(data, data.draw(st.sampled_from(records)))
+        lines = [json.dumps(record) for record in records]
     if data.draw(st.integers(0, 9)) == 0:  # now and then, cut a line short
         i = data.draw(st.integers(0, len(lines) - 1))
         lines[i] = lines[i][:data.draw(st.integers(0, len(lines[i]) - 1))]
     work = tmp_path_factory.mktemp("mutant")
     src = work / name
     src.write_text("\n".join(lines) + "\n")
+    paths = {"{src}": str(src), "{out}": str(work / "out")}
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(reader_command(kind, src, work / "out.csv"))
+        code = main([paths.get(a, a) for a in args])
     assert code in (0, 2, 3)
     if code == 2:
-        assert json.loads(stderr.getvalue())["error"]
+        assert json.loads(stderr.getvalue())["error"] not in ("", "validation-error")
 
 
 # -- usage errors -------------------------------------------------------------------
@@ -368,6 +409,12 @@ ACCOUNTS = FIXTURES / "account_table.jsonl"
     pytest.param(["account", "graph", ACCOUNTS, "--budget", 5], id="graph-budget"),
     pytest.param(["account", "tokens", ACCOUNTS, "--budget", 5],
                  id="tokens-budget"),
+    pytest.param(["chainlet", FIXTURES / "amount_network.jsonl", "--coinbase-row"],
+                 id="chainlet-coinbase-row"),
+    pytest.param(["generate", "ripple", "--count", 5], id="ripple-count"),
+    pytest.param(["generate", "account", "--split-bias", 0.5],
+                 id="account-split-bias"),
+    pytest.param(["generate", "iota", "--reuse-p", 0.1], id="iota-reuse-p"),
 ])
 def test_flag_the_subcommand_never_reads_is_a_usage_error(args, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -451,6 +498,13 @@ def test_env_override_is_parsed_with_the_flag_type(fixture_dir, tmp_path,
     # block 2 alone holds the three edges into t5 and t6 from block 2 txs
     rows = out.read_text().splitlines()[1:]
     assert rows and all(row.split(",")[1] in ("t5", "t6") for row in rows)
+    # an upper-case dest (--N) takes its environment value too
+    chainlet = ["chainlet", fixture_dir / "amount_network.jsonl",
+                "--subsidy", 1_200_000_000, "--out"]
+    assert run_cli([*chainlet, tmp_path / "flag.csv", "--N", 3]) == 0
+    monkeypatch.setenv("LEDGERGRAPH_N", "3")
+    assert run_cli([*chainlet, tmp_path / "env.csv"]) == 0
+    assert (tmp_path / "env.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
 
 
 def test_unparsable_config_value_is_bad_config(fixture_dir, tmp_path, capsys):
@@ -578,6 +632,13 @@ def test_config_value_applies_when_the_flag_is_omitted(tmp_path):
                     "--out", outs["default"]]) == 0
     assert outs["config"].read_bytes() == outs["flag"].read_bytes()
     assert outs["config"].read_bytes() != outs["default"].read_bytes()
+    # an upper-case dest (--N) takes its config value too
+    conf.write_text("N=3\n")
+    chainlet = ["chainlet", FIXTURES / "amount_network.jsonl",
+                "--subsidy", 1_200_000_000, "--out"]
+    assert run_cli(["--config", conf, *chainlet, outs["config"]]) == 0
+    assert run_cli([*chainlet, outs["flag"], "--N", 3]) == 0
+    assert outs["config"].read_bytes() == outs["flag"].read_bytes()
 
 
 # -- the 128-bit amount bound ----------------------------------------------------------
@@ -611,3 +672,72 @@ def test_amounts_past_the_bound_are_amount_overflow(tmp_path, capsys, lines,
     src.write_text("\n".join(lines) + "\n")
     assert run_cli(["utxo", "validate", src, "--subsidy", subsidy]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "amount-overflow"
+
+
+# -- one code per rejection ------------------------------------------------------------
+
+NOT_UTF8 = b'{"id": "\xff"}\n'
+SEED_TRYTES = "LEDGER" + "9" * 75
+NO_COINBASE_FIRST = "\n".join([
+    _coinbase("c0", 0, 1),
+    json.dumps({"id": "t", "block": 1, "inputs": [{"txid": "c0", "index": 0}],
+                "outputs": [{"amount": 1, "address": "x"}]})]) + "\n"
+
+
+@pytest.mark.parametrize("files,args,error,message", [
+    pytest.param({"in.jsonl": NO_COINBASE_FIRST.encode()},
+                 ["utxo", "validate", "in.jsonl"], "bad-record",
+                 "block 1: block must start with its coinbase transaction",
+                 id="no-coinbase-first"),
+    pytest.param({"in.jsonl": NOT_UTF8}, ["utxo", "validate", "in.jsonl"],
+                 "bad-record", "in.jsonl: not UTF-8 text", id="ledger-not-utf8"),
+    pytest.param({"trust.csv": NOT_UTF8}, ["ripple", "report", "--trust", "trust.csv"],
+                 "bad-record", "trust.csv: not UTF-8 text", id="trust-not-utf8"),
+    pytest.param({"lg.conf": NOT_UTF8}, ["--config", "lg.conf", "generate", "ripple"],
+                 "bad-config", "lg.conf: not UTF-8 text", id="config-not-utf8"),
+    pytest.param({}, ["chainlet", FIXTURES / "amount_network.jsonl", "--N", 0],
+                 "bad-record", "N must lie in 1-1000, got 0", id="N-0"),
+    pytest.param({}, ["chainlet", FIXTURES / "amount_network.jsonl",
+                      "--N", 10_000_000_000],
+                 "bad-record", "N must lie in 1-1000, got 10000000000", id="N-too-big"),
+    pytest.param({}, ["iota", "derive", "--seed-trytes", SEED_TRYTES, "--level", 5],
+                 "bad-record", "private key: security level 5 is not 1, 2 or 3",
+                 id="derive-level-5"),
+    pytest.param({"lg.conf": b"out=a\0b\n"},
+                 ["--config", "lg.conf", "generate", "ripple"],
+                 "bad-config", "out='a\\x00b': holds a NUL character", id="config-nul"),
+])
+def test_each_rejection_has_its_own_code(tmp_path, monkeypatch, capsys, files, args,
+                                         error, message):
+    monkeypatch.chdir(tmp_path)
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    assert run_cli(args) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == error
+    assert err["message"].startswith(message)
+
+
+@pytest.mark.parametrize("change,message", [
+    ({"amount": {"currency": "USD", "value": 0}}, "line 16: amount must be positive"),
+    ({"paths": [["sarah"]]},
+     "line 16: a path needs at least sender and destination"),
+], ids=["zero-value", "one-name-path"])
+def test_malformed_payment_stops_the_replay(tmp_path, capsys, change, message):
+    """A payment that no path could ever carry is a bad record, not a
+    dried-up path logged as a rejection."""
+    cmds = [json.loads(line) for line in PAYMENTS.read_text().splitlines()]
+    cmds[-1].update(change, partial=False)
+    script = tmp_path / "pay.jsonl"
+    script.write_text("".join(json.dumps(c) + "\n" for c in cmds))
+    assert run_cli(["ripple", "pay", script]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "bad-record", "message": message}
+
+
+def test_command_line_bytes_that_are_not_utf8_hash_as_those_bytes(capsys):
+    # an undecodable argv byte arrives as a lone surrogate
+    assert run_cli(["iota", "bundle", "--inputs", "\udcff:1:5", "--outputs", "b:5",
+                    "--tag", "\udcfe"]) == 0
+    assert json.loads(capsys.readouterr().out)["transactions"] == 2

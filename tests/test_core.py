@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from ledgergraph.core import (
     AmountOverflowError,
+    BadRecordError,
     Edge,
     EdgeList,
     Hyperedge,
@@ -30,14 +31,14 @@ def test_overflow_raises_at_boundary():
 def test_output_amount_must_be_a_non_negative_int():
     with pytest.raises(TypeError):
         Output("t", 0, 1.0, "a")
-    with pytest.raises(ValueError):
+    with pytest.raises(BadRecordError):
         Output("t", 0, -1, "a")
 
 
 def test_issued_currency_code_length():
     CurrencyValue("USD", "gateway", 1)
     CurrencyValue("A" * 40, "gateway", 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadRecordError):
         CurrencyValue("USDX", "gateway", 1)
 
 

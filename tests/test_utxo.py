@@ -3,6 +3,7 @@
 import pytest
 
 from ledgergraph import fixtures
+from ledgergraph.core import BadRecordError
 from ledgergraph.utxo import (
     Block,
     DoubleSpendError,
@@ -145,7 +146,7 @@ def test_block_must_extend_tip():
 
 
 def test_block_structure_invariants():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadRecordError):
         Block(0, 0, (tx("t", [("g", 0)], [("a", 1)]),), 0)
 
 
