@@ -50,8 +50,10 @@ print("\n=== order book: maker rate, taker surplus ===")
 book = RippleLedger()
 for name in ("maker", "taker", "issE", "issU"):
     book.create_account(name, xrp_drops=10**9)
-book._credit("maker", CurrencyValue("EUR", "issE", 0), 7)
-book._credit("taker", CurrencyValue("USD", "issU", 0), 10)
+book.set_trust("maker", "issE", "EUR", 1000)
+book.adjust_line_debt("maker", "issE", "EUR", 7)  # maker holds 7 EUR.issE
+book.set_trust("taker", "issU", "USD", 1000)
+book.adjust_line_debt("taker", "issU", "USD", 10)
 book.create_offer("maker", CurrencyValue("EUR", "issE", 7),
                   CurrencyValue("USD", "issU", 9))
 fill = book.create_offer("taker", CurrencyValue("USD", "issU", 10),

@@ -1,12 +1,14 @@
 """ledgergraph command-line entry point.
 
-Subcommands: utxo | account | ripple | iota | chainlet | generate <chain>
-| replay. Exit codes: 0 success, 2 rejected input (a LedgerError's code and
-message as JSON on stderr), 3 I/O error; any other exception is a bug. All
-output is deterministic for fixed inputs, config and seed. Defaults come
-from a key=value --config file, then LEDGERGRAPH_* environment variables,
-then flags; a key names a flag's dest in any case, its value parsed with
-the flag's type: one that does not parse or holds a NUL is bad-config.
+Subcommands: utxo validate|graph, chainlet, account graph|tokens|traces,
+ripple trust|pay|offers|report, iota derive|bundle|grow and generate
+utxo|account|ripple|iota. Exit codes: 0 success, 2 rejected input (a
+LedgerError's code and message as JSON on stderr), 3 I/O error; any other
+exception is a bug. All output is deterministic for fixed inputs, config
+and seed. Defaults come from a key=value --config file, then
+LEDGERGRAPH_* environment variables, then flags; a key names a flag's
+dest in any case, its value parsed with the flag's type: one that does
+not parse or holds a NUL is bad-config.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ from . import generate as gen
 from . import scenario
 from . import utxo as utxo_mod
 from . import utxo_graphs as ug
-from .core import (BadJsonError, BadRecordError, LedgerError, csv_row,
-                   export_edge_list, export_hypergraph, export_matrix,
-                   get_field, int_cell, naming)
+from .core import (BadRecordError, LedgerError, csv_row, export_edge_list,
+                   export_hypergraph, export_matrix, get_field, int_cell,
+                   json_value, naming, read_lines)
 from .iota import bundles as iota_bundles
 from .iota import keys as iota_keys
 from .ripple import dump_trust_csv, load_trust_csv
@@ -36,15 +38,6 @@ EXIT_IO = 3
 
 class ConfigError(LedgerError):
     code = "bad-config"
-
-
-def _read_lines(path: str, error: type[LedgerError] = BadRecordError) -> list[str]:
-    try:
-        # line ends kept as written, so a \r inside a quoted CSV cell survives
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            return fh.readlines()
-    except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _write_bytes(path: str | None, data: bytes) -> None:
@@ -59,7 +52,7 @@ def _load_config(path: str | None) -> dict[str, str]:
     """Key=value config, '#' comments; LEDGERGRAPH_* env vars override."""
     conf: dict[str, str] = {}
     if path:
-        for raw in _read_lines(path, ConfigError):
+        for raw in read_lines(path, ConfigError):
             line = raw.strip()
             if not line or line.startswith("#") or "=" not in line:
                 continue
@@ -122,7 +115,7 @@ def _parse_range(text: str | None) -> tuple[int | None, int | None]:
 # subcommand handlers
 
 def _cmd_utxo(args: argparse.Namespace) -> int:
-    ledger = utxo_mod.load_jsonl(_read_lines(args.file), subsidy=args.subsidy)
+    ledger = utxo_mod.load_jsonl(read_lines(args.file), subsidy=args.subsidy)
     if args.action == "validate":
         print(json.dumps(ledger.summary(), sort_keys=True))
         return EXIT_OK
@@ -138,7 +131,7 @@ def _cmd_utxo(args: argparse.Namespace) -> int:
 
 
 def _cmd_chainlet(args: argparse.Namespace) -> int:
-    ledger = utxo_mod.load_jsonl(_read_lines(args.file), subsidy=args.subsidy)
+    ledger = utxo_mod.load_jsonl(read_lines(args.file), subsidy=args.subsidy)
     start, end = _parse_range(args.window)
     snap = chainlet_mod.snapshot_from_ledger(ledger, start, end)
     matrices = chainlet_mod.build_matrices(snap, args.N)
@@ -151,7 +144,7 @@ def _cmd_chainlet(args: argparse.Namespace) -> int:
 
 
 def _cmd_account(args: argparse.Namespace) -> int:
-    lines = _read_lines(args.file)
+    lines = read_lines(args.file)
     if args.action == "graph":
         graph = account_mod.build_account_graph(account_mod.load_jsonl(lines))
         _write_bytes(args.out, export_edge_list(graph, args.format))
@@ -169,17 +162,22 @@ def _cmd_account(args: argparse.Namespace) -> int:
 
 
 def _cmd_ripple(args: argparse.Namespace) -> int:
-    ledger = load_trust_csv(_read_lines(args.trust)) if args.trust else None
+    ledger = load_trust_csv(read_lines(args.trust)) if args.trust else None
     if args.action == "trust":
         _write_bytes(args.out, export_edge_list(ledger.trust_graph(), args.format))
         return EXIT_OK
     if args.action == "pay":
-        led, log = scenario.replay_ripple(_read_lines(args.script), ledger)
+        led, log = scenario.replay_ripple(read_lines(args.script), ledger)
         _write_bytes(args.out, scenario.dump_log(log))
-        return EXIT_OK if all(e["ok"] for e in log) or args.keep_going \
-            else EXIT_VALIDATION
+        first = next((e for e in log if not e["ok"]), None)
+        if first is None or args.keep_going:
+            return EXIT_OK
+        _print_error(first["error"]["code"],
+                     f"operation {first['index']} ({first['op']}): "
+                     f"{first['error']['message']}")
+        return EXIT_VALIDATION
     if args.action == "offers":
-        led, log = scenario.replay_ripple(_read_lines(args.script), ledger)
+        led, log = scenario.replay_ripple(read_lines(args.script), ledger)
         rows = ["gets_currency,gets_issuer,pays_currency,pays_issuer,"
                 "sequence,gets_remaining,pays_remaining"]
         for (gk, pk, seq, grem, prem) in led.book_rows():
@@ -220,13 +218,10 @@ def _cmd_iota(args: argparse.Namespace) -> int:
             "values": [tx.value for tx in bundle.transactions],
         }, sort_keys=True))
         return EXIT_OK
-    # grow / milestone / snapshot run scripts against a tangle
-    state, log = scenario.replay_tangle(_read_lines(args.script),
+    # grow runs a script against a tangle
+    state, log = scenario.replay_tangle(read_lines(args.script),
                                         genesis_balances=_genesis(args.genesis))
-    if args.action in ("milestone", "snapshot"):
-        state, log2 = scenario.replay_tangle([{"op": args.action}], state=state)
-        log.extend(log2)
-    _write_bytes(args.out, ("\n".join(state.export_rows()) + "\n").encode())
+    _write_bytes(args.out, state.export_csv())
     if args.log:
         _write_bytes(args.log, scenario.dump_log(log))
     return EXIT_OK
@@ -251,11 +246,7 @@ def _genesis(text: str | None) -> dict[str, int]:
     a JSON object whose values are JSON integers."""
     if not text:
         return {}
-    try:
-        balances = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise BadJsonError(
-            f"--genesis: {exc.msg} at column {exc.colno}") from None
+    balances = json_value(text, "--genesis")
     if type(balances) is not dict:
         raise BadRecordError(f"--genesis: expected an object, got {balances!r}")
     return {address: get_field(balances, address, int) for address in balances}
@@ -276,15 +267,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     else:  # iota
         state, _totals = gen.generate_tangle(
             gen.TangleSpec(cycles=args.count, snapshot_every=10**9), args.seed)
-        lines = state.export_rows()
+        _write_bytes(args.out, state.export_csv())
+        return EXIT_OK
     _write_bytes(args.out, ("\n".join(lines) + "\n").encode())
-    return EXIT_OK
-
-
-def _cmd_replay(args: argparse.Namespace) -> int:
-    replay = scenario.replay_ripple if args.kind == "ripple" else scenario.replay_tangle
-    _state, log = replay(_read_lines(args.script))
-    _write_bytes(args.out, scenario.dump_log(log))
     return EXIT_OK
 
 
@@ -359,12 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--inputs", required=True, help="addr:level:amount,...")
     b.add_argument("--outputs", required=True, help="addr:amount,...")
     b.add_argument("--tag", default="")
-    for name in ("grow", "milestone", "snapshot"):
-        pp = ia.add_parser(name)
-        pp.add_argument("script")
-        pp.add_argument("--genesis", help="JSON address->balance map")
-        pp.add_argument("--out", default=None)
-        pp.add_argument("--log", default=None)
+    gr = ia.add_parser("grow")
+    gr.add_argument("script")
+    gr.add_argument("--genesis", help="JSON address->balance map")
+    gr.add_argument("--out", default=None)
+    gr.add_argument("--log", default=None)
     i.set_defaults(func=_cmd_iota)
 
     gn = sub.add_parser("generate", help="synthetic ledgers")
@@ -379,13 +363,12 @@ def build_parser() -> argparse.ArgumentParser:
             pp.add_argument("--reuse-p", type=float, default=0.0)
         pp.add_argument("--out", default=None)
     gn.set_defaults(func=_cmd_generate)
-
-    rp = sub.add_parser("replay", help="scenario scripts")
-    rp.add_argument("script")
-    rp.add_argument("--kind", choices=("ripple", "iota"), required=True)
-    rp.add_argument("--out", default=None)
-    rp.set_defaults(func=_cmd_replay)
     return parser
+
+
+def _print_error(code: str, message: str) -> None:
+    print(json.dumps({"error": code, "message": message}, sort_keys=True),
+          file=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -393,13 +376,11 @@ def main(argv: list[str] | None = None) -> int:
         args = _parse_args(build_parser(), argv)
         return args.func(args)
     except OSError as exc:
-        print(json.dumps({"error": "io-failure", "message": str(exc)}),
-              file=sys.stderr)
+        _print_error("io-failure", str(exc))
         return EXIT_IO
     except LedgerError as exc:
         # rejected input; any other exception is a bug, left to its traceback
-        print(json.dumps({"error": exc.code, "message": str(exc)}, sort_keys=True),
-              file=sys.stderr)
+        _print_error(exc.code, str(exc))
         return EXIT_VALIDATION
 
 

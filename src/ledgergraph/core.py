@@ -1,6 +1,6 @@
-"""Shared ledger primitives: the integer amount bound, the JSONL record
-checks every reader uses, and the uniform graph export containers used by
-every chain model.
+"""Shared ledger primitives: the integer amount bound, the one reader of
+record files, the JSONL record checks every reader uses, and the uniform
+graph export containers used by every chain model.
 
 Amounts are plain ints in the smallest subunit of their currency family
 (satoshi, wei, drop, iota token), bounds-checked against MAX_AMOUNT where
@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from contextlib import AbstractContextManager, contextmanager
+from contextlib import AbstractContextManager, contextmanager, suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Iterable, Iterator
@@ -24,6 +24,8 @@ __all__ = [
     "BadJsonError",
     "BadRecordError",
     "BadAmountError",
+    "read_lines",
+    "json_value",
     "jsonl_records",
     "at_line",
     "naming",
@@ -79,25 +81,45 @@ class BadAmountError(BadRecordError):
 _REQUIRED = object()
 
 
+def read_lines(path: str, error: type[LedgerError] = BadRecordError) -> Iterator[str]:
+    """The lines of a UTF-8 record file, read one at a time as they are
+    asked for. Line ends are kept as written, so a \\r inside a quoted CSV
+    cell survives. A file that is not UTF-8 raises ``error`` naming it."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            yield from fh
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def json_value(text: str, where: str) -> Any:
+    """The JSON value that text holds, else BadJsonError prefixed with
+    where the text came from. A \\u escape of a lone surrogate is bad JSON
+    too, since no UTF-8 output can hold it, and so are nesting too deep and
+    a number too long to decode."""
+    try:
+        value = json.loads(text)
+        if "\\u" in text:
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+    except json.JSONDecodeError as exc:
+        raise BadJsonError(f"{where}: {exc.msg} at column {exc.colno}") from None
+    except UnicodeEncodeError:
+        raise BadJsonError(f"{where}: lone surrogate in a \\u escape") from None
+    except ValueError:  # an integer past int()'s digit limit
+        raise BadJsonError(f"{where}: number too long to decode") from None
+    except RecursionError:
+        raise BadJsonError(f"{where}: nested too deeply to decode") from None
+    return value
+
+
 def jsonl_records(lines: Iterable[str | dict]) -> Iterator[tuple[int, Any]]:
     """(1-based line number, decoded value) for every non-blank line.
-    Already decoded dicts pass through, numbered by position. A \\u escape
-    of a lone surrogate is bad JSON too: no UTF-8 output can hold it."""
+    Already decoded dicts pass through, numbered by position."""
     for line_no, line in enumerate(lines, 1):
         if isinstance(line, dict):
             yield line_no, line
-            continue
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-            if "\\u" in line:
-                json.dumps(record, ensure_ascii=False).encode("utf-8")
-        except json.JSONDecodeError as exc:
-            raise BadJsonError(f"line {line_no}: {exc.msg} at column {exc.colno}") from None
-        except UnicodeEncodeError:
-            raise BadJsonError(f"line {line_no}: lone surrogate in a \\u escape") from None
-        yield line_no, record
+        elif line.strip():
+            yield line_no, json_value(line, f"line {line_no}")
 
 
 @contextmanager
@@ -134,10 +156,12 @@ def get_field(record: Any, key: str, kind: type = str, default: Any = _REQUIRED)
 
 def int_cell(name: str, cell: str) -> int:
     """An integer field written as text (a CSV cell, a command-line item):
-    base-10 digits with an optional minus sign, else BadAmountError."""
-    if not re.fullmatch(r"-?[0-9]+", cell):
-        raise BadAmountError(f"{name!r} must be an integer, got {cell!r}")
-    return int(cell)
+    base-10 digits with an optional minus sign, no more than int()
+    converts, else BadAmountError."""
+    if re.fullmatch(r"-?[0-9]+", cell):
+        with suppress(ValueError):  # past int()'s digit limit
+            return int(cell)
+    raise BadAmountError(f"{name!r} must be an integer, got {cell!r}")
 
 
 def _check_bound(value: int) -> int:

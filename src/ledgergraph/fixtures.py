@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import json
 import os
+from typing import Iterator
 
 from . import account
+from .core import read_lines
 from .utxo import Ledger, load_jsonl
 
 COIN = 100_000_000
@@ -19,9 +21,8 @@ COIN = 100_000_000
 _DIR = os.path.join(os.path.dirname(__file__), "..", "..", "fixtures")
 
 
-def _lines(name: str) -> list[str]:
-    with open(os.path.join(_DIR, name), encoding="utf-8") as fh:
-        return fh.readlines()
+def _lines(name: str) -> Iterator[str]:
+    return read_lines(os.path.join(_DIR, name))
 
 
 def _ledger(name: str, subsidy: int) -> Ledger:

@@ -420,3 +420,7 @@ class TangleState:
                 tx.tag, tx.address, tx.branch, tx.trunk,
             ]))
         return rows
+
+    def export_csv(self) -> bytes:
+        """export_rows as a UTF-8 CSV file, each row ended by a newline."""
+        return ("\n".join(self.export_rows()) + "\n").encode("utf-8")

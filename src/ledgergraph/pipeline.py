@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from . import account, scenario
 from .chainlets import DEFAULT_N, build_matrices, snapshot_from_ledger
 from .core import (EdgeList, LedgerError, export_edge_list, export_hypergraph,
-                   export_matrix)
+                   export_matrix, read_lines)
 from .generate import AccountSpec, UtxoSpec, generate_account_txs, generate_utxo
 from .utxo import load_jsonl
 from .utxo_graphs import (
@@ -63,8 +63,7 @@ def _report(config: RunConfig, outputs: dict[str, str], summary: dict) -> dict:
 
 def _utxo_pipeline(config: RunConfig) -> dict:
     if config.input_path is not None:
-        with open(config.input_path, encoding="utf-8") as fh:
-            ledger = load_jsonl(fh, subsidy=config.subsidy)
+        ledger = load_jsonl(read_lines(config.input_path), subsidy=config.subsidy)
     else:
         ledger = generate_utxo(config.generator, config.seed)
     start, end = config.window
@@ -105,10 +104,7 @@ def _utxo_pipeline(config: RunConfig) -> dict:
 
 
 def _script_pipeline(config: RunConfig) -> dict:
-    lines: list[str] = []
-    if config.input_path is not None:
-        with open(config.input_path, encoding="utf-8") as fh:
-            lines = fh.readlines()
+    lines = read_lines(config.input_path) if config.input_path is not None else []
     outputs: dict[str, str] = {}
     if config.chain == "ripple":
         led, log = scenario.replay_ripple(lines)
@@ -124,9 +120,8 @@ def _script_pipeline(config: RunConfig) -> dict:
     elif config.chain == "iota":
         state, log = scenario.replay_tangle(
             lines, genesis_balances=config.genesis_balances)
-        outputs["tangle"] = _write(
-            config.output_dir, "tangle.csv",
-            ("\n".join(state.export_rows()) + "\n").encode("utf-8"))
+        outputs["tangle"] = _write(config.output_dir, "tangle.csv",
+                                   state.export_csv())
         outputs["tangle_graph"] = _write(
             config.output_dir, "tangle_graph.csv",
             export_edge_list(state.tangle_graph()))
@@ -147,8 +142,7 @@ def _script_pipeline(config: RunConfig) -> dict:
 
 def _account_pipeline(config: RunConfig) -> dict:
     if config.input_path is not None:
-        with open(config.input_path, encoding="utf-8") as fh:
-            txs = account.load_jsonl(fh)
+        txs = account.load_jsonl(read_lines(config.input_path))
     else:
         txs = generate_account_txs(AccountSpec(), config.seed)
     graph = account.build_account_graph(txs)  # nonce validation gates the build

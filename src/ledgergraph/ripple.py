@@ -798,14 +798,6 @@ class RippleLedger:
 
     # -- offers -----------------------------------------------------------------
 
-    def _credit(self, address: str, cv: CurrencyValue, amount: int) -> None:
-        """Move `amount` of cv to the address (from it, when negative):
-        gateway issue/redeem hook. Acquiring issued currency without a line
-        to its issuer creates one, with the reserve on the address."""
-        legs = _Legs(self)
-        legs.move(address, cv, amount)
-        self._commit(legs)
-
     def create_offer(self, owner: str, taker_gets: CurrencyValue,
                      taker_pays: CurrencyValue) -> dict:
         """Match a new offer against the book at price-time priority;

@@ -8,9 +8,10 @@ after the rejection as before it. A write that was later undone fails
 the check too. A rejection that wrote is a program fault and raises
 AssertionError (also under python -O).
 
-A malformed command (bad JSON, a missing key or a wrong-typed field)
-is not a rejection: it stops the replay with a BadJsonError,
-BadRecordError or BadAmountError naming its line.
+A malformed command (bad JSON, a missing key, a wrong-typed field or an
+op the script kind does not know) is not a rejection: it stops the
+replay with a BadJsonError, BadRecordError or BadAmountError naming its
+line.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Iterable, Iterator
 from .core import BadRecordError, LedgerError, at_line, get_field, jsonl_records
 from .ripple import CurrencyValue, PaymentSpec, RippleLedger
 from .iota.bundles import build_bundle
-from .iota.tangle import TangleState
+from .iota.tangle import GENESIS_HASH, TangleState
 
 __all__ = ["replay_ripple", "replay_tangle", "dump_log"]
 
@@ -88,7 +89,7 @@ def _ripple_step(led: RippleLedger, cmd: dict):
         return {"released": led.finish_escrow(f("escrow_id", int), f("now", int))}
     if op == "cancel_escrow":
         return {"refunded": led.cancel_escrow(f("escrow_id", int), f("now", int))}
-    raise LedgerError(f"unknown ripple op {op!r}")
+    raise BadRecordError(f"unknown ripple op {op!r}")
 
 
 def _rejection(i: int, op: str, exc: LedgerError) -> dict:
@@ -148,7 +149,7 @@ def _tangle_step(state: TangleState, cmd: dict, aliases: dict[str, str]):
                                           f("seed", int, 0))
         return {"trunk": trunk, "branch": branch}
     else:
-        raise LedgerError(f"unknown tangle op {op!r}")
+        raise BadRecordError(f"unknown tangle op {op!r}")
     if alias:
         aliases[alias] = head
     return result
@@ -164,11 +165,9 @@ def _tips(state: TangleState, cmd: dict, aliases: dict[str, str]) -> tuple[str, 
 
 
 def replay_tangle(lines: Iterable[str],
-                  state: TangleState | None = None,
                   genesis_balances: dict[str, int] | None = None,
                   ) -> tuple[TangleState, list[dict]]:
-    from .iota.tangle import GENESIS_HASH
-    st = state or TangleState(genesis_balances or {})
+    st = TangleState(genesis_balances or {})
     aliases: dict[str, str] = {"GENESIS": GENESIS_HASH}
     log: list[dict] = []
     for i, (line_no, cmd) in enumerate(_records(lines)):

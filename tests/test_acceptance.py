@@ -167,6 +167,8 @@ def test_criterion_5_rippling_scenario():
 
 def test_criterion_6_offer_matching():
     with Budget(6, "offer examples and residual book vs brute force", 10.0):
+        from tests.test_ripple import NaiveBook, hold
+
         def usd(v):
             return CurrencyValue("USD", "issU", v)
 
@@ -176,8 +178,8 @@ def test_criterion_6_offer_matching():
         led = RippleLedger()
         for n in ("o1", "o2", "issE", "issU"):
             led.create_account(n, xrp_drops=10**9)
-        led._credit("o1", eur(0), 7)
-        led._credit("o2", usd(0), 10)
+        hold(led, "o1", eur(0), 7)
+        hold(led, "o2", usd(0), 10)
         led.create_offer("o1", eur(7), usd(10))
         led.create_offer("o2", usd(10), eur(7))
         assert led.holding("o2", "EUR", "issE") == 7
@@ -186,14 +188,13 @@ def test_criterion_6_offer_matching():
         led2 = RippleLedger()
         for n in ("o1", "o2", "issE", "issU"):
             led2.create_account(n, xrp_drops=10**9)
-        led2._credit("o1", eur(0), 7)
-        led2._credit("o2", usd(0), 10)
+        hold(led2, "o1", eur(0), 7)
+        hold(led2, "o2", usd(0), 10)
         led2.create_offer("o1", eur(7), usd(9))
         led2.create_offer("o2", usd(10), eur(7))
         assert led2.holding("o2", "EUR", "issE") == 7
         assert led2.holding("o2", "USD", "issU") == 1  # keeps its 1 USD
 
-        from tests.test_ripple import NaiveBook
         traders, stream = generate_offer_stream(OfferSpec(count=1000), seed=99)
         engine = RippleLedger()
         oracle = NaiveBook()
@@ -201,7 +202,7 @@ def test_criterion_6_offer_matching():
         for t in traders:
             engine.create_account(t, xrp_drops=10**12)
             for cur in ("USD", "EUR"):
-                engine._credit(t, CurrencyValue(cur, "issuerX", 0), 10**6)
+                hold(engine, t, CurrencyValue(cur, "issuerX", 0), 10**6)
                 oracle.fund(t, cur, 10**6)
         for owner, gets, pays in stream:
             engine.create_offer(owner, gets, pays)

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -172,9 +173,9 @@ def test_replay_ripple_logs_rejections(tmp_path, capsys):
     script.write_text(json.dumps(
         {"op": "pay", "account": "ghost", "destination": "d",
          "amount": {"currency": "USD", "value": 1}}) + "\n")
-    code = run_cli(["replay", script, "--kind", "ripple"])
+    code = run_cli(["ripple", "pay", script, "--keep-going"])
     line = json.loads(capsys.readouterr().out.splitlines()[0])
-    assert code == 0  # replay reports; rejected ops are logged, not fatal
+    assert code == 0  # with --keep-going, rejected ops are logged, not fatal
     assert line["ok"] is False
 
 
@@ -230,9 +231,35 @@ def test_console_script_entry_point():
     proc = subprocess.run([sys.executable, "-m", "ledgergraph.cli", "--help"],
                           capture_output=True, text=True)
     assert proc.returncode == 0
-    for sub in ("utxo", "account", "ripple", "iota", "chainlet", "generate",
-                "replay"):
+    for sub in ("utxo", "account", "ripple", "iota", "chainlet", "generate"):
         assert sub in proc.stdout
+    assert "replay" not in proc.stdout
+
+
+@pytest.mark.parametrize("args", [["replay", "s.jsonl", "--kind", "ripple"],
+                                  ["iota", "milestone", "s.jsonl"],
+                                  ["iota", "snapshot", "s.jsonl"]])
+def test_removed_subcommands_are_usage_errors(args, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args)
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+# sha256 of the tangle CSV that `iota milestone` and `iota snapshot` wrote
+# for this fixture and genesis; the script's own final line now does it
+@pytest.mark.parametrize("op,digest", [
+    ("milestone", "1ed7a772227dd4fb88dc547d5edd775cb8144bbf6b2ff002f3d30c0d581155ab"),
+    ("snapshot", "ec4a99aa55f43d2b487dc8107dc0444e7d561a851aceeb96b8ca20a00a599862"),
+])
+def test_grow_with_a_closing_milestone_or_snapshot_line(tmp_path, op, digest):
+    script = tmp_path / "s.jsonl"
+    script.write_text((FIXTURES / "tangle_double_spend.jsonl").read_text()
+                      + json.dumps({"op": op}) + "\n")
+    out = tmp_path / "tangle.csv"
+    assert run_cli(["iota", "grow", script, "--genesis", '{"a1": 100, "funder": 1000}',
+                    "--out", out]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 # -- strict readers ---------------------------------------------------------------
@@ -287,7 +314,7 @@ def test_malformed_script_command_names_its_line(tmp_path, capsys):
         '{"op": "create_account", "address": "a", "xrp": 100000000}\n'
         '{"op": "set_trust", "lender": "a", "borrower": "b", "currency": "USD",'
         ' "limit": null}\n')
-    assert run_cli(["replay", script, "--kind", "ripple"]) == 2
+    assert run_cli(["ripple", "pay", script, "--keep-going"]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "bad-amount"
     assert err["message"].startswith("line 2:")
@@ -336,7 +363,6 @@ READERS = [
     ("offer_examples.jsonl", ["ripple", "offers", "{src}", "--out", "{out}"]),
     ("rippling_payment.jsonl", ["ripple", "pay", "{src}", "--keep-going",
                                 "--out", "{out}"]),
-    ("rippling_payment.jsonl", ["replay", "{src}", "--kind", "ripple", "--out", "{out}"]),
     ("tangle_double_spend.jsonl", ["iota", "grow", "{src}", "--genesis",
                                    '{"a1": 100, "funder": 1000}', "--out", "{out}"]),
     ("trace_calls.jsonl", ["account", "traces", "{src}", "--out", "{out}"]),
@@ -677,6 +703,7 @@ def test_amounts_past_the_bound_are_amount_overflow(tmp_path, capsys, lines,
 # -- one code per rejection ------------------------------------------------------------
 
 NOT_UTF8 = b'{"id": "\xff"}\n'
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
 SEED_TRYTES = "LEDGER" + "9" * 75
 NO_COINBASE_FIRST = "\n".join([
     _coinbase("c0", 0, 1),
@@ -703,6 +730,22 @@ NO_COINBASE_FIRST = "\n".join([
     pytest.param({}, ["iota", "derive", "--seed-trytes", SEED_TRYTES, "--level", 5],
                  "bad-record", "private key: security level 5 is not 1, 2 or 3",
                  id="derive-level-5"),
+    pytest.param({"in.jsonl": DEEP_JSON.encode()}, ["utxo", "validate", "in.jsonl"],
+                 "bad-json", "line 1: nested too deeply", id="ledger-deep-json"),
+    pytest.param({"in.jsonl": (UTXO_LINE % ("9" * 5000)).encode()},
+                 ["utxo", "validate", "in.jsonl"],
+                 "bad-json", "line 1: number too long to decode", id="ledger-long-number"),
+    pytest.param({"trust.csv": b"a,b,USD," + b"9" * 5000 + b",0,0\n"},
+                 ["ripple", "report", "--trust", "trust.csv"],
+                 "bad-amount", "line 1: 'balance' must be an integer", id="trust-long-cell"),
+    pytest.param({"s.jsonl": b""}, ["iota", "grow", "s.jsonl", "--genesis", "[" * 100_000],
+                 "bad-json", "--genesis: nested too deeply", id="genesis-deep-json"),
+    pytest.param({"s.jsonl": b'{"op": "paay"}\n'},
+                 ["ripple", "pay", "s.jsonl", "--keep-going"],
+                 "bad-record", "line 1: unknown ripple op 'paay'", id="ripple-unknown-op"),
+    pytest.param({"s.jsonl": b'{"op": "atach_message"}\n'}, ["iota", "grow", "s.jsonl"],
+                 "bad-record", "line 1: unknown tangle op 'atach_message'",
+                 id="tangle-unknown-op"),
     pytest.param({"lg.conf": b"out=a\0b\n"},
                  ["--config", "lg.conf", "generate", "ripple"],
                  "bad-config", "out='a\\x00b': holds a NUL character", id="config-nul"),
@@ -734,6 +777,19 @@ def test_malformed_payment_stops_the_replay(tmp_path, capsys, change, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err) == {"error": "bad-record", "message": message}
+
+
+def test_rejected_payment_exits_2_naming_the_operation(tmp_path, capsys):
+    """Without --keep-going, the first rejection is reported like every
+    other exit 2; the whole log is still written."""
+    out = tmp_path / "log.jsonl"
+    assert run_cli(["ripple", "pay", PAYMENTS, "--trust", FIXTURES / "trust_graph.csv",
+                    "--out", out]) == 2
+    first = next(e for e in map(json.loads, out.read_text().splitlines())
+                 if not e["ok"])
+    assert json.loads(capsys.readouterr().err) == {
+        "error": first["error"]["code"],
+        "message": f"operation {first['index']} (pay): {first['error']['message']}"}
 
 
 def test_command_line_bytes_that_are_not_utf8_hash_as_those_bytes(capsys):

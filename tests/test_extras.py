@@ -119,7 +119,8 @@ def test_cancel_offer_removes_from_book():
     led = RippleLedger()
     led.create_account("m", xrp_drops=10**9)
     led.create_account("issE", xrp_drops=10**9)
-    led._credit("m", CurrencyValue("EUR", "issE", 0), 50)
+    led.set_trust("m", "issE", "EUR", 1000)
+    led.adjust_line_debt("m", "issE", "EUR", 50)  # m holds 50 EUR.issE
     result = led.create_offer("m", CurrencyValue("EUR", "issE", 7),
                               CurrencyValue("USD", "issU", 10))
     assert led.book_rows()
@@ -249,7 +250,7 @@ def test_cli_malformed_script_is_validation_error(tmp_path, capsys):
     from ledgergraph.cli import main
     bad = tmp_path / "bad.jsonl"
     bad.write_text("{not json\n")
-    assert main(["replay", str(bad), "--kind", "ripple"]) == 2
+    assert main(["ripple", "pay", str(bad), "--keep-going"]) == 2
     capsys.readouterr()
 
 

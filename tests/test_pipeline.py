@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from ledgergraph import fixtures
 from ledgergraph.chainlets import build_matrices, merge_matrices, snapshot_from_ledger
-from ledgergraph.core import Hypergraph
+from ledgergraph.core import BadRecordError, Hypergraph
 from ledgergraph.pipeline import RunConfig, run_pipeline
 
 
@@ -96,6 +96,17 @@ def test_pipeline_account(fixture_dir, tmp_path):
         chain="account", input_path=str(fixture_dir / "account_table.jsonl"),
         output_dir=str(out)))
     assert report["summary"]["graph"]["edges"] == 6
+
+
+@pytest.mark.parametrize("chain", ["utxo", "ripple", "iota", "account"])
+def test_pipeline_input_that_is_not_utf8_is_a_bad_record(tmp_path, chain):
+    src = tmp_path / "in.jsonl"
+    src.write_bytes(b'{"id": "\xff"}\n')
+    with pytest.raises(BadRecordError) as exc:
+        run_pipeline(RunConfig(chain=chain, input_path=str(src),
+                               output_dir=str(tmp_path / "out")))
+    assert exc.value.code == "bad-record"
+    assert str(exc.value).startswith(f"{src}: not UTF-8 text")
 
 
 # -- cross-cutting graph characteristics -----------------------------------------

@@ -52,6 +52,13 @@ def funded_ledger(names, drops=XRP_100):
     return led
 
 
+def hold(led, holder, cv, amount):
+    """Give the holder `amount` of cv's issued currency: a line it extends
+    to the issuer, on which the issuer owes that much."""
+    led.set_trust(holder, cv.issuer, cv.currency, 10**12)
+    led.adjust_line_debt(holder, cv.issuer, cv.currency, amount)
+
+
 # -- canonicalization and trust lines ---------------------------------------------
 
 def test_set_trust_canonicalizes_both_orders():
@@ -288,8 +295,8 @@ def eur(value, issuer="issE"):
 
 def offer_ledger():
     led = funded_ledger(["m", "t", "issE", "issU"], drops=10 * XRP_100)
-    led._credit("m", eur(0), 1000)
-    led._credit("t", usd(0, "issU"), 1000)
+    hold(led, "m", eur(0), 1000)
+    hold(led, "t", usd(0, "issU"), 1000)
     return led
 
 
@@ -455,7 +462,7 @@ def test_tight_funding_engine_and_oracle_agree_on_rejections():
         led.create_account(t, xrp_drops=10**12)
         for cur in ("USD", "EUR"):
             amount = rng.randint(0, 60)  # scarce: rejections will happen
-            led._credit(t, CurrencyValue(cur, "issuerX", 0), amount)
+            hold(led, t, CurrencyValue(cur, "issuerX", 0), amount)
             oracle.fund(t, cur, amount)
     rejected = 0
     for _ in range(400):
@@ -487,7 +494,7 @@ def test_residual_book_matches_brute_force_on_random_streams():
     for t in traders:
         led.create_account(t, xrp_drops=10**12)
         for cur in ("USD", "EUR"):
-            led._credit(t, CurrencyValue(cur, "issuerX", 0), 10**6)
+            hold(led, t, CurrencyValue(cur, "issuerX", 0), 10**6)
             oracle.fund(t, cur, 10**6)
     for owner, gets, pays in stream:
         led.create_offer(owner, gets, pays)
@@ -521,7 +528,7 @@ def test_near_reserve_engine_and_oracle_agree():
         oracle.xrp[t] = xrp
         for cur in held:
             amount = rng.randint(50, 300)
-            led._credit(t, CurrencyValue(cur, "issuerX", 0), amount)
+            hold(led, t, CurrencyValue(cur, "issuerX", 0), amount)
             oracle.fund(t, cur, amount)
     outcomes = {"ok": 0, "unfunded": 0, "no-reserve": 0}
     fills = 0
@@ -615,7 +622,7 @@ def test_rejection_needing_a_new_line_writes_nothing(script, who, tmp_path, caps
     assert led.writes == setup.writes
     path = tmp_path / "script.jsonl"
     path.write_text("\n".join(lines) + "\n")
-    assert main(["replay", str(path), "--kind", "ripple"]) == 0
+    assert main(["ripple", "pay", str(path), "--keep-going"]) == 0
     assert json.loads(capsys.readouterr().out.splitlines()[-1]) == log[-1]
 
 
