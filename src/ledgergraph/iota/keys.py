@@ -42,9 +42,13 @@ class IndexOutOfRangeError(LedgerError):
     code = "index-out-of-range"
 
 
+class BadSeedError(LedgerError):
+    code = "bad-seed"
+
+
 def _seed_trits(seed: str) -> list[int]:
     if len(seed) != SEED_TRYTES:
-        raise LedgerError(f"seed must be exactly {SEED_TRYTES} trytes")
+        raise BadSeedError(f"seed must be exactly {SEED_TRYTES} trytes")
     return decode_trytes(seed)
 
 

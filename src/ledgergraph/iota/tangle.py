@@ -35,6 +35,8 @@ __all__ = [
     "NoValidTipsError",
     "NotCoordinatorError",
     "PowBudgetExceededError",
+    "UnknownTipError",
+    "InvalidTipError",
     "DEFAULT_POW_BUDGET",
 ]
 
@@ -52,6 +54,14 @@ class NotCoordinatorError(LedgerError):
 
 class PowBudgetExceededError(LedgerError):
     code = "pow-budget-exceeded"
+
+
+class UnknownTipError(LedgerError):
+    code = "unknown-tip"
+
+
+class InvalidTipError(LedgerError):
+    code = "invalid-tip"
 
 
 class TangleState:
@@ -100,9 +110,9 @@ class TangleState:
         trunk_tip, branch_tip = tips
         for ref in (trunk_tip, branch_tip):
             if not self._known(ref):
-                raise LedgerError(f"unknown tip {ref[:12]}...")
+                raise UnknownTipError(f"unknown tip {ref[:12]}...")
             if ref in self.invalid:
-                raise LedgerError(f"tip {ref[:12]}... is invalid")
+                raise InvalidTipError(f"tip {ref[:12]}... is invalid")
         if bundle.value_sum() != 0:
             raise LedgerError("bundle values must sum to zero")
         txs = bundle.transactions

@@ -730,6 +730,8 @@ NO_COINBASE_FIRST = "\n".join([
     pytest.param({}, ["iota", "derive", "--seed-trytes", SEED_TRYTES, "--level", 5],
                  "bad-record", "private key: security level 5 is not 1, 2 or 3",
                  id="derive-level-5"),
+    pytest.param({}, ["iota", "derive", "--seed-trytes", SEED_TRYTES[:80]],
+                 "bad-seed", "seed must be exactly 81 trytes", id="derive-short-seed"),
     pytest.param({"in.jsonl": DEEP_JSON.encode()}, ["utxo", "validate", "in.jsonl"],
                  "bad-json", "line 1: nested too deeply", id="ledger-deep-json"),
     pytest.param({"in.jsonl": (UTXO_LINE % ("9" * 5000)).encode()},
@@ -759,6 +761,24 @@ def test_each_rejection_has_its_own_code(tmp_path, monkeypatch, capsys, files, a
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == error
     assert err["message"].startswith(message)
+
+
+def test_tip_rejections_are_logged_with_their_own_codes(tmp_path):
+    """A tip that names no transaction, or one the double spend
+    invalidated, is a logged rejection with its own code, and the replay
+    goes on."""
+    script = tmp_path / "s.jsonl"
+    script.write_text((FIXTURES / "tangle_double_spend.jsonl").read_text() + "".join(
+        json.dumps(cmd) + "\n" for cmd in [
+            {"op": "attach_message", "address": "m4", "tips": ["x3", "GENESIS"]},
+            {"op": "attach_message", "address": "m5", "tips": ["GENESIS", "9" * 80 + "A"]},
+            {"op": "attach_message", "address": "m6", "tips": ["GENESIS", "GENESIS"]}]))
+    log = tmp_path / "log.jsonl"
+    assert run_cli(["iota", "grow", script, "--genesis", '{"a1": 100, "funder": 1000}',
+                    "--out", tmp_path / "t.csv", "--log", log]) == 0
+    events = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [e["error"]["code"] for e in events[-3:-1]] == ["invalid-tip", "unknown-tip"]
+    assert events[-1]["ok"]
 
 
 @pytest.mark.parametrize("change,message", [

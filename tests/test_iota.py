@@ -257,7 +257,7 @@ def test_iota_grow_known_answer(tmp_path):
         "3739e26cb9016f8bcbffdefc5065162d6d15eaff4727256cec80cf9afd7d8b82")
 
 
-# -- oracles for the table-driven round and the vectorised codecs -------------
+# -- oracles for the bit-sliced round and the vectorised codecs ---------------
 
 def roll_round_transform(state: np.ndarray) -> np.ndarray:
     """The mixer permutation as the formula states it: gather by the
@@ -399,6 +399,35 @@ def test_batched_transform_equals_roll_formula_per_row(k, seed):
     assert mixer.state.dtype == np.int8
     assert np.array_equal(mixer.state,
                           np.stack([roll_round_transform(row) for row in states]))
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (27,), (81,), (0,)],
+                         ids=["2x3", "27-rows", "81-rows", "0-rows"])
+def test_transform_of_a_batch_shape_equals_roll_formula_per_row(shape):
+    states = random_trits(sum(shape), (*shape, sponge_mod.STATE_TRITS))
+    mixer = MixerSponge(shape)
+    mixer.state = states.copy()
+    mixer._transform()
+    assert mixer.state.dtype == np.int8
+    assert mixer.state.shape == (*shape, sponge_mod.STATE_TRITS)
+    rows = states.reshape(-1, sponge_mod.STATE_TRITS)
+    expected = [roll_round_transform(row) for row in rows]
+    assert np.array_equal(mixer.state.reshape(rows.shape),
+                          np.array(expected, dtype=np.int8).reshape(rows.shape))
+
+
+def test_transform_of_one_nonzero_trit_equals_roll_formula():
+    """Each single nonzero trit, at every position: the rolls carry it
+    across the end of the state in some round."""
+    for position in range(sponge_mod.STATE_TRITS):
+        for trit in (-1, 1):
+            state = np.zeros(sponge_mod.STATE_TRITS, dtype=np.int8)
+            state[position] = trit
+            mixer = MixerSponge()
+            mixer.state = state.copy()
+            mixer._transform()
+            assert np.array_equal(mixer.state, roll_round_transform(state)), (
+                position, trit)
 
 
 @given(st.integers(1, 5), st.integers(0, 3 * sponge_mod.BLOCK_TRITS),

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from ledgergraph import fixtures
 from ledgergraph.chainlets import build_matrices, merge_matrices, snapshot_from_ledger
 from ledgergraph.core import BadRecordError, Hypergraph
+from ledgergraph.iota.sponge import MixerSponge
 from ledgergraph.pipeline import RunConfig, run_pipeline
 
 
@@ -66,6 +67,26 @@ def test_pipeline_generates_when_no_input(tmp_path):
                                generator=UtxoSpec(tx_count=80), fold_n=5))
     for name in ("transaction_graph.csv", "occurrence.csv", "summary.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_utxo_and_ripple_pipelines_run_no_sponge_permutation(fixture_dir, tmp_path,
+                                                             monkeypatch):
+    """Only the iota chain hashes: the utxo and ripple chains never permute
+    a sponge state, so a change to the permutation cannot move them."""
+    calls = []
+    monkeypatch.setattr(MixerSponge, "_transform", lambda self: calls.append(1))
+    run_pipeline(RunConfig(
+        chain="utxo", input_path=str(fixture_dir / "six_tx_network.jsonl"),
+        output_dir=str(tmp_path / "u"), window=(1, 2), fold_n=3,
+        subsidy=6 * fixtures.COIN))
+    run_pipeline(RunConfig(
+        chain="ripple", input_path=str(fixture_dir / "rippling_payment.jsonl"),
+        output_dir=str(tmp_path / "r")))
+    assert calls == []
+    run_pipeline(RunConfig(
+        chain="iota", input_path=str(fixture_dir / "tangle_double_spend.jsonl"),
+        output_dir=str(tmp_path / "i"), genesis_balances={"a1": 100}))
+    assert calls  # the patch does reach the sponge
 
 
 def test_pipeline_ripple_script(fixture_dir, tmp_path):
