@@ -32,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import ceil, floor
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import (BadRecordError, Edge, EdgeList, LedgerError, at_line,
                    canonical_json, csv_row, int_cell)
@@ -57,6 +57,13 @@ __all__ = [
     "UnfundedOfferError",
     "CheckError",
     "EscrowError",
+    "AccountExistsError",
+    "UnknownAccountError",
+    "SelfTrustError",
+    "NoLineError",
+    "XrpRipplingError",
+    "PartialXrpError",
+    "UnknownOfferError",
     "fill_amounts",
     "load_trust_csv",
     "dump_trust_csv",
@@ -103,6 +110,34 @@ class EscrowError(LedgerError):
     code = "escrow-error"
 
 
+class AccountExistsError(LedgerError):
+    code = "account-exists"
+
+
+class UnknownAccountError(LedgerError):
+    code = "unknown-account"
+
+
+class SelfTrustError(LedgerError):
+    code = "self-trust"
+
+
+class NoLineError(LedgerError):
+    code = "no-line"
+
+
+class XrpRipplingError(LedgerError):
+    code = "xrp-rippling"
+
+
+class PartialXrpError(LedgerError):
+    code = "partial-xrp"
+
+
+class UnknownOfferError(LedgerError):
+    code = "unknown-offer"
+
+
 @dataclass(frozen=True)
 class CurrencyValue:
     """An amount of XRP (issuer None, currency 'XRP') or issued currency."""
@@ -132,7 +167,7 @@ class RippleAccount:
     deposit_auth: bool = False
     default_ripple: bool = False
     authorized: set[str] = field(default_factory=set)
-    transfer_fee_rate: Fraction = Fraction(0)
+    transfer_fee_rate: Fraction = Fraction(0)  # never negative
     frozen_currencies: set[str] = field(default_factory=set)
 
     def reserve_required(self) -> int:
@@ -290,7 +325,7 @@ class RippleLedger:
 
     def create_account(self, address: str, xrp_drops: int = 0) -> RippleAccount:
         if address in self.accounts:
-            raise LedgerError(f"account {address} exists")
+            raise AccountExistsError(f"account {address} exists")
         self.writes += 1
         acct = RippleAccount(address=address, xrp_balance=xrp_drops)
         self.accounts[address] = acct
@@ -425,7 +460,7 @@ class RippleLedger:
     def account(self, address: str) -> RippleAccount:
         acct = self.accounts.get(address)
         if acct is None:
-            raise LedgerError(f"unknown account {address}")
+            raise UnknownAccountError(f"unknown account {address}")
         return acct
 
     def state_digest(self) -> str:
@@ -475,7 +510,7 @@ class RippleLedger:
         Creating a new record raises the lender's owner reserve; setting a
         zero limit on a zero-balance, otherwise-unused line deletes it."""
         if lender == borrower:
-            raise LedgerError("cannot trust oneself")
+            raise SelfTrustError("cannot trust oneself")
         if limit < 0:
             raise BadRecordError("trust limit must be >= 0")
         self.account(borrower)
@@ -513,7 +548,7 @@ class RippleLedger:
         (each side owns its flag regardless of which side extended trust)."""
         state = self.line(account, peer, currency)
         if state is None:
-            raise LedgerError(f"no {currency} line between {account} and {peer}")
+            raise NoLineError(f"no {currency} line between {account} and {peer}")
         self._set_side(state, account, state.limit_of(account), flag)
         return state
 
@@ -523,7 +558,7 @@ class RippleLedger:
         gateway issue/redeem hook; bypasses capacity checks)."""
         state = self.line(lender, borrower, currency)
         if state is None:
-            raise LedgerError(f"no {currency} line between {lender} and {borrower}")
+            raise NoLineError(f"no {currency} line between {lender} and {borrower}")
         self._apply_debt(state, lender, borrower, amount)
         return state
 
@@ -626,44 +661,59 @@ class RippleLedger:
         return lines
 
     def find_paths(self, spec: PaymentSpec) -> list[tuple[str, ...]]:
+        """Every payment path for the spec, in payment order, shortest
+        and lexicographically smallest first: the whole of
+        _paths_by_length. Raises NoPathError when there is none."""
+        return list(self._paths_by_length(spec))
+
+    def _paths_by_length(self, spec: PaymentSpec) -> Iterator[tuple[str, ...]]:
         """Breadth-first enumeration of lender->borrower chains from the
         destination back to the sender, filtered by per-hop capacity and
         rippling flags, honoring the field constraints (sender first,
         SendMax issuer second, Amount issuer second-to-last, destination
-        last). Returned in payment order, shortest and lexicographically
-        smallest first."""
+        last). Chains leave the queue in nondecreasing length, so when
+        the first chain of length L leaves it every path of length L is
+        found: that length's paths are yielded then, sorted, before any
+        longer chain is expanded. A caller that stops at the first path
+        it can use never expands the longer chains. Raises NoPathError,
+        after the last chain, when it yielded nothing."""
         currency = spec.amount.currency
         if currency == "XRP":
-            raise LedgerError("XRP transfers are direct payments, not rippling")
+            raise XrpRipplingError(
+                "XRP transfers are direct payments, not rippling")
         need = spec.amount.value if not spec.tf_partial_payment else 1
-        found: list[tuple[str, ...]] = []
+        shortest = 3 if spec.tf_no_direct_ripple else 2
+        found: list[tuple[str, ...]] = []  # paths of one length, not yet yielded
+        yielded = False
         queue: deque[tuple[str, ...]] = deque([(spec.destination,)])
         while queue:
             chain = queue.popleft()
-            node = chain[-1]
+            if found and len(chain) >= len(found[0]):
+                found.sort()
+                yield from found
+                found, yielded = [], True
             if len(chain) > self.path_depth:
                 continue
-            for borrower, state in self._borrowers_of(node, currency):
+            for borrower, state in self._borrowers_of(chain[-1], currency):
                 if borrower in chain:
                     continue
                 if self.available_capacity(state, borrower) < need:
                     continue
                 nxt = chain + (borrower,)
                 if borrower == spec.account:
-                    payment_order = tuple(reversed(nxt))
-                    if self._admissible(payment_order, spec) and \
+                    payment_order = nxt[::-1]
+                    if len(nxt) >= shortest and \
+                            self._admissible(payment_order, spec) and \
                             self._open_hops(payment_order, currency) is not None:
                         found.append(payment_order)
                 else:
                     queue.append(nxt)
-        if spec.tf_no_direct_ripple:
-            found = [p for p in found if len(p) > 2]
-        found.sort(key=lambda p: (len(p), p))
-        if not found:
+        found.sort()
+        yield from found
+        if not (found or yielded):
             raise NoPathError(
                 f"no {currency} path from {spec.account} to {spec.destination}"
             )
-        return found
 
     @staticmethod
     def _admissible(payment_order: Sequence[str], spec: PaymentSpec) -> bool:
@@ -709,9 +759,17 @@ class RippleLedger:
 
     def _most_feasible(self, path: Sequence[str], states: list[RippleState],
                        amount: int) -> int:
-        """Largest delivered amount in [0, amount] the path can carry, by
-        binary search: feasibility is monotone in the delivered amount."""
-        lo, hi = 0, amount
+        """Largest delivered amount in [0, amount] the path can carry.
+        Every hop carries at least the delivered amount (fee rates are
+        never negative), so the tightest hop bounds it: the bound itself
+        when the path carries it, which it does whenever no intermediary
+        charges a fee, and otherwise found by binary search below the
+        bound (feasibility is monotone in the delivered amount)."""
+        hi = max(0, min([amount] + [self.available_capacity(state, path[i])
+                                    for i, state in enumerate(states)]))
+        if self._path_feasible(path, states, hi):
+            return hi
+        lo, hi = 0, hi - 1
         while lo < hi:
             mid = (lo + hi + 1) // 2
             if self._path_feasible(path, states, mid):
@@ -756,7 +814,7 @@ class RippleLedger:
         discovered paths)."""
         if spec.amount.is_xrp:
             if spec.tf_partial_payment:
-                raise LedgerError("direct XRP payments cannot be partial")
+                raise PartialXrpError("direct XRP payments cannot be partial")
             self.direct_xrp_payment(spec.account, spec.destination,
                                     spec.amount.value)
             return {"delivered": spec.amount.value, "path": [spec.account,
@@ -765,9 +823,11 @@ class RippleLedger:
         if dst is not None and dst.deposit_auth and spec.account not in dst.authorized:
             raise DepositUnauthorizedError(
                 f"{spec.destination} requires deposit authorization")
-        candidates: list[tuple[str, ...]] = [tuple(p) for p in spec.pathset]
-        if not candidates:
-            candidates = self.find_paths(spec)
+        # discovered paths come one length at a time, so the search stops
+        # with the first path that executes; a rejected path writes
+        # nothing, so the paths still to come see the ledger as it was
+        candidates: Iterable[tuple[str, ...]] = (
+            [tuple(p) for p in spec.pathset] or self._paths_by_length(spec))
         if spec.tf_partial_payment:
             # deliver as much as any single candidate path can carry
             best: tuple[int, tuple[str, ...]] | None = None
@@ -872,7 +932,7 @@ class RippleLedger:
     def cancel_offer(self, owner: str, sequence: int) -> None:
         offer = self.offers_by_seq.get(sequence)
         if offer is None or offer.owner != owner:
-            raise LedgerError(f"no offer {sequence} owned by {owner}")
+            raise UnknownOfferError(f"no offer {sequence} owned by {owner}")
         self._retire_offer(offer)
 
     def book_rows(self) -> list[tuple]:

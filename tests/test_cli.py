@@ -705,6 +705,15 @@ def test_amounts_past_the_bound_are_amount_overflow(tmp_path, capsys, lines,
 NOT_UTF8 = b'{"id": "\xff"}\n'
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
 SEED_TRYTES = "LEDGER" + "9" * 75
+
+
+def ripple_script(*ops):
+    """A Ripple script whose accounts a and b exist, then the ops."""
+    cmds = [{"op": "create_account", "address": name, "xrp": 10**9}
+            for name in ("a", "b")] + list(ops)
+    return "".join(json.dumps(cmd) + "\n" for cmd in cmds).encode()
+
+
 NO_COINBASE_FIRST = "\n".join([
     _coinbase("c0", 0, 1),
     json.dumps({"id": "t", "block": 1, "inputs": [{"txid": "c0", "index": 0}],
@@ -745,6 +754,39 @@ NO_COINBASE_FIRST = "\n".join([
     pytest.param({"s.jsonl": b'{"op": "paay"}\n'},
                  ["ripple", "pay", "s.jsonl", "--keep-going"],
                  "bad-record", "line 1: unknown ripple op 'paay'", id="ripple-unknown-op"),
+    pytest.param({"s.jsonl": ripple_script({"op": "create_account", "address": "a"})},
+                 ["ripple", "pay", "s.jsonl"], "account-exists",
+                 "operation 2 (create_account): account a exists",
+                 id="ripple-account-exists"),
+    pytest.param({"s.jsonl": ripple_script({"op": "set_trust", "lender": "a",
+                                            "borrower": "c", "currency": "USD",
+                                            "limit": 10})},
+                 ["ripple", "pay", "s.jsonl"], "unknown-account",
+                 "operation 2 (set_trust): unknown account c",
+                 id="ripple-unknown-account"),
+    pytest.param({"s.jsonl": ripple_script({"op": "set_trust", "lender": "a",
+                                            "borrower": "a", "currency": "USD",
+                                            "limit": 10})},
+                 ["ripple", "pay", "s.jsonl"], "self-trust",
+                 "operation 2 (set_trust): cannot trust oneself", id="ripple-self-trust"),
+    pytest.param({"s.jsonl": ripple_script({"op": "adjust_debt", "lender": "a",
+                                            "borrower": "b", "currency": "USD",
+                                            "amount": 5})},
+                 ["ripple", "pay", "s.jsonl"], "no-line",
+                 "operation 2 (adjust_debt): no USD line between a and b",
+                 id="ripple-no-line"),
+    pytest.param({"s.jsonl": ripple_script({"op": "pay", "account": "a",
+                                            "destination": "b", "partial": True,
+                                            "amount": {"currency": "XRP",
+                                                       "value": 5}})},
+                 ["ripple", "pay", "s.jsonl"], "partial-xrp",
+                 "operation 2 (pay): direct XRP payments cannot be partial",
+                 id="ripple-partial-xrp"),
+    pytest.param({"s.jsonl": ripple_script({"op": "cancel_offer", "owner": "a",
+                                            "sequence": 7})},
+                 ["ripple", "pay", "s.jsonl"], "unknown-offer",
+                 "operation 2 (cancel_offer): no offer 7 owned by a",
+                 id="ripple-unknown-offer"),
     pytest.param({"s.jsonl": b'{"op": "atach_message"}\n'}, ["iota", "grow", "s.jsonl"],
                  "bad-record", "line 1: unknown tangle op 'atach_message'",
                  id="tangle-unknown-op"),

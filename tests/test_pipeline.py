@@ -1,6 +1,8 @@
 """run_pipeline orchestration and the cross-cutting graph
 characteristics the ten graph types must carry."""
 
+import contextlib
+import gc
 import json
 import os
 import pathlib
@@ -128,6 +130,60 @@ def test_pipeline_input_that_is_not_utf8_is_a_bad_record(tmp_path, chain):
                                output_dir=str(tmp_path / "out")))
     assert exc.value.code == "bad-record"
     assert str(exc.value).startswith(f"{src}: not UTF-8 text")
+
+
+# -- the paused cyclic collector ---------------------------------------------------
+
+FIXTURE_RUNS = {
+    "utxo": dict(input_path="six_tx_network.jsonl", window=(1, 2), fold_n=3,
+                 subsidy=6 * fixtures.COIN),
+    "ripple": dict(input_path="rippling_payment.jsonl"),
+    "iota": dict(input_path="tangle_double_spend.jsonl",
+                 genesis_balances={"a1": 100, "funder": 1000}),
+    "account": dict(input_path="account_table.jsonl"),
+}
+
+
+@contextlib.contextmanager
+def collector(on: bool):
+    """Run the block with the cyclic collector on or off, then restore it."""
+    was = gc.isenabled()
+    (gc.enable if on else gc.disable)()
+    try:
+        yield
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+@pytest.mark.parametrize("collector_on", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("chain", sorted(FIXTURE_RUNS))
+def test_pipeline_leaves_no_cyclic_garbage(fixture_dir, tmp_path, chain,
+                                           collector_on):
+    """run_pipeline pauses the cyclic collector; nothing it allocates may
+    then be left in a reference cycle, and the caller's collector state
+    comes back as it was. With the collector off throughout, no automatic
+    pass can free a cycle before the count."""
+    params = dict(FIXTURE_RUNS[chain])
+    params["input_path"] = str(fixture_dir / params["input_path"])
+    with collector(collector_on):
+        gc.collect()
+        run_pipeline(RunConfig(chain=chain, output_dir=str(tmp_path), **params))
+        assert gc.isenabled() == collector_on
+        assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("collector_on", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("chain", sorted(FIXTURE_RUNS))
+def test_failed_pipeline_restores_the_collector(tmp_path, chain, collector_on):
+    src = tmp_path / "in.jsonl"
+    src.write_bytes(b'{"id": "\xff"}\n')
+    with collector(collector_on):
+        gc.collect()
+        with pytest.raises(BadRecordError):
+            run_pipeline(RunConfig(chain=chain, input_path=str(src),
+                                   output_dir=str(tmp_path / "out")))
+        assert gc.isenabled() == collector_on
+        assert gc.collect() == 0
 
 
 # -- cross-cutting graph characteristics -----------------------------------------

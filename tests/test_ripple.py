@@ -30,6 +30,7 @@ from ledgergraph.ripple import (
     RippleLedger,
     RippleState,
     UnfundedOfferError,
+    XrpRipplingError,
     ZeroDeliverableError,
     _Legs,
     dump_trust_csv,
@@ -788,6 +789,136 @@ def test_find_paths_matches_brute_force(network):
             led.find_paths(spec)
     else:
         assert led.find_paths(spec) == expected
+
+
+FEE_RATES = [Fraction(1, 3), Fraction(0), Fraction(1, 100)]
+
+
+@st.composite
+def fee_networks(draw):
+    """A trust network whose accounts may charge a transfer fee, so that
+    a path found with room for the amount may still fail to carry it."""
+    led, spec = draw(trust_networks())
+    for acct in led.accounts.values():
+        acct.transfer_fee_rate = draw(st.sampled_from(FEE_RATES))
+    return led, spec
+
+
+def brute_force_deliverable(led, path, states, amount):
+    """The largest amount in [0, amount] the path carries, trying each."""
+    return max(d for d in range(amount + 1) if led._path_feasible(path, states, d))
+
+
+def reference_pay(led, spec):
+    """pay as a full enumeration runs it: every brute-force path, in
+    order, the partial payment's amount found by trying each."""
+    currency, amount = spec.amount.currency, spec.amount.value
+    candidates = brute_force_paths(led, spec)
+    if not candidates:
+        raise NoPathError(
+            f"no {currency} path from {spec.account} to {spec.destination}")
+    if spec.tf_partial_payment:
+        best = None
+        for path in candidates:
+            states = led._open_hops(path, currency)
+            d = brute_force_deliverable(led, path, states, amount)
+            if d > 0 and (best is None or d > best[0]):
+                best = (d, path)
+        if best is None:
+            raise ZeroDeliverableError("every candidate path is exhausted")
+        assert led.execute_rippling(best[1], amount, currency, partial=True) == best[0]
+        return {"delivered": best[0], "path": list(best[1])}
+    errors = []
+    for path in candidates:
+        try:
+            return {"delivered": led.execute_rippling(path, amount, currency),
+                    "path": list(path)}
+        except LedgerError as exc:
+            errors.append(str(exc))
+    raise DriedUpPathError("; ".join(errors))
+
+
+def outcome(pay, led, spec):
+    try:
+        result = pay(led, spec)
+    except LedgerError as exc:
+        result = (type(exc), str(exc))
+    return result, led.state_digest()
+
+
+@settings(max_examples=300, deadline=None)
+@given(fee_networks())
+def test_pay_matches_a_full_enumeration(network):
+    """Stopping at the first path that settles, and bounding the partial
+    amount by the tightest hop, give the same result, error and ledger
+    as trying every brute-force path."""
+    led, spec = network
+    expected = outcome(reference_pay, copy.deepcopy(led), spec)
+    assert outcome(RippleLedger.pay, led, spec) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 60), st.sampled_from(FEE_RATES)),
+                min_size=1, max_size=4),
+       st.integers(0, 60))
+def test_most_feasible_is_the_largest_feasible_amount(hops, amount):
+    """Each hop is (capacity, fee rate of the account the hop pays into);
+    the destination's rate is never charged."""
+    names = [f"n{i}" for i in range(len(hops) + 1)]
+    led = funded_ledger(names, drops=10**10)
+    for borrower, lender, (capacity, rate) in zip(names, names[1:], hops):
+        led.set_trust(lender, borrower, "USD", 60, no_ripple=False)
+        led.adjust_line_debt(lender, borrower, "USD", 60 - capacity)
+        led.account(lender).transfer_fee_rate = rate
+    states = led._open_hops(names, "USD")
+    assert led._most_feasible(names, states, amount) == \
+        brute_force_deliverable(led, names, states, amount)
+
+
+def test_all_fail_text_names_every_candidate_in_order():
+    """Both two-hop paths have room for 30 but not for the 10 in fees, so
+    every candidate is tried and the error joins their texts in order."""
+    led = funded_ledger(["s", "a", "b", "d"])
+    for mid in ("a", "b"):
+        led.account(mid).transfer_fee_rate = Fraction(1, 3)
+        led.set_trust(mid, "s", "USD", 35, no_ripple=False)
+        led.set_trust("d", mid, "USD", 100, no_ripple=False)
+    led.set_trust("d", "s", "USD", 100, no_ripple=False)
+    spec = PaymentSpec("s", "d", usd(30), tf_no_direct_ripple=True)
+    expected = outcome(reference_pay, copy.deepcopy(led), spec)
+    assert outcome(RippleLedger.pay, led, spec) == expected
+    assert expected[0] == (DriedUpPathError,
+                           "path cannot carry 30 USD at execution time; "
+                           "path cannot carry 30 USD at execution time")
+
+
+def test_settled_direct_path_expands_no_longer_chain(monkeypatch):
+    """Once the two-node path settles, no chain through x is expanded,
+    though s -> x -> d is a path too."""
+    led = funded_ledger(["s", "x", "d"])
+    led.set_trust("d", "s", "USD", 100, no_ripple=False)
+    led.set_trust("d", "x", "USD", 100, no_ripple=False)
+    led.set_trust("x", "s", "USD", 100, no_ripple=False)
+    assert led.find_paths(PaymentSpec("s", "d", usd(10))) == \
+        [("s", "d"), ("s", "x", "d")]
+    expanded = []
+    borrowers_of = RippleLedger._borrowers_of
+
+    def spy(self, lender, currency):
+        expanded.append(lender)
+        return borrowers_of(self, lender, currency)
+
+    monkeypatch.setattr(RippleLedger, "_borrowers_of", spy)
+    assert led.pay(PaymentSpec("s", "d", usd(10))) == {"delivered": 10,
+                                                       "path": ["s", "d"]}
+    assert expanded == ["d"]
+
+
+def test_xrp_has_no_rippling_path():
+    led = funded_ledger(["s", "d"])
+    with pytest.raises(XrpRipplingError) as exc:
+        led.find_paths(PaymentSpec("s", "d", CurrencyValue("XRP", None, 5)))
+    assert exc.value.code == "xrp-rippling"
 
 
 # -- the write counter against state digests on random scripts ----------------------
