@@ -6,14 +6,9 @@ moves in zero-sum bundles; milestones confirm the reachable subtangle
 and invalidate double-spends together with everything built on them.
 """
 
-from ledgergraph.iota import (
-    TangleState,
-    build_bundle,
-    derive_address,
-    derive_private_key,
-    derive_subseed,
-)
-from ledgergraph.iota.tangle import GENESIS_HASH
+from ledgergraph.iota.bundles import build_bundle
+from ledgergraph.iota.keys import derive_address, derive_private_key, derive_subseed
+from ledgergraph.iota.tangle import GENESIS_HASH, TangleState
 
 SEED = "DEMO" + "9" * 77
 

@@ -8,27 +8,4 @@ hypergraphs, trust/payment graphs and tangle graphs. Amounts are plain
 ints in each chain's smallest subunit.
 """
 
-from .core import (
-    EdgeList,
-    Edge,
-    Hyperedge,
-    Hypergraph,
-    LedgerError,
-    export_edge_list,
-    export_hypergraph,
-    export_matrix,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Edge",
-    "EdgeList",
-    "Hyperedge",
-    "Hypergraph",
-    "LedgerError",
-    "export_edge_list",
-    "export_hypergraph",
-    "export_matrix",
-    "__version__",
-]

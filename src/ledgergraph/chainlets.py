@@ -102,6 +102,25 @@ def snapshot_from_ledger(ledger: Ledger, start: int | None = None,
     return [classify_first_order(tx) for tx in txs_in_range(ledger, start, end)]
 
 
+def _k_chainlet(ledger: Ledger, tx_nodes: tuple[str, ...],
+                members: Iterable[UtxoTransaction],
+                spend_direction: tuple[str, str] | None = None) -> KChainlet:
+    """The chainlet over its member transactions: each address once, in
+    first-seen order, and one edge per input and per output."""
+    addrs: dict[str, None] = {}
+    edges: list[tuple[str, str]] = []
+    for tx in members:
+        for r in tx.inputs:
+            addr = ledger.output(r).address
+            addrs.setdefault(addr)
+            edges.append((addr, tx.id))
+        for o in tx.outputs:
+            addrs.setdefault(o.address)
+            edges.append((tx.id, o.address))
+    return KChainlet(len(tx_nodes), tx_nodes, tuple(addrs), tuple(edges),
+                     spend_direction)
+
+
 def extract_k_chainlets(ledger: Ledger, k: int, start: int | None = None,
                         end: int | None = None) -> list[KChainlet]:
     """k=1: one chainlet per transaction (they partition the tx set).
@@ -112,15 +131,7 @@ def extract_k_chainlets(ledger: Ledger, k: int, start: int | None = None,
         raise UnsupportedKError(f"k={k} not supported (only 1 and 2)")
     txs = txs_in_range(ledger, start, end)
     if k == 1:
-        result = []
-        for tx in txs:
-            addrs = tuple(ledger.output(r).address for r in tx.inputs) + tuple(
-                o.address for o in tx.outputs)
-            edges = tuple((ledger.output(r).address, tx.id) for r in tx.inputs) + tuple(
-                (tx.id, o.address) for o in tx.outputs)
-            result.append(KChainlet(1, (tx.id,), addrs, edges))
-        return result
-
+        return [_k_chainlet(ledger, (tx.id,), (tx,)) for tx in txs]
     in_window = {tx.id: tx for tx in txs}
     pairs: dict[tuple[str, str], tuple[str, str]] = {}
     for tx in txs:
@@ -128,23 +139,9 @@ def extract_k_chainlets(ledger: Ledger, k: int, start: int | None = None,
             if src_txid in in_window:
                 key = tuple(sorted((src_txid, tx.id)))
                 pairs.setdefault(key, (src_txid, tx.id))
-    result = []
-    for key in sorted(pairs):
-        producer, consumer = pairs[key]
-        members = (in_window[producer], in_window[consumer])
-        addrs: dict[str, None] = {}
-        edges: list[tuple[str, str]] = []
-        for tx in members:
-            for r in tx.inputs:
-                addr = ledger.output(r).address
-                addrs.setdefault(addr)
-                edges.append((addr, tx.id))
-            for o in tx.outputs:
-                addrs.setdefault(o.address)
-                edges.append((tx.id, o.address))
-        result.append(KChainlet(2, key, tuple(addrs), tuple(edges),
-                                spend_direction=(producer, consumer)))
-    return result
+    return [_k_chainlet(ledger, key, [in_window[t] for t in pairs[key]],
+                        spend_direction=pairs[key])
+            for key in sorted(pairs)]
 
 
 def _fold_index(v: int, n: int) -> int:

@@ -269,7 +269,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             gen.TangleSpec(cycles=args.count, snapshot_every=10**9), args.seed)
         _write_bytes(args.out, state.export_csv())
         return EXIT_OK
-    _write_bytes(args.out, ("\n".join(lines) + "\n").encode())
+    _write_bytes(args.out, "".join(line + "\n" for line in lines).encode())
     return EXIT_OK
 
 
@@ -286,13 +286,13 @@ def build_parser() -> argparse.ArgumentParser:
     pa = p.add_subparsers(dest="action", required=True)
     v = pa.add_parser("validate")
     v.add_argument("file")
-    v.add_argument("--subsidy", type=int, default=5_000_000_000)
+    v.add_argument("--subsidy", type=int, default=utxo_mod.INITIAL_SUBSIDY)
     g = pa.add_parser("graph")
     g.add_argument("file")
     g.add_argument("--kind", choices=("tx", "address", "bipartite"), default="tx")
     g.add_argument("--from", dest="start", type=int, default=None)
     g.add_argument("--to", dest="end", type=int, default=None)
-    g.add_argument("--subsidy", type=int, default=5_000_000_000)
+    g.add_argument("--subsidy", type=int, default=utxo_mod.INITIAL_SUBSIDY)
     g.add_argument("--out", default=None)
     g.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=_cmd_utxo)
@@ -302,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--N", type=int, default=chainlet_mod.DEFAULT_N)
     c.add_argument("--window", help="block range A:B")
     c.add_argument("--out", help="occ.csv[,amt.csv]")
-    c.add_argument("--subsidy", type=int, default=5_000_000_000)
+    c.add_argument("--subsidy", type=int, default=utxo_mod.INITIAL_SUBSIDY)
     c.set_defaults(func=_cmd_chainlet)
 
     a = sub.add_parser("account", help="account/token/trace graphs")

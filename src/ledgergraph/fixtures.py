@@ -14,9 +14,7 @@ from typing import Iterator
 
 from . import account
 from .core import read_lines
-from .utxo import Ledger, load_jsonl
-
-COIN = 100_000_000
+from .utxo import COIN, Ledger, load_jsonl
 
 _DIR = os.path.join(os.path.dirname(__file__), "..", "..", "fixtures")
 

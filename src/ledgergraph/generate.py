@@ -11,7 +11,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .utxo import Block, Ledger, Output, OutputRef, UtxoTransaction
+from .utxo import (INITIAL_SUBSIDY, Block, Ledger, Output, OutputRef,
+                   UtxoTransaction)
 
 __all__ = [
     "derive_rng",
@@ -26,8 +27,6 @@ __all__ = [
     "TangleSpec",
     "generate_tangle",
 ]
-
-COIN = 100_000_000
 
 
 def derive_rng(seed: int, label: str) -> random.Random:
@@ -47,7 +46,7 @@ class UtxoSpec:
     fee_min: int = 1_000
     fee_max: int = 100_000
     coinbase_outputs: int = 5
-    subsidy: int = 50 * COIN
+    subsidy: int = INITIAL_SUBSIDY
     max_dim: int = 5  # cap on the smaller transaction side
 
 

@@ -58,10 +58,7 @@ def _add_index_into_tail(trits: list[int], index: int) -> list[int]:
     modulus = 3 ** len(trits)
     half = modulus // 2
     total = (trits_to_int(reversed(trits)) + index + half) % modulus - half
-    digits = int_to_trits(abs(total), len(trits))
-    if total < 0:
-        digits = [-d for d in digits]
-    return digits[::-1]
+    return int_to_trits(total, len(trits))[::-1]
 
 
 def derive_subseed(seed: str, index: int) -> str:

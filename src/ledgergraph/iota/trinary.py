@@ -31,15 +31,6 @@ class InvalidTryteError(LedgerError):
     code = "invalid-char"
 
 
-def _tryte_trits(value: int) -> tuple[int, int, int]:
-    t0 = ((value + 13) % 3) - 1
-    rest = (value - t0) // 3
-    t1 = ((rest + 13) % 3) - 1
-    t2 = (rest - t1) // 3
-    return (t0, t1, t2)
-
-
-_VALUE_TRITS = {v: _tryte_trits(v) for v in range(-13, 14)}
 _TRYTE_PLACES = np.array([1, 3, 9])
 _ALPHABET_BYTES = np.frombuffer(TRYTE_ALPHABET.encode("ascii"), dtype=np.uint8)
 
@@ -70,9 +61,8 @@ def decode_trytes(trytes: str) -> list[int]:
 
 
 def int_to_trits(value: int, length: int | None = None) -> list[int]:
-    """Non-negative integer to little-endian balanced ternary."""
-    if value < 0:
-        raise ValueError("only non-negative integers")
+    """Integer to little-endian balanced ternary. The representation is
+    unique, so a negative value's trits are its magnitude's, negated."""
     digits: list[int] = []
     n = value
     while n:
@@ -98,6 +88,7 @@ def trits_to_int(trits) -> int:
     return total
 
 
+_VALUE_TRITS = {v: int_to_trits(v, 3) for v in range(-13, 14)}
 # the 6 little-endian trits of every byte value
 _BYTE_TRITS = np.array([int_to_trits(b, 6) for b in range(256)], dtype=np.int8)
 

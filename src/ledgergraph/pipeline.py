@@ -19,7 +19,7 @@ from .chainlets import DEFAULT_N, build_matrices, snapshot_from_ledger
 from .core import (EdgeList, LedgerError, export_edge_list, export_hypergraph,
                    export_matrix, read_lines)
 from .generate import AccountSpec, UtxoSpec, generate_account_txs, generate_utxo
-from .utxo import load_jsonl
+from .utxo import INITIAL_SUBSIDY, load_jsonl
 from .utxo_graphs import (
     EmptyRangeError,
     build_address_graph,
@@ -42,7 +42,7 @@ class RunConfig:
     seed: int = 0
     window: tuple[int | None, int | None] = (None, None)
     fold_n: int = DEFAULT_N
-    subsidy: int = 5_000_000_000
+    subsidy: int = INITIAL_SUBSIDY
     generator: UtxoSpec = field(default_factory=UtxoSpec)
     genesis_balances: dict[str, int] = field(default_factory=dict)
 

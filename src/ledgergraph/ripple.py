@@ -717,15 +717,12 @@ class RippleLedger:
 
     @staticmethod
     def _admissible(payment_order: Sequence[str], spec: PaymentSpec) -> bool:
-        if payment_order[0] != spec.account or payment_order[-1] != spec.destination:
+        """The issuer checks on a sender-to-destination path of two or
+        more nodes, the only kind the search builds."""
+        if spec.send_max is not None and spec.send_max.issuer is not None \
+                and payment_order[1] != spec.send_max.issuer:
             return False
-        if spec.send_max is not None and spec.send_max.issuer is not None:
-            if len(payment_order) < 2 or payment_order[1] != spec.send_max.issuer:
-                return False
-        if spec.amount.issuer is not None:
-            if len(payment_order) < 2 or payment_order[-2] != spec.amount.issuer:
-                return False
-        return True
+        return spec.amount.issuer is None or payment_order[-2] == spec.amount.issuer
 
     # -- rippling execution ----------------------------------------------------
 
@@ -829,12 +826,16 @@ class RippleLedger:
         candidates: Iterable[tuple[str, ...]] = (
             [tuple(p) for p in spec.pathset] or self._paths_by_length(spec))
         if spec.tf_partial_payment:
-            # deliver as much as any single candidate path can carry
+            # deliver as much as any single candidate path can carry; no
+            # path carries more than the amount, so one that carries all of
+            # it cannot be beaten and the search stops there
             best: tuple[int, tuple[str, ...]] | None = None
             for path in candidates:
                 d = self.deliverable(path, spec.amount.value, spec.amount.currency)
                 if d > 0 and (best is None or d > best[0]):
                     best = (d, path)
+                    if d == spec.amount.value:
+                        break
             if best is None:
                 raise ZeroDeliverableError("every candidate path is exhausted")
             delivered = self.execute_rippling(best[1], spec.amount.value,

@@ -38,7 +38,8 @@ __all__ = [
 
 RING_SIZE = 11  # 10 foreign decoy UTXOs plus the real spend
 
-INITIAL_SUBSIDY = 50 * 100_000_000  # 50 coins at launch
+COIN = 100_000_000  # subunits per coin
+INITIAL_SUBSIDY = 50 * COIN  # the block reward at launch
 HALVING_INTERVAL = 210_000  # blocks between reward halvings
 
 
@@ -422,7 +423,7 @@ def _tx_from_record(rec: dict) -> UtxoTransaction:
     )
 
 
-def load_jsonl(lines: Iterable[str], subsidy: int = 5_000_000_000) -> Ledger:
+def load_jsonl(lines: Iterable[str], subsidy: int = INITIAL_SUBSIDY) -> Ledger:
     """Build a ledger from ingestion JSONL, validating every block; block
     h is stamped 1,231,006,505 + 600 h seconds.
     Amounts, heights and indexes must be JSON integers; a malformed line

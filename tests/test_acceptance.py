@@ -26,17 +26,10 @@ from ledgergraph.generate import (
     generate_offer_stream,
     generate_utxo,
 )
-from ledgergraph.iota import (
-    TRYTE_ALPHABET,
-    TangleState,
-    build_bundle,
-    decode_trytes,
-    derive_address,
-    derive_private_key,
-    derive_subseed,
-    encode_trytes,
-)
-from ledgergraph.iota.tangle import GENESIS_HASH
+from ledgergraph.iota.bundles import build_bundle
+from ledgergraph.iota.keys import derive_address, derive_private_key, derive_subseed
+from ledgergraph.iota.tangle import GENESIS_HASH, TangleState
+from ledgergraph.iota.trinary import TRYTE_ALPHABET, decode_trytes, encode_trytes
 from ledgergraph.ripple import CurrencyValue, PaymentSpec, RippleLedger
 from ledgergraph.utxo import RING_SIZE, build_ring_input, classify_zcash_tx
 from ledgergraph.utxo_graphs import build_address_graph

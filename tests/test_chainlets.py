@@ -76,6 +76,16 @@ def test_k1_partitions_transactions():
     assert len(seen) == len(set(seen))
 
 
+def test_k1_lists_each_address_once_and_every_edge():
+    """t6 spends a7, a8 and a10 twice, and pays a12 and a10 again."""
+    led = fixtures.six_tx_network()
+    t6 = {k.tx_nodes: k for k in extract_k_chainlets(led, 1,
+                                                     *fixtures.SIX_TX_WINDOW)}[("t6",)]
+    assert t6.address_nodes == ("a7", "a8", "a10", "a12")
+    assert t6.edges == (("a7", "t6"), ("a8", "t6"), ("a10", "t6"), ("a10", "t6"),
+                        ("t6", "a12"), ("t6", "a10"))
+
+
 def test_k2_pairs_include_figure_pairs():
     led = fixtures.six_tx_network()
     ks = extract_k_chainlets(led, 2, *fixtures.SIX_TX_WINDOW)

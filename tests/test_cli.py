@@ -168,6 +168,15 @@ def test_generate_deterministic_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_generate_ends_every_line_and_writes_nothing_for_no_records(tmp_path):
+    empty, three = tmp_path / "empty.jsonl", tmp_path / "three.jsonl"
+    assert run_cli(["generate", "account", "--count", 0, "--out", empty]) == 0
+    assert empty.read_bytes() == b""
+    assert run_cli(["generate", "account", "--count", 3, "--out", three]) == 0
+    data = three.read_bytes()
+    assert data.endswith(b"\n") and data.count(b"\n") == 3
+
+
 def test_replay_ripple_logs_rejections(tmp_path, capsys):
     script = tmp_path / "s.jsonl"
     script.write_text(json.dumps(

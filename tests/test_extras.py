@@ -226,8 +226,8 @@ def test_hidden_amounts_skippable_in_amount_matrix():
 
 
 def test_identical_reattach_rejected():
-    from ledgergraph.iota import TangleState, build_bundle
-    from ledgergraph.iota.tangle import GENESIS_HASH
+    from ledgergraph.iota.bundles import build_bundle
+    from ledgergraph.iota.tangle import GENESIS_HASH, TangleState
     state = TangleState({"a": 10})
     bundle = build_bundle([("a", 1, 10)], [("b", 10)], timestamp=4)
     state.attach(bundle, (GENESIS_HASH, GENESIS_HASH))

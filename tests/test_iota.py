@@ -10,32 +10,20 @@ from hypothesis import example, given, strategies as st
 
 from ledgergraph import fixtures
 from ledgergraph.cli import main as cli_main
-from ledgergraph.iota import (
-    Bundle,
-    MixerSponge,
-    TangleState,
-    UnbalancedBundleError,
-    build_bundle,
-    decode_trytes,
-    derive_address,
-    derive_private_key,
-    derive_subseed,
-    encode_trytes,
-    trits_to_int,
-    int_to_trits,
-    TRYTE_ALPHABET,
-    InvalidTryteError,
-    MAX_KEY_INDEX,
-    NotCoordinatorError,
-    PowBudgetExceededError,
-)
 from ledgergraph.iota import sponge as sponge_mod
-from ledgergraph.iota.bundles import (_fragment_blobs, compute_bundle_hash,
-                                      message_transaction)
-from ledgergraph.iota.keys import IndexOutOfRangeError
-from ledgergraph.iota.sponge import sponge_hash, squeeze_blocks
-from ledgergraph.iota.tangle import GENESIS_HASH
-from ledgergraph.iota.trinary import ascii_to_trits
+from ledgergraph.iota.bundles import (Bundle, UnbalancedBundleError,
+                                      _fragment_blobs, build_bundle,
+                                      compute_bundle_hash, message_transaction)
+from ledgergraph.iota.keys import (MAX_KEY_INDEX, IndexOutOfRangeError,
+                                   derive_address, derive_private_key,
+                                   derive_subseed)
+from ledgergraph.iota.sponge import MixerSponge, sponge_hash, squeeze_blocks
+from ledgergraph.iota.tangle import (GENESIS_HASH, NotCoordinatorError,
+                                     NoValidTipsError, PowBudgetExceededError,
+                                     TangleState)
+from ledgergraph.iota.trinary import (TRYTE_ALPHABET, InvalidTryteError,
+                                      ascii_to_trits, decode_trytes,
+                                      encode_trytes, int_to_trits, trits_to_int)
 
 SEED = "LEDGER" + "9" * 75
 FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
@@ -78,8 +66,13 @@ def test_invalid_char_rejected():
 
 
 def test_balanced_ternary_int_round_trip():
-    for n in list(range(200)) + [9_007_199_254_740_991]:
+    for n in list(range(-199, 200)) + [MAX_KEY_INDEX, -MAX_KEY_INDEX]:
         assert trits_to_int(int_to_trits(n)) == n
+
+
+@given(st.integers(-3**40, 3**40))
+def test_negative_trits_are_the_magnitudes_negated(n):
+    assert int_to_trits(-n) == [-t for t in int_to_trits(n)]
 
 
 # -- derivation -----------------------------------------------------------------
@@ -515,7 +508,6 @@ def test_pow_difficulty_and_budget():
 
 
 def test_no_valid_tips_error_surface():
-    from ledgergraph.iota import NoValidTipsError
     state = simple_state()
     state.tips.clear()
     with pytest.raises(NoValidTipsError):

@@ -224,8 +224,8 @@ def test_graph_characteristics_table():
     assert payments.edges[0].members == ("sarah", "tim", "john", "bob")
 
     # iota: tangle graph directed simple; transaction graph weighted simple
-    from ledgergraph.iota import TangleState, build_bundle
-    from ledgergraph.iota.tangle import GENESIS_HASH
+    from ledgergraph.iota.bundles import build_bundle
+    from ledgergraph.iota.tangle import GENESIS_HASH, TangleState
     state = TangleState({"a1": 100})
     head = state.attach(build_bundle([("a1", 1, 100)],
                                      [("r1", 60), ("r2", 40)]),

@@ -914,6 +914,28 @@ def test_settled_direct_path_expands_no_longer_chain(monkeypatch):
     assert expanded == ["d"]
 
 
+def test_partial_payment_stops_at_a_candidate_that_delivers_everything(
+        monkeypatch):
+    """No later candidate can deliver more than all of the amount, so the
+    second path s -> x -> d is never evaluated."""
+    led = funded_ledger(["s", "x", "d"])
+    led.set_trust("d", "s", "USD", 100, no_ripple=False)
+    led.set_trust("d", "x", "USD", 100, no_ripple=False)
+    led.set_trust("x", "s", "USD", 100, no_ripple=False)
+    spec = PaymentSpec("s", "d", usd(10), tf_partial_payment=True)
+    assert led.find_paths(spec) == [("s", "d"), ("s", "x", "d")]
+    evaluated = []
+    deliverable = RippleLedger.deliverable
+
+    def spy(self, path, amount, currency):
+        evaluated.append(tuple(path))
+        return deliverable(self, path, amount, currency)
+
+    monkeypatch.setattr(RippleLedger, "deliverable", spy)
+    assert led.pay(spec) == {"delivered": 10, "path": ["s", "d"]}
+    assert evaluated == [("s", "d")]
+
+
 def test_xrp_has_no_rippling_path():
     led = funded_ledger(["s", "d"])
     with pytest.raises(XrpRipplingError) as exc:
