@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .core import (BadRecordError, Edge, EdgeList, Hyperedge, Hypergraph,
+from .core import (BadRecordError, EdgeList, Hyperedge, Hypergraph,
                    LedgerError, at_line, get_field, jsonl_records)
 
 __all__ = [
@@ -149,11 +149,12 @@ def build_account_graph(txs: Sequence[AccountTx]) -> EdgeList:
     problems = validate_nonce_order(txs)
     if problems:
         raise NonceError("; ".join(p.detail for p in problems))
-    return EdgeList([
-        Edge.make(tx.sender, tx.to, tx.amount_wei, nonce=tx.nonce,
+    graph = EdgeList()
+    for tx in txs:
+        graph.add(tx.sender, tx.to, tx.amount_wei, nonce=tx.nonce,
                   block=tx.block_height, index=tx.block_index,
                   timestamp=tx.timestamp)
-        for tx in txs])
+    return graph
 
 
 # --------------------------------------------------------------------------
@@ -249,9 +250,9 @@ def build_token_graph(transfers: Iterable[InternalTransfer],
     for t in transfers:
         if token is not None and t.token != token:
             continue
-        graphs.setdefault(t.token, EdgeList()).edges.append(Edge.make(
+        graphs.setdefault(t.token, EdgeList()).add(
             t.sender, t.recipient, t.token_amount, token=t.token,
-            tx=t.triggering_tx))
+            tx=t.triggering_tx)
     if token is not None:
         graphs.setdefault(token, EdgeList())
     return graphs
@@ -320,11 +321,13 @@ def build_trace_hypergraph(traces: Iterable[Trace]) -> Hypergraph:
 def trace_value_edges(traces: Iterable[Trace]) -> EdgeList:
     """Coin-moving steps as graph edges; this is how a contract-to-EOA
     payout becomes visible, since it never exists as a top-level tx."""
-    return EdgeList([
-        Edge.make(step.caller, step.callee, step.value, kind=step.kind,
-                  tx=trace.root_tx)
-        for trace in traces for step in trace.steps
-        if step.kind != "error" and step.value != 0])
+    graph = EdgeList()
+    for trace in traces:
+        for step in trace.steps:
+            if step.kind != "error" and step.value != 0:
+                graph.add(step.caller, step.callee, step.value, kind=step.kind,
+                          tx=trace.root_tx)
+    return graph
 
 
 class TraceExecutor:

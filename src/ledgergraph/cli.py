@@ -24,9 +24,9 @@ from . import generate as gen
 from . import scenario
 from . import utxo as utxo_mod
 from . import utxo_graphs as ug
-from .core import (BadRecordError, LedgerError, csv_row, export_edge_list,
-                   export_hypergraph, export_matrix, get_field, int_cell,
-                   json_value, naming, read_lines)
+from .core import (BadRecordError, LedgerError, csv_row, encode_rows,
+                   export_edge_list, export_hypergraph, export_matrix, get_field,
+                   int_cell, json_value, naming, read_lines)
 from .iota import bundles as iota_bundles
 from .iota import keys as iota_keys
 from .ripple import dump_trust_csv, load_trust_csv
@@ -183,7 +183,7 @@ def _cmd_ripple(args: argparse.Namespace) -> int:
         for (gk, pk, seq, grem, prem) in led.book_rows():
             rows.append(csv_row([gk[0], gk[1] or "", pk[0], pk[1] or "",
                                  str(seq), str(grem), str(prem)]))
-        _write_bytes(args.out, ("\n".join(rows) + "\n").encode())
+        _write_bytes(args.out, encode_rows(rows))
         return EXIT_OK
     # report
     currencies = sorted({state.currency for state in ledger.states.values()})
@@ -269,7 +269,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             gen.TangleSpec(cycles=args.count, snapshot_every=10**9), args.seed)
         _write_bytes(args.out, state.export_csv())
         return EXIT_OK
-    _write_bytes(args.out, "".join(line + "\n" for line in lines).encode())
+    _write_bytes(args.out, encode_rows(lines))
     return EXIT_OK
 
 

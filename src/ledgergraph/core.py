@@ -13,9 +13,12 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from collections.abc import Sequence
 from contextlib import AbstractContextManager, contextmanager, suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, compress, count, islice, pairwise
+from operator import eq, index
 from typing import Any, Iterable, Iterator
 
 __all__ = [
@@ -40,6 +43,7 @@ __all__ = [
     "export_matrix",
     "canonical_json",
     "csv_row",
+    "encode_rows",
 ]
 
 # Signed 128-bit bound; Python ints never wrap, so the overflow contract is
@@ -185,37 +189,102 @@ def canonical_json(value: Any) -> str:
 
 @dataclass(frozen=True, slots=True)
 class Edge:
+    """One row of an EdgeList, as its ``edges`` view builds it."""
+
     source: str
     target: str
     weight: Fraction | int | None = None
     attrs: tuple[tuple[str, Any], ...] = ()
-
-    @staticmethod
-    def make(source: str, target: str, weight: Fraction | int | None = None,
-             **attrs: Any) -> "Edge":
-        return Edge(source, target, weight, tuple(sorted(attrs.items())))
 
     @property
     def attr_dict(self) -> dict[str, Any]:
         return dict(self.attrs)
 
 
-@dataclass
 class EdgeList:
     """Uniform export container for the directed/weighted graph types.
-    Each builder's docstring says whether its graph has parallel edges."""
+    Each builder's docstring says whether its graph has parallel edges.
 
-    edges: list[Edge] = field(default_factory=list)
+    The edges are five parallel columns, one entry per edge: ``sources``,
+    ``targets``, ``nums`` (the weight's numerator, None when unweighted),
+    ``dens`` (its positive denominator, 1 when unweighted) and ``attrs``
+    (the sorted (key, value) tuple, which builders share by identity
+    among the rows of one record). A weight is stored reduced, as the
+    ``Fraction`` of (num, den) would hold it. ``edges`` reads the rows
+    back as Edge values."""
+
+    __slots__ = ("sources", "targets", "nums", "dens", "attrs")
+
+    def __init__(self, edges: Iterable[Edge] = ()) -> None:
+        self.sources: list[str] = []
+        self.targets: list[str] = []
+        self.nums: list[int | None] = []
+        self.dens: list[int] = []
+        self.attrs: list[tuple[tuple[str, Any], ...]] = []
+        for e in edges:
+            self._append(e.source, e.target, e.weight, e.attrs)
+
+    def add(self, source: str, target: str, weight: Fraction | int | None = None,
+            **attrs: Any) -> None:
+        """Append one edge; its attribute map is the keyword arguments."""
+        self._append(source, target, weight, tuple(sorted(attrs.items())))
+
+    def _append(self, source: str, target: str, weight: Fraction | int | None,
+                attrs: tuple[tuple[str, Any], ...]) -> None:
+        if weight is None:
+            num, den = None, 1
+        elif type(weight) is int:
+            num, den = weight, 1
+        else:
+            w = weight if type(weight) is Fraction else Fraction(weight)
+            num, den = w.numerator, w.denominator
+        self.sources.append(source)
+        self.targets.append(target)
+        self.nums.append(num)
+        self.dens.append(den)
+        self.attrs.append(attrs)
+
+    @property
+    def edges(self) -> "EdgeRows":
+        return EdgeRows(self)
 
     def nodes(self) -> list[str]:
         seen: dict[str, None] = {}
-        for e in self.edges:
-            seen.setdefault(e.source)
-            seen.setdefault(e.target)
+        for s, t in zip(self.sources, self.targets):
+            seen.setdefault(s)
+            seen.setdefault(t)
         return list(seen)
 
     def __len__(self) -> int:
-        return len(self.edges)
+        return len(self.sources)
+
+
+def _row(source: str, target: str, num: int | None, den: int,
+         attrs: tuple[tuple[str, Any], ...]) -> Edge:
+    weight = num if num is None or den == 1 else Fraction(num, den)
+    return Edge(source, target, weight, attrs)
+
+
+class EdgeRows(Sequence[Edge]):
+    """Read-only view of an EdgeList's rows. Each Edge is built when it is
+    read: its weight is an int when the denominator is 1, a Fraction
+    otherwise, and None when unweighted."""
+
+    __slots__ = ("_graph",)
+
+    def __init__(self, graph: EdgeList) -> None:
+        self._graph = graph
+
+    def __len__(self) -> int:
+        return len(self._graph.sources)
+
+    def __getitem__(self, i: int) -> Edge:
+        g, i = self._graph, index(i)
+        return _row(g.sources[i], g.targets[i], g.nums[i], g.dens[i], g.attrs[i])
+
+    def __iter__(self) -> Iterator[Edge]:
+        g = self._graph
+        return map(_row, g.sources, g.targets, g.nums, g.dens, g.attrs)
 
 
 @dataclass(frozen=True)
@@ -246,17 +315,20 @@ class Hypergraph:
 # --------------------------------------------------------------------------
 # Deterministic export
 
-_EDGE_HEADER = "source,target,weight_num,weight_den,attr_json"
+_CHUNK_ROWS = 4096  # edge rows formatted and encoded at a time
 
-# Equal attribute values of one of these types serialise alike, so maps
-# of them can key the export memo; 0.0 and -0.0, or (1, True) and (1, 1), do not.
-_MEMO_TYPES = frozenset({str, int, bool, type(None)})
+_PLAIN_TYPES = frozenset({str, int})
 
 
 def _csv_quote(cell: str) -> str:
     if "," in cell or '"' in cell or "\n" in cell or "\r" in cell:
         return '"' + cell.replace('"', '""') + '"'
     return cell
+
+
+def encode_rows(rows: Iterable[str]) -> bytes:
+    """Rows as UTF-8 text, each ended by a newline; no rows give no bytes."""
+    return "\n".join([*rows, ""]).encode("utf-8")
 
 
 def csv_row(cells: Iterable[str]) -> str:
@@ -274,57 +346,108 @@ def export_edge_list(graph: EdgeList | Iterable[Edge], fmt: str = "csv") -> byte
     sha256 hex of attr_json, weight_num, weight_den, attr_json), whatever
     the build order. CSV cells are quoted as csv_row quotes them. JSON is
     the canonical_json list of the rows as objects, the attribute map
-    under "attrs". Each distinct attribute map's JSON, hash and quoted
-    cell are computed once per call.
+    under "attrs".
+
+    Node names are ranked in string order, and rows sort by the int
+    (source rank, target rank). Only a run of rows that tie on it is
+    sorted again by the rest of the key, so the hash is computed for tied
+    rows alone. Each node's cell and each distinct attribute map's JSON
+    and cell are computed once per call, and the lines are written and
+    encoded a chunk at a time.
     """
-    edges = graph.edges if isinstance(graph, EdgeList) else list(graph)
-    memo: dict[tuple, tuple[str, str, str]] = {}  # typed attrs -> hash, json, cell
-    rows = []
-    attrs = cached = None
-    for e in edges:
-        if e.attrs is not attrs:
-            attrs = e.attrs
-            key = tuple([(k, type(v), v) for k, v in attrs])
-            if not all(t in _MEMO_TYPES for _k, t, _v in key):
-                key = None
-            cached = memo.get(key)
-            if cached is None:
-                attr_json = canonical_json(dict(attrs))
-                cached = (hashlib.sha256(attr_json.encode("utf-8")).hexdigest(),
-                          attr_json, _csv_quote(attr_json))
-                if key is not None:
-                    memo[key] = cached
-        w = e.weight
-        if w is None:
-            num = den = ""
-        elif type(w) is int:
-            num, den = str(w), "1"
+    if not isinstance(graph, EdgeList):
+        graph = EdgeList(graph)
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown format {fmt!r}")
+    csv = fmt == "csv"
+    nums, dens, attrs = graph.nums, graph.dens, graph.attrs
+    quote = _csv_quote if csv else canonical_json
+    memo: dict[tuple, tuple[str, str]] = {}  # plain attrs -> json, cell
+
+    def encoded(row_attrs: tuple) -> tuple[str, str]:
+        # Equal maps of str keys and str or int values serialise alike, so
+        # they key the memo; 1.0 and True equal 1 but serialise otherwise.
+        plain = all(type(k) is str and type(v) in _PLAIN_TYPES for k, v in row_attrs)
+        pair = memo.get(row_attrs) if plain else None
+        if pair is None:
+            if plain and all(a[0] < b[0] for a, b in pairwise(row_attrs)):
+                # canonical_json(dict(row_attrs)), without the encoder's
+                # set-up per call
+                attr_json = "{" + ",".join([
+                    f"{_CANONICAL.encode(k)}:"
+                    f"{_CANONICAL.encode(v) if type(v) is str else v}"
+                    for k, v in row_attrs]) + "}"
+            else:
+                attr_json = canonical_json(dict(row_attrs))
+            pair = (attr_json, quote(attr_json) if csv else attr_json)
+            if plain:
+                memo[row_attrs] = pair
+        return pair
+
+    attr_cells = []  # by build position
+    last = attr_cell = None
+    for a in attrs:
+        if a is not last:
+            last, attr_cell = a, encoded(a)[1]
+        attr_cells.append(attr_cell)
+
+    def tie_key(i: int) -> tuple[str, str, str, str]:
+        attr_json = encoded(attrs[i])[0]
+        n = nums[i]
+        num, den = ("", "") if n is None else (str(n), str(dens[i]))
+        return (hashlib.sha256(attr_json.encode("utf-8")).hexdigest(), num, den,
+                attr_json)
+
+    names = sorted({*graph.sources, *graph.targets})
+    rank = {name: r for r, name in enumerate(names)}
+    m = len(names)
+    pairs = [rank[s] * m + rank[t] for s, t in zip(graph.sources, graph.targets)]
+    cells = list(map(quote, names))
+    del names, rank
+    order = sorted(range(len(pairs)), key=pairs.__getitem__)
+    ranked = list(map(pairs.__getitem__, order))
+    start = end = 0  # the tied run order[start:end]
+    for k in compress(count(1), map(eq, ranked, islice(ranked, 1, None))):
+        if k != end:  # order[k] ties order[k - 1] and starts a new run
+            order[start:end] = sorted(order[start:end], key=tie_key)
+            start = k - 1
+        end = k + 1
+    order[start:end] = sorted(order[start:end], key=tie_key)
+    del ranked
+
+    head, tail = (("source,target,weight_num,weight_den,attr_json\n", "") if csv
+                  else ("[", "]\n"))
+
+    def chunk_text(k: int) -> str:
+        """Rows k to k + _CHUNK_ROWS of the sorted order as text; the
+        first chunk starts with the head and the last ends with the tail."""
+        rows = order[k:k + _CHUNK_ROWS]
+        if csv:
+            lines = [f"{cells[p // m]},{cells[p % m]},{'' if n is None else n},"
+                     f"{'' if n is None else dens[i]},{attr_cells[i]}\n"
+                     for i in rows for p, n in [(pairs[i], nums[i])]]
         else:
-            w = w if type(w) is Fraction else Fraction(w)
-            num, den = str(w.numerator), str(w.denominator)
-        rows.append((e.source, e.target, cached[0], num, den, cached[1], cached[2]))
-    rows.sort()
-    if fmt == "csv":
-        return "".join([_EDGE_HEADER + "\n"] + [
-            f"{_csv_quote(s)},{_csv_quote(t)},{num},{den},{cell}\n"
-            for s, t, _h, num, den, _a, cell in rows]).encode("utf-8")
-    if fmt == "json":
-        # canonical_json of the row objects, keys in sorted order, with
-        # each row's attr_json spliced in as its "attrs" value
-        return ("[" + ",".join([
-            f'{{"attrs":{a},"source":{canonical_json(s)},'
-            f'"target":{canonical_json(t)},"weight_den":"{d}","weight_num":"{n}"}}'
-            for s, t, _h, n, d, a, _c in rows]) + "]\n").encode("utf-8")
-    raise ValueError(f"unknown format {fmt!r}")
+            lines = [f'{"," if j else ""}{{"attrs":{attr_cells[i]},'
+                     f'"source":{cells[p // m]},"target":{cells[p % m]},'
+                     f'"weight_den":"{"" if n is None else dens[i]}",'
+                     f'"weight_num":"{"" if n is None else n}"}}'
+                     for j, i in enumerate(rows, k) for p, n in [(pairs[i], nums[i])]]
+        return ((head if k == 0 else "") + "".join(lines)
+                + (tail if k + _CHUNK_ROWS >= len(order) else ""))
+
+    # Only one chunk's lines and text are alive at a time; a graph of one
+    # chunk is returned as that chunk's bytes, without a copy.
+    return b"".join([chunk_text(k).encode("utf-8")
+                     for k in range(0, max(len(order), 1), _CHUNK_ROWS)])
 
 
 def export_hypergraph(graph: Hypergraph, fmt: str = "csv") -> bytes:
     """Hyperedges as (label, position, member) rows or JSON objects."""
     edges = sorted(graph.edges, key=lambda h: (h.label, h.members))
     if fmt == "csv":
-        return "".join(["label,position,member\n"] + [
-            csv_row((h.label, str(pos), member)) + "\n"
-            for h in edges for pos, member in enumerate(h.members)]).encode("utf-8")
+        rows = (csv_row((h.label, str(pos), member))
+                for h in edges for pos, member in enumerate(h.members))
+        return encode_rows(chain(["label,position,member"], rows))
     if fmt == "json":
         payload = [
             {"label": h.label, "members": list(h.members),
@@ -337,7 +460,4 @@ def export_hypergraph(graph: Hypergraph, fmt: str = "csv") -> bytes:
 
 def export_matrix(matrix) -> bytes:
     """N rows of N comma-separated integers, LF line endings."""
-    lines = []
-    for row in matrix:
-        lines.append(",".join(str(int(v)) for v in row))
-    return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
+    return encode_rows(",".join(str(int(v)) for v in row) for row in matrix)

@@ -24,7 +24,7 @@ import random
 from collections import deque
 from typing import Iterable
 
-from ..core import BadRecordError, LedgerError, csv_row
+from ..core import BadRecordError, LedgerError, csv_row, encode_rows
 from .bundles import Bundle, TangleTransaction, message_transaction
 from .sponge import BLOCK_TRITS, sponge_hash
 from .trinary import ascii_to_trits, encode_trytes
@@ -382,13 +382,13 @@ class TangleState:
     def tangle_graph(self):
         """Approval edges as a simple directed graph: each transaction
         points at its trunk and branch tips (one edge per distinct ref)."""
-        from ..core import Edge, EdgeList
+        from ..core import EdgeList
         graph = EdgeList()
         for h in sorted(self.transactions):
             tx = self.transactions[h]
-            graph.edges.append(Edge.make(h, tx.trunk, None, tip="trunk"))
+            graph.add(h, tx.trunk, tip="trunk")
             if tx.branch != tx.trunk:  # both tips equal: single approval edge
-                graph.edges.append(Edge.make(h, tx.branch, None, tip="branch"))
+                graph.add(h, tx.branch, tip="branch")
         return graph
 
     def transaction_graph(self):
@@ -398,7 +398,7 @@ class TangleState:
         exact rationals collapsed per address pair."""
         from fractions import Fraction
 
-        from ..core import Edge, EdgeList
+        from ..core import EdgeList
         totals: dict[tuple[str, str], Fraction] = {}
         for bundle_hash in sorted(self.bundles):
             members = self.bundles[bundle_hash]
@@ -416,8 +416,10 @@ class TangleState:
                 for dst, dst_amount in outs:
                     key = (src, dst)
                     totals[key] = totals.get(key, Fraction(0)) + share * dst_amount
-        return EdgeList([Edge.make(src, dst, totals[(src, dst)])
-                         for (src, dst) in sorted(totals)])
+        graph = EdgeList()
+        for src, dst in sorted(totals):
+            graph.add(src, dst, totals[(src, dst)])
+        return graph
 
     def export_rows(self) -> list[str]:
         """Table-style CSV rows, cells quoted as csv_row quotes them:
@@ -433,4 +435,4 @@ class TangleState:
 
     def export_csv(self) -> bytes:
         """export_rows as a UTF-8 CSV file, each row ended by a newline."""
-        return ("\n".join(self.export_rows()) + "\n").encode("utf-8")
+        return encode_rows(self.export_rows())

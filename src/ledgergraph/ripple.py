@@ -34,8 +34,8 @@ from fractions import Fraction
 from math import ceil, floor
 from typing import Iterable, Iterator, Sequence
 
-from .core import (BadRecordError, Edge, EdgeList, LedgerError, at_line,
-                   canonical_json, csv_row, int_cell)
+from .core import (BadRecordError, EdgeList, LedgerError, at_line,
+                   canonical_json, csv_row, encode_rows, int_cell)
 
 __all__ = [
     "BASE_RESERVE_DROPS",
@@ -1059,9 +1059,8 @@ class RippleLedger:
                     (s.low, s.high, s.low_limit, s.balance),
                     (s.high, s.low, s.high_limit, -s.balance)):
                 if limit > 0:
-                    graph.edges.append(Edge.make(lender, borrower, limit,
-                                                 currency=s.currency,
-                                                 used=max(0, used)))
+                    graph.add(lender, borrower, limit, currency=s.currency,
+                              used=max(0, used))
         return graph
 
 
@@ -1191,4 +1190,4 @@ def dump_trust_csv(ledger: RippleLedger) -> bytes:
     rows += [csv_row([s.low, s.high, s.currency, str(s.balance),
                       str(s.low_limit), str(s.high_limit)])
              for _key, s in sorted(ledger.states.items())]
-    return ("\n".join(rows) + "\n").encode("utf-8")
+    return encode_rows(rows)

@@ -27,6 +27,9 @@ __all__ = [
     "OverspendError",
     "ExcessiveRewardError",
     "InsufficientDecoysError",
+    "DuplicateTxidError",
+    "HeightMismatchError",
+    "UnshieldedCoinbaseError",
     "classify_zcash_tx",
     "build_ring_input",
     "trace_lineage",
@@ -70,6 +73,23 @@ class ExcessiveRewardError(LedgerError):
 
 class InsufficientDecoysError(LedgerError):
     code = "insufficient-decoys"
+
+
+class DuplicateTxidError(LedgerError):
+    code = "duplicate-txid"
+
+
+class HeightMismatchError(LedgerError):
+    """A block whose height is not one past the ledger's tip."""
+
+    code = "height-mismatch"
+
+
+class UnshieldedCoinbaseError(LedgerError):
+    """A Zcash coinbase paying a transparent address on a ledger that
+    requires shielded rewards."""
+
+    code = "unshielded-coinbase"
 
 
 OutputRef = tuple[str, int]
@@ -309,7 +329,8 @@ class Ledger:
             )
         if self.zcash_coinbase_shielded and tx.output_kinds is not None:
             if any(k != "z" for k in tx.output_kinds):
-                raise LedgerError("coinbase rewards must go to shielded addresses")
+                raise UnshieldedCoinbaseError(
+                    "coinbase rewards must go to shielded addresses")
         return _check_bound(claimed)
 
     # -- mutation ---------------------------------------------------------
@@ -321,12 +342,14 @@ class Ledger:
         block with the ledger unchanged.
         """
         if block.height != self.tip_height + 1:
-            raise LedgerError(
+            raise HeightMismatchError(
                 f"block height {block.height} does not extend tip {self.tip_height}"
             )
+        block_ids: set[str] = set()
         for tx in block.transactions:
-            if tx.id in self.transactions:
-                raise LedgerError(f"duplicate transaction id {tx.id}")
+            if tx.id in self.transactions or tx.id in block_ids:
+                raise DuplicateTxidError(f"duplicate transaction id {tx.id}")
+            block_ids.add(tx.id)
 
         staged = _BlockView(self.utxo)
         coinbase = block.transactions[0]

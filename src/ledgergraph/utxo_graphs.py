@@ -8,9 +8,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
+from math import gcd
 
-from .core import Edge, EdgeList, LedgerError
+from .core import EdgeList, LedgerError
 from .utxo import Ledger, UtxoTransaction
 
 __all__ = [
@@ -44,21 +44,24 @@ class TransactionGraph:
     edges: dict[tuple[str, str], int] = field(default_factory=dict)
 
     def to_edge_list(self) -> EdgeList:
-        return EdgeList([Edge(src, dst, count, (("spent_outputs", count),))
-                         for (src, dst), count in self.edges.items()])
+        graph = EdgeList()
+        graph.sources = [src for src, _dst in self.edges]
+        graph.targets = [dst for _src, dst in self.edges]
+        graph.nums = list(self.edges.values())
+        graph.dens = [1] * len(graph.nums)
+        graph.attrs = [(("spent_outputs", count),) for count in graph.nums]
+        return graph
 
 
-@dataclass
-class AddressGraph:
+class AddressGraph(EdgeList):
     """Directed multigraph on addresses; one edge per (tx, input, output)
     triple so the |I|x|O| identity stays exactly testable. Weights are
-    exact rational subunits. Its nodes, in first-seen order, are
-    ``to_edge_list().nodes()``."""
+    exact rational subunits, stored as reduced (num, den) int pairs."""
 
-    edges: list[Edge] = field(default_factory=list)
+    __slots__ = ()
 
     def to_edge_list(self) -> EdgeList:
-        return EdgeList(self.edges)
+        return self
 
 
 def txs_in_range(ledger: Ledger, start: int | None = None,
@@ -100,14 +103,16 @@ def build_address_graph(ledger: Ledger, start: int | None = None,
         w(i->j) = A(a_i) * A(a_j) / sum over outputs of A(a_x)
 
     as an exact rational, so the per-transaction edge weights sum to the
-    transaction's input total. Coinbase transactions contribute edges only
+    transaction's input total. Each weight goes into the columns as its
+    reduced (num, den) pair. Coinbase transactions contribute edges only
     when a virtual source node name is supplied.
     """
     txs = txs_in_range(ledger, start, end)
     if not txs:
         raise EmptyRangeError(f"no transactions in blocks [{start}, {end}]")
     graph = AddressGraph()
-    edges = graph.edges
+    sources, targets, nums, dens = graph.sources, graph.targets, graph.nums, graph.dens
+    attrs_column = graph.attrs
 
     for tx in txs:
         for out in tx.outputs:
@@ -120,22 +125,29 @@ def build_address_graph(ledger: Ledger, start: int | None = None,
         if tx.coinbase:
             if coinbase_source is None:
                 continue
-            sources: list[tuple[str, int]] = [(coinbase_source, out_total)]
+            ins: list[tuple[str, int]] = [(coinbase_source, out_total)]
         else:
-            sources = []
+            ins = []
             for ref in tx.inputs:
                 spent = ledger.output(ref)
                 if not spent.amount_visible:
                     raise HiddenAmountError(
                         f"input {ref} has a hidden amount (RingCT)"
                     )
-                sources.append((spent.address, spent.amount))
-        attrs = (("txid", tx.id),)
-        for src_addr, src_amount in sources:
-            for out in tx.outputs:
-                weight = (Fraction(src_amount * out.amount, out_total)
-                          if out_total else Fraction(0))
-                edges.append(Edge(src_addr, out.address, weight, attrs))
+                ins.append((spent.address, spent.amount))
+        out_addresses = [out.address for out in tx.outputs]
+        out_amounts = [out.amount for out in tx.outputs]
+        row_attrs = [(("txid", tx.id),)] * len(out_amounts)
+        total = out_total or 1  # outputs summing to 0 give every edge 0/1
+        for src_addr, src_amount in ins:
+            sources.extend([src_addr] * len(out_amounts))
+            targets.extend(out_addresses)
+            attrs_column.extend(row_attrs)
+            for amount in out_amounts:
+                p = src_amount * amount
+                g = gcd(p, total)
+                nums.append(p // g)
+                dens.append(total // g)
     return graph
 
 
@@ -144,32 +156,37 @@ def build_bipartite_graph(ledger: Ledger, start: int | None = None,
     """The raw address-transaction multigraph: one address->tx edge per
     consumed output, one tx->address edge per created output."""
     txs = txs_in_range(ledger, start, end)
-    edges = []
+    graph = EdgeList()
+    sources, targets, nums = graph.sources, graph.targets, graph.nums
+    attrs = graph.attrs
     for tx in txs:
         for ref in tx.inputs:
             spent = ledger.output(ref)
-            edges.append(Edge(spent.address, tx.id,
-                              spent.amount if spent.amount_visible else None,
-                              (("output", f"{ref[0]}:{ref[1]}"),)))
+            sources.append(spent.address)
+            targets.append(tx.id)
+            nums.append(spent.amount if spent.amount_visible else None)
+            attrs.append((("output", f"{ref[0]}:{ref[1]}"),))
         for out in tx.outputs:
-            edges.append(Edge(tx.id, out.address,
-                              out.amount if out.amount_visible else None,
-                              (("output", f"{out.ref[0]}:{out.ref[1]}"),)))
-    return EdgeList(edges)
+            sources.append(tx.id)
+            targets.append(out.address)
+            nums.append(out.amount if out.amount_visible else None)
+            attrs.append((("output", f"{out.ref[0]}:{out.ref[1]}"),))
+    graph.dens = [1] * len(nums)
+    return graph
 
 
 # --------------------------------------------------------------------------
 # Summary statistics
 
-def graph_stats(graph: AddressGraph | EdgeList) -> dict:
+def graph_stats(graph: EdgeList) -> dict:
     """Deterministic summary of a graph's edges: node/edge counts, degree
     distribution, weakly connected components, and undirected triangle
     count. The nodes are the edge endpoints in first-seen order."""
     ids: dict[str, int] = {}
     pairs = []
-    for e in graph.edges:
-        s = ids.setdefault(e.source, len(ids))
-        pairs.append((s, ids.setdefault(e.target, len(ids))))
+    for source, target in zip(graph.sources, graph.targets):
+        s = ids.setdefault(source, len(ids))
+        pairs.append((s, ids.setdefault(target, len(ids))))
     n = len(ids)
 
     out_deg = [0] * n

@@ -755,6 +755,19 @@ NO_COINBASE_FIRST = "\n".join([
     pytest.param({"in.jsonl": (UTXO_LINE % ("9" * 5000)).encode()},
                  ["utxo", "validate", "in.jsonl"],
                  "bad-json", "line 1: number too long to decode", id="ledger-long-number"),
+    pytest.param({"in.jsonl": (COINBASE + COINBASE.replace('"block":0', '"block":1'))
+                  .encode()}, ["utxo", "validate", "in.jsonl"],
+                 "duplicate-txid", "duplicate transaction id c", id="utxo-duplicate-txid"),
+    pytest.param({"in.jsonl": (COINBASE + "".join(
+        '{"id":"t","block":0,"coinbase":false,"inputs":[{"txid":"%s","index":0}],'
+        '"outputs":[{"amount":1,"address":"m"}]}\n' % src for src in ("c", "t")))
+                  .encode()}, ["utxo", "validate", "in.jsonl"],
+                 "duplicate-txid", "duplicate transaction id t",
+                 id="utxo-duplicate-txid-in-block"),
+    pytest.param({"in.jsonl": COINBASE.replace('"block":0', '"block":1').encode()},
+                 ["utxo", "validate", "in.jsonl"],
+                 "height-mismatch", "block height 1 does not extend tip -1",
+                 id="utxo-height-mismatch"),
     pytest.param({"trust.csv": b"a,b,USD," + b"9" * 5000 + b",0,0\n"},
                  ["ripple", "report", "--trust", "trust.csv"],
                  "bad-amount", "line 1: 'balance' must be an integer", id="trust-long-cell"),

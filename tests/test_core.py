@@ -15,11 +15,14 @@ from ledgergraph.core import (
     EdgeList,
     Hyperedge,
     MAX_AMOUNT,
+    encode_rows,
     export_edge_list,
     export_matrix,
 )
+from ledgergraph.generate import UtxoSpec, generate_utxo
 from ledgergraph.ripple import CurrencyValue
 from ledgergraph.utxo import Output
+from ledgergraph.utxo_graphs import build_address_graph, build_bipartite_graph
 
 
 def test_overflow_raises_at_boundary():
@@ -55,7 +58,8 @@ def test_export_empty_graph_is_header_only():
 def test_export_single_edge():
     import csv
     import io
-    el = EdgeList([Edge.make("a", "b", Fraction(27, 29), txid="t")])
+    el = EdgeList()
+    el.add("a", "b", Fraction(27, 29), txid="t")
     text = export_edge_list(el).decode()
     assert text.splitlines()[0] == "source,target,weight_num,weight_den,attr_json"
     rows = list(csv.reader(io.StringIO(text)))
@@ -63,9 +67,9 @@ def test_export_single_edge():
 
 
 def test_export_is_order_independent_and_stable():
-    e1 = Edge.make("a", "b", 1, txid="t1")
-    e2 = Edge.make("a", "a", 2, txid="t2")
-    e3 = Edge.make("b", "a", None, txid="t3")
+    e1 = Edge("a", "b", 1, (("txid", "t1"),))
+    e2 = Edge("a", "a", 2, (("txid", "t2"),))
+    e3 = Edge("b", "a", None, (("txid", "t3"),))
     g1, g2 = EdgeList([e1, e2, e3]), EdgeList([e3, e1, e2])
     assert export_edge_list(g1) == export_edge_list(g2)
     assert export_edge_list(g1) == export_edge_list(g1)
@@ -76,6 +80,11 @@ def test_export_is_order_independent_and_stable():
 def test_matrix_export_shape():
     assert export_matrix([[1, 2], [3, 4]]) == b"1,2\n3,4\n"
     assert export_matrix([]) == b""
+
+
+def test_encode_rows_ends_every_row_and_writes_nothing_for_none():
+    assert encode_rows(["h", "", "é"]) == "h\n\né\n".encode("utf-8")
+    assert encode_rows(iter([])) == b""
 
 
 def _reference_export(edges, fmt):
@@ -132,12 +141,23 @@ def test_export_matches_per_row_reference(edges, rng):
 
 
 def test_export_memo_tells_equal_values_of_other_types_apart():
-    edges = [Edge.make("a", "b", 1, k=v) for v in (True, 1, 1.0, 0.0, -0.0)]
-    edges += [Edge.make("a", "b", 1, k=[1, 2]), Edge.make("a", "b", 1, k=(1, True)),
-              Edge.make("a", "b", 1, k=(1, 1))]
+    edges = [Edge("a", "b", 1, (("k", v),))
+             for v in (True, 1, 1.0, 0.0, -0.0, [1, 2], (1, True), (1, 1))]
     text = export_edge_list(edges).decode()
     for cell in ('{""k"":true}', '{""k"":1}', '{""k"":1.0}', '{""k"":0.0}',
                  '{""k"":-0.0}', '{""k"":[1,2]}', '{""k"":[1,true]}',
                  '{""k"":[1,1]}'):
         assert f'"{cell}"' in text
     assert export_edge_list(edges) == _reference_export(edges, "csv")
+
+
+@pytest.mark.parametrize("reuse_p", [0.3, 0.6])
+def test_reused_addresses_export_like_the_reference(reuse_p):
+    """Reused addresses repeat (source, target) pairs in both UTXO graphs,
+    so the tie-break on (attribute hash, weight) orders those rows."""
+    ledger = generate_utxo(UtxoSpec(tx_count=300, address_reuse_p=reuse_p), seed=3)
+    for graph in (build_address_graph(ledger), build_bipartite_graph(ledger)):
+        pairs = list(zip(graph.sources, graph.targets))
+        assert len(set(pairs)) < len(pairs)
+        for fmt in ("csv", "json"):
+            assert export_edge_list(graph, fmt) == _reference_export(graph.edges, fmt)

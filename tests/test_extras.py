@@ -20,6 +20,7 @@ from ledgergraph.utxo import (
     INITIAL_SUBSIDY,
     Ledger,
     Output,
+    UnshieldedCoinbaseError,
     UtxoTransaction,
     bitcoin_halving_schedule,
 )
@@ -62,7 +63,7 @@ def test_zcash_coinbase_shielding_rule_flag():
     shielded_cb = tx("c", [], [("z1", 10)], coinbase=True, output_kinds=("z",))
     strict.validate_coinbase(shielded_cb, 0, 10)
     public_cb = tx("c2", [], [("t1", 10)], coinbase=True, output_kinds=("t",))
-    with pytest.raises(LedgerError):
+    with pytest.raises(UnshieldedCoinbaseError):
         strict.validate_coinbase(public_cb, 0, 10)
     relaxed = Ledger()  # the rule is off by default
     relaxed.validate_coinbase(public_cb, 0, 10)

@@ -86,6 +86,60 @@ def test_worked_edge_weights_exact():
     assert in_btc[("a1", "a4")] == Fraction(20, 29)
 
 
+def test_row_weights_are_the_formula_int_or_fraction():
+    """Each row's weight is A(i)*A(j)/sum A(out), in build order: an int
+    when it reduces to a whole number, a Fraction otherwise."""
+    led = fixtures.weighted_example_ledger()
+    graph = build_address_graph(led, 1, 1)
+    expected = []
+    for block in led.blocks[1:]:
+        for tx in block.transactions[1:]:
+            total = sum(out.amount for out in tx.outputs)
+            for ref in tx.inputs:
+                spent = led.output(ref)
+                expected += [(spent.address, out.address,
+                              Fraction(spent.amount * out.amount, total))
+                             for out in tx.outputs]
+    rows = [(e.source, e.target, e.weight) for e in graph.edges]
+    assert rows == expected
+    for (_s, _t, weight), (_s2, _t2, fraction) in zip(rows, expected):
+        assert type(weight) is (int if fraction.denominator == 1 else Fraction)
+
+
+@pytest.mark.parametrize("build", [build_address_graph, build_bipartite_graph])
+def test_rows_read_back_export_the_same_bytes(build):
+    led = generate_utxo(UtxoSpec(tx_count=120, address_reuse_p=0.4), seed=5)
+    graph = build(led)
+    for fmt in ("csv", "json"):
+        assert export_edge_list(EdgeList(graph.edges), fmt) == \
+            export_edge_list(graph, fmt)
+
+
+def test_row_view_length_builds_no_edge(monkeypatch):
+    import ledgergraph.core as core
+
+    graph = build_address_graph(fixtures.six_tx_network(), *fixtures.SIX_TX_WINDOW)
+    monkeypatch.setattr(core, "Edge", None)  # building a row would fail
+    assert len(graph.edges) == len(graph) == 22
+    with pytest.raises(TypeError):
+        next(iter(graph.edges))
+
+
+def test_row_view_is_read_only():
+    """The rows are read from the columns; builders add to the columns."""
+    import pathlib
+    import re
+
+    graph = build_address_graph(fixtures.six_tx_network(), *fixtures.SIX_TX_WINDOW)
+    assert not hasattr(graph.edges, "append")
+    with pytest.raises(TypeError):
+        graph.edges[0] = graph.edges[1]
+    src = pathlib.Path(__file__).parent.parent / "src"
+    appended = {m for path in src.rglob("*.py")
+                for m in re.findall(r"\.edges\.append\((\w+)", path.read_text())}
+    assert appended <= {"Hyperedge"}  # only hypergraphs keep an edge list
+
+
 def test_single_in_single_out_edge_carries_full_input():
     led = fixtures.lineage_ledger()
     graph = build_address_graph(led, 1, 1)  # t2: a spends 5 COIN into c
