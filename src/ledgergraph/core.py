@@ -13,12 +13,13 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from bisect import bisect_right
 from collections.abc import Sequence
 from contextlib import AbstractContextManager, contextmanager, suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, compress, count, islice, pairwise
-from operator import eq, index
+from itertools import chain, compress, count, islice
+from operator import eq
 from typing import Any, Iterable, Iterator
 
 __all__ = [
@@ -244,6 +245,23 @@ class EdgeList:
         self.dens.append(den)
         self.attrs.append(attrs)
 
+    def extend(self, sources: Sequence[str], targets: Sequence[str],
+               nums: Sequence[int | None],
+               attrs: Sequence[tuple[tuple[str, Any], ...]],
+               dens: Sequence[int] | None = None) -> None:
+        """Append edges given as equal-length columns. Each (num, den)
+        must already be reduced with den > 0; dens default to all 1s, as
+        for int or no weights."""
+        if dens is None:
+            dens = [1] * len(nums)
+        if not len(sources) == len(targets) == len(nums) == len(attrs) == len(dens):
+            raise ValueError("edge columns differ in length")
+        self.sources.extend(sources)
+        self.targets.extend(targets)
+        self.nums.extend(nums)
+        self.dens.extend(dens)
+        self.attrs.extend(attrs)
+
     @property
     def edges(self) -> "EdgeRows":
         return EdgeRows(self)
@@ -257,6 +275,17 @@ class EdgeList:
 
     def __len__(self) -> int:
         return len(self.sources)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.sources, self.targets, self.nums, self.dens, self.attrs) == (
+            other.sources, other.targets, other.nums, other.dens, other.attrs)
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(edges={list(self.edges)!r})"
 
 
 def _row(source: str, target: str, num: int | None, den: int,
@@ -278,8 +307,11 @@ class EdgeRows(Sequence[Edge]):
     def __len__(self) -> int:
         return len(self._graph.sources)
 
-    def __getitem__(self, i: int) -> Edge:
-        g, i = self._graph, index(i)
+    def __getitem__(self, i: int | slice) -> Edge | list[Edge]:
+        g = self._graph
+        if isinstance(i, slice):
+            return list(map(_row, g.sources[i], g.targets[i], g.nums[i], g.dens[i],
+                            g.attrs[i]))
         return _row(g.sources[i], g.targets[i], g.nums[i], g.dens[i], g.attrs[i])
 
     def __iter__(self) -> Iterator[Edge]:
@@ -314,8 +346,6 @@ class Hypergraph:
 
 # --------------------------------------------------------------------------
 # Deterministic export
-
-_CHUNK_ROWS = 4096  # edge rows formatted and encoded at a time
 
 _PLAIN_TYPES = frozenset({str, int})
 
@@ -352,8 +382,7 @@ def export_edge_list(graph: EdgeList | Iterable[Edge], fmt: str = "csv") -> byte
     (source rank, target rank). Only a run of rows that tie on it is
     sorted again by the rest of the key, so the hash is computed for tied
     rows alone. Each node's cell and each distinct attribute map's JSON
-    and cell are computed once per call, and the lines are written and
-    encoded a chunk at a time.
+    and cell are computed once per call.
     """
     if not isinstance(graph, EdgeList):
         graph = EdgeList(graph)
@@ -370,15 +399,7 @@ def export_edge_list(graph: EdgeList | Iterable[Edge], fmt: str = "csv") -> byte
         plain = all(type(k) is str and type(v) in _PLAIN_TYPES for k, v in row_attrs)
         pair = memo.get(row_attrs) if plain else None
         if pair is None:
-            if plain and all(a[0] < b[0] for a, b in pairwise(row_attrs)):
-                # canonical_json(dict(row_attrs)), without the encoder's
-                # set-up per call
-                attr_json = "{" + ",".join([
-                    f"{_CANONICAL.encode(k)}:"
-                    f"{_CANONICAL.encode(v) if type(v) is str else v}"
-                    for k, v in row_attrs]) + "}"
-            else:
-                attr_json = canonical_json(dict(row_attrs))
+            attr_json = canonical_json(dict(row_attrs))
             pair = (attr_json, quote(attr_json) if csv else attr_json)
             if plain:
                 memo[row_attrs] = pair
@@ -406,39 +427,29 @@ def export_edge_list(graph: EdgeList | Iterable[Edge], fmt: str = "csv") -> byte
     del names, rank
     order = sorted(range(len(pairs)), key=pairs.__getitem__)
     ranked = list(map(pairs.__getitem__, order))
-    start = end = 0  # the tied run order[start:end]
+    done = 0  # where the last re-sorted run of tied rows ends
     for k in compress(count(1), map(eq, ranked, islice(ranked, 1, None))):
-        if k != end:  # order[k] ties order[k - 1] and starts a new run
-            order[start:end] = sorted(order[start:end], key=tie_key)
-            start = k - 1
-        end = k + 1
-    order[start:end] = sorted(order[start:end], key=tie_key)
+        if k > done:  # order[k - 1] starts a run of rows tied on the ranks
+            done = bisect_right(ranked, ranked[k], k)
+            order[k - 1:done] = sorted(order[k - 1:done], key=tie_key)
     del ranked
-
-    head, tail = (("source,target,weight_num,weight_den,attr_json\n", "") if csv
-                  else ("[", "]\n"))
-
-    def chunk_text(k: int) -> str:
-        """Rows k to k + _CHUNK_ROWS of the sorted order as text; the
-        first chunk starts with the head and the last ends with the tail."""
-        rows = order[k:k + _CHUNK_ROWS]
-        if csv:
-            lines = [f"{cells[p // m]},{cells[p % m]},{'' if n is None else n},"
-                     f"{'' if n is None else dens[i]},{attr_cells[i]}\n"
-                     for i in rows for p, n in [(pairs[i], nums[i])]]
-        else:
-            lines = [f'{"," if j else ""}{{"attrs":{attr_cells[i]},'
-                     f'"source":{cells[p // m]},"target":{cells[p % m]},'
-                     f'"weight_den":"{"" if n is None else dens[i]}",'
-                     f'"weight_num":"{"" if n is None else n}"}}'
-                     for j, i in enumerate(rows, k) for p, n in [(pairs[i], nums[i])]]
-        return ((head if k == 0 else "") + "".join(lines)
-                + (tail if k + _CHUNK_ROWS >= len(order) else ""))
-
-    # Only one chunk's lines and text are alive at a time; a graph of one
-    # chunk is returned as that chunk's bytes, without a copy.
-    return b"".join([chunk_text(k).encode("utf-8")
-                     for k in range(0, max(len(order), 1), _CHUNK_ROWS)])
+    if csv:
+        lines = ["source,target,weight_num,weight_den,attr_json\n",
+                 *(f"{cells[p // m]},{cells[p % m]},{'' if n is None else n},"
+                   f"{'' if n is None else dens[i]},{attr_cells[i]}\n"
+                   for i in order for p, n in [(pairs[i], nums[i])])]
+    else:
+        lines = ["[",
+                 *(f'{"," if j else ""}{{"attrs":{attr_cells[i]},'
+                   f'"source":{cells[p // m]},"target":{cells[p % m]},'
+                   f'"weight_den":"{"" if n is None else dens[i]}",'
+                   f'"weight_num":"{"" if n is None else n}"}}'
+                   for j, i in enumerate(order) for p, n in [(pairs[i], nums[i])]),
+                 "]\n"]
+    del order, attr_cells, pairs, cells  # freed before the text is copied out
+    text = "".join(lines)
+    del lines
+    return text.encode("utf-8")
 
 
 def export_hypergraph(graph: Hypergraph, fmt: str = "csv") -> bytes:

@@ -45,11 +45,9 @@ class TransactionGraph:
 
     def to_edge_list(self) -> EdgeList:
         graph = EdgeList()
-        graph.sources = [src for src, _dst in self.edges]
-        graph.targets = [dst for _src, dst in self.edges]
-        graph.nums = list(self.edges.values())
-        graph.dens = [1] * len(graph.nums)
-        graph.attrs = [(("spent_outputs", count),) for count in graph.nums]
+        counts = list(self.edges.values())
+        graph.extend([src for src, _dst in self.edges], [dst for _src, dst in self.edges],
+                     counts, [(("spent_outputs", count),) for count in counts])
         return graph
 
 
@@ -110,10 +108,11 @@ def build_address_graph(ledger: Ledger, start: int | None = None,
     txs = txs_in_range(ledger, start, end)
     if not txs:
         raise EmptyRangeError(f"no transactions in blocks [{start}, {end}]")
-    graph = AddressGraph()
-    sources, targets, nums, dens = graph.sources, graph.targets, graph.nums, graph.dens
-    attrs_column = graph.attrs
-
+    sources: list[str] = []
+    targets: list[str] = []
+    nums: list[int] = []
+    dens: list[int] = []
+    attrs: list[tuple] = []
     for tx in txs:
         for out in tx.outputs:
             if not out.amount_visible:
@@ -142,12 +141,14 @@ def build_address_graph(ledger: Ledger, start: int | None = None,
         for src_addr, src_amount in ins:
             sources.extend([src_addr] * len(out_amounts))
             targets.extend(out_addresses)
-            attrs_column.extend(row_attrs)
+            attrs.extend(row_attrs)
             for amount in out_amounts:
                 p = src_amount * amount
                 g = gcd(p, total)
                 nums.append(p // g)
                 dens.append(total // g)
+    graph = AddressGraph()
+    graph.extend(sources, targets, nums, attrs, dens)
     return graph
 
 
@@ -156,9 +157,10 @@ def build_bipartite_graph(ledger: Ledger, start: int | None = None,
     """The raw address-transaction multigraph: one address->tx edge per
     consumed output, one tx->address edge per created output."""
     txs = txs_in_range(ledger, start, end)
-    graph = EdgeList()
-    sources, targets, nums = graph.sources, graph.targets, graph.nums
-    attrs = graph.attrs
+    sources: list[str] = []
+    targets: list[str] = []
+    nums: list[int | None] = []
+    attrs: list[tuple] = []
     for tx in txs:
         for ref in tx.inputs:
             spent = ledger.output(ref)
@@ -171,7 +173,8 @@ def build_bipartite_graph(ledger: Ledger, start: int | None = None,
             targets.append(out.address)
             nums.append(out.amount if out.amount_visible else None)
             attrs.append((("output", f"{out.ref[0]}:{out.ref[1]}"),))
-    graph.dens = [1] * len(nums)
+    graph = EdgeList()
+    graph.extend(sources, targets, nums, attrs)
     return graph
 
 

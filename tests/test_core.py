@@ -161,3 +161,14 @@ def test_reused_addresses_export_like_the_reference(reuse_p):
         assert len(set(pairs)) < len(pairs)
         for fmt in ("csv", "json"):
             assert export_edge_list(graph, fmt) == _reference_export(graph.edges, fmt)
+
+
+def test_adjacent_tied_runs_each_sort_by_the_reference_key():
+    """Runs of rows tied on (source, target) that touch each other, start
+    the export and end it are each put in tie-break order."""
+    edges = [Edge(s, t, w, (("n", n),))
+             for s, t, w in [("b", "a", 2), ("a", "c", 1), ("a", "b", 3), ("b", "a", 1),
+                             ("a", "b", 1), ("a", "c", 1), ("a", "b", 2)]
+             for n in (0, 1)]
+    for fmt in ("csv", "json"):
+        assert export_edge_list(edges, fmt) == _reference_export(edges, fmt)

@@ -140,6 +140,29 @@ def test_row_view_is_read_only():
     assert appended <= {"Hyperedge"}  # only hypergraphs keep an edge list
 
 
+def test_row_view_slices_and_graphs_compare_by_value():
+    led = fixtures.six_tx_network()
+    graph = build_address_graph(led, *fixtures.SIX_TX_WINDOW)
+    rows = list(graph.edges)
+    assert graph.edges[2:9:3] == rows[2:9:3]
+    assert graph.edges[-1] == rows[-1]
+    other = build_address_graph(led, *fixtures.SIX_TX_WINDOW)
+    assert graph == other
+    other.add("a1", "a5", 1)
+    assert graph != other
+    assert repr(graph) == f"AddressGraph(edges={rows!r})"
+
+
+def test_extend_keeps_the_columns_equal_in_length():
+    graph = EdgeList()
+    graph.extend(["a", "b"], ["b", "c"], [4, None], [(), (("k", 1),)])
+    assert graph.dens == [1, 1]
+    assert list(graph.edges) == [Edge("a", "b", 4), Edge("b", "c", None, (("k", 1),))]
+    with pytest.raises(ValueError):
+        graph.extend(["a"], ["b"], [1, 2], [(), ()])
+    assert len(graph.sources) == len(graph.nums) == 2
+
+
 def test_single_in_single_out_edge_carries_full_input():
     led = fixtures.lineage_ledger()
     graph = build_address_graph(led, 1, 1)  # t2: a spends 5 COIN into c
