@@ -15,18 +15,28 @@ from .keys import KEY_FRAGMENT_TRYTES, check_security_level
 from .sponge import MixerSponge, squeeze_blocks
 from .trinary import ascii_to_trits, encode_trytes
 
-__all__ = ["TangleTransaction", "Bundle", "UnbalancedBundleError", "build_bundle"]
+__all__ = ["TangleTransaction", "Bundle", "UnbalancedBundleError",
+           "FragmentTooLongError", "build_bundle"]
 
 
 class UnbalancedBundleError(LedgerError):
     code = "unbalanced-bundle"
 
 
+class FragmentTooLongError(LedgerError):
+    code = "fragment-too-long"
+
+
 @dataclass
 class TangleTransaction:
     """One DAG node. Negative value: input; positive: output; zero:
     message or signature fragment. Filled-in trunk/branch/hash/nonce are
-    assigned at attach time and never change afterwards."""
+    assigned at attach time and never change afterwards.
+
+    `fragment_source` is a message's data as given, or the (spending
+    address, security level, position) of an input's signature fragment,
+    which is derived only when `signature_fragment` is read: no hash,
+    export or check reads it."""
 
     address: str
     value: int
@@ -34,16 +44,25 @@ class TangleTransaction:
     index: tuple[int, int] = (0, 0)  # position / last index
     tag: str = ""
     timestamp: int = 0
-    signature_fragment: str = ""
+    fragment_source: str | tuple[str, int, int] = ""
     hash: str = ""
     trunk: str = ""
     branch: str = ""
     nonce: int = 0
 
     def __post_init__(self) -> None:
-        if len(self.signature_fragment) > KEY_FRAGMENT_TRYTES:
-            raise LedgerError(
-                f"signatureMessageFragment holds at most {KEY_FRAGMENT_TRYTES} trytes")
+        if (isinstance(self.fragment_source, str)
+                and len(self.fragment_source) > KEY_FRAGMENT_TRYTES):
+            raise FragmentTooLongError(
+                f"message data of {len(self.fragment_source)} characters; "
+                f"a signatureMessageFragment holds at most {KEY_FRAGMENT_TRYTES}")
+
+    @property
+    def signature_fragment(self) -> str:
+        if isinstance(self.fragment_source, str):
+            return self.fragment_source
+        address, level, position = self.fragment_source
+        return _fragment_blobs(address, level)[position]
 
     @property
     def is_input(self) -> bool:
@@ -72,10 +91,10 @@ def compute_bundle_hash(txs: list[TangleTransaction]) -> str:
     return encode_trytes(sponge.squeeze())
 
 
-# Every tangle producer in the package reuses a small set of addresses,
-# and change goes back to the source address, so the same fragments are
-# asked for again and again. The gain depends on that reuse: traffic that
-# spends from fresh addresses misses every time. 256 entries of at most
+# Read by TangleTransaction.signature_fragment, so a bundle's fragments
+# are squeezed only when one of them is read, and then all of them in one
+# batch; reading another fragment of the same input, or of any input from
+# the same address and level, squeezes nothing. 256 entries of at most
 # three fragments bound the memo at about 1.6 MiB.
 @functools.lru_cache(maxsize=256)
 def _fragment_blobs(address: str, level: int) -> tuple[str, ...]:
@@ -107,10 +126,10 @@ def build_bundle(inputs: list[tuple[str, int, int]],
 
     txs: list[TangleTransaction] = []
     for (address, level, amount) in inputs:
-        for position, blob in enumerate(_fragment_blobs(address, level)):
+        for position in range(level):
             txs.append(TangleTransaction(
                 address=address, value=0 if position else -amount, tag=tag,
-                timestamp=timestamp, signature_fragment=blob))
+                timestamp=timestamp, fragment_source=(address, level, position)))
     for (address, amount) in outputs:
         txs.append(TangleTransaction(address=address, value=amount, tag=tag,
                                      timestamp=timestamp))
@@ -126,10 +145,10 @@ def build_bundle(inputs: list[tuple[str, int, int]],
 
 def message_transaction(address: str, tag: str = "", timestamp: int = 0,
                         data: str = "") -> Bundle:
-    """A standalone zero-value (message) transaction as its own bundle."""
+    """A standalone zero-value (message) transaction as its own bundle.
+    Data longer than one fragment (2187 characters) is rejected, not cut."""
     tx = TangleTransaction(address=address, value=0, tag=tag,
-                           timestamp=timestamp,
-                           signature_fragment=data[:KEY_FRAGMENT_TRYTES])
+                           timestamp=timestamp, fragment_source=data)
     bundle_hash = compute_bundle_hash([tx])
     tx.bundle = bundle_hash
     return Bundle(bundle_hash, [tx])

@@ -46,6 +46,10 @@ class BadSeedError(LedgerError):
     code = "bad-seed"
 
 
+class BadKeyLengthError(LedgerError):
+    code = "bad-key-length"
+
+
 def _seed_trits(seed: str) -> list[int]:
     if len(seed) != SEED_TRYTES:
         raise BadSeedError(f"seed must be exactly {SEED_TRYTES} trytes")
@@ -88,7 +92,7 @@ def derive_address(private_key: str, with_checksum: bool = False) -> str:
     """81-tryte address (90 with checksum): hash every 81-tryte key
     segment 26 times, then digest the segment hashes together."""
     if len(private_key) % KEY_FRAGMENT_TRYTES:
-        raise LedgerError(
+        raise BadKeyLengthError(
             f"private key length {len(private_key)} is not a multiple of "
             f"{KEY_FRAGMENT_TRYTES} trytes")
     # the segments' hash chains are independent: one batch, row per segment

@@ -25,7 +25,8 @@ from collections import deque
 from typing import Iterable
 
 from ..core import BadRecordError, LedgerError, csv_row, encode_rows
-from .bundles import Bundle, TangleTransaction, message_transaction
+from .bundles import (Bundle, TangleTransaction, UnbalancedBundleError,
+                      message_transaction)
 from .sponge import BLOCK_TRITS, sponge_hash
 from .trinary import ascii_to_trits, encode_trytes
 
@@ -37,6 +38,9 @@ __all__ = [
     "PowBudgetExceededError",
     "UnknownTipError",
     "InvalidTipError",
+    "AlreadyAttachedError",
+    "UnknownTransactionError",
+    "InvalidTransactionError",
     "DEFAULT_POW_BUDGET",
 ]
 
@@ -62,6 +66,18 @@ class UnknownTipError(LedgerError):
 
 class InvalidTipError(LedgerError):
     code = "invalid-tip"
+
+
+class AlreadyAttachedError(LedgerError):
+    code = "already-attached"
+
+
+class UnknownTransactionError(LedgerError):
+    code = "unknown-transaction"
+
+
+class InvalidTransactionError(LedgerError):
+    code = "invalid-transaction"
 
 
 class TangleState:
@@ -114,7 +130,7 @@ class TangleState:
             if ref in self.invalid:
                 raise InvalidTipError(f"tip {ref[:12]}... is invalid")
         if bundle.value_sum() != 0:
-            raise LedgerError("bundle values must sum to zero")
+            raise UnbalancedBundleError("bundle values must sum to zero")
         txs = bundle.transactions
         # bundle members chain by trunk; the last member carries the tips
         hashes: list[str] = [""] * len(txs)
@@ -126,7 +142,7 @@ class TangleState:
             hashes[i] = tx.hash
         for h in hashes:
             if h in self.transactions or h == GENESIS_HASH:
-                raise LedgerError(
+                raise AlreadyAttachedError(
                     f"transaction {h[:12]}... already attached "
                     "(identical bundle, tips and timestamp)")
 
@@ -279,7 +295,8 @@ class TangleState:
         """
         tx = self.transactions.get(milestone_hash)
         if tx is None:
-            raise LedgerError(f"unknown transaction {milestone_hash[:12]}...")
+            raise UnknownTransactionError(
+                f"unknown transaction {milestone_hash[:12]}...")
         if tx.address != self.coordinator:
             raise NotCoordinatorError(
                 f"milestones must come from {self.coordinator}")
@@ -350,9 +367,10 @@ class TangleState:
         future tips pull it toward confirmation."""
         tx = self.transactions.get(stuck_hash)
         if tx is None:
-            raise LedgerError(f"unknown transaction {stuck_hash[:12]}...")
+            raise UnknownTransactionError(
+                f"unknown transaction {stuck_hash[:12]}...")
         if stuck_hash in self.invalid:
-            raise LedgerError("cannot promote an invalid transaction")
+            raise InvalidTransactionError("cannot promote an invalid transaction")
         others = [t for t in self.valid_tips() if t != stuck_hash]
         branch = min(others, key=lambda t: self._attach_seq[t]) if others \
             else stuck_hash

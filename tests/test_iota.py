@@ -1,29 +1,34 @@
 """Trinary codec, derivation pipeline, bundles, tangle consensus."""
 
 import hashlib
+import json
 import pathlib
 import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ledgergraph import fixtures
 from ledgergraph.cli import main as cli_main
+from ledgergraph.iota import bundles as bundles_mod
 from ledgergraph.iota import sponge as sponge_mod
-from ledgergraph.iota.bundles import (Bundle, UnbalancedBundleError,
-                                      _fragment_blobs, build_bundle,
-                                      compute_bundle_hash, message_transaction)
-from ledgergraph.iota.keys import (MAX_KEY_INDEX, IndexOutOfRangeError,
-                                   derive_address, derive_private_key,
-                                   derive_subseed)
+from ledgergraph.iota.bundles import (Bundle, FragmentTooLongError,
+                                      UnbalancedBundleError, _fragment_blobs,
+                                      build_bundle, compute_bundle_hash,
+                                      message_transaction)
+from ledgergraph.iota.keys import (MAX_KEY_INDEX, BadKeyLengthError,
+                                   IndexOutOfRangeError, derive_address,
+                                   derive_private_key, derive_subseed)
 from ledgergraph.iota.sponge import MixerSponge, sponge_hash, squeeze_blocks
-from ledgergraph.iota.tangle import (GENESIS_HASH, NotCoordinatorError,
+from ledgergraph.iota.tangle import (GENESIS_HASH, AlreadyAttachedError,
+                                     InvalidTransactionError, NotCoordinatorError,
                                      NoValidTipsError, PowBudgetExceededError,
-                                     TangleState)
+                                     TangleState, UnknownTransactionError)
 from ledgergraph.iota.trinary import (TRYTE_ALPHABET, InvalidTryteError,
                                       ascii_to_trits, decode_trytes,
                                       encode_trytes, int_to_trits, trits_to_int)
+from ledgergraph.scenario import replay_tangle
 
 SEED = "LEDGER" + "9" * 75
 FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
@@ -353,13 +358,19 @@ def test_level2_bundle_transform_count(monkeypatch):
 
     monkeypatch.setattr(MixerSponge, "_transform", counted)
     _fragment_blobs.cache_clear()
-    build_bundle([("A" * 81, 2, 10)], [("B" * 81, 4), ("C" * 81, 6)],
-                 tag="T", timestamp=3)
-    # the two fragment blobs squeeze as one batch: 3 absorbed blocks, then
-    # 27 blocks read with 26 permutations between them; the bundle hash
-    # absorbs four essences of 3 blocks each and reads its digest with no
-    # permutation after it
-    assert len(calls) == (3 + 26) + 4 * 3
+    bundle = build_bundle([("A" * 81, 2, 10)], [("B" * 81, 4), ("C" * 81, 6)],
+                          tag="T", timestamp=3)
+    # the bundle hash absorbs four essences of 3 blocks each and reads its
+    # digest with no permutation after it; no fragment is derived
+    assert len(calls) == 4 * 3
+    calls.clear()
+    fragments = [tx.signature_fragment for tx in bundle.transactions[:2]]
+    # the first read squeezes both fragment blobs as one batch: 3 absorbed
+    # blocks, then 27 blocks read with 26 permutations between them
+    assert len(calls) == 3 + 26
+    calls.clear()
+    assert [tx.signature_fragment for tx in bundle.transactions[:2]] == fragments
+    assert calls == []
 
 
 # -- oracles for the batched sponge ----------------------------------------------
@@ -465,6 +476,77 @@ def test_fragment_memo_hit_returns_the_blob_a_miss_squeezed(monkeypatch):
     assert _fragment_blobs("A1", 3) == direct  # a hit
     assert calls == []
     assert _fragment_blobs.cache_info()[:2] == (1, 1)  # hits, misses
+
+
+@given(st.lists(st.tuples(st.text(alphabet=TRYTE_ALPHABET + "abc|", min_size=1,
+                                   max_size=90),
+                           st.integers(1, 3)),
+                min_size=1, max_size=2))
+@settings(max_examples=20, deadline=None)
+def test_fragment_read_equals_the_eager_blob(inputs):
+    bundle = build_bundle([(address, level, 1) for address, level in inputs],
+                          [("OUT", len(inputs))])
+    txs = iter(bundle.transactions)
+    for address, level in inputs:
+        eager = _fragment_blobs.__wrapped__(address, level)
+        for position in range(level):
+            fragment = next(txs).signature_fragment
+            assert fragment == eager[position]
+            assert len(fragment) == 2187
+
+
+def test_repr_eq_and_attach_derive_no_fragment(monkeypatch):
+    def refuse(address, level):
+        raise AssertionError(f"fragment of {address} derived")
+
+    monkeypatch.setattr(bundles_mod, "_fragment_blobs", refuse)
+    bundle = build_bundle([("a1", 3, 100)], [("r1", 100)], timestamp=1)
+    assert all(repr(tx) for tx in bundle.transactions)
+    assert bundle == build_bundle([("a1", 3, 100)], [("r1", 100)], timestamp=1)
+    assert bundle != build_bundle([("a1", 2, 100)], [("r1", 100)], timestamp=1)
+    state = simple_state()
+    head = state.attach(bundle, (GENESIS_HASH, GENESIS_HASH))
+    state.issue_milestone(timestamp=2)
+    assert head in state.confirmed and state.export_csv()
+
+
+def test_fragment_keeps_the_address_it_was_built_for():
+    bundle = build_bundle([("a1", 2, 100)], [("r1", 100)])
+    for position, tx in enumerate(bundle.transactions[:2]):
+        tx.address = "elsewhere"
+        assert tx.signature_fragment == _fragment_blobs("a1", 2)[position]
+
+
+def test_message_data_is_kept_as_given():
+    data = "B0M0" * 10
+    assert message_transaction("m", data=data).transactions[0] \
+        .signature_fragment == data
+
+
+def test_message_data_longer_than_a_fragment_is_rejected():
+    state = simple_state()
+    g = GENESIS_HASH
+    with pytest.raises(FragmentTooLongError) as info:
+        state.attach_message("m", (g, g), data="9" * 2188)
+    assert info.value.code == "fragment-too-long"
+    assert state.transactions == {} and state.valid_tips() == [g]
+    head = state.attach_message("m", (g, g), data="9" * 2187)
+    assert state.transactions[head].signature_fragment == "9" * 2187
+
+
+def test_replay_logs_an_over_long_message_and_goes_on():
+    script = [{"op": "attach_message", "address": "m", "data": "x" * 2188},
+              {"op": "attach_message", "address": "m", "data": "x" * 2187}]
+    state, log = replay_tangle([json.dumps(cmd) for cmd in script])
+    assert [entry["ok"] for entry in log] == [False, True]
+    assert log[0]["error"]["code"] == "fragment-too-long"
+    assert len(state.transactions) == 1
+
+
+def test_private_key_of_a_partial_fragment_is_rejected():
+    with pytest.raises(BadKeyLengthError) as info:
+        derive_address("A" * 2188)
+    assert info.value.code == "bad-key-length"
 
 
 # -- tangle -----------------------------------------------------------------------
@@ -660,8 +742,38 @@ def test_promote_invalid_rejected():
     t2 = state.attach(build_bundle([("a1", 1, 100)], [("r2", 100)]), (g, g))
     state.apply_milestone(state.attach_message(state.coordinator, (t1, t1),
                                                tag="MILESTONE"))
-    with pytest.raises(Exception):
+    with pytest.raises(InvalidTransactionError) as info:
         state.promote(t2)
+    assert info.value.code == "invalid-transaction"
+
+
+def test_unknown_milestone_or_promoted_transaction_rejected():
+    state = simple_state()
+    for call in (state.apply_milestone, state.promote):
+        with pytest.raises(UnknownTransactionError) as info:
+            call("Q" * 81)
+        assert info.value.code == "unknown-transaction"
+    assert state.transactions == {}
+
+
+def test_attach_rejects_a_bundle_whose_values_do_not_sum_to_zero():
+    state = simple_state()
+    bundle = build_bundle([("a1", 1, 100)], [("r1", 100)])
+    bundle.transactions[-1].value = 99
+    with pytest.raises(UnbalancedBundleError) as info:
+        state.attach(bundle, (GENESIS_HASH, GENESIS_HASH))
+    assert info.value.code == "unbalanced-bundle"
+    assert state.transactions == {}
+
+
+def test_attaching_the_same_transaction_again_is_rejected():
+    state = simple_state()
+    g = GENESIS_HASH
+    state.attach_message("note", (g, g))
+    with pytest.raises(AlreadyAttachedError) as info:
+        state.attach_message("note", (g, g))
+    assert info.value.code == "already-attached"
+    assert len(state.transactions) == 1
 
 
 def test_snapshot_preserves_balances_and_allows_growth():
