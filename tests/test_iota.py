@@ -517,12 +517,6 @@ def test_fragment_keeps_the_address_it_was_built_for():
         assert tx.signature_fragment == _fragment_blobs("a1", 2)[position]
 
 
-def test_message_data_is_kept_as_given():
-    data = "B0M0" * 10
-    assert message_transaction("m", data=data).transactions[0] \
-        .signature_fragment == data
-
-
 def test_message_data_longer_than_a_fragment_is_rejected():
     state = simple_state()
     g = GENESIS_HASH

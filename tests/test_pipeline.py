@@ -128,7 +128,7 @@ def test_pipeline_iota_script_derives_no_signature_fragment(fixture_dir, tmp_pat
         return {key: pathlib.Path(path).read_bytes()
                 for key, path in report["outputs"].items()}
 
-    expected = run("derives")
+    expected = run("plain")
 
     def refuse(address, level):
         raise AssertionError(f"fragment of {address} derived")
