@@ -23,13 +23,13 @@ window = fixtures.SIX_TX_WINDOW
 
 print("=== transaction graph (a node can appear only once) ===")
 tx_graph = build_transaction_graph(ledger, *window)
-for (src, dst), spent in sorted(tx_graph.edges.items()):
-    note = f"  ({spent} outputs consumed)" if spent > 1 else ""
-    print(f"  {src} -> {dst}{note}")
+for e in tx_graph.edges:  # rows are in (producer, consumer) order
+    note = f"  ({e.weight} outputs consumed)" if e.weight > 1 else ""
+    print(f"  {e.source} -> {e.target}{note}")
 
 print("\n=== address graph keeps what the tx graph loses ===")
 addr_graph = build_address_graph(ledger, *window)
-addr_nodes = addr_graph.to_edge_list().nodes()
+addr_nodes = addr_graph.nodes()
 print(f"  nodes: {len(addr_nodes)}, edges: {len(addr_graph.edges)}")
 reuse = [e for e in addr_graph.edges if (e.source, e.target) == ("a9", "a1")]
 loop = [e for e in addr_graph.edges if e.source == e.target == "a10"]

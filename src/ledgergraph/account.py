@@ -25,6 +25,8 @@ __all__ = [
     "NonceGap",
     "NonceError",
     "InsufficientTokenBalanceError",
+    "AddressCollisionError",
+    "UnknownTokenError",
     "validate_nonce_order",
     "load_jsonl",
     "dump_jsonl",
@@ -52,6 +54,14 @@ class NonceError(LedgerError):
 
 class InsufficientTokenBalanceError(LedgerError):
     code = "insufficient-token-balance"
+
+
+class AddressCollisionError(LedgerError):
+    code = "address-collision"
+
+
+class UnknownTokenError(LedgerError):
+    code = "unknown-token"
 
 
 @dataclass(frozen=True)
@@ -212,13 +222,10 @@ class TokenLedger:
         self.transfers: list[InternalTransfer] = []
 
     def register(self, contract: TokenContract) -> TokenContract:
-        if contract.address in self.contracts:
-            existing = self.contracts[contract.address]
-            if (existing.owner, existing.symbol) != (contract.owner, contract.symbol):
-                raise LedgerError(f"address collision at {contract.address}")
-            return existing  # idempotent redeploy of the same (owner, nonce)
-        self.contracts[contract.address] = contract
-        return contract
+        existing = self.contracts.setdefault(contract.address, contract)
+        if (existing.owner, existing.symbol) != (contract.owner, contract.symbol):
+            raise AddressCollisionError(f"address collision at {contract.address}")
+        return existing  # a redeploy of the same (owner, nonce) is idempotent
 
     def execute_token_transfer(self, contract_address: str, caller: str,
                                recipient: str, token_amount: int,
@@ -227,7 +234,7 @@ class TokenLedger:
         Fails without touching state when the caller lacks the tokens."""
         contract = self.contracts.get(contract_address)
         if contract is None:
-            raise LedgerError(f"no token contract at {contract_address}")
+            raise UnknownTokenError(f"no token contract at {contract_address}")
         if token_amount < 0:
             raise BadRecordError("token amount must be non-negative")
         if contract.balance_of(caller) < token_amount:

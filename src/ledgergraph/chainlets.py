@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import BadRecordError, LedgerError
 from .utxo import Ledger, UtxoTransaction
-from .utxo_graphs import HiddenAmountError, txs_in_range
+from .utxo_graphs import HiddenAmountError, build_transaction_graph, txs_in_range
 
 __all__ = [
     "FirstOrderChainlet",
@@ -125,23 +125,20 @@ def extract_k_chainlets(ledger: Ledger, k: int, start: int | None = None,
                         end: int | None = None) -> list[KChainlet]:
     """k=1: one chainlet per transaction (they partition the tx set).
     k=2: unordered connected transaction pairs where one spends the
-    other's output inside the window; spend direction kept as attribute.
+    other's output inside the window, read off the transaction graph's
+    edges (acyclic, so one per pair); spend direction kept as attribute.
     """
     if k not in (1, 2):
         raise UnsupportedKError(f"k={k} not supported (only 1 and 2)")
-    txs = txs_in_range(ledger, start, end)
     if k == 1:
-        return [_k_chainlet(ledger, (tx.id,), (tx,)) for tx in txs]
-    in_window = {tx.id: tx for tx in txs}
-    pairs: dict[tuple[str, str], tuple[str, str]] = {}
-    for tx in txs:
-        for (src_txid, _idx) in tx.inputs:
-            if src_txid in in_window:
-                key = tuple(sorted((src_txid, tx.id)))
-                pairs.setdefault(key, (src_txid, tx.id))
-    return [_k_chainlet(ledger, key, [in_window[t] for t in pairs[key]],
-                        spend_direction=pairs[key])
-            for key in sorted(pairs)]
+        return [_k_chainlet(ledger, (tx.id,), (tx,))
+                for tx in txs_in_range(ledger, start, end)]
+    graph = build_transaction_graph(ledger, start, end)
+    txs = ledger.transactions
+    return [_k_chainlet(ledger, key, (txs[src], txs[dst]), spend_direction=(src, dst))
+            for key, (src, dst) in sorted(
+                (tuple(sorted(pair)), pair)
+                for pair in zip(graph.sources, graph.targets))]
 
 
 def _fold_index(v: int, n: int) -> int:

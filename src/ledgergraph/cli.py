@@ -17,6 +17,8 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
+from typing import BinaryIO, ContextManager
 
 from . import account as account_mod
 from . import chainlets as chainlet_mod
@@ -40,12 +42,20 @@ class ConfigError(LedgerError):
     code = "bad-config"
 
 
-def _write_bytes(path: str | None, data: bytes) -> None:
+class EmptyRangeError(LedgerError):
+    code = "empty-range"
+
+
+def _output(path: str | None) -> ContextManager[BinaryIO]:
+    """The binary file to write: stdout when there is no path or it is '-'."""
     if path in (None, "-"):
-        sys.stdout.buffer.write(data)
-    else:
-        with open(path, "wb") as fh:
-            fh.write(data)
+        return nullcontext(sys.stdout.buffer)
+    return open(path, "wb")
+
+
+def _write_bytes(path: str | None, data: bytes) -> None:
+    with _output(path) as fh:
+        fh.write(data)
 
 
 def _load_config(path: str | None) -> dict[str, str]:
@@ -120,13 +130,11 @@ def _cmd_utxo(args: argparse.Namespace) -> int:
         print(json.dumps(ledger.summary(), sort_keys=True))
         return EXIT_OK
     start, end = args.start, args.end
-    if args.kind == "tx":
-        graph = ug.build_transaction_graph(ledger, start, end).to_edge_list()
-    elif args.kind == "address":
-        graph = ug.build_address_graph(ledger, start, end).to_edge_list()
-    else:
-        graph = ug.build_bipartite_graph(ledger, start, end)
-    _write_bytes(args.out, export_edge_list(graph, args.format))
+    if not ug.txs_in_range(ledger, start, end):
+        raise EmptyRangeError(f"no transactions in blocks [{start}, {end}]")
+    build = {"tx": ug.build_transaction_graph, "address": ug.build_address_graph,
+             "bipartite": ug.build_bipartite_graph}[args.kind]
+    _write_bytes(args.out, export_edge_list(build(ledger, start, end), args.format))
     return EXIT_OK
 
 
@@ -168,7 +176,8 @@ def _cmd_ripple(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.action == "pay":
         led, log = scenario.replay_ripple(read_lines(args.script), ledger)
-        _write_bytes(args.out, scenario.dump_log(log))
+        with _output(args.out) as fh:
+            scenario.dump_log(log, fh)
         first = next((e for e in log if not e["ok"]), None)
         if first is None or args.keep_going:
             return EXIT_OK
@@ -223,7 +232,8 @@ def _cmd_iota(args: argparse.Namespace) -> int:
                                         genesis_balances=_genesis(args.genesis))
     _write_bytes(args.out, state.export_csv())
     if args.log:
-        _write_bytes(args.log, scenario.dump_log(log))
+        with _output(args.log) as fh:
+            scenario.dump_log(log, fh)
     return EXIT_OK
 
 

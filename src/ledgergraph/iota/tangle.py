@@ -21,10 +21,11 @@ attached twice shares one bundle hash but not its members.
 from __future__ import annotations
 
 import random
-from collections import deque
+from collections import Counter, deque
+from fractions import Fraction
 from typing import Iterable
 
-from ..core import BadRecordError, LedgerError, csv_row, encode_rows
+from ..core import BadRecordError, EdgeList, LedgerError, csv_row, encode_rows
 from .bundles import (Bundle, TangleTransaction, UnbalancedBundleError,
                       message_transaction)
 from .sponge import BLOCK_TRITS, sponge_hash
@@ -95,9 +96,13 @@ class TangleState:
         self.tips: dict[str, None] = {GENESIS_HASH: None}
         self.confirmed: set[str] = set()
         self.invalid: set[str] = set()
-        self.reuse_warnings: dict[str, int] = {}
-        self._signed_spends: dict[str, int] = {}
+        self._signed_spends: Counter[str] = Counter()  # inputs per address
         self._attach_seq: dict[str, int] = {GENESIS_HASH: 0}
+
+    @property
+    def reuse_warnings(self) -> dict[str, int]:
+        """Repeat signatures per address; each reveals more key material."""
+        return {a: n - 1 for a, n in self._signed_spends.items() if n > 1}
 
     # -- attachment ---------------------------------------------------------
 
@@ -152,12 +157,7 @@ class TangleState:
             self.approvers.setdefault(tx.trunk, []).append(tx.hash)
             self.approvers.setdefault(tx.branch, []).append(tx.hash)
             if tx.is_input:
-                prior = self._signed_spends.get(tx.address, 0)
-                if prior:
-                    # signing again reveals key material; surfaced as a counter
-                    self.reuse_warnings[tx.address] = \
-                        self.reuse_warnings.get(tx.address, 0) + 1
-                self._signed_spends[tx.address] = prior + 1
+                self._signed_spends[tx.address] += 1
         head = txs[0].hash
         self.bundles[head] = hashes
         for h in hashes:
@@ -397,10 +397,9 @@ class TangleState:
                     return False
         return True
 
-    def tangle_graph(self):
+    def tangle_graph(self) -> EdgeList:
         """Approval edges as a simple directed graph: each transaction
         points at its trunk and branch tips (one edge per distinct ref)."""
-        from ..core import EdgeList
         graph = EdgeList()
         for h in sorted(self.transactions):
             tx = self.transactions[h]
@@ -409,14 +408,11 @@ class TangleState:
                 graph.add(h, tx.branch, tip="branch")
         return graph
 
-    def transaction_graph(self):
+    def transaction_graph(self) -> EdgeList:
         """Confirmed value movement as a weighted directed simple graph:
         per bundle, every (input address, output address) pair gets the
         output amount scaled by the input's share of the withdrawal,
         exact rationals collapsed per address pair."""
-        from fractions import Fraction
-
-        from ..core import EdgeList
         totals: dict[tuple[str, str], Fraction] = {}
         for bundle_hash in sorted(self.bundles):
             members = self.bundles[bundle_hash]

@@ -34,8 +34,8 @@ from fractions import Fraction
 from math import ceil, floor
 from typing import Iterable, Iterator, Sequence
 
-from .core import (BadRecordError, EdgeList, LedgerError, at_line,
-                   canonical_json, csv_row, encode_rows, int_cell)
+from .core import (BadRecordError, EdgeList, Hyperedge, Hypergraph, LedgerError,
+                   at_line, canonical_json, csv_row, encode_rows, int_cell)
 
 __all__ = [
     "BASE_RESERVE_DROPS",
@@ -1036,11 +1036,10 @@ class RippleLedger:
 
     # -- graph export -------------------------------------------------------------
 
-    def payment_graph(self):
+    def payment_graph(self) -> Hypergraph:
         """Executed settlements as a hypergraph: one hyperedge per payment
         covering the whole path in traversal order (direct XRP payments
         are two-member edges)."""
-        from .core import Hyperedge, Hypergraph
         hg = Hypergraph()
         for i, p in enumerate(self.payments):
             hg.edges.append(Hyperedge(

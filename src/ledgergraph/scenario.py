@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from functools import partial
-from typing import Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 from .core import BadRecordError, LedgerError, at_line, get_field, jsonl_records
 from .ripple import CurrencyValue, PaymentSpec, RippleLedger
@@ -196,6 +196,6 @@ def _records(lines: Iterable[str | dict]) -> Iterator[tuple[int, dict]]:
         yield line_no, cmd
 
 
-def dump_log(log: Iterable[dict]) -> bytes:
-    """An event log as JSONL: one sorted-key object per event."""
-    return "".join(json.dumps(e, sort_keys=True) + "\n" for e in log).encode("utf-8")
+def dump_log(log: Iterable[dict], fh: BinaryIO) -> None:
+    """Write an event log to a binary file, one sorted-key JSON line each."""
+    fh.writelines(json.dumps(e, sort_keys=True).encode() + b"\n" for e in log)

@@ -30,6 +30,7 @@ __all__ = [
     "DuplicateTxidError",
     "HeightMismatchError",
     "UnshieldedCoinbaseError",
+    "EmptySideError",
     "classify_zcash_tx",
     "build_ring_input",
     "trace_lineage",
@@ -90,6 +91,10 @@ class UnshieldedCoinbaseError(LedgerError):
     requires shielded rewards."""
 
     code = "unshielded-coinbase"
+
+
+class EmptySideError(LedgerError):
+    code = "empty-side"
 
 
 OutputRef = tuple[str, int]
@@ -206,7 +211,7 @@ def classify_zcash_tx(input_kinds: Iterable[str], output_kinds: Iterable[str]) -
     """Five-way Zcash classification from per-side t/z address kinds."""
     ins, outs = list(input_kinds), list(output_kinds)
     if not ins or not outs:
-        raise LedgerError("empty-side: both kind lists must be non-empty")
+        raise EmptySideError("both kind lists must be non-empty")
     for k in ins + outs:
         if k not in ("t", "z"):
             raise ValueError(f"kind must be 't' or 'z', got {k!r}")

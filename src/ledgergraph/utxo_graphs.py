@@ -7,7 +7,6 @@ network, and a deterministic summary used to verify structural claims
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from math import gcd
 
 from .core import EdgeList, LedgerError
@@ -17,7 +16,6 @@ __all__ = [
     "TransactionGraph",
     "AddressGraph",
     "HiddenAmountError",
-    "EmptyRangeError",
     "build_transaction_graph",
     "build_address_graph",
     "build_bipartite_graph",
@@ -30,25 +28,16 @@ class HiddenAmountError(LedgerError):
     code = "hidden-amount"
 
 
-class EmptyRangeError(LedgerError):
-    code = "empty-range"
+class TransactionGraph(EdgeList):
+    """Directed acyclic graph on transaction ids, rows in (producer,
+    consumer) order. An edge producer->consumer exists when the consumer
+    spends one of the producer's outputs; its weight and ``spent_outputs``
+    attribute are the number of outputs spent."""
 
-
-@dataclass
-class TransactionGraph:
-    """Directed acyclic graph on transaction ids. An edge producer->consumer
-    exists when the consumer spends one of the producer's outputs; parallel
-    spends collapse into one edge carrying a spent-output count."""
-
-    nodes: list[str] = field(default_factory=list)
-    edges: dict[tuple[str, str], int] = field(default_factory=dict)
+    __slots__ = ()
 
     def to_edge_list(self) -> EdgeList:
-        graph = EdgeList()
-        counts = list(self.edges.values())
-        graph.extend([src for src, _dst in self.edges], [dst for _src, dst in self.edges],
-                     counts, [(("spent_outputs", count),) for count in counts])
-        return graph
+        return self
 
 
 class AddressGraph(EdgeList):
@@ -64,14 +53,13 @@ class AddressGraph(EdgeList):
 
 def txs_in_range(ledger: Ledger, start: int | None = None,
                  end: int | None = None) -> list[UtxoTransaction]:
-    """Transactions of blocks with start <= height <= end, block order."""
-    lo = ledger.blocks[0].height if (start is None and ledger.blocks) else start
-    hi = ledger.tip_height if end is None else end
-    out = []
-    for block in ledger.blocks:
-        if (lo is None or block.height >= lo) and block.height <= hi:
-            out.extend(block.transactions)
-    return out
+    """Transactions of blocks with start <= height <= end, block order; a
+    bound left as None is open. Every builder below takes its window from
+    here, and an empty window gives an empty graph."""
+    return [tx for block in ledger.blocks
+            if (start is None or block.height >= start)
+            and (end is None or block.height <= end)
+            for tx in block.transactions]
 
 
 def build_transaction_graph(ledger: Ledger, start: int | None = None,
@@ -79,16 +67,15 @@ def build_transaction_graph(ledger: Ledger, start: int | None = None,
     """Edge t_x -> t_y iff t_y consumes an output of t_x; both endpoints
     must fall in the block range. Unspent outputs contribute nothing."""
     txs = txs_in_range(ledger, start, end)
-    if not txs:
-        raise EmptyRangeError(f"no transactions in blocks [{start}, {end}]")
     in_window = {tx.id for tx in txs}
-    graph = TransactionGraph(nodes=[tx.id for tx in txs])
-    counts: Counter[tuple[str, str]] = Counter()
-    for tx in txs:
-        for (src_txid, _idx) in tx.inputs:
-            if src_txid in in_window:
-                counts[(src_txid, tx.id)] += 1
-    graph.edges = dict(sorted(counts.items()))
+    counts: Counter[tuple[str, str]] = Counter(
+        (src_txid, tx.id) for tx in txs for (src_txid, _idx) in tx.inputs
+        if src_txid in in_window)
+    pairs = sorted(counts)
+    spent = [counts[pair] for pair in pairs]
+    graph = TransactionGraph()
+    graph.extend([src for src, _dst in pairs], [dst for _src, dst in pairs],
+                 spent, [(("spent_outputs", n),) for n in spent])
     return graph
 
 
@@ -106,8 +93,6 @@ def build_address_graph(ledger: Ledger, start: int | None = None,
     when a virtual source node name is supplied.
     """
     txs = txs_in_range(ledger, start, end)
-    if not txs:
-        raise EmptyRangeError(f"no transactions in blocks [{start}, {end}]")
     sources: list[str] = []
     targets: list[str] = []
     nums: list[int] = []
@@ -186,17 +171,18 @@ def graph_stats(graph: EdgeList) -> dict:
     distribution, weakly connected components, and undirected triangle
     count. The nodes are the edge endpoints in first-seen order."""
     ids: dict[str, int] = {}
-    pairs = []
+    srcs: list[int] = []  # endpoint ids, one per edge
+    dsts: list[int] = []
     for source, target in zip(graph.sources, graph.targets):
-        s = ids.setdefault(source, len(ids))
-        pairs.append((s, ids.setdefault(target, len(ids))))
+        srcs.append(ids.setdefault(source, len(ids)))
+        dsts.append(ids.setdefault(target, len(ids)))
     n = len(ids)
 
     out_deg = [0] * n
     in_deg = [0] * n
     parent = list(range(n))
     higher: list[set[int]] = [set() for _ in range(n)]  # undirected, by id
-    for s, t in pairs:
+    for s, t in zip(srcs, dsts):
         out_deg[s] += 1
         in_deg[t] += 1
         if s < t:
@@ -218,7 +204,7 @@ def graph_stats(graph: EdgeList) -> dict:
     degree_hist = Counter(i + o for i, o in zip(in_deg, out_deg))
     return {
         "nodes": n,
-        "edges": len(pairs),
+        "edges": len(srcs),
         "components": components,
         "triangles": triangles,
         "degree_distribution": dict(sorted(degree_hist.items())),

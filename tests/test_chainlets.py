@@ -19,7 +19,9 @@ from ledgergraph.chainlets import (
     occurrence_matrix,
     snapshot_from_ledger,
 )
+from ledgergraph.generate import UtxoSpec, generate_utxo
 from ledgergraph.utxo import Output, UtxoTransaction
+from ledgergraph.utxo_graphs import txs_in_range
 
 COIN = fixtures.COIN
 
@@ -98,6 +100,36 @@ def test_k2_pairs_include_figure_pairs():
 def test_k2_single_tx_snapshot_empty():
     led = fixtures.weighted_example_ledger()
     assert extract_k_chainlets(led, 2, 1, 1) == []
+
+
+def reference_k2_links(ledger, start, end):
+    """The k=2 chainlets' (sorted pair, spend direction, member ids) from
+    a walk over every input of the window."""
+    in_window = {tx.id for tx in txs_in_range(ledger, start, end)}
+    links = {}
+    for tx in txs_in_range(ledger, start, end):
+        for src, _idx in tx.inputs:
+            if src in in_window:
+                links.setdefault(tuple(sorted((src, tx.id))), (src, tx.id))
+    return [(key, links[key]) for key in sorted(links)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 150),
+       st.integers(0, 40), st.integers(0, 40))
+def test_k2_chainlets_match_an_input_walk(seed, tx_count, a, b):
+    ledger = generate_utxo(UtxoSpec(tx_count=tx_count, txs_per_block=4), seed)
+    start, end = min(a, b), max(a, b)
+    ks = extract_k_chainlets(ledger, 2, start, end)
+    assert [(k.tx_nodes, k.spend_direction) for k in ks] == \
+        reference_k2_links(ledger, start, end)
+    for k in ks:
+        producer, consumer = k.spend_direction
+        members = (ledger.transactions[producer], ledger.transactions[consumer])
+        expected = [(ledger.output(r).address, tx.id)
+                    for tx in members for r in tx.inputs]
+        expected += [(tx.id, o.address) for tx in members for o in tx.outputs]
+        assert sorted(k.edges) == sorted(expected)
 
 
 def test_k_above_two_unsupported():

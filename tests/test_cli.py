@@ -79,6 +79,16 @@ def test_utxo_graph_export(fixture_dir, tmp_path):
     assert len(lines) == 1 + 6
 
 
+@pytest.mark.parametrize("kind", ["tx", "address"])
+def test_utxo_graph_of_a_coinbase_only_window_writes_a_header(fixture_dir, tmp_path,
+                                                              kind):
+    out = tmp_path / "edges.csv"
+    assert run_cli(["utxo", "graph", fixture_dir / "six_tx_network.jsonl",
+                    "--kind", kind, "--from", 0, "--to", 0,
+                    "--subsidy", 600_000_000, "--out", out]) == 0
+    assert out.read_text() == "source,target,weight_num,weight_den,attr_json\n"
+
+
 def test_chainlet_matrices(fixture_dir, tmp_path):
     occ, amt = tmp_path / "occ.csv", tmp_path / "amt.csv"
     code = run_cli(["chainlet", fixture_dir / "amount_network.jsonl",
@@ -95,6 +105,27 @@ def test_account_graph(fixture_dir, tmp_path):
                     "--out", out])
     assert code == 0
     assert len(out.read_text().splitlines()) == 1 + 6
+
+
+TOKEN_A = "0x4afca6926e5ae3e5b19d7148f0c5b7fcb5859aba"  # alice, nonce 0
+TOKEN_B = "0xad34a78e6cbd267ecd64b95316b8dfe84acddcb9"  # bob, nonce 1
+
+
+def test_account_tokens_script(fixture_dir, capsys):
+    """Two deploys, an idempotent redeploy and four transfers: one edge
+    list per token, keyed by contract address."""
+    assert run_cli(["account", "tokens", fixture_dir / "token_script.jsonl"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "8f23d64bfb3adabfffc0f96b31644d88ce0c2ae4da94b35f8b821343ebb6df23"
+    rows = {token: [(e["source"], e["target"], e["weight_num"], e["attrs"]["tx"])
+                    for e in json.loads(edges)]
+            for token, edges in json.loads(out).items()}
+    assert rows == {
+        TOKEN_A: [("alice", "carol", "5", ""), ("alice", "carol", "300", "tx1"),
+                  ("carol", "dave", "120", "tx2")],
+        TOKEN_B: [("bob", "carol", "50", "tx3")],
+    }
 
 
 def test_ripple_trust_and_report(fixture_dir, tmp_path, capsys):
@@ -363,6 +394,7 @@ def _mutate_row(data, cells):
 READERS = [
     ("account_table.jsonl", ["account", "graph", "{src}", "--out", "{out}"]),
     ("account_table.jsonl", ["account", "tokens", "{src}", "--out", "{out}"]),
+    ("token_script.jsonl", ["account", "tokens", "{src}", "--out", "{out}"]),
     ("amount_network.jsonl", ["chainlet", "{src}", "--window", "1:1", "--out", "{out}"]),
     ("fold_example.jsonl", ["chainlet", "{src}", "--N", "3", "--out", "{out}"]),
     ("lineage.jsonl", ["utxo", "validate", "{src}"]),
@@ -758,6 +790,15 @@ NO_COINBASE_FIRST = "\n".join([
     pytest.param({"in.jsonl": (COINBASE + COINBASE.replace('"block":0', '"block":1'))
                   .encode()}, ["utxo", "validate", "in.jsonl"],
                  "duplicate-txid", "duplicate transaction id c", id="utxo-duplicate-txid"),
+    pytest.param({"t.jsonl": b'{"op":"deploy","owner":"a","symbol":"X","supply":5,'
+                             b'"nonce":0}\n{"op":"deploy","owner":"a","symbol":"Y",'
+                             b'"supply":5,"nonce":0}\n'},
+                 ["account", "tokens", "t.jsonl"], "address-collision",
+                 "address collision at 0x", id="token-address-collision"),
+    pytest.param({"t.jsonl": b'{"op":"transfer","token":"0x0","from":"a","to":"b",'
+                             b'"amount":1}\n'},
+                 ["account", "tokens", "t.jsonl"], "unknown-token",
+                 "no token contract at 0x0", id="token-unknown-token"),
     pytest.param({"in.jsonl": (COINBASE + "".join(
         '{"id":"t","block":0,"coinbase":false,"inputs":[{"txid":"%s","index":0}],'
         '"outputs":[{"amount":1,"address":"m"}]}\n' % src for src in ("c", "t")))

@@ -15,12 +15,19 @@ from ledgergraph import fixtures
 from ledgergraph.chainlets import build_matrices, merge_matrices, snapshot_from_ledger
 from ledgergraph.core import BadRecordError, Hypergraph
 from ledgergraph.iota.sponge import MixerSponge
-from ledgergraph.pipeline import RunConfig, run_pipeline
+from ledgergraph.pipeline import RunConfig, UnknownChainError, run_pipeline
 
 
 @pytest.fixture()
 def fixture_dir():
     return pathlib.Path(__file__).parent.parent / "fixtures"
+
+
+def test_unknown_chain_has_its_own_code(tmp_path):
+    with pytest.raises(UnknownChainError) as exc:
+        run_pipeline(RunConfig(chain="bitcoin", output_dir=str(tmp_path)))
+    assert exc.value.code == "unknown-chain"
+    assert str(exc.value) == "unknown chain kind 'bitcoin'"
 
 
 def test_pipeline_on_six_tx_fixture_builds_both_graphs(fixture_dir, tmp_path):

@@ -7,6 +7,7 @@ from ledgergraph.core import BadRecordError
 from ledgergraph.utxo import (
     Block,
     DoubleSpendError,
+    EmptySideError,
     ExcessiveRewardError,
     InsufficientDecoysError,
     Ledger,
@@ -261,6 +262,13 @@ def test_zcash_classification(ins, outs, expected):
 def test_zcash_empty_side_rejected():
     with pytest.raises(Exception):
         classify_zcash_tx([], ["t"])
+
+
+@pytest.mark.parametrize("ins, outs", [([], ["t"]), (["z"], [])])
+def test_zcash_empty_side_has_its_own_code(ins, outs):
+    with pytest.raises(EmptySideError) as exc:
+        classify_zcash_tx(ins, outs)
+    assert exc.value.code == "empty-side"
 
 
 # -- Monero rings ---------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Transaction graph, weighted address graph, bipartite export, stats."""
 
+import json
+import pathlib
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -8,14 +10,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ledgergraph import fixtures
+from ledgergraph.chainlets import extract_k_chainlets, snapshot_from_ledger
+from ledgergraph.cli import main
 from ledgergraph.core import Edge, EdgeList, export_edge_list
 from ledgergraph.utxo_graphs import (
-    EmptyRangeError,
     HiddenAmountError,
     build_address_graph,
     build_bipartite_graph,
     build_transaction_graph,
     graph_stats,
+    txs_in_range,
 )
 from ledgergraph.utxo import Block, Ledger, Output, UtxoTransaction
 from ledgergraph.generate import UtxoSpec, generate_utxo
@@ -28,11 +32,16 @@ SIX_TX_EDGES = {
 }
 
 
+def spend_counts(graph) -> dict[tuple[str, str], int]:
+    """A transaction graph's (producer, consumer) -> spent-output count."""
+    return dict(zip(zip(graph.sources, graph.targets), graph.nums))
+
+
 def test_six_tx_transaction_graph_edges():
     led = fixtures.six_tx_network()
     graph = build_transaction_graph(led, *fixtures.SIX_TX_WINDOW)
-    assert graph.edges == SIX_TX_EDGES
-    assert sorted(graph.nodes) == ["t1", "t2", "t3", "t4", "t5", "t6"]
+    assert spend_counts(graph) == SIX_TX_EDGES
+    assert sorted(graph.nodes()) == ["t1", "t2", "t3", "t4", "t5", "t6"]
 
 
 def test_single_coinbase_ledger_graph():
@@ -40,7 +49,7 @@ def test_single_coinbase_ledger_graph():
     cb = UtxoTransaction("c", (), (Output("c", 0, 5, "a"),), coinbase=True)
     led.apply_block(Block(0, 0, (cb,), 5))
     graph = build_transaction_graph(led)
-    assert graph.nodes == ["c"] and graph.edges == {}
+    assert [tx.id for tx in txs_in_range(led)] == ["c"] and len(graph) == 0
 
 
 def test_chain_of_three_is_a_path():
@@ -54,13 +63,42 @@ def test_chain_of_three_is_a_path():
                          (Output("t2", 0, 800, "c"),))
     led.apply_block(Block(1, 600, (cb1, t1, t2), 10**9))
     graph = build_transaction_graph(led, 1, 1)
-    assert graph.edges == {("t1", "t2"): 1}
+    assert spend_counts(graph) == {("t1", "t2"): 1}
 
 
-def test_empty_range_rejected():
+def test_empty_range_rejected(capsys):
+    """`utxo graph` rejects a window without transactions, whatever the
+    kind; the builders themselves return an empty graph for it."""
     led = fixtures.six_tx_network()
-    with pytest.raises(EmptyRangeError):
-        build_transaction_graph(led, 10, 20)
+    assert len(build_transaction_graph(led, 10, 20)) == 0
+    path = str(pathlib.Path(__file__).parent.parent / "fixtures"
+               / "six_tx_network.jsonl")
+    for kind in ("tx", "address", "bipartite"):
+        assert main(["utxo", "graph", path, "--kind", kind, "--from", "10",
+                     "--to", "20", "--subsidy", "600000000"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err)["error"] == "empty-range"
+
+
+def test_empty_window_gives_empty_results():
+    led = fixtures.six_tx_network()
+    assert txs_in_range(led, 10, 20) == []
+    for build in (build_transaction_graph, build_address_graph,
+                  build_bipartite_graph):
+        graph = build(led, 10, 20)
+        assert len(graph) == 0 and graph_stats(graph)["nodes"] == 0
+    assert snapshot_from_ledger(led, 10, 20) == []
+    assert extract_k_chainlets(led, 1, 10, 20) == []
+    assert extract_k_chainlets(led, 2, 10, 20) == []
+
+
+def test_transaction_graph_rows_are_sorted_spend_counts():
+    led = generate_utxo(UtxoSpec(tx_count=200, txs_per_block=4), seed=3)
+    graph = build_transaction_graph(led, 5, 30)
+    pairs = list(zip(graph.sources, graph.targets))
+    assert pairs == sorted(set(pairs))
+    assert graph.dens == [1] * len(pairs)
+    assert graph.attrs == [(("spent_outputs", n),) for n in graph.nums]
 
 
 def test_transaction_graph_is_acyclic():
@@ -70,7 +108,7 @@ def test_transaction_graph_is_acyclic():
     for block in led.blocks:
         for t in block.transactions:
             order[t.id] = len(order)
-    assert all(order[a] < order[b] for (a, b) in graph.edges)
+    assert all(order[a] < order[b] for a, b in zip(graph.sources, graph.targets))
 
 
 # -- address graph -------------------------------------------------------------
@@ -209,7 +247,7 @@ def test_unspent_output_visible_only_in_address_graph():
     tgraph = build_transaction_graph(led, *fixtures.SIX_TX_WINDOW)
     agraph = build_address_graph(led, *fixtures.SIX_TX_WINDOW)
     # a11 received one output from t5 and never spends it
-    tx_nodes_with_a11 = [n for n in tgraph.nodes if n == "a11"]
+    tx_nodes_with_a11 = [n for n in tgraph.nodes() if n == "a11"]
     assert not tx_nodes_with_a11
     assert any(e.target == "a11" for e in agraph.edges)
 
