@@ -6,11 +6,11 @@ one-node-type views: the transaction graph (producers -> consumers) and
 the ratio-weighted address graph, plus a coin lineage trace.
 """
 
+import os
 from fractions import Fraction
 
-from ledgergraph import fixtures
-from ledgergraph.core import export_edge_list
-from ledgergraph.utxo import trace_lineage
+from ledgergraph.core import export_edge_list, read_lines
+from ledgergraph.utxo import COIN, load_jsonl, trace_lineage
 from ledgergraph.utxo_graphs import (
     build_address_graph,
     build_bipartite_graph,
@@ -18,8 +18,16 @@ from ledgergraph.utxo_graphs import (
     graph_stats,
 )
 
-ledger = fixtures.six_tx_network()
-window = fixtures.SIX_TX_WINDOW
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+
+
+def fixture_ledger(name, subsidy):
+    """A committed example ledger, validated with a flat block subsidy."""
+    return load_jsonl(read_lines(os.path.join(FIXTURES, name)), subsidy=subsidy)
+
+
+ledger = fixture_ledger("six_tx_network.jsonl", 6 * COIN)
+window = (1, 2)  # the blocks holding t1..t6
 
 print("=== transaction graph (a node can appear only once) ===")
 tx_graph = build_transaction_graph(ledger, *window)
@@ -37,13 +45,13 @@ print(f"  past reuse edge a9->a1 present: {bool(reuse)}")
 print(f"  change-back self-loop at a10:  {bool(loop)}")
 
 print("\n=== every edge weight is an exact rational ===")
-led = fixtures.weighted_example_ledger()
+led = fixture_ledger("weighted_example.jsonl", 4 * COIN)
 for e in build_address_graph(led, 1, 1).edges:
     btc = e.weight / Fraction(10**8)
     print(f"  w({e.source}->{e.target}) = {btc} BTC")
 
 print("\n=== lineage of a merged output ===")
-lineage = fixtures.lineage_ledger()
+lineage = fixture_ledger("lineage.jsonl", 10 * COIN)
 for path in trace_lineage(("t3", 0), lineage):
     pretty = " -> ".join(f"{t}:{i}" for t, i in path)
     print(f"  {pretty}")

@@ -6,7 +6,8 @@ demo reproduces the worked occurrence/amount matrices, folds them down
 to a smaller boundary, and reports extreme chainlets.
 """
 
-from ledgergraph import fixtures
+import os
+
 from ledgergraph.chainlets import (
     aggregate_timeseries,
     build_matrices,
@@ -15,11 +16,19 @@ from ledgergraph.chainlets import (
     fold_matrix,
     snapshot_from_ledger,
 )
+from ledgergraph.core import read_lines
+from ledgergraph.utxo import COIN, load_jsonl
 
-COIN = fixtures.COIN
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
-ledger = fixtures.amount_network()
-snapshot = snapshot_from_ledger(ledger, *fixtures.AMOUNT_NETWORK_WINDOW)
+
+def fixture_ledger(name, subsidy):
+    """A committed example ledger, validated with a flat block subsidy."""
+    return load_jsonl(read_lines(os.path.join(FIXTURES, name)), subsidy=subsidy)
+
+
+ledger = fixture_ledger("amount_network.jsonl", 12 * COIN)
+snapshot = snapshot_from_ledger(ledger, 1, 1)
 
 print("=== first-order census ===")
 for c in snapshot:
@@ -33,8 +42,8 @@ print("=== amount matrix in coins ===")
 print(mats.amount / COIN)
 
 print("\n=== folding the boundary from 3 to 2 ===")
-bigger = fixtures.fold_example_ledger()
-snap2 = snapshot_from_ledger(bigger, *fixtures.FOLD_EXAMPLE_WINDOW)
+bigger = fixture_ledger("fold_example.jsonl", 20 * COIN)
+snap2 = snapshot_from_ledger(bigger, 1, 1)
 wide = build_matrices(snap2, 3)
 print("N=3 occurrence:")
 print(wide.occurrence)
@@ -44,8 +53,8 @@ print("amounts, folded, in coins:")
 print(fold_matrix(wide.amount, 2) / COIN)
 
 print("\n=== k=2 chainlets: connected transaction pairs ===")
-for k in extract_k_chainlets(fixtures.six_tx_network(), 2,
-                             *fixtures.SIX_TX_WINDOW):
+for k in extract_k_chainlets(fixture_ledger("six_tx_network.jsonl", 6 * COIN),
+                             2, 1, 2):
     a, b = k.spend_direction
     print(f"  {k.tx_nodes}: {a} funds {b}")
 

@@ -6,7 +6,8 @@ ordered per sender by nonce. Token trades live inside contract storage
 as internal transfers, and call cascades become hyperedges.
 """
 
-from ledgergraph import fixtures
+import os
+
 from ledgergraph.account import (
     TokenLedger,
     TraceExecutor,
@@ -14,11 +15,16 @@ from ledgergraph.account import (
     build_token_graph,
     build_trace_hypergraph,
     deploy_token,
+    load_jsonl,
+    run_trace_script,
     validate_nonce_order,
 )
+from ledgergraph.core import read_lines
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 print("=== the edge table as a multigraph ===")
-txs = fixtures.account_table_txs()
+txs = load_jsonl(read_lines(os.path.join(FIXTURES, "account_table.jsonl")))
 print(f"  nonce problems: {validate_nonce_order(txs) or 'none'}")
 graph = build_account_graph(txs)
 for e in graph.edges:
@@ -39,7 +45,8 @@ for e in token_graph[token.address].edges:
 print(f"  supply conserved: {token.check_conservation()}")
 
 print("\n=== trace hypergraph of the sales-contract walkthrough ===")
-for h in build_trace_hypergraph(fixtures.trace_scenario()).edges:
+traces = run_trace_script(read_lines(os.path.join(FIXTURES, "trace_calls.jsonl")))
+for h in build_trace_hypergraph(traces).edges:
     print(f"  {h.label}: {' -> '.join(h.members)}")
 
 print("\n=== a call loop truncates at the step budget ===")

@@ -7,20 +7,30 @@ the path, recovers with a partial payment, then exercises the order
 book and a check.
 """
 
-from ledgergraph import fixtures
+import json
+import os
+
+from ledgergraph.core import read_lines
 from ledgergraph.ripple import (
     CurrencyValue,
     LedgerError,
     PaymentSpec,
     RippleLedger,
 )
+from ledgergraph.scenario import replay_ripple
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 def usd(v, issuer=None):
     return CurrencyValue("USD", issuer, v)
 
 
-led = fixtures.rippling_network()
+# the walkthrough's five parties and trust lines: every line of the
+# script but its payments
+script = read_lines(os.path.join(FIXTURES, "rippling_payment.jsonl"))
+led, _log = replay_ripple(line for line in script
+                          if json.loads(line)["op"] != "pay")
 
 print("=== pathfinding for sarah -> bob, 50 USD ===")
 spec = PaymentSpec("sarah", "bob", usd(50))

@@ -34,9 +34,7 @@ __all__ = [
     "deploy_token",
     "TokenLedger",
     "build_token_graph",
-    "shared_traders",
     "build_trace_hypergraph",
-    "trace_value_edges",
     "TraceExecutor",
     "replay_token_script",
     "run_trace_script",
@@ -265,16 +263,6 @@ def build_token_graph(transfers: Iterable[InternalTransfer],
     return graphs
 
 
-def shared_traders(graphs: dict[str, EdgeList]) -> dict[str, list[str]]:
-    """Addresses active in more than one token network (overlap report)."""
-    membership: dict[str, set[str]] = {}
-    for token, graph in graphs.items():
-        for node in graph.nodes():
-            membership.setdefault(node, set()).add(token)
-    return {addr: sorted(tokens) for addr, tokens in sorted(membership.items())
-            if len(tokens) > 1}
-
-
 # --------------------------------------------------------------------------
 # Traces
 
@@ -323,18 +311,6 @@ def build_trace_hypergraph(traces: Iterable[Trace]) -> Hypergraph:
             continue  # a self-call-only trace cannot form a hyperedge
         hg.edges.append(Hyperedge(tuple(members), trace.root_tx, tuple(attrs)))
     return hg
-
-
-def trace_value_edges(traces: Iterable[Trace]) -> EdgeList:
-    """Coin-moving steps as graph edges; this is how a contract-to-EOA
-    payout becomes visible, since it never exists as a top-level tx."""
-    graph = EdgeList()
-    for trace in traces:
-        for step in trace.steps:
-            if step.kind != "error" and step.value != 0:
-                graph.add(step.caller, step.callee, step.value, kind=step.kind,
-                          tx=trace.root_tx)
-    return graph
 
 
 class TraceExecutor:

@@ -30,8 +30,6 @@ __all__ = [
     "amount_matrix",
     "build_matrices",
     "fold_matrix",
-    "fold_coinbase_row",
-    "merge_matrices",
     "extreme_chainlet_report",
     "aggregate_timeseries",
     "snapshot_from_ledger",
@@ -68,15 +66,11 @@ class KChainlet:
 @dataclass
 class ChainletMatrices:
     """Paired N x N occurrence and amount matrices (1-based C(x,y) indexing
-    maps to row x-1, column y-1). The coinbase row i=0 is stored separately
-    so the core matrix shape is unchanged."""
+    maps to row x-1, column y-1). Coinbases (x = 0) have no row."""
 
     N: int
     occurrence: np.ndarray
     amount: np.ndarray
-    coinbase_occurrence: np.ndarray | None = None
-    coinbase_amount: np.ndarray | None = None
-    window: str = ""
 
 
 def classify_first_order(tx: UtxoTransaction) -> FirstOrderChainlet:
@@ -146,53 +140,40 @@ def _fold_index(v: int, n: int) -> int:
     return min(v, n) - 1
 
 
-def _accumulate(snapshot: Iterable[FirstOrderChainlet], n: int, want_amount: bool,
-                include_coinbase_row: bool, skip_hidden: bool = False):
+def _accumulate(snapshot: Iterable[FirstOrderChainlet], n: int,
+                want_amount: bool) -> np.ndarray:
     if not 1 <= n <= MAX_N:
         raise BadRecordError(f"N must lie in 1-{MAX_N}, got {n}")
     core = np.zeros((n, n), dtype=np.int64)
-    cb_row = np.zeros(n, dtype=np.int64)
     for c in snapshot:
         if want_amount and not c.amounts_visible:
-            if skip_hidden:
-                continue  # RingCT-style txs drop out of the amount view
             raise HiddenAmountError(
                 f"tx {c.txid} has hidden output amounts; amount matrix undefined"
             )
         value = c.output_total if want_amount else 1
         if c.x == 0:
-            if include_coinbase_row:
-                cb_row[_fold_index(c.y, n)] += value
-            continue
+            continue  # coinbases have no input row
         core[_fold_index(c.x, n), _fold_index(c.y, n)] += value
-    return core, (cb_row if include_coinbase_row else None)
+    return core
 
 
-def occurrence_matrix(snapshot: Sequence[FirstOrderChainlet], n: int,
-                      include_coinbase_row: bool = False):
+def occurrence_matrix(snapshot: Sequence[FirstOrderChainlet], n: int) -> np.ndarray:
     """Chainlet counts as an N x N matrix; dimensions >= N fold into the
-    N-th row/column. Returns (matrix, coinbase_row_or_None)."""
-    return _accumulate(snapshot, n, want_amount=False,
-                       include_coinbase_row=include_coinbase_row)
+    N-th row/column."""
+    return _accumulate(snapshot, n, want_amount=False)
 
 
-def amount_matrix(snapshot: Sequence[FirstOrderChainlet], n: int,
-                  include_coinbase_row: bool = False,
-                  skip_hidden: bool = False):
+def amount_matrix(snapshot: Sequence[FirstOrderChainlet], n: int) -> np.ndarray:
     """Transferred coin totals per chainlet shape, in subunits. vol() is
-    the sum of output amounts of the matching transactions. Hidden-amount
-    transactions raise unless skip_hidden excludes them instead."""
-    return _accumulate(snapshot, n, want_amount=True,
-                       include_coinbase_row=include_coinbase_row,
-                       skip_hidden=skip_hidden)
+    the sum of output amounts of the matching transactions. A
+    hidden-amount transaction raises HiddenAmountError."""
+    return _accumulate(snapshot, n, want_amount=True)
 
 
-def build_matrices(snapshot: Sequence[FirstOrderChainlet], n: int = DEFAULT_N,
-                   include_coinbase_row: bool = False,
-                   window: str = "") -> ChainletMatrices:
-    occ, occ_cb = occurrence_matrix(snapshot, n, include_coinbase_row)
-    amt, amt_cb = amount_matrix(snapshot, n, include_coinbase_row)
-    return ChainletMatrices(n, occ, amt, occ_cb, amt_cb, window)
+def build_matrices(snapshot: Sequence[FirstOrderChainlet],
+                   n: int = DEFAULT_N) -> ChainletMatrices:
+    return ChainletMatrices(n, occurrence_matrix(snapshot, n),
+                            amount_matrix(snapshot, n))
 
 
 def _fold_axis(a: np.ndarray, n_prime: int, axis: int) -> np.ndarray:
@@ -212,34 +193,6 @@ def fold_matrix(matrix: np.ndarray, n_prime: int) -> np.ndarray:
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("chainlet matrices are square")
     return _fold_axis(_fold_axis(matrix, n_prime, 0), n_prime, 1)
-
-
-def merge_matrices(parts: Sequence[ChainletMatrices]) -> ChainletMatrices:
-    """Elementwise sum of per-window matrices (valid because both counts
-    and amounts are linear in the transaction set), so disjoint windows
-    can be built in parallel and combined."""
-    if not parts:
-        raise ValueError("nothing to merge")
-    first = parts[0]
-    if any(p.N != first.N for p in parts):
-        raise ValueError("all parts must share the fold dimension N")
-    has_cb = first.coinbase_occurrence is not None
-    if any((p.coinbase_occurrence is not None) != has_cb for p in parts):
-        raise ValueError("mixed coinbase-row settings")
-    return ChainletMatrices(
-        N=first.N,
-        occurrence=sum(p.occurrence for p in parts),
-        amount=sum(p.amount for p in parts),
-        coinbase_occurrence=(sum(p.coinbase_occurrence for p in parts)
-                             if has_cb else None),
-        coinbase_amount=(sum(p.coinbase_amount for p in parts)
-                         if has_cb else None),
-        window="+".join(p.window for p in parts if p.window),
-    )
-
-
-def fold_coinbase_row(row: np.ndarray, n_prime: int) -> np.ndarray:
-    return _fold_axis(row, n_prime, 0)
 
 
 def extreme_chainlet_report(snapshot: Sequence[FirstOrderChainlet],

@@ -22,8 +22,6 @@ __all__ = [
     "generate_account_txs",
     "RippleSpec",
     "generate_trust_graph",
-    "OfferSpec",
-    "generate_offer_stream",
     "TangleSpec",
     "generate_tangle",
 ]
@@ -244,30 +242,6 @@ def generate_trust_graph(spec: RippleSpec, seed: int):
             if used:
                 led.adjust_line_debt(lender, borrower, spec.currency, used)
     return led
-
-
-@dataclass(frozen=True)
-class OfferSpec:
-    count: int = 1000
-    traders: int = 8
-    currencies: tuple[str, ...] = ("USD", "EUR")
-    amount_max: int = 100
-
-
-def generate_offer_stream(spec: OfferSpec, seed: int):
-    """(owner, gets, pays) triples over issued-currency pairs; amounts are
-    small integers so books cross frequently."""
-    from .ripple import CurrencyValue
-    rng = derive_rng(seed, "offers")
-    traders = [f"m{i:03d}" for i in range(spec.traders)]
-    stream = []
-    for _ in range(spec.count):
-        owner = rng.choice(traders)
-        a, b = rng.sample(spec.currencies, 2)
-        gets = CurrencyValue(a, "issuerX", rng.randint(1, spec.amount_max))
-        pays = CurrencyValue(b, "issuerX", rng.randint(1, spec.amount_max))
-        stream.append((owner, gets, pays))
-    return traders, stream
 
 
 # --------------------------------------------------------------------------

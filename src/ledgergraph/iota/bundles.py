@@ -64,10 +64,6 @@ class TangleTransaction:
         address, level, position = self.fragment_source
         return _fragment_blobs(address, level)[position]
 
-    @property
-    def is_input(self) -> bool:
-        return self.value < 0
-
     def essence(self) -> str:
         return (f"{self.address}|{self.value}|{self.tag}|"
                 f"{self.index[0]}/{self.index[1]}|{self.timestamp}")

@@ -21,7 +21,7 @@ attached twice shares one bundle hash but not its members.
 from __future__ import annotations
 
 import random
-from collections import Counter, deque
+from collections import deque
 from fractions import Fraction
 from typing import Iterable
 
@@ -96,13 +96,7 @@ class TangleState:
         self.tips: dict[str, None] = {GENESIS_HASH: None}
         self.confirmed: set[str] = set()
         self.invalid: set[str] = set()
-        self._signed_spends: Counter[str] = Counter()  # inputs per address
         self._attach_seq: dict[str, int] = {GENESIS_HASH: 0}
-
-    @property
-    def reuse_warnings(self) -> dict[str, int]:
-        """Repeat signatures per address; each reveals more key material."""
-        return {a: n - 1 for a, n in self._signed_spends.items() if n > 1}
 
     # -- attachment ---------------------------------------------------------
 
@@ -156,8 +150,6 @@ class TangleState:
             self._attach_seq[tx.hash] = len(self._attach_seq)
             self.approvers.setdefault(tx.trunk, []).append(tx.hash)
             self.approvers.setdefault(tx.branch, []).append(tx.hash)
-            if tx.is_input:
-                self._signed_spends[tx.address] += 1
         head = txs[0].hash
         self.bundles[head] = hashes
         for h in hashes:

@@ -93,16 +93,13 @@ _VALUE_TRITS = {v: int_to_trits(v, 3) for v in range(-13, 14)}
 _BYTE_TRITS = np.array([int_to_trits(b, 6) for b in range(256)], dtype=np.int8)
 
 
-def ascii_to_trits(text: str, pad_to: int | None = 243) -> np.ndarray:
+def ascii_to_trits(text: str) -> np.ndarray:
     """Opaque identifier strings to trits (6 trits per byte), zero-padded
-    to a block multiple so they can feed the sponge. A command-line byte
-    that is not UTF-8 (decoded to a surrogate) is hashed as that byte."""
+    to a multiple of 243, the sponge's block. A command-line byte that is
+    not UTF-8 (decoded to a surrogate) is hashed as that byte."""
     data = np.frombuffer(text.encode("utf-8", "surrogateescape"), dtype=np.uint8)
-    size = used = 6 * data.size
-    if pad_to:
-        remainder = used % pad_to
-        if remainder or not used:
-            size += pad_to - remainder
+    used = 6 * data.size
+    size = max(-(-used // 243), 1) * 243
     trits = np.zeros(size, dtype=np.int8)
     trits[:used] = _BYTE_TRITS[data].ravel()
     return trits

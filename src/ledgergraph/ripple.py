@@ -203,16 +203,6 @@ class RippleState:
         return self.low_no_ripple if side == self.low else self.high_no_ripple
 
 
-def infer_issuer(state: RippleState) -> str:
-    """Positive balance: the high account issued it. Negative: the low
-    account. Zero: limits are not reliable evidence."""
-    if state.balance > 0:
-        return "high"
-    if state.balance < 0:
-        return "low"
-    return "indeterminate"
-
-
 @dataclass
 class Offer:
     owner: str
@@ -541,16 +531,6 @@ class RippleLedger:
         if acct.xrp_balance < needed:
             raise ReserveUnmetError(
                 f"{lender} cannot cover reserve {needed} {purpose}")
-
-    def set_no_ripple(self, account: str, peer: str, currency: str,
-                      flag: bool = True) -> RippleState:
-        """Flip the account's own rippling opt-out on an existing line
-        (each side owns its flag regardless of which side extended trust)."""
-        state = self.line(account, peer, currency)
-        if state is None:
-            raise NoLineError(f"no {currency} line between {account} and {peer}")
-        self._set_side(state, account, state.limit_of(account), flag)
-        return state
 
     def adjust_line_debt(self, lender: str, borrower: str, currency: str,
                          amount: int) -> RippleState:

@@ -37,23 +37,12 @@ __all__ = [
     "load_jsonl",
     "dump_jsonl",
     "RING_SIZE",
-    "bitcoin_halving_schedule",
 ]
 
 RING_SIZE = 11  # 10 foreign decoy UTXOs plus the real spend
 
 COIN = 100_000_000  # subunits per coin
 INITIAL_SUBSIDY = 50 * COIN  # the block reward at launch
-HALVING_INTERVAL = 210_000  # blocks between reward halvings
-
-
-def bitcoin_halving_schedule(height: int) -> int:
-    """Preset subsidy schedule: the block reward halves every 210,000
-    blocks until it rounds to nothing."""
-    halvings = height // HALVING_INTERVAL
-    if halvings >= 64:
-        return 0
-    return INITIAL_SUBSIDY >> halvings
 
 
 class MissingOutputError(LedgerError):
@@ -87,8 +76,8 @@ class HeightMismatchError(LedgerError):
 
 
 class UnshieldedCoinbaseError(LedgerError):
-    """A Zcash coinbase paying a transparent address on a ledger that
-    requires shielded rewards."""
+    """A coinbase whose output kinds name a transparent (t) address: Zcash
+    coinbase rewards must be shielded."""
 
     code = "unshielded-coinbase"
 
@@ -251,12 +240,11 @@ class Ledger:
     """Canonical-chain UTXO state. Fork choice is out of scope; blocks are
     ingested already ordered."""
 
-    def __init__(self, zcash_coinbase_shielded: bool = False):
+    def __init__(self) -> None:
         self.blocks: list[Block] = []
         self.transactions: dict[str, UtxoTransaction] = {}
         self.utxo: dict[OutputRef, Output] = {}
         self.destroyed: int = 0  # subunits lost to under-claiming coinbases
-        self.zcash_coinbase_shielded = zcash_coinbase_shielded
 
     # -- queries ----------------------------------------------------------
 
@@ -270,18 +258,6 @@ class Ledger:
     def total_supply(self) -> int:
         return sum(tx.output_total() for tx in self.transactions.values()
                    if tx.coinbase)
-
-    def confirmations(self, txid: str) -> int:
-        """Blocks on top of the transaction's block, inclusive. The
-        6-confirmation community practice is reporting-only; validation
-        never enforces it."""
-        tx = self.transactions.get(txid)
-        if tx is None or tx.block_height is None:
-            raise MissingOutputError(f"unknown transaction {txid}")
-        return self.tip_height - tx.block_height + 1
-
-    def considered_final(self, txid: str, depth: int = 6) -> bool:
-        return self.confirmations(txid) >= depth
 
     def summary(self) -> dict[str, int]:
         """Chain size and supply figures, as `utxo validate` prints them."""
@@ -323,7 +299,9 @@ class Ledger:
     def validate_coinbase(self, tx: UtxoTransaction, block_fee_sum: int,
                           subsidy: int) -> int:
         """Coinbase may claim up to subsidy + fees; less is allowed and the
-        difference is reported as destroyed supply."""
+        difference is reported as destroyed supply. A coinbase that names
+        its output kinds is a Zcash coinbase, whose rewards must all go to
+        shielded (z) addresses."""
         if not tx.coinbase:
             raise ValueError("not a coinbase transaction")
         claimed = tx.output_total()
@@ -332,10 +310,9 @@ class Ledger:
             raise ExcessiveRewardError(
                 f"coinbase claims {claimed}, cap is {cap}"
             )
-        if self.zcash_coinbase_shielded and tx.output_kinds is not None:
-            if any(k != "z" for k in tx.output_kinds):
-                raise UnshieldedCoinbaseError(
-                    "coinbase rewards must go to shielded addresses")
+        if tx.output_kinds is not None and any(k != "z" for k in tx.output_kinds):
+            raise UnshieldedCoinbaseError(
+                "coinbase rewards must go to shielded addresses")
         return _check_bound(claimed)
 
     # -- mutation ---------------------------------------------------------

@@ -11,7 +11,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ledgergraph import fixtures
 from ledgergraph.chainlets import (
     FirstOrderChainlet,
     amount_matrix,
@@ -20,12 +19,7 @@ from ledgergraph.chainlets import (
     snapshot_from_ledger,
 )
 from ledgergraph.core import LedgerError
-from ledgergraph.generate import (
-    OfferSpec,
-    UtxoSpec,
-    generate_offer_stream,
-    generate_utxo,
-)
+from ledgergraph.generate import UtxoSpec, generate_utxo
 from ledgergraph.iota.bundles import build_bundle
 from ledgergraph.iota.keys import derive_address, derive_private_key, derive_subseed
 from ledgergraph.iota.tangle import GENESIS_HASH, TangleState
@@ -34,7 +28,10 @@ from ledgergraph.ripple import CurrencyValue, PaymentSpec, RippleLedger
 from ledgergraph.utxo import RING_SIZE, build_ring_input, classify_zcash_tx
 from ledgergraph.utxo_graphs import build_address_graph
 
-COIN = fixtures.COIN
+import worked_examples
+from offer_streams import OfferSpec, generate_offer_stream
+
+COIN = worked_examples.COIN
 
 
 class Budget:
@@ -60,7 +57,7 @@ class Budget:
 
 def test_criterion_1_edge_weight_formula():
     with Budget(1, "address-graph edge weights are exact rationals", 1.0):
-        led = fixtures.weighted_example_ledger()
+        led = worked_examples.weighted_example_ledger()
         graph = build_address_graph(led, 1, 1)
         weights = {(e.source, e.target): e.weight / Fraction(10**8)
                    for e in graph.edges}
@@ -70,18 +67,18 @@ def test_criterion_1_edge_weight_formula():
 
 def test_criterion_2_chainlet_matrices():
     with Budget(2, "occurrence/amount matrices and boundary folding", 1.0):
-        led = fixtures.amount_network()
-        snap = snapshot_from_ledger(led, *fixtures.AMOUNT_NETWORK_WINDOW)
-        occ, _ = occurrence_matrix(snap, 3)
-        amt, _ = amount_matrix(snap, 3)
+        led = worked_examples.amount_network()
+        snap = snapshot_from_ledger(led, *worked_examples.AMOUNT_NETWORK_WINDOW)
+        occ = occurrence_matrix(snap, 3)
+        amt = amount_matrix(snap, 3)
         assert np.array_equal(occ, [[0, 2, 0], [1, 1, 1], [1, 0, 0]])
         assert np.array_equal(amt, [[0, 358_000_000, 0],
                                     [190_000_000, 175_000_000, 300_000_000],
                                     [280_000_000, 0, 0]])
-        led2 = fixtures.fold_example_ledger()
-        snap2 = snapshot_from_ledger(led2, *fixtures.FOLD_EXAMPLE_WINDOW)
-        occ2, _ = occurrence_matrix(snap2, 3)
-        amt2, _ = amount_matrix(snap2, 3)
+        led2 = worked_examples.fold_example_ledger()
+        snap2 = snapshot_from_ledger(led2, *worked_examples.FOLD_EXAMPLE_WINDOW)
+        occ2 = occurrence_matrix(snap2, 3)
+        amt2 = amount_matrix(snap2, 3)
         assert np.array_equal(fold_matrix(occ2, 2), [[0, 3], [2, 5]])
         assert np.array_equal(fold_matrix(amt2, 2),
                               [[0, 408_000_000], [470_000_000, 875_000_000]])
@@ -101,8 +98,8 @@ def test_criterion_3_fold_consistency():
                     output_total=rng.randint(0, 10**10))
                 for i in range(rng.randint(0, 50))
             ]
-            direct_occ = {n: occurrence_matrix(snap, n)[0] for n in range(1, 26)}
-            direct_amt = {n: amount_matrix(snap, n)[0] for n in range(1, 26)}
+            direct_occ = {n: occurrence_matrix(snap, n) for n in range(1, 26)}
+            direct_amt = {n: amount_matrix(snap, n) for n in range(1, 26)}
             for n in range(2, 26):
                 for n_prime in range(1, n):
                     assert np.array_equal(fold_matrix(direct_occ[n], n_prime),
@@ -139,7 +136,7 @@ def test_criterion_4_utxo_conservation_at_scale():
 
 def test_criterion_5_rippling_scenario():
     with Budget(5, "path settlement, atomic failure, partial delivery", 1.0):
-        led = fixtures.rippling_network()
+        led = worked_examples.rippling_network()
         led.pay(PaymentSpec("sarah", "bob", CurrencyValue("USD", None, 50)))
         owed = {
             ("tim", "sarah"): 50, ("john", "tim"): 75, ("bob", "john"): 65,
@@ -232,9 +229,9 @@ def test_criterion_7_iota_codec_and_pipeline():
         left = build_bundle([("A1", 2, 60), ("A2", 2, 40)], [("A5", 100)])
         right = build_bundle([("A3", 2, 70)], [("A6", 30), ("A7", 40)])
         assert len(left.transactions) == 5 and len(right.transactions) == 4
-        addr, level, amount = fixtures.IOTA_TABLE_BUNDLE["input"]
+        addr, level, amount = worked_examples.IOTA_TABLE_BUNDLE["input"]
         table = build_bundle([(addr, level, amount)],
-                             fixtures.IOTA_TABLE_BUNDLE["outputs"])
+                             worked_examples.IOTA_TABLE_BUNDLE["outputs"])
         assert table.value_sum() == 0
 
 

@@ -2,7 +2,6 @@
 
 import pytest
 
-from ledgergraph import fixtures
 from ledgergraph.account import (
     DEFAULT_CALL_BUDGET,
     NULL_ADDRESS,
@@ -17,11 +16,11 @@ from ledgergraph.account import (
     build_trace_hypergraph,
     deploy_token,
     run_trace_script,
-    shared_traders,
-    trace_value_edges,
     validate_nonce_order,
 )
 from ledgergraph.cli import main as cli_main
+
+import worked_examples
 
 
 def atx(sender, to, amount, nonce, block, index):
@@ -32,7 +31,7 @@ def atx(sender, to, amount, nonce, block, index):
 # -- nonce order ---------------------------------------------------------------
 
 def test_edge_table_nonces_valid():
-    assert validate_nonce_order(fixtures.account_table_txs()) == []
+    assert validate_nonce_order(worked_examples.account_table_txs()) == []
 
 
 def test_nonce_gap_detected():
@@ -56,7 +55,7 @@ def test_same_block_multiples_allowed_in_index_order():
 # -- account graph -----------------------------------------------------------------
 
 def test_edge_table_graph_shape():
-    graph = build_account_graph(fixtures.account_table_txs())
+    graph = build_account_graph(worked_examples.account_table_txs())
     assert len(graph) == 6
     assert sorted(graph.nodes()) == ["NULL", "a1", "a2", "a3", "a4"]
     weights = sorted(e.weight for e in graph.edges)
@@ -81,9 +80,9 @@ def test_contract_payout_only_via_traces():
         build_account_graph([AccountTx(sender=NULL_ADDRESS, to="a", amount_wei=1,
                                        nonce=0, block_height=1, block_index=1)])
     trace = Trace("tx9", (TraceStep("contractC", "eoaA", "value-transfer", 77),))
-    edges = trace_value_edges([trace]).edges
-    assert [(e.source, e.target, e.weight) for e in edges] == \
-        [("contractC", "eoaA", 77)]
+    (edge,) = build_trace_hypergraph([trace]).edges
+    assert (edge.label, edge.members) == ("tx9", ("contractC", "eoaA"))
+    assert edge.step_attrs == (("step0", "value-transfer:contractC->eoaA"),)
 
 
 def test_null_sender_rejected_but_null_sink_allowed():
@@ -173,20 +172,10 @@ def test_symbols_not_unique_addresses_are():
     assert c1.symbol == c2.symbol and c1.address != c2.address
 
 
-def test_shared_traders_report():
-    ledger = TokenLedger()
-    c1 = ledger.register(deploy_token("o1", "AAA", 18, 10, nonce=0))
-    c2 = ledger.register(deploy_token("o2", "BBB", 18, 10, nonce=0))
-    ledger.execute_token_transfer(c1.address, "o1", "both", 1, "t1")
-    ledger.execute_token_transfer(c2.address, "o2", "both", 1, "t2")
-    graphs = build_token_graph(ledger.transfers)
-    assert "both" in shared_traders(graphs)
-
-
 # -- traces -----------------------------------------------------------------------
 
 def test_walkthrough_hyperedges():
-    hg = build_trace_hypergraph(fixtures.trace_scenario())
+    hg = build_trace_hypergraph(worked_examples.trace_scenario())
     members = {h.label: h.members for h in hg.edges}
     assert members["tx1"] == ("0x0..ow", "0x0..a4", "0x0..25")
     assert members["tx3"] == ("0x0..1e", "0x0..25")
@@ -201,7 +190,7 @@ def test_plain_transfer_hyperedge_size_two():
 
 
 def test_sequential_step_order_preserved():
-    trace = fixtures.trace_scenario()[0]
+    trace = worked_examples.trace_scenario()[0]
     callers = [s.caller for s in trace.steps]
     assert callers == ["0x0..ow", "0x0..a4"]  # strictly sequential, no interleave
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ledgergraph import fixtures
 from ledgergraph.chainlets import (
     FirstOrderChainlet,
     UnsupportedKError,
@@ -14,7 +13,6 @@ from ledgergraph.chainlets import (
     classify_first_order,
     extract_k_chainlets,
     extreme_chainlet_report,
-    fold_coinbase_row,
     fold_matrix,
     occurrence_matrix,
     snapshot_from_ledger,
@@ -23,7 +21,9 @@ from ledgergraph.generate import UtxoSpec, generate_utxo
 from ledgergraph.utxo import Output, UtxoTransaction
 from ledgergraph.utxo_graphs import txs_in_range
 
-COIN = fixtures.COIN
+import worked_examples
+
+COIN = worked_examples.COIN
 
 
 def chainlet(x, y, total=0, txid="t"):
@@ -65,32 +65,32 @@ def test_classification_trichotomy(x, y):
 # -- k-chainlets ------------------------------------------------------------------
 
 def test_six_tx_network_has_six_first_order_chainlets():
-    led = fixtures.six_tx_network()
-    ks = extract_k_chainlets(led, 1, *fixtures.SIX_TX_WINDOW)
+    led = worked_examples.six_tx_network()
+    ks = extract_k_chainlets(led, 1, *worked_examples.SIX_TX_WINDOW)
     assert len(ks) == 6
     assert sorted(k.tx_nodes[0] for k in ks) == ["t1", "t2", "t3", "t4", "t5", "t6"]
 
 
 def test_k1_partitions_transactions():
-    led = fixtures.six_tx_network()
-    ks = extract_k_chainlets(led, 1, *fixtures.SIX_TX_WINDOW)
+    led = worked_examples.six_tx_network()
+    ks = extract_k_chainlets(led, 1, *worked_examples.SIX_TX_WINDOW)
     seen = [k.tx_nodes[0] for k in ks]
     assert len(seen) == len(set(seen))
 
 
 def test_k1_lists_each_address_once_and_every_edge():
     """t6 spends a7, a8 and a10 twice, and pays a12 and a10 again."""
-    led = fixtures.six_tx_network()
+    led = worked_examples.six_tx_network()
     t6 = {k.tx_nodes: k for k in extract_k_chainlets(led, 1,
-                                                     *fixtures.SIX_TX_WINDOW)}[("t6",)]
+                                                     *worked_examples.SIX_TX_WINDOW)}[("t6",)]
     assert t6.address_nodes == ("a7", "a8", "a10", "a12")
     assert t6.edges == (("a7", "t6"), ("a8", "t6"), ("a10", "t6"), ("a10", "t6"),
                         ("t6", "a12"), ("t6", "a10"))
 
 
 def test_k2_pairs_include_figure_pairs():
-    led = fixtures.six_tx_network()
-    ks = extract_k_chainlets(led, 2, *fixtures.SIX_TX_WINDOW)
+    led = worked_examples.six_tx_network()
+    ks = extract_k_chainlets(led, 2, *worked_examples.SIX_TX_WINDOW)
     pairs = {k.tx_nodes for k in ks}
     assert ("t1", "t5") in pairs and ("t2", "t6") in pairs
     directions = {k.tx_nodes: k.spend_direction for k in ks}
@@ -98,7 +98,7 @@ def test_k2_pairs_include_figure_pairs():
 
 
 def test_k2_single_tx_snapshot_empty():
-    led = fixtures.weighted_example_ledger()
+    led = worked_examples.weighted_example_ledger()
     assert extract_k_chainlets(led, 2, 1, 1) == []
 
 
@@ -133,7 +133,7 @@ def test_k2_chainlets_match_an_input_walk(seed, tx_count, a, b):
 
 
 def test_k_above_two_unsupported():
-    led = fixtures.six_tx_network()
+    led = worked_examples.six_tx_network()
     with pytest.raises(UnsupportedKError):
         extract_k_chainlets(led, 3)
 
@@ -150,19 +150,19 @@ EXPECTED_A_SUBUNITS = np.array([
 
 
 def test_amount_network_matrices_match_text():
-    led = fixtures.amount_network()
-    snap = snapshot_from_ledger(led, *fixtures.AMOUNT_NETWORK_WINDOW)
-    occ, _ = occurrence_matrix(snap, 3)
-    amt, _ = amount_matrix(snap, 3)
+    led = worked_examples.amount_network()
+    snap = snapshot_from_ledger(led, *worked_examples.AMOUNT_NETWORK_WINDOW)
+    occ = occurrence_matrix(snap, 3)
+    amt = amount_matrix(snap, 3)
     assert np.array_equal(occ, EXPECTED_O)
     assert np.array_equal(amt, EXPECTED_A_SUBUNITS)
 
 
 def test_fold_example_matches_text():
-    led = fixtures.fold_example_ledger()
-    snap = snapshot_from_ledger(led, *fixtures.FOLD_EXAMPLE_WINDOW)
-    occ, _ = occurrence_matrix(snap, 3)
-    amt, _ = amount_matrix(snap, 3)
+    led = worked_examples.fold_example_ledger()
+    snap = snapshot_from_ledger(led, *worked_examples.FOLD_EXAMPLE_WINDOW)
+    occ = occurrence_matrix(snap, 3)
+    amt = amount_matrix(snap, 3)
     assert np.array_equal(occ, [[0, 2, 1], [1, 1, 1], [1, 0, 3]])
     assert np.array_equal(fold_matrix(occ, 2), [[0, 3], [2, 5]])
     # 4.08 / 4.7 / 8.75 coins, in exact subunits
@@ -171,30 +171,22 @@ def test_fold_example_matches_text():
 
 
 def test_empty_snapshot_zero_matrix():
-    occ, _ = occurrence_matrix([], 4)
+    occ = occurrence_matrix([], 4)
     assert not occ.any()
 
 
 def test_single_transition_amount():
     snap = [chainlet(1, 1, total=5 * COIN)]
-    amt, _ = amount_matrix(snap, 3)
+    amt = amount_matrix(snap, 3)
     assert amt[0, 0] == 5 * COIN and amt.sum() == 5 * COIN
 
 
-def test_coinbase_row_extension():
-    snap = [chainlet(0, 2, total=50), chainlet(0, 7, total=9), chainlet(1, 1, total=1)]
-    occ, row = occurrence_matrix(snap, 3, include_coinbase_row=True)
-    assert row.tolist() == [0, 1, 1]  # C(0,2) and C(0,7) folded into column 3
-    assert occ.sum() == 1
-    assert fold_coinbase_row(row, 2).tolist() == [0, 2]
-
-
 def test_mass_conservation_independent_of_n():
-    led = fixtures.fold_example_ledger()
+    led = worked_examples.fold_example_ledger()
     snap = [c for c in snapshot_from_ledger(led, 1, 1) if c.cls != "coinbase"]
     for n in (1, 2, 3, 7, 25):
-        occ, _ = occurrence_matrix(snap, n)
-        amt, _ = amount_matrix(snap, n)
+        occ = occurrence_matrix(snap, n)
+        amt = amount_matrix(snap, n)
         assert occ.sum() == len(snap)
         assert amt.sum() == sum(c.output_total for c in snap)
 
@@ -208,8 +200,8 @@ def test_fold_consistency_property(shapes, n, n_prime_raw):
     snap = [chainlet(x, y, total=v, txid=f"t{i}")
             for i, (x, y, v) in enumerate(shapes)]
     for build in (occurrence_matrix, amount_matrix):
-        wide, _ = build(snap, n)
-        narrow, _ = build(snap, n_prime)
+        wide = build(snap, n)
+        narrow = build(snap, n_prime)
         assert np.array_equal(fold_matrix(wide, n_prime), narrow)
 
 
@@ -240,15 +232,14 @@ def test_all_transition_window():
 
 
 def test_shares_sum_to_100():
-    led = fixtures.amount_network()
+    led = worked_examples.amount_network()
     snap = snapshot_from_ledger(led, 1, 1)
     [(m, t, s)] = aggregate_timeseries([snap])
     assert abs(m + t + s - 100.0) < 1e-9
 
 
 def test_build_matrices_bundle():
-    led = fixtures.amount_network()
+    led = worked_examples.amount_network()
     snap = snapshot_from_ledger(led, 1, 1)
-    mats = build_matrices(snap, 3, include_coinbase_row=True, window="blk1")
-    assert mats.coinbase_occurrence.tolist() == [1, 0, 0]
+    mats = build_matrices(snap, 3)
     assert mats.occurrence.sum() == 6

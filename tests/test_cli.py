@@ -13,10 +13,11 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ledgergraph import fixtures
 from ledgergraph.cli import main
 from ledgergraph.pipeline import RunConfig, run_pipeline
 from ledgergraph.utxo import dump_jsonl
+
+import worked_examples
 
 
 FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
@@ -61,6 +62,15 @@ def test_utxo_validate_bad_input_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert json.loads(err)["error"] == "excessive-reward"
+    # a coinbase that names its output kinds must pay shielded addresses
+    zcash = tmp_path / "zcash.jsonl"
+    zcash.write_text('{"id":"c","block":0,"coinbase":true,'
+                     '"outputs":[{"amount":1,"address":"m"}],'
+                     '"kinds":{"in":[],"out":["t"]}}\n')
+    assert run_cli(["utxo", "validate", zcash]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "unshielded-coinbase"
+    zcash.write_text(zcash.read_text().replace('["t"]', '["z"]'))
+    assert run_cli(["utxo", "validate", zcash]) == 0
 
 
 def test_missing_file_exits_3(capsys):
@@ -220,7 +230,7 @@ def test_replay_ripple_logs_rejections(tmp_path, capsys):
 
 
 def test_env_override_applies(tmp_path, capsys, monkeypatch):
-    led_lines = "\n".join(dump_jsonl(fixtures.weighted_example_ledger())) + "\n"
+    led_lines = "\n".join(dump_jsonl(worked_examples.weighted_example_ledger())) + "\n"
     src = tmp_path / "w.jsonl"
     src.write_text(led_lines)
     out = tmp_path / "o.csv"
@@ -232,7 +242,7 @@ def test_env_override_applies(tmp_path, capsys, monkeypatch):
 
 
 def test_config_file_defaults(tmp_path, capsys):
-    led_lines = "\n".join(dump_jsonl(fixtures.weighted_example_ledger())) + "\n"
+    led_lines = "\n".join(dump_jsonl(worked_examples.weighted_example_ledger())) + "\n"
     src = tmp_path / "w.jsonl"
     src.write_text(led_lines)
     conf = tmp_path / "lg.conf"

@@ -4,8 +4,10 @@ the file-based paths."""
 import hashlib
 import os
 
-from ledgergraph import fixtures, scenario
+from ledgergraph import scenario
 from ledgergraph.ripple import load_trust_csv
+
+import worked_examples
 
 REPO_FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -26,7 +28,7 @@ def test_rippling_script_outcomes():
 def test_rippling_network_is_the_script_set_up():
     # known answer recorded when rippling_network() still built the five
     # accounts, five lines and three debts by hand
-    led = fixtures.rippling_network()
+    led = worked_examples.rippling_network()
     assert hashlib.sha256(led.state_digest().encode()).hexdigest() == \
         "a8f3fba0969a000a6a7c89502e44b8de563668e11c5bdc770abed4e8f820e2e0"
     assert led.writes == 18

@@ -7,13 +7,11 @@ import pytest
 from ledgergraph.chainlets import snapshot_from_ledger
 from ledgergraph.generate import (
     AccountSpec,
-    OfferSpec,
     RippleSpec,
     TangleSpec,
     UtxoSpec,
     derive_rng,
     generate_account_txs,
-    generate_offer_stream,
     generate_tangle,
     generate_trust_graph,
     generate_utxo,
@@ -72,12 +70,6 @@ def test_trust_graph_generator_positions_sum_zero():
     positions = led.net_positions("USD")
     assert sum(positions.values()) == 0
     assert led.states  # density 0.25 over 12 accounts yields lines
-
-
-def test_offer_stream_deterministic():
-    t1, s1 = generate_offer_stream(OfferSpec(count=50), seed=7)
-    t2, s2 = generate_offer_stream(OfferSpec(count=50), seed=7)
-    assert t1 == t2 and s1 == s2
 
 
 def test_tangle_generator_conserves_supply():

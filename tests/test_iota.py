@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ledgergraph import fixtures
 from ledgergraph.cli import main as cli_main
 from ledgergraph.iota import bundles as bundles_mod
 from ledgergraph.iota import sponge as sponge_mod
@@ -29,6 +28,8 @@ from ledgergraph.iota.trinary import (TRYTE_ALPHABET, InvalidTryteError,
                                       ascii_to_trits, decode_trytes,
                                       encode_trytes, int_to_trits, trits_to_int)
 from ledgergraph.scenario import replay_tangle
+
+import worked_examples
 
 SEED = "LEDGER" + "9" * 75
 FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
@@ -161,9 +162,9 @@ def test_one_input_two_output_level2_has_four_txs():
 
 
 def test_table_bundle_sums_to_zero():
-    addr, level, amount = fixtures.IOTA_TABLE_BUNDLE["input"]
+    addr, level, amount = worked_examples.IOTA_TABLE_BUNDLE["input"]
     bundle = build_bundle([(addr, level, amount)],
-                          fixtures.IOTA_TABLE_BUNDLE["outputs"])
+                          worked_examples.IOTA_TABLE_BUNDLE["outputs"])
     assert bundle.value_sum() == 0
     assert len(bundle.transactions) == 4  # input + fragment + two outputs
     frag = bundle.transactions[1]
@@ -282,14 +283,13 @@ def loop_encode_trytes(trits) -> str:
     return "".join(chars)
 
 
-def loop_ascii_to_trits(text: str, pad_to) -> list[int]:
+def loop_ascii_to_trits(text: str) -> list[int]:
     trits: list[int] = []
     for byte in text.encode("utf-8"):
         trits.extend(int_to_trits(byte, 6))
-    if pad_to:
-        remainder = len(trits) % pad_to
-        if remainder or not trits:
-            trits.extend([0] * (pad_to - remainder))
+    remainder = len(trits) % 243
+    if remainder or not trits:
+        trits.extend([0] * (243 - remainder))
     return trits
 
 
@@ -338,14 +338,13 @@ def test_encode_trytes_rejects_what_the_loop_rejects(trits, data):
             encode_trytes(given_trits)
 
 
-@given(st.text(max_size=60), st.sampled_from([None, 243, 81, 6]))
-@example("", None)
-@example("", 243)
-@example("ñ€𝄞 ledger", 243)
-def test_ascii_to_trits_equals_loop(text, pad_to):
-    trits = ascii_to_trits(text, pad_to)
+@given(st.text(max_size=60))
+@example("")
+@example("ñ€𝄞 ledger")
+def test_ascii_to_trits_equals_loop(text):
+    trits = ascii_to_trits(text)
     assert trits.dtype == np.int8
-    assert trits.tolist() == loop_ascii_to_trits(text, pad_to)
+    assert trits.tolist() == loop_ascii_to_trits(text)
 
 
 def test_level2_bundle_transform_count(monkeypatch):
@@ -702,8 +701,8 @@ def test_milestone_noop_sweep():
 
 
 def test_table_bundle_balance_deltas():
-    addr, level, amount = fixtures.IOTA_TABLE_BUNDLE["input"]
-    outs = fixtures.IOTA_TABLE_BUNDLE["outputs"]
+    addr, level, amount = worked_examples.IOTA_TABLE_BUNDLE["input"]
+    outs = worked_examples.IOTA_TABLE_BUNDLE["outputs"]
     state = TangleState({addr: amount})
     head = state.attach(build_bundle([(addr, level, amount)], outs),
                         (GENESIS_HASH, GENESIS_HASH))
@@ -789,16 +788,6 @@ def test_snapshot_preserves_balances_and_allows_growth():
                                                tag="MILESTONE"))
     assert fresh.balances["r2"] == 60
     assert sum(fresh.balances.values()) == total_before
-
-
-def test_reuse_warning_counter():
-    state = TangleState({"a1": 100, "b": 50})
-    g = GENESIS_HASH
-    state.attach(build_bundle([("a1", 1, 60)], [("r", 60)]), (g, g))
-    assert state.reuse_warnings.get("a1") is None
-    tips = state.select_tips("oldest-first")
-    state.attach(build_bundle([("a1", 1, 40)], [("r2", 40)]), tips)
-    assert state.reuse_warnings["a1"] == 1
 
 
 def test_consensus_fuzz_with_double_spend_injection():

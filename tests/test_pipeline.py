@@ -11,11 +11,11 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ledgergraph import fixtures
-from ledgergraph.chainlets import build_matrices, merge_matrices, snapshot_from_ledger
 from ledgergraph.core import BadRecordError, Hypergraph
 from ledgergraph.iota.sponge import MixerSponge
 from ledgergraph.pipeline import RunConfig, UnknownChainError, run_pipeline
+
+import worked_examples
 
 
 @pytest.fixture()
@@ -34,7 +34,7 @@ def test_pipeline_on_six_tx_fixture_builds_both_graphs(fixture_dir, tmp_path):
     out = tmp_path / "out"
     report = run_pipeline(RunConfig(
         chain="utxo", input_path=str(fixture_dir / "six_tx_network.jsonl"),
-        output_dir=str(out), window=(1, 2), fold_n=3, subsidy=6 * fixtures.COIN))
+        output_dir=str(out), window=(1, 2), fold_n=3, subsidy=6 * worked_examples.COIN))
     tx_rows = (out / "transaction_graph.csv").read_text().splitlines()
     assert len(tx_rows) == 1 + 6  # the six consumer edges
     addr_rows = (out / "address_graph.csv").read_text().splitlines()
@@ -48,7 +48,7 @@ def test_pipeline_on_amount_fixture_reproduces_matrices(fixture_dir, tmp_path):
     run_pipeline(RunConfig(
         chain="utxo", input_path=str(fixture_dir / "amount_network.jsonl"),
         output_dir=str(out), window=(1, 1), fold_n=3,
-        subsidy=12 * fixtures.COIN))
+        subsidy=12 * worked_examples.COIN))
     assert (out / "occurrence.csv").read_text() == "0,2,0\n1,1,1\n1,0,0\n"
     amount_rows = (out / "amount.csv").read_text().splitlines()
     assert amount_rows == ["0,358000000,0",
@@ -87,7 +87,7 @@ def test_utxo_and_ripple_pipelines_run_no_sponge_permutation(fixture_dir, tmp_pa
     run_pipeline(RunConfig(
         chain="utxo", input_path=str(fixture_dir / "six_tx_network.jsonl"),
         output_dir=str(tmp_path / "u"), window=(1, 2), fold_n=3,
-        subsidy=6 * fixtures.COIN))
+        subsidy=6 * worked_examples.COIN))
     run_pipeline(RunConfig(
         chain="ripple", input_path=str(fixture_dir / "rippling_payment.jsonl"),
         output_dir=str(tmp_path / "r")))
@@ -167,7 +167,7 @@ def test_pipeline_input_that_is_not_utf8_is_a_bad_record(tmp_path, chain):
 
 FIXTURE_RUNS = {
     "utxo": dict(input_path="six_tx_network.jsonl", window=(1, 2), fold_n=3,
-                 subsidy=6 * fixtures.COIN),
+                 subsidy=6 * worked_examples.COIN),
     "ripple": dict(input_path="rippling_payment.jsonl"),
     "iota": dict(input_path="tangle_double_spend.jsonl",
                  genesis_balances={"a1": 100, "funder": 1000}),
@@ -225,26 +225,26 @@ def pair_counts(graph) -> Counter:
 
 def test_graph_characteristics_table():
     # UTXO: address graph weighted directed multi; tx graph collapsed simple
-    led = fixtures.six_tx_network()
+    led = worked_examples.six_tx_network()
     from ledgergraph.utxo_graphs import build_address_graph, build_transaction_graph
-    addr = build_address_graph(led, *fixtures.SIX_TX_WINDOW).to_edge_list()
+    addr = build_address_graph(led, *worked_examples.SIX_TX_WINDOW).to_edge_list()
     assert len(pair_counts(addr)) < len(addr)
     assert all(e.weight is not None for e in addr.edges)
-    tx = build_transaction_graph(led, *fixtures.SIX_TX_WINDOW).to_edge_list()
+    tx = build_transaction_graph(led, *worked_examples.SIX_TX_WINDOW).to_edge_list()
     assert set(pair_counts(tx).values()) == {1}
 
     # account: transaction and token graphs are weighted directed multi
     from ledgergraph.account import build_account_graph
-    acct = build_account_graph(fixtures.account_table_txs())
-    assert len(acct) == len(fixtures.account_table_txs())  # one edge per tx
+    acct = build_account_graph(worked_examples.account_table_txs())
+    assert len(acct) == len(worked_examples.account_table_txs())  # one edge per tx
 
     # traces: directed hypergraph
     from ledgergraph.account import build_trace_hypergraph
-    assert isinstance(build_trace_hypergraph(fixtures.trace_scenario()),
+    assert isinstance(build_trace_hypergraph(worked_examples.trace_scenario()),
                       Hypergraph)
 
     # ripple: trust graph weighted directed multi; payment graph hypergraph
-    ripple = fixtures.rippling_network()
+    ripple = worked_examples.rippling_network()
     trust = ripple.trust_graph()
     assert len(trust) == sum((s.low_limit > 0) + (s.high_limit > 0)
                              for s in ripple.states.values())
@@ -289,18 +289,6 @@ def test_simple_graphs_never_repeat_a_pair(seed, tx_count, tip_strategy):
     graphs += [state.tangle_graph(), state.transaction_graph()]
     for graph in graphs:
         assert set(pair_counts(graph).values()) <= {1}
-
-
-def test_merge_matrices_linearity():
-    led = fixtures.fold_example_ledger()
-    snap = snapshot_from_ledger(led, 1, 1)
-    whole = build_matrices(snap, 4, include_coinbase_row=True, window="all")
-    left = build_matrices(snap[:4], 4, include_coinbase_row=True, window="l")
-    right = build_matrices(snap[4:], 4, include_coinbase_row=True, window="r")
-    merged = merge_matrices([left, right])
-    assert (merged.occurrence == whole.occurrence).all()
-    assert (merged.amount == whole.amount).all()
-    assert (merged.coinbase_occurrence == whole.coinbase_occurrence).all()
 
 
 @pytest.mark.parametrize("seed", [0, 1])

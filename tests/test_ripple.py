@@ -10,10 +10,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ledgergraph import fixtures
 from ledgergraph.cli import main
 from ledgergraph.core import LedgerError
-from ledgergraph.generate import OfferSpec, generate_offer_stream
 from ledgergraph.scenario import _ripple_step, replay_ripple
 from ledgergraph.ripple import (
     BASE_RESERVE_DROPS,
@@ -28,16 +26,17 @@ from ledgergraph.ripple import (
     PaymentSpec,
     ReserveUnmetError,
     RippleLedger,
-    RippleState,
     UnfundedOfferError,
     XrpRipplingError,
     ZeroDeliverableError,
     _Legs,
     dump_trust_csv,
     fill_amounts,
-    infer_issuer,
     load_trust_csv,
 )
+
+import worked_examples
+from offer_streams import OfferSpec, generate_offer_stream
 
 XRP_100 = 100_000_000  # drops
 
@@ -78,7 +77,6 @@ def test_table_row_shape():
          "gateway,rSA...Adw,USD,250,500,0"])
     state = led.line("gateway", "rSA...Adw", "USD")
     assert (state.balance, state.low_limit, state.high_limit) == (250, 500, 0)
-    assert infer_issuer(state) == "high"
 
 
 def test_trust_csv_round_trips_names_with_commas_and_quotes():
@@ -123,15 +121,6 @@ def test_reserve_unmet_blocks_new_line():
     led.create_account("b", xrp_drops=XRP_100)
     with pytest.raises(ReserveUnmetError):
         led.set_trust("poor", "b", "USD", 10)
-
-
-def test_issuer_inference():
-    def state(balance):
-        return RippleState(low="a", high="b", currency="USD", balance=balance,
-                           low_limit=0, high_limit=0)
-    assert infer_issuer(state(250)) == "high"
-    assert infer_issuer(state(-50)) == "low"
-    assert infer_issuer(state(0)) == "indeterminate"
 
 
 def test_available_capacity_uses_minus_used():
@@ -192,7 +181,7 @@ def test_new_account_needs_base_reserve_funding():
 # -- pathfinding and rippling ----------------------------------------------------------
 
 def test_figure_scenario_path_and_balances():
-    led = fixtures.rippling_network()
+    led = worked_examples.rippling_network()
     spec = PaymentSpec("sarah", "bob", usd(50))
     paths = led.find_paths(spec)
     assert paths == [("sarah", "tim", "john", "bob")]  # alice route lacks capacity
@@ -203,7 +192,7 @@ def test_figure_scenario_path_and_balances():
 
 
 def test_repeat_fails_atomically_then_partial_delivers_min_capacity():
-    led = fixtures.rippling_network()
+    led = worked_examples.rippling_network()
     led.pay(PaymentSpec("sarah", "bob", usd(50)))
     before = led.state_digest()
     with pytest.raises((DriedUpPathError, NoPathError)):
@@ -224,7 +213,7 @@ def test_single_hop_default_path():
 
 
 def test_all_frozen_no_path():
-    led = fixtures.rippling_network()
+    led = worked_examples.rippling_network()
     for state in led.states.values():
         state.frozen = True
     with pytest.raises(NoPathError):
@@ -246,7 +235,7 @@ def test_no_ripple_on_both_lines_blocks_intermediate():
 
 
 def test_iou_conservation_and_endpoint_shift():
-    led = fixtures.rippling_network()
+    led = worked_examples.rippling_network()
     before = led.net_positions("USD")
     led.pay(PaymentSpec("sarah", "bob", usd(50)))
     after = led.net_positions("USD")

@@ -2,7 +2,6 @@
 
 import pytest
 
-from ledgergraph import fixtures
 from ledgergraph.core import BadRecordError
 from ledgergraph.utxo import (
     Block,
@@ -22,6 +21,8 @@ from ledgergraph.utxo import (
     load_jsonl,
     trace_lineage,
 )
+
+import worked_examples
 
 
 def tx(txid, inputs, outputs, coinbase=False):
@@ -166,14 +167,14 @@ def brute_force_lineage(ref, ledger):
 
 
 def test_lineage_two_paths_merge():
-    led = fixtures.lineage_ledger()
+    led = worked_examples.lineage_ledger()
     paths = trace_lineage(("t3", 0), led)
     assert paths == [(("g", 0), ("t2", 0), ("t3", 0)), (("g", 1), ("t3", 0))]
     assert paths == brute_force_lineage(("t3", 0), led)
 
 
 def test_lineage_of_coinbase_output_is_single_trivial_path():
-    led = fixtures.lineage_ledger()
+    led = worked_examples.lineage_ledger()
     assert trace_lineage(("g", 0), led) == [(("g", 0),)]
 
 
@@ -204,14 +205,14 @@ def test_lineage_of_a_long_spend_chain():
 
 
 def test_lineage_every_path_ends_at_coinbase():
-    led = fixtures.six_tx_network()
+    led = worked_examples.six_tx_network()
     for ref in list(led.utxo):
         for path in trace_lineage(ref, led):
             assert led.creating_tx(path[0]).coinbase
 
 
 def test_lineage_missing_output():
-    led = fixtures.lineage_ledger()
+    led = worked_examples.lineage_ledger()
     with pytest.raises(MissingOutputError):
         trace_lineage(("zzz", 9), led)
 
@@ -230,19 +231,8 @@ def brute_force_utxo(ledger):
 
 
 def test_utxo_set_matches_brute_force_on_fixture():
-    led = fixtures.six_tx_network()
+    led = worked_examples.six_tx_network()
     assert {r: o.amount for r, o in led.utxo.items()} == brute_force_utxo(led)
-
-
-def test_confirmation_depth_is_reporting_only():
-    led = fixtures.six_tx_network()  # tip height 2
-    assert led.confirmations("g1") == 3
-    assert led.confirmations("t5") == 1
-    assert not led.considered_final("t5")
-    assert led.considered_final("g1", depth=3)
-    # spending a 1-confirmation output is perfectly valid
-    t = tx("spend_young", [("t5", 1)], [("z", 1)])
-    led.validate_transaction(t)
 
 
 # -- Zcash classification ------------------------------------------------------------
@@ -297,9 +287,9 @@ def test_ring_deterministic_under_seed():
 # -- ingestion round trip ----------------------------------------------------------------
 
 def test_jsonl_round_trip():
-    led = fixtures.six_tx_network()
+    led = worked_examples.six_tx_network()
     lines = list(dump_jsonl(led))
-    led2 = load_jsonl(lines, subsidy=6 * fixtures.COIN)
+    led2 = load_jsonl(lines, subsidy=6 * worked_examples.COIN)
     assert list(dump_jsonl(led2)) == lines
     assert {r: o.amount for r, o in led2.utxo.items()} == \
         {r: o.amount for r, o in led.utxo.items()}

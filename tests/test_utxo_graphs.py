@@ -9,7 +9,6 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ledgergraph import fixtures
 from ledgergraph.chainlets import extract_k_chainlets, snapshot_from_ledger
 from ledgergraph.cli import main
 from ledgergraph.core import Edge, EdgeList, export_edge_list
@@ -24,7 +23,9 @@ from ledgergraph.utxo_graphs import (
 from ledgergraph.utxo import Block, Ledger, Output, UtxoTransaction
 from ledgergraph.generate import UtxoSpec, generate_utxo
 
-COIN = fixtures.COIN
+import worked_examples
+
+COIN = worked_examples.COIN
 
 SIX_TX_EDGES = {
     ("t1", "t5"): 1, ("t2", "t5"): 1, ("t2", "t6"): 2,
@@ -38,8 +39,8 @@ def spend_counts(graph) -> dict[tuple[str, str], int]:
 
 
 def test_six_tx_transaction_graph_edges():
-    led = fixtures.six_tx_network()
-    graph = build_transaction_graph(led, *fixtures.SIX_TX_WINDOW)
+    led = worked_examples.six_tx_network()
+    graph = build_transaction_graph(led, *worked_examples.SIX_TX_WINDOW)
     assert spend_counts(graph) == SIX_TX_EDGES
     assert sorted(graph.nodes()) == ["t1", "t2", "t3", "t4", "t5", "t6"]
 
@@ -69,7 +70,7 @@ def test_chain_of_three_is_a_path():
 def test_empty_range_rejected(capsys):
     """`utxo graph` rejects a window without transactions, whatever the
     kind; the builders themselves return an empty graph for it."""
-    led = fixtures.six_tx_network()
+    led = worked_examples.six_tx_network()
     assert len(build_transaction_graph(led, 10, 20)) == 0
     path = str(pathlib.Path(__file__).parent.parent / "fixtures"
                / "six_tx_network.jsonl")
@@ -81,7 +82,7 @@ def test_empty_range_rejected(capsys):
 
 
 def test_empty_window_gives_empty_results():
-    led = fixtures.six_tx_network()
+    led = worked_examples.six_tx_network()
     assert txs_in_range(led, 10, 20) == []
     for build in (build_transaction_graph, build_address_graph,
                   build_bipartite_graph):
@@ -114,7 +115,7 @@ def test_transaction_graph_is_acyclic():
 # -- address graph -------------------------------------------------------------
 
 def test_worked_edge_weights_exact():
-    led = fixtures.weighted_example_ledger()
+    led = worked_examples.weighted_example_ledger()
     graph = build_address_graph(led, 1, 1)
     weights = {(e.source, e.target): e.weight for e in graph.edges}
     in_btc = {k: w / Fraction(10**8) for k, w in weights.items()}
@@ -127,7 +128,7 @@ def test_worked_edge_weights_exact():
 def test_row_weights_are_the_formula_int_or_fraction():
     """Each row's weight is A(i)*A(j)/sum A(out), in build order: an int
     when it reduces to a whole number, a Fraction otherwise."""
-    led = fixtures.weighted_example_ledger()
+    led = worked_examples.weighted_example_ledger()
     graph = build_address_graph(led, 1, 1)
     expected = []
     for block in led.blocks[1:]:
@@ -156,7 +157,7 @@ def test_rows_read_back_export_the_same_bytes(build):
 def test_row_view_length_builds_no_edge(monkeypatch):
     import ledgergraph.core as core
 
-    graph = build_address_graph(fixtures.six_tx_network(), *fixtures.SIX_TX_WINDOW)
+    graph = build_address_graph(worked_examples.six_tx_network(), *worked_examples.SIX_TX_WINDOW)
     monkeypatch.setattr(core, "Edge", None)  # building a row would fail
     assert len(graph.edges) == len(graph) == 22
     with pytest.raises(TypeError):
@@ -168,7 +169,7 @@ def test_row_view_is_read_only():
     import pathlib
     import re
 
-    graph = build_address_graph(fixtures.six_tx_network(), *fixtures.SIX_TX_WINDOW)
+    graph = build_address_graph(worked_examples.six_tx_network(), *worked_examples.SIX_TX_WINDOW)
     assert not hasattr(graph.edges, "append")
     with pytest.raises(TypeError):
         graph.edges[0] = graph.edges[1]
@@ -179,12 +180,12 @@ def test_row_view_is_read_only():
 
 
 def test_row_view_slices_and_graphs_compare_by_value():
-    led = fixtures.six_tx_network()
-    graph = build_address_graph(led, *fixtures.SIX_TX_WINDOW)
+    led = worked_examples.six_tx_network()
+    graph = build_address_graph(led, *worked_examples.SIX_TX_WINDOW)
     rows = list(graph.edges)
     assert graph.edges[2:9:3] == rows[2:9:3]
     assert graph.edges[-1] == rows[-1]
-    other = build_address_graph(led, *fixtures.SIX_TX_WINDOW)
+    other = build_address_graph(led, *worked_examples.SIX_TX_WINDOW)
     assert graph == other
     other.add("a1", "a5", 1)
     assert graph != other
@@ -202,15 +203,15 @@ def test_extend_keeps_the_columns_equal_in_length():
 
 
 def test_single_in_single_out_edge_carries_full_input():
-    led = fixtures.lineage_ledger()
+    led = worked_examples.lineage_ledger()
     graph = build_address_graph(led, 1, 1)  # t2: a spends 5 COIN into c
     [edge] = [e for e in graph.edges if e.attr_dict["txid"] == "t2"]
     assert edge.weight == Fraction(5 * COIN)
 
 
 def test_edge_count_is_inputs_times_outputs():
-    led = fixtures.six_tx_network()
-    graph = build_address_graph(led, *fixtures.SIX_TX_WINDOW)
+    led = worked_examples.six_tx_network()
+    graph = build_address_graph(led, *worked_examples.SIX_TX_WINDOW)
     by_tx = {}
     for e in graph.edges:
         by_tx[e.attr_dict["txid"]] = by_tx.get(e.attr_dict["txid"], 0) + 1
@@ -234,8 +235,8 @@ def test_weight_conservation_per_tx():
 
 
 def test_address_graph_records_reuse_and_self_loop():
-    led = fixtures.six_tx_network()
-    graph = build_address_graph(led, *fixtures.SIX_TX_WINDOW)
+    led = worked_examples.six_tx_network()
+    graph = build_address_graph(led, *worked_examples.SIX_TX_WINDOW)
     pairs = {(e.source, e.target) for e in graph.edges}
     assert ("a9", "a1") in pairs  # past address reuse stays visible
     assert ("a10", "a10") in pairs  # change-back self-loop
@@ -243,9 +244,9 @@ def test_address_graph_records_reuse_and_self_loop():
 
 
 def test_unspent_output_visible_only_in_address_graph():
-    led = fixtures.six_tx_network()
-    tgraph = build_transaction_graph(led, *fixtures.SIX_TX_WINDOW)
-    agraph = build_address_graph(led, *fixtures.SIX_TX_WINDOW)
+    led = worked_examples.six_tx_network()
+    tgraph = build_transaction_graph(led, *worked_examples.SIX_TX_WINDOW)
+    agraph = build_address_graph(led, *worked_examples.SIX_TX_WINDOW)
     # a11 received one output from t5 and never spends it
     tx_nodes_with_a11 = [n for n in tgraph.nodes() if n == "a11"]
     assert not tx_nodes_with_a11
@@ -269,12 +270,12 @@ def test_hidden_amounts_block_address_graph():
 
 def test_six_tx_bipartite_has_22_rows():
     # hand count: t1 2+1, t2 2+3, t3 0+2, t4 0+1, t5 3+2, t6 4+2
-    led = fixtures.six_tx_network()
-    graph = build_bipartite_graph(led, *fixtures.SIX_TX_WINDOW)
+    led = worked_examples.six_tx_network()
+    graph = build_bipartite_graph(led, *worked_examples.SIX_TX_WINDOW)
     assert len(graph) == 22
     data = export_edge_list(graph)
     assert data.count(b"\n") == 23  # header + rows
-    assert export_edge_list(build_bipartite_graph(led, *fixtures.SIX_TX_WINDOW)) \
+    assert export_edge_list(build_bipartite_graph(led, *worked_examples.SIX_TX_WINDOW)) \
         == data  # two builds, identical bytes
 
 
@@ -299,8 +300,8 @@ def test_stats_empty_graph():
 
 
 def test_stats_fixture_address_graph():
-    led = fixtures.six_tx_network()
-    stats = graph_stats(build_address_graph(led, *fixtures.SIX_TX_WINDOW))
+    led = worked_examples.six_tx_network()
+    stats = graph_stats(build_address_graph(led, *worked_examples.SIX_TX_WINDOW))
     assert stats["nodes"] == 12
 
 

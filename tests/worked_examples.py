@@ -1,4 +1,4 @@
-"""The worked examples that the test suite and demos check against.
+"""The worked examples that the test suite checks against.
 
 Ledgers, the account table and the trace walkthrough are read from the
 committed files under ``fixtures/`` at the repository root, through the
@@ -12,11 +12,12 @@ import json
 import os
 from typing import Iterator
 
-from . import account
-from .core import read_lines
-from .utxo import COIN, Ledger, load_jsonl
+from ledgergraph import account
+from ledgergraph.core import read_lines
+from ledgergraph.scenario import replay_ripple
+from ledgergraph.utxo import COIN, Ledger, load_jsonl
 
-_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "fixtures")
+_DIR = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 def _lines(name: str) -> Iterator[str]:
@@ -115,7 +116,6 @@ def rippling_network():
     tim and john; the alice route offers only 18. Built by replaying the
     set-up lines (every line but the payments) of rippling_payment.jsonl.
     """
-    from .scenario import replay_ripple
     setup = [line for line in _lines("rippling_payment.jsonl")
              if json.loads(line)["op"] != "pay"]
     led, _log = replay_ripple(setup)
