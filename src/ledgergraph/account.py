@@ -74,9 +74,10 @@ class AccountTx:
     block_height: int
     block_index: int
     timestamp: int = 0
-    input_data: bytes = b""
 
     def __post_init__(self) -> None:
+        if self.amount_wei < 0:
+            raise BadRecordError("amount must be non-negative")
         if self.nonce < 0:
             raise BadRecordError("nonce must be non-negative")
         if self.sender == NULL_ADDRESS:
@@ -204,7 +205,10 @@ def deploy_token(owner: str, symbol: str, decimals: int, supply: int,
     """Create a token contract at the address deterministically derived
     from (owner, nonce): "0x" and the first 40 hex digits of
     sha256("owner:nonce"). Replaying the same pair yields the same address;
-    symbols are not assumed unique."""
+    symbols are not assumed unique. A negative supply raises
+    BadRecordError."""
+    if supply < 0:
+        raise BadRecordError("token supply must be non-negative")
     raw = hashlib.sha256(f"{owner}:{nonce}".encode("utf-8")).hexdigest()
     address = "0x" + raw[:40]
     return TokenContract(address=address, owner=owner, symbol=symbol,
@@ -349,7 +353,8 @@ class TraceExecutor:
 def replay_token_script(lines: Iterable[str]) -> TokenLedger:
     """Apply a token script: ``{"op": "deploy", "owner", "symbol",
     "decimals"?, "supply", "nonce"}`` and ``{"op": "transfer", "token",
-    "from", "to", "amount", "tx"?}`` lines; other ops are skipped."""
+    "from", "to", "amount", "tx"?}`` lines; any other op raises
+    BadRecordError naming its line."""
     ledger = TokenLedger()
     for line_no, r in jsonl_records(lines):
         with at_line(line_no):
@@ -364,6 +369,8 @@ def replay_token_script(lines: Iterable[str]) -> TokenLedger:
                     get_field(r, "token"), get_field(r, "from"),
                     get_field(r, "to"), get_field(r, "amount", int),
                     get_field(r, "tx", str, ""))
+            else:
+                raise BadRecordError(f"unknown token op {op!r}")
     return ledger
 
 
@@ -372,7 +379,8 @@ def run_trace_script(lines: Iterable[str],
     """Run a trace script and return one trace per transaction, in order.
     ``{"op": "behavior", "address", "calls": [{"to", "kind"?, "value"?}]}``
     sets what a contract calls whenever invoked, from then on;
-    ``{"op": "tx", "id", "from", "to", "value"?}`` runs a transaction."""
+    ``{"op": "tx", "id", "from", "to", "value"?}`` runs a transaction;
+    any other op raises BadRecordError naming its line."""
     executor = TraceExecutor(call_budget=call_budget)
     traces = []
     for line_no, r in jsonl_records(lines):
@@ -387,4 +395,6 @@ def run_trace_script(lines: Iterable[str],
                 traces.append(executor.run(
                     get_field(r, "id"), get_field(r, "from"), get_field(r, "to"),
                     get_field(r, "value", int, 0)))
+            else:
+                raise BadRecordError(f"unknown trace op {op!r}")
     return traces

@@ -68,7 +68,6 @@ class ChainletMatrices:
     """Paired N x N occurrence and amount matrices (1-based C(x,y) indexing
     maps to row x-1, column y-1). Coinbases (x = 0) have no row."""
 
-    N: int
     occurrence: np.ndarray
     amount: np.ndarray
 
@@ -172,7 +171,7 @@ def amount_matrix(snapshot: Sequence[FirstOrderChainlet], n: int) -> np.ndarray:
 
 def build_matrices(snapshot: Sequence[FirstOrderChainlet],
                    n: int = DEFAULT_N) -> ChainletMatrices:
-    return ChainletMatrices(n, occurrence_matrix(snapshot, n),
+    return ChainletMatrices(occurrence_matrix(snapshot, n),
                             amount_matrix(snapshot, n))
 
 

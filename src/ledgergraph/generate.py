@@ -35,17 +35,18 @@ def derive_rng(seed: int, label: str) -> random.Random:
 # --------------------------------------------------------------------------
 # UTXO
 
+FEE_MIN = 1_000
+FEE_MAX = 100_000
+COINBASE_OUTPUTS = 5
+MAX_DIM = 5  # cap on the smaller transaction side
+
+
 @dataclass(frozen=True)
 class UtxoSpec:
     tx_count: int = 1000
     txs_per_block: int = 50
     split_bias: float = 0.75  # remainder splits evenly into merge/transition
     address_reuse_p: float = 0.0
-    fee_min: int = 1_000
-    fee_max: int = 100_000
-    coinbase_outputs: int = 5
-    subsidy: int = INITIAL_SUBSIDY
-    max_dim: int = 5  # cap on the smaller transaction side
 
 
 class _AddressPool:
@@ -105,16 +106,16 @@ def generate_utxo(spec: UtxoSpec, seed: int) -> Ledger:
             cls = "merge"
         else:
             cls = "transition"
-        small = rng.randint(1, spec.max_dim)
+        small = rng.randint(1, MAX_DIM)
         if cls == "split":
-            x, y = small, small + rng.randint(1, spec.max_dim)
+            x, y = small, small + rng.randint(1, MAX_DIM)
         elif cls == "merge":
-            y, x = small, small + rng.randint(1, spec.max_dim)
+            y, x = small, small + rng.randint(1, MAX_DIM)
         else:
             x = y = small
         x = min(x, len(pool))
         if x == 0:
-            raise RuntimeError("output pool exhausted; raise coinbase_outputs")
+            raise RuntimeError("output pool exhausted; raise COINBASE_OUTPUTS")
         if cls == "transition":
             y = x
         elif cls == "merge":
@@ -123,8 +124,7 @@ def generate_utxo(spec: UtxoSpec, seed: int) -> Ledger:
             y = max(y, x + 1)
         picks = draw_inputs(x)
         in_sum = sum(a for _r, a in picks)
-        fee = rng.randint(spec.fee_min,
-                          min(spec.fee_max, max(spec.fee_min, in_sum // 10)))
+        fee = rng.randint(FEE_MIN, min(FEE_MAX, max(FEE_MIN, in_sum // 10)))
         fee = min(fee, max(0, in_sum - y))  # never starve the outputs
         if in_sum < y:
             # all-dust inputs; shrink the fan-out so every output stays >= 1
@@ -141,12 +141,12 @@ def generate_utxo(spec: UtxoSpec, seed: int) -> Ledger:
 
     height = 0
     genesis_outs = tuple(
-        Output("gen0", i, spec.subsidy // 64, addresses.next())
+        Output("gen0", i, INITIAL_SUBSIDY // 64, addresses.next())
         for i in range(64)
     )
     genesis = UtxoTransaction("gen0", (), genesis_outs, coinbase=True,
                               block_height=0)
-    ledger.apply_block(Block(0, 0, (genesis,), spec.subsidy))
+    ledger.apply_block(Block(0, 0, (genesis,), INITIAL_SUBSIDY))
     pool.extend((o.ref, o.amount) for o in genesis_outs)
 
     made = 0
@@ -161,15 +161,15 @@ def generate_utxo(spec: UtxoSpec, seed: int) -> Ledger:
             # same-block chaining: fresh outputs are spendable immediately
             pool.extend((o.ref, o.amount) for o in tx.outputs)
         cb_id = f"cb{height:08d}"
-        share = spec.subsidy // spec.coinbase_outputs
+        share = INITIAL_SUBSIDY // COINBASE_OUTPUTS
         cb_outs = tuple(
             Output(cb_id, i, share + (fee_sum if i == 0 else 0), addresses.next())
-            for i in range(spec.coinbase_outputs)
+            for i in range(COINBASE_OUTPUTS)
         )
         coinbase = UtxoTransaction(cb_id, (), cb_outs, coinbase=True,
                                    block_height=height)
         ledger.apply_block(Block(height, height * 600, (coinbase, *txs),
-                                 spec.subsidy))
+                                 INITIAL_SUBSIDY))
         pool.extend((o.ref, o.amount) for o in cb_outs)
         made += batch
     return ledger
@@ -178,34 +178,36 @@ def generate_utxo(spec: UtxoSpec, seed: int) -> Ledger:
 # --------------------------------------------------------------------------
 # Account
 
+ACCOUNTS = 20
+ACCOUNT_TXS_PER_BLOCK = 25
+NULL_P = 0.02  # share of transactions sent to the NULL address
+AMOUNT_MAX = 10**9
+
+
 @dataclass(frozen=True)
 class AccountSpec:
     tx_count: int = 1000
-    accounts: int = 20
-    txs_per_block: int = 25
-    null_p: float = 0.02
-    amount_max: int = 10**9
 
 
 def generate_account_txs(spec: AccountSpec, seed: int):
     from .account import NULL_ADDRESS, AccountTx
     rng = derive_rng(seed, "account")
-    names = [f"e{i:04d}" for i in range(spec.accounts)]
+    names = [f"e{i:04d}" for i in range(ACCOUNTS)]
     nonces = {n: 0 for n in names}
     txs = []
     height, index = 1, 0
     for i in range(spec.tx_count):
-        if index >= spec.txs_per_block:
+        if index >= ACCOUNT_TXS_PER_BLOCK:
             height += 1
             index = 0
         sender = rng.choice(names)
-        if rng.random() < spec.null_p:
+        if rng.random() < NULL_P:
             to = NULL_ADDRESS
         else:
             to = rng.choice([n for n in names if n != sender])
         index += 1
         txs.append(AccountTx(
-            sender=sender, to=to, amount_wei=rng.randint(1, spec.amount_max),
+            sender=sender, to=to, amount_wei=rng.randint(1, AMOUNT_MAX),
             nonce=nonces[sender], block_height=height, block_index=index,
             timestamp=height * 12,
         ))
@@ -216,13 +218,15 @@ def generate_account_txs(spec: AccountSpec, seed: int):
 # --------------------------------------------------------------------------
 # Ripple
 
+CURRENCY = "USD"
+LIMIT_MAX = 1000
+XRP_FUNDING = 1_000_000_000
+
+
 @dataclass(frozen=True)
 class RippleSpec:
     accounts: int = 12
     trust_density: float = 0.25
-    currency: str = "USD"
-    limit_max: int = 1000
-    xrp_funding: int = 1_000_000_000
 
 
 def generate_trust_graph(spec: RippleSpec, seed: int):
@@ -231,29 +235,30 @@ def generate_trust_graph(spec: RippleSpec, seed: int):
     led = RippleLedger()
     names = [f"r{i:04d}" for i in range(spec.accounts)]
     for n in names:
-        led.create_account(n, xrp_drops=spec.xrp_funding)
+        led.create_account(n, xrp_drops=XRP_FUNDING)
     for lender in names:
         for borrower in names:
             if lender == borrower or rng.random() >= spec.trust_density:
                 continue
-            limit = rng.randint(10, spec.limit_max)
-            led.set_trust(lender, borrower, spec.currency, limit, no_ripple=False)
+            limit = rng.randint(10, LIMIT_MAX)
+            led.set_trust(lender, borrower, CURRENCY, limit, no_ripple=False)
             used = rng.randint(0, limit // 2)
             if used:
-                led.adjust_line_debt(lender, borrower, spec.currency, used)
+                led.adjust_line_debt(lender, borrower, CURRENCY, used)
     return led
 
 
 # --------------------------------------------------------------------------
 # Tangle
 
+ADDRESSES = 8
+FUNDING = 1_000_000
+
+
 @dataclass(frozen=True)
 class TangleSpec:
-    addresses: int = 8
-    funding: int = 1_000_000
     bundles_per_cycle: int = 6
     cycles: int = 10
-    milestone_every: int = 1
     snapshot_every: int = 5
     tip_strategy: str = "uniform-random"
     difficulty: int = 0
@@ -265,10 +270,10 @@ def generate_tangle(spec: TangleSpec, seed: int):
     from .iota.bundles import build_bundle
     from .iota.tangle import TangleState
     rng = derive_rng(seed, "tangle")
-    names = [f"IOTAADDR{i:02d}" for i in range(spec.addresses)]
-    state = TangleState({n: spec.funding for n in names})
+    names = [f"IOTAADDR{i:02d}" for i in range(ADDRESSES)]
+    state = TangleState({n: FUNDING for n in names})
     totals = [sum(state.balances.values())]
-    spendable = {n: spec.funding for n in names}
+    spendable = {n: FUNDING for n in names}
     for cycle in range(spec.cycles):
         for b in range(spec.bundles_per_cycle):
             candidates = [n for n in names if spendable.get(n, 0) > 1]
@@ -288,9 +293,8 @@ def generate_tangle(spec: TangleSpec, seed: int):
             state.attach(bundle, tips, difficulty=spec.difficulty)
             spendable[src] = keep
             spendable[dst] = spendable.get(dst, 0) + amount
-        if (cycle + 1) % spec.milestone_every == 0:
-            state.issue_milestone(timestamp=cycle * 60 + 59)
-            totals.append(sum(state.balances.values()))
+        state.issue_milestone(timestamp=cycle * 60 + 59)
+        totals.append(sum(state.balances.values()))
         if (cycle + 1) % spec.snapshot_every == 0:
             _balances, state = state.snapshot()
             totals.append(sum(state.balances.values()))

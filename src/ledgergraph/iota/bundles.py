@@ -1,18 +1,17 @@
 """Bundle construction: the atomic group of input, output and
 signature-fragment transactions realizing one transfer. Values sum to
 zero (no fees); a level-s input is followed by s-1 zero-value fragment
-transactions holding the rest of its signature."""
+transactions, which stand in the bundle for the rest of its signature.
+Signatures are out of scope, so neither kind carries signature content;
+no hash, export or check would read it."""
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from ..core import BadAmountError, LedgerError
 from .keys import KEY_FRAGMENT_TRYTES, check_security_level
-from .sponge import MixerSponge, squeeze_blocks
+from .sponge import MixerSponge
 from .trinary import ascii_to_trits, encode_trytes
 
 __all__ = ["TangleTransaction", "Bundle", "UnbalancedBundleError",
@@ -30,13 +29,9 @@ class FragmentTooLongError(LedgerError):
 @dataclass
 class TangleTransaction:
     """One DAG node. Negative value: input; positive: output; zero:
-    message or signature fragment. Filled-in trunk/branch/hash/nonce are
-    assigned at attach time and never change afterwards.
-
-    `fragment_source` is a message's data as given, or the (spending
-    address, security level, position) of an input's signature fragment,
-    which is derived only when `signature_fragment` is read: no hash,
-    export or check reads it."""
+    message or signature fragment. `data` is a message's data as given,
+    empty for every other transaction. Filled-in trunk/branch/hash/nonce
+    are assigned at attach time and never change afterwards."""
 
     address: str
     value: int
@@ -44,25 +39,17 @@ class TangleTransaction:
     index: tuple[int, int] = (0, 0)  # position / last index
     tag: str = ""
     timestamp: int = 0
-    fragment_source: str | tuple[str, int, int] = ""
+    data: str = ""
     hash: str = ""
     trunk: str = ""
     branch: str = ""
     nonce: int = 0
 
     def __post_init__(self) -> None:
-        if (isinstance(self.fragment_source, str)
-                and len(self.fragment_source) > KEY_FRAGMENT_TRYTES):
+        if len(self.data) > KEY_FRAGMENT_TRYTES:
             raise FragmentTooLongError(
-                f"message data of {len(self.fragment_source)} characters; "
+                f"message data of {len(self.data)} characters; "
                 f"a signatureMessageFragment holds at most {KEY_FRAGMENT_TRYTES}")
-
-    @property
-    def signature_fragment(self) -> str:
-        if isinstance(self.fragment_source, str):
-            return self.fragment_source
-        address, level, position = self.fragment_source
-        return _fragment_blobs(address, level)[position]
 
     def essence(self) -> str:
         return (f"{self.address}|{self.value}|{self.tag}|"
@@ -85,19 +72,6 @@ def compute_bundle_hash(txs: list[TangleTransaction]) -> str:
     for tx in txs:
         sponge.absorb(ascii_to_trits(tx.essence()))
     return encode_trytes(sponge.squeeze())
-
-
-# Read by TangleTransaction.signature_fragment, so a bundle's fragments
-# are squeezed only when one of them is read, and then all of them in one
-# batch; reading another fragment of the same input, or of any input from
-# the same address and level, squeezes nothing. 256 entries of at most
-# three fragments bound the memo at about 1.6 MiB.
-@functools.lru_cache(maxsize=256)
-def _fragment_blobs(address: str, level: int) -> tuple[str, ...]:
-    """Opaque signature stand-ins of a level-`level` input, one fragment
-    (2187 trytes) per position, squeezed as one batch."""
-    rows = np.stack([ascii_to_trits(f"sig|{address}|{p}") for p in range(level)])
-    return tuple(encode_trytes(trits) for trits in squeeze_blocks(rows, 27))
 
 
 def build_bundle(inputs: list[tuple[str, int, int]],
@@ -125,7 +99,7 @@ def build_bundle(inputs: list[tuple[str, int, int]],
         for position in range(level):
             txs.append(TangleTransaction(
                 address=address, value=0 if position else -amount, tag=tag,
-                timestamp=timestamp, fragment_source=(address, level, position)))
+                timestamp=timestamp))
     for (address, amount) in outputs:
         txs.append(TangleTransaction(address=address, value=amount, tag=tag,
                                      timestamp=timestamp))
@@ -144,7 +118,7 @@ def message_transaction(address: str, tag: str = "", timestamp: int = 0,
     """A standalone zero-value (message) transaction as its own bundle.
     Data longer than one fragment (2187 characters) is rejected, not cut."""
     tx = TangleTransaction(address=address, value=0, tag=tag,
-                           timestamp=timestamp, fragment_source=data)
+                           timestamp=timestamp, data=data)
     bundle_hash = compute_bundle_hash([tx])
     tx.bundle = bundle_hash
     return Bundle(bundle_hash, [tx])

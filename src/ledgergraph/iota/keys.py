@@ -4,8 +4,8 @@ The pipeline shape follows the one-time-address scheme: the subseed is
 the sponge digest of the seed with the key index added into its trailing
 trits; the private key squeezes 27 blocks of 81 trytes per security
 level; the address hashes each 81-tryte key segment 26 times and digests
-the segment hashes together. Signing itself is replaced by opaque
-fragment blobs elsewhere; only sizes and determinism matter here.
+the segment hashes together. Signing itself is out of scope: bundles
+carry no signature content; only sizes and determinism matter here.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ formula's trit for trit; the tests keep that formula as the oracle.
 
 A sponge holds one state or a batch of independent states, shape
 (..., 729); every step acts on each state alike, so k chains that do not
-depend on each other (fragments, key segments) advance through one
+depend on each other (key segments) advance through one
 permutation call instead of k: one pack and one unpack for the batch,
 and the rounds row by row. The permutation that follows a
 squeezed block runs only when something reads on: before the next

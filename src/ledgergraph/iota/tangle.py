@@ -103,18 +103,16 @@ class TangleState:
     def _known(self, ref: str) -> bool:
         return ref == GENESIS_HASH or ref in self.transactions
 
-    def _pow_hash(self, tx: TangleTransaction, difficulty: int,
-                  budget: int) -> tuple[str, int]:
+    def _pow_hash(self, tx: TangleTransaction, difficulty: int) -> tuple[str, int]:
         base = f"{tx.essence()}|{tx.trunk}|{tx.branch}|"
-        for nonce in range(budget):
+        for nonce in range(DEFAULT_POW_BUDGET):
             trits = sponge_hash(ascii_to_trits(base + str(nonce)))
             if difficulty == 0 or not trits[-difficulty:].any():
                 return encode_trytes(trits), nonce
         raise PowBudgetExceededError(
-            f"no nonce within {budget} tries for difficulty {difficulty}")
+            f"no nonce within {DEFAULT_POW_BUDGET} tries for difficulty {difficulty}")
 
-    def attach(self, bundle: Bundle, tips: tuple[str, str], difficulty: int = 0,
-               pow_budget: int = DEFAULT_POW_BUDGET) -> str:
+    def attach(self, bundle: Bundle, tips: tuple[str, str], difficulty: int = 0) -> str:
         """Mine and add a bundle referencing two prior transactions.
         Returns the head transaction hash (the new tip). The difficulty
         counts the zero trits a hash must end in, 0-243 (else
@@ -137,7 +135,7 @@ class TangleState:
             tx = txs[i]
             tx.trunk = trunk_tip if i == len(txs) - 1 else hashes[i + 1]
             tx.branch = branch_tip
-            tx.hash, tx.nonce = self._pow_hash(tx, difficulty, pow_budget)
+            tx.hash, tx.nonce = self._pow_hash(tx, difficulty)
             hashes[i] = tx.hash
         for h in hashes:
             if h in self.transactions or h == GENESIS_HASH:

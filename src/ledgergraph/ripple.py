@@ -314,6 +314,8 @@ class RippleLedger:
         return self._seq
 
     def create_account(self, address: str, xrp_drops: int = 0) -> RippleAccount:
+        if xrp_drops < 0:
+            raise BadRecordError("XRP balance must be >= 0")
         if address in self.accounts:
             raise AccountExistsError(f"account {address} exists")
         self.writes += 1
@@ -571,14 +573,6 @@ class RippleLedger:
             positions[state.low] = positions.get(state.low, 0) + state.balance
             positions[state.high] = positions.get(state.high, 0) - state.balance
         return positions
-
-    def holding(self, address: str, currency: str, issuer: str | None) -> int:
-        """Spendable amount of an issued currency (net positive position on
-        the line with the issuer, or over all its lines when issuer is
-        None), or the XRP balance."""
-        if currency == "XRP":
-            return self.account(address).xrp_balance
-        return max(0, _Legs(self).position(address, currency, issuer))
 
     # -- direct payments ------------------------------------------------------
 

@@ -80,8 +80,7 @@ def build_transaction_graph(ledger: Ledger, start: int | None = None,
 
 
 def build_address_graph(ledger: Ledger, start: int | None = None,
-                        end: int | None = None,
-                        coinbase_source: str | None = None) -> AddressGraph:
+                        end: int | None = None) -> AddressGraph:
     """Weighted address graph: for every transaction, every (input address,
     output address) pair gets one edge weighted
 
@@ -89,8 +88,8 @@ def build_address_graph(ledger: Ledger, start: int | None = None,
 
     as an exact rational, so the per-transaction edge weights sum to the
     transaction's input total. Each weight goes into the columns as its
-    reduced (num, den) pair. Coinbase transactions contribute edges only
-    when a virtual source node name is supplied.
+    reduced (num, den) pair. Coinbase transactions have no input address
+    and contribute no edge.
     """
     txs = txs_in_range(ledger, start, end)
     sources: list[str] = []
@@ -105,24 +104,20 @@ def build_address_graph(ledger: Ledger, start: int | None = None,
                     f"output {out.ref} has a hidden amount (RingCT); "
                     "address graph needs visible amounts"
                 )
-        out_total = tx.output_total()
         if tx.coinbase:
-            if coinbase_source is None:
-                continue
-            ins: list[tuple[str, int]] = [(coinbase_source, out_total)]
-        else:
-            ins = []
-            for ref in tx.inputs:
-                spent = ledger.output(ref)
-                if not spent.amount_visible:
-                    raise HiddenAmountError(
-                        f"input {ref} has a hidden amount (RingCT)"
-                    )
-                ins.append((spent.address, spent.amount))
+            continue
+        ins = []
+        for ref in tx.inputs:
+            spent = ledger.output(ref)
+            if not spent.amount_visible:
+                raise HiddenAmountError(
+                    f"input {ref} has a hidden amount (RingCT)"
+                )
+            ins.append((spent.address, spent.amount))
         out_addresses = [out.address for out in tx.outputs]
         out_amounts = [out.amount for out in tx.outputs]
         row_attrs = [(("txid", tx.id),)] * len(out_amounts)
-        total = out_total or 1  # outputs summing to 0 give every edge 0/1
+        total = tx.output_total() or 1  # outputs summing to 0 give every edge 0/1
         for src_addr, src_amount in ins:
             sources.extend([src_addr] * len(out_amounts))
             targets.extend(out_addresses)

@@ -172,8 +172,8 @@ def test_criterion_6_offer_matching():
         hold(led, "o2", usd(0), 10)
         led.create_offer("o1", eur(7), usd(10))
         led.create_offer("o2", usd(10), eur(7))
-        assert led.holding("o2", "EUR", "issE") == 7
-        assert led.holding("o1", "USD", "issU") == 10
+        assert worked_examples.holding(led, "o2", "EUR", "issE") == 7
+        assert worked_examples.holding(led, "o1", "USD", "issU") == 10
 
         led2 = RippleLedger()
         for n in ("o1", "o2", "issE", "issU"):
@@ -182,8 +182,8 @@ def test_criterion_6_offer_matching():
         hold(led2, "o2", usd(0), 10)
         led2.create_offer("o1", eur(7), usd(9))
         led2.create_offer("o2", usd(10), eur(7))
-        assert led2.holding("o2", "EUR", "issE") == 7
-        assert led2.holding("o2", "USD", "issU") == 1  # keeps its 1 USD
+        assert worked_examples.holding(led2, "o2", "EUR", "issE") == 7
+        assert worked_examples.holding(led2, "o2", "USD", "issU") == 1  # keeps its 1 USD
 
         traders, stream = generate_offer_stream(OfferSpec(count=1000), seed=99)
         engine = RippleLedger()
@@ -202,7 +202,7 @@ def test_criterion_6_offer_matching():
         assert engine_rows == oracle.book_rows()
         for t in traders:
             for cur in ("USD", "EUR"):
-                assert engine.holding(t, cur, "issuerX") == \
+                assert worked_examples.holding(engine, t, cur, "issuerX") == \
                     oracle.balances[(t, cur)]
 
 

@@ -105,8 +105,7 @@ def test_trade_flow_two_partial_views():
     # coin leg: a1 pays a2 100 wei; token leg: a2 sends 2 tokens to a1
     coin_txs = [atx("a1", "a2", 100, 0, 5, 1),
                 AccountTx(sender="a2", to="a3", amount_wei=0, nonce=0,
-                          block_height=6, block_index=1,
-                          input_data=b"transfer(a1,2)")]
+                          block_height=6, block_index=1)]
     coin_graph = build_account_graph(coin_txs)
     assert ("a1", "a2", 100) in [(e.source, e.target, e.weight)
                                  for e in coin_graph.edges]

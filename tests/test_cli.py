@@ -863,6 +863,23 @@ NO_COINBASE_FIRST = "\n".join([
     pytest.param({"s.jsonl": b'{"op": "atach_message"}\n'}, ["iota", "grow", "s.jsonl"],
                  "bad-record", "line 1: unknown tangle op 'atach_message'",
                  id="tangle-unknown-op"),
+    pytest.param({"t.jsonl": b'{"op":"bogus"}\n'}, ["account", "tokens", "t.jsonl"],
+                 "bad-record", "line 1: unknown token op 'bogus'", id="token-unknown-op"),
+    pytest.param({"t.jsonl": b'{"op":"txx"}\n'}, ["account", "traces", "t.jsonl"],
+                 "bad-record", "line 1: unknown trace op 'txx'", id="trace-unknown-op"),
+    pytest.param({"in.jsonl": (ACCOUNT_LINE % "-7").encode()},
+                 ["account", "graph", "in.jsonl"],
+                 "bad-record", "line 1: amount must be non-negative",
+                 id="account-negative-amount"),
+    pytest.param({"s.jsonl": b'{"op":"create_account","address":"a","xrp":-5}\n'},
+                 ["ripple", "pay", "s.jsonl"],
+                 "bad-record", "line 1: XRP balance must be >= 0",
+                 id="ripple-negative-xrp"),
+    pytest.param({"t.jsonl": b'{"op":"deploy","owner":"a","symbol":"X","supply":-5,'
+                             b'"nonce":0}\n'},
+                 ["account", "tokens", "t.jsonl"],
+                 "bad-record", "line 1: token supply must be non-negative",
+                 id="token-negative-supply"),
     pytest.param({"lg.conf": b"out=a\0b\n"},
                  ["--config", "lg.conf", "generate", "ripple"],
                  "bad-config", "out='a\\x00b': holds a NUL character", id="config-nul"),

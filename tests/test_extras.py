@@ -22,8 +22,6 @@ from ledgergraph.utxo import (
     UnshieldedCoinbaseError,
     UtxoTransaction,
 )
-from ledgergraph.utxo_graphs import build_address_graph
-
 import worked_examples
 
 
@@ -64,17 +62,6 @@ def test_zcash_coinbase_shielding_rule_flag():
         led.validate_coinbase(public_cb, 0, 10)
 
 
-def test_coinbase_virtual_source_node():
-    led = worked_examples.six_tx_network()
-    default = build_address_graph(led, *worked_examples.SIX_TX_WINDOW)
-    assert all(e.source != "COINBASE" for e in default.edges)
-    with_source = build_address_graph(led, *worked_examples.SIX_TX_WINDOW,
-                                      coinbase_source="COINBASE")
-    cb_edges = [e for e in with_source.edges if e.source == "COINBASE"]
-    assert len(cb_edges) == 3  # t3 pays two addresses, t4 one
-    assert sum(e.weight for e in cb_edges) == Fraction(220_000_000)
-
-
 # -- ripple flag corners ---------------------------------------------------------------
 
 def test_default_ripple_overrides_line_flags():
@@ -107,8 +94,8 @@ def test_issued_currency_check_cash():
     led.adjust_line_debt("s", "gw", "USD", 100)  # s holds 100 USD.gw
     check = led.write_check("s", "r", CurrencyValue("USD", "gw", 80))
     assert led.cash_check(check.check_id, 30) == 30
-    assert led.holding("s", "USD", "gw") == 70
-    assert led.holding("r", "USD", "gw") == 30
+    assert worked_examples.holding(led, "s", "USD", "gw") == 70
+    assert worked_examples.holding(led, "r", "USD", "gw") == 30
 
 
 def test_cancel_offer_removes_from_book():

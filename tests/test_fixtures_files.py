@@ -47,8 +47,8 @@ def test_double_spend_script_outcome():
 def test_offer_script_outcome():
     led, log = scenario.replay_ripple(read("offer_examples.jsonl").splitlines())
     assert all(e["ok"] for e in log)
-    assert led.holding("o2", "EUR", "issE") == 7
-    assert led.holding("o1", "USD", "issU") == 10
+    assert worked_examples.holding(led, "o2", "EUR", "issE") == 7
+    assert worked_examples.holding(led, "o1", "USD", "issU") == 10
     assert led.book_rows() == []  # full cross leaves no residual
 
 

@@ -17,7 +17,7 @@ from ledgergraph.generate import (
     generate_utxo,
 )
 from ledgergraph.account import validate_nonce_order
-from ledgergraph.utxo import dump_jsonl
+from ledgergraph.utxo import INITIAL_SUBSIDY, dump_jsonl
 
 
 def test_same_seed_same_bytes():
@@ -55,7 +55,7 @@ def test_generated_ledger_revalidates():
     from ledgergraph.utxo import load_jsonl
     led = generate_utxo(UtxoSpec(tx_count=120), seed=5)
     lines = list(dump_jsonl(led))
-    led2 = load_jsonl(lines, subsidy=UtxoSpec().subsidy)
+    led2 = load_jsonl(lines, subsidy=INITIAL_SUBSIDY)
     assert len(led2.transactions) == len(led.transactions)
 
 

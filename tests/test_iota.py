@@ -10,12 +10,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ledgergraph.cli import main as cli_main
-from ledgergraph.iota import bundles as bundles_mod
 from ledgergraph.iota import sponge as sponge_mod
+from ledgergraph.iota import tangle as tangle_mod
 from ledgergraph.iota.bundles import (Bundle, FragmentTooLongError,
-                                      UnbalancedBundleError, _fragment_blobs,
-                                      build_bundle, compute_bundle_hash,
-                                      message_transaction)
+                                      UnbalancedBundleError, build_bundle,
+                                      compute_bundle_hash, message_transaction)
 from ledgergraph.iota.keys import (MAX_KEY_INDEX, BadKeyLengthError,
                                    IndexOutOfRangeError, derive_address,
                                    derive_private_key, derive_subseed)
@@ -168,7 +167,7 @@ def test_table_bundle_sums_to_zero():
     assert bundle.value_sum() == 0
     assert len(bundle.transactions) == 4  # input + fragment + two outputs
     frag = bundle.transactions[1]
-    assert frag.value == 0 and len(frag.signature_fragment) == 2187
+    assert frag.value == 0 and frag.data == ""
 
 
 def test_unbalanced_bundle_rejected():
@@ -181,8 +180,7 @@ def test_fragment_sizes_and_signature_lengths():
     input_txs = [tx for tx in bundle.transactions if tx.value < 0]
     fragments = [tx for tx in bundle.transactions if tx.value == 0]
     assert len(input_txs) == 1 and len(fragments) == 2
-    for tx in input_txs + fragments:
-        assert len(tx.signature_fragment) == 2187
+    assert [tx.address for tx in fragments] == ["A", "A"]
 
 
 def test_bundle_hash_changes_with_any_member():
@@ -240,8 +238,6 @@ def test_bundle_known_answers():
                           tag="T", timestamp=3)
     assert bundle.bundle_hash == (
         "XYCSAANHFNZHOWXPYUIMZOTDX9WLFUIZYWAZNXBWWLBGPABSS9CXVMSIUWSAY9EGPKLOHVNCGHEAFMACC")
-    assert _sha256(_fragment_blobs("A" * 81, 2)[1]) == (
-        "3e60a2e6fc291e35fb7c30470a2806f2c2a6cad2979d79c6c89035920cbd2a0b")
 
 
 def test_iota_grow_known_answer(tmp_path):
@@ -356,20 +352,11 @@ def test_level2_bundle_transform_count(monkeypatch):
         original(self)
 
     monkeypatch.setattr(MixerSponge, "_transform", counted)
-    _fragment_blobs.cache_clear()
-    bundle = build_bundle([("A" * 81, 2, 10)], [("B" * 81, 4), ("C" * 81, 6)],
-                          tag="T", timestamp=3)
+    build_bundle([("A" * 81, 2, 10)], [("B" * 81, 4), ("C" * 81, 6)],
+                 tag="T", timestamp=3)
     # the bundle hash absorbs four essences of 3 blocks each and reads its
-    # digest with no permutation after it; no fragment is derived
+    # digest with no permutation after it
     assert len(calls) == 4 * 3
-    calls.clear()
-    fragments = [tx.signature_fragment for tx in bundle.transactions[:2]]
-    # the first read squeezes both fragment blobs as one batch: 3 absorbed
-    # blocks, then 27 blocks read with 26 permutations between them
-    assert len(calls) == 3 + 26
-    calls.clear()
-    assert [tx.signature_fragment for tx in bundle.transactions[:2]] == fragments
-    assert calls == []
 
 
 # -- oracles for the batched sponge ----------------------------------------------
@@ -456,49 +443,7 @@ def test_batched_squeeze_blocks_equals_per_row(k, blocks, count, seed):
     assert np.array_equal(squeeze_blocks(rows, count), np.stack(per_row))
 
 
-def test_fragment_memo_hit_returns_the_blob_a_miss_squeezed(monkeypatch):
-    calls = []
-    original = MixerSponge._transform
-
-    def counted(self):
-        calls.append(1)
-        original(self)
-
-    monkeypatch.setattr(MixerSponge, "_transform", counted)
-    direct = tuple(encode_trytes(loop_squeeze(ascii_to_trits(f"sig|A1|{p}"), 27))
-                   for p in range(3))
-    _fragment_blobs.cache_clear()
-    calls.clear()
-    assert _fragment_blobs("A1", 3) == direct  # a miss
-    assert len(calls) == 1 + 26  # one batch: a 1-block absorb, 27 reads
-    calls.clear()
-    assert _fragment_blobs("A1", 3) == direct  # a hit
-    assert calls == []
-    assert _fragment_blobs.cache_info()[:2] == (1, 1)  # hits, misses
-
-
-@given(st.lists(st.tuples(st.text(alphabet=TRYTE_ALPHABET + "abc|", min_size=1,
-                                   max_size=90),
-                           st.integers(1, 3)),
-                min_size=1, max_size=2))
-@settings(max_examples=20, deadline=None)
-def test_fragment_read_equals_the_eager_blob(inputs):
-    bundle = build_bundle([(address, level, 1) for address, level in inputs],
-                          [("OUT", len(inputs))])
-    txs = iter(bundle.transactions)
-    for address, level in inputs:
-        eager = _fragment_blobs.__wrapped__(address, level)
-        for position in range(level):
-            fragment = next(txs).signature_fragment
-            assert fragment == eager[position]
-            assert len(fragment) == 2187
-
-
-def test_repr_eq_and_attach_derive_no_fragment(monkeypatch):
-    def refuse(address, level):
-        raise AssertionError(f"fragment of {address} derived")
-
-    monkeypatch.setattr(bundles_mod, "_fragment_blobs", refuse)
+def test_repr_eq_and_attach_derive_no_fragment():
     bundle = build_bundle([("a1", 3, 100)], [("r1", 100)], timestamp=1)
     assert all(repr(tx) for tx in bundle.transactions)
     assert bundle == build_bundle([("a1", 3, 100)], [("r1", 100)], timestamp=1)
@@ -509,13 +454,6 @@ def test_repr_eq_and_attach_derive_no_fragment(monkeypatch):
     assert head in state.confirmed and state.export_csv()
 
 
-def test_fragment_keeps_the_address_it_was_built_for():
-    bundle = build_bundle([("a1", 2, 100)], [("r1", 100)])
-    for position, tx in enumerate(bundle.transactions[:2]):
-        tx.address = "elsewhere"
-        assert tx.signature_fragment == _fragment_blobs("a1", 2)[position]
-
-
 def test_message_data_longer_than_a_fragment_is_rejected():
     state = simple_state()
     g = GENESIS_HASH
@@ -524,7 +462,7 @@ def test_message_data_longer_than_a_fragment_is_rejected():
     assert info.value.code == "fragment-too-long"
     assert state.transactions == {} and state.valid_tips() == [g]
     head = state.attach_message("m", (g, g), data="9" * 2187)
-    assert state.transactions[head].signature_fragment == "9" * 2187
+    assert state.transactions[head].data == "9" * 2187
 
 
 def test_replay_logs_an_over_long_message_and_goes_on():
@@ -570,16 +508,17 @@ def test_attach_unknown_tip_rejected():
         state.attach_message("x", ("Q" * 81, GENESIS_HASH))
 
 
-def test_pow_difficulty_and_budget():
+def test_pow_difficulty_and_budget(monkeypatch):
     state = simple_state()
     head = state.attach_message("x", (GENESIS_HASH, GENESIS_HASH), difficulty=3)
     trits = decode_trytes(state.transactions[head].hash)
     assert trits[-3:] == [0, 0, 0]
     with pytest.raises(PowBudgetExceededError):
         # 40 zero trits at budget 2: winning odds are 3^-40 per try
+        monkeypatch.setattr(tangle_mod, "DEFAULT_POW_BUDGET", 2)
         state2 = simple_state()
         state2.attach(message_transaction("y"), (GENESIS_HASH, GENESIS_HASH),
-                      difficulty=40, pow_budget=2)
+                      difficulty=40)
 
 
 def test_no_valid_tips_error_surface():

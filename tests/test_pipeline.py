@@ -120,30 +120,6 @@ def test_pipeline_iota_script(fixture_dir, tmp_path):
     assert any("a1" in r and "r1" in r for r in graph_rows[1:])
 
 
-def test_pipeline_iota_script_derives_no_signature_fragment(fixture_dir, tmp_path,
-                                                           monkeypatch):
-    """No artifact holds a signature fragment, so a run that may not derive
-    one writes the same bytes."""
-    from ledgergraph.iota import bundles
-
-    def run(name):
-        report = run_pipeline(RunConfig(
-            chain="iota",
-            input_path=str(fixture_dir / "tangle_double_spend.jsonl"),
-            output_dir=str(tmp_path / name),
-            genesis_balances={"a1": 100, "funder": 1000}))
-        return {key: pathlib.Path(path).read_bytes()
-                for key, path in report["outputs"].items()}
-
-    expected = run("plain")
-
-    def refuse(address, level):
-        raise AssertionError(f"fragment of {address} derived")
-
-    monkeypatch.setattr(bundles, "_fragment_blobs", refuse)
-    assert run("refuses") == expected
-
-
 def test_pipeline_account(fixture_dir, tmp_path):
     out = tmp_path / "a"
     report = run_pipeline(RunConfig(

@@ -295,10 +295,10 @@ def test_full_cross():
     led.create_offer("m", eur(7), usd(10, "issU"))
     result = led.create_offer("t", usd(10, "issU"), eur(7))
     assert result["fills"] and not result["rested"]
-    assert led.holding("m", "USD", "issU") == 10
-    assert led.holding("m", "EUR", "issE") == 1000 - 7
-    assert led.holding("t", "EUR", "issE") == 7
-    assert led.holding("t", "USD", "issU") == 1000 - 10
+    assert worked_examples.holding(led, "m", "USD", "issU") == 10
+    assert worked_examples.holding(led, "m", "EUR", "issE") == 1000 - 7
+    assert worked_examples.holding(led, "t", "EUR", "issE") == 7
+    assert worked_examples.holding(led, "t", "USD", "issU") == 1000 - 10
 
 
 def test_favorable_rate_keeps_difference():
@@ -307,8 +307,8 @@ def test_favorable_rate_keeps_difference():
     result = led.create_offer("t", usd(10, "issU"), eur(7))
     assert result["pays_remaining"] == 0  # got all 7 EUR
     assert result["gets_remaining"] == 1  # kept 1 USD
-    assert led.holding("t", "USD", "issU") == 1000 - 9
-    assert led.holding("t", "EUR", "issE") == 7
+    assert worked_examples.holding(led, "t", "USD", "issU") == 1000 - 9
+    assert worked_examples.holding(led, "t", "EUR", "issE") == 7
 
 
 def test_no_cross_rests_in_book():
@@ -473,7 +473,8 @@ def test_tight_funding_engine_and_oracle_agree_on_rejections():
     assert engine_rows == oracle.book_rows()
     for t in traders:
         for cur in ("USD", "EUR"):
-            assert led.holding(t, cur, "issuerX") == oracle.balances[(t, cur)]
+            assert (worked_examples.holding(led, t, cur, "issuerX")
+                    == oracle.balances[(t, cur)])
 
 
 def test_residual_book_matches_brute_force_on_random_streams():
@@ -494,7 +495,8 @@ def test_residual_book_matches_brute_force_on_random_streams():
     assert engine_rows == oracle.book_rows()
     for t in traders:
         for cur in ("USD", "EUR"):
-            assert led.holding(t, cur, "issuerX") == oracle.balances[(t, cur)]
+            assert (worked_examples.holding(led, t, cur, "issuerX")
+                    == oracle.balances[(t, cur)])
 
 
 def test_near_reserve_engine_and_oracle_agree():
@@ -550,7 +552,8 @@ def test_near_reserve_engine_and_oracle_agree():
     assert engine_rows == oracle.book_rows()
     for t in traders:
         for cur in ("USD", "EUR"):
-            assert led.holding(t, cur, "issuerX") == oracle.balances.get((t, cur), 0)
+            assert (worked_examples.holding(led, t, cur, "issuerX")
+                    == oracle.balances.get((t, cur), 0))
         assert led.account(t).owned_objects == len(oracle.lines[t])
 
 

@@ -122,6 +122,15 @@ def rippling_network():
     return led
 
 
+def holding(led, address: str, currency: str, issuer: str) -> int:
+    """What `address` holds of `currency` issued by `issuer`: its net
+    positive balance on their trust line, 0 when there is no line."""
+    state = led.line(address, issuer, currency)
+    if state is None:
+        return 0
+    return max(0, state.balance if state.low == address else -state.balance)
+
+
 # --------------------------------------------------------------------------
 # IOTA fixtures
 
