@@ -7,7 +7,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ledgergraph.cli import main as cli_main
 from ledgergraph.iota import sponge as sponge_mod
@@ -180,7 +180,6 @@ def test_fragment_sizes_and_signature_lengths():
     input_txs = [tx for tx in bundle.transactions if tx.value < 0]
     fragments = [tx for tx in bundle.transactions if tx.value == 0]
     assert len(input_txs) == 1 and len(fragments) == 2
-    assert [tx.address for tx in fragments] == ["A", "A"]
 
 
 def test_bundle_hash_changes_with_any_member():
