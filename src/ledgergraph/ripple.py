@@ -1,7 +1,7 @@
 """Credit-network semantics: trust lines canonicalized into low/high
 records, direct XRP payments, path-based settlements over lender->borrower
 chains (rippling), an order book with price-time priority, checks and
-escrows, partial payments and transfer fees.
+escrows, and partial payments.
 
 Conventions fixed here:
   - RippleState.balance is signed from the low account's perspective;
@@ -29,7 +29,7 @@ from __future__ import annotations
 import csv
 from bisect import insort
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
 from typing import Iterable, Iterator, Sequence
@@ -50,7 +50,6 @@ __all__ = [
     "RippleLedger",
     "ReserveUnmetError",
     "BelowReserveError",
-    "DepositUnauthorizedError",
     "NoPathError",
     "DriedUpPathError",
     "ZeroDeliverableError",
@@ -71,7 +70,7 @@ __all__ = [
 
 BASE_RESERVE_DROPS = 20_000_000  # 20 XRP
 OWNER_RESERVE_DROPS = 5_000_000  # 5 XRP per owned object
-DEFAULT_PATH_DEPTH = 8
+PATH_DEPTH = 8  # most lines a discovered path may cross
 
 
 class ReserveUnmetError(LedgerError):
@@ -80,10 +79,6 @@ class ReserveUnmetError(LedgerError):
 
 class BelowReserveError(LedgerError):
     code = "below-reserve"
-
-
-class DepositUnauthorizedError(LedgerError):
-    code = "deposit-unauthorized"
 
 
 class NoPathError(LedgerError):
@@ -164,11 +159,6 @@ class RippleAccount:
     address: str
     xrp_balance: int = 0  # drops
     owned_objects: int = 0
-    deposit_auth: bool = False
-    default_ripple: bool = False
-    authorized: set[str] = field(default_factory=set)
-    transfer_fee_rate: Fraction = Fraction(0)  # never negative
-    frozen_currencies: set[str] = field(default_factory=set)
 
     def reserve_required(self) -> int:
         return BASE_RESERVE_DROPS + self.owned_objects * OWNER_RESERVE_DROPS
@@ -186,7 +176,6 @@ class RippleState:
     high_limit: int = 0
     low_no_ripple: bool = False
     high_no_ripple: bool = False
-    frozen: bool = False
 
     def __post_init__(self) -> None:
         if not self.low < self.high:
@@ -292,8 +281,7 @@ class RippleLedger:
     as it found it. `line_index` maps (account, currency) to the
     account's lines in that currency, keyed by peer."""
 
-    def __init__(self, path_depth: int = DEFAULT_PATH_DEPTH):
-        self.path_depth = path_depth
+    def __init__(self):
         self.accounts: dict[str, RippleAccount] = {}
         self.states: dict[tuple[str, str, str], RippleState] = {}
         self.state_owners: dict[tuple[str, str, str], set[str]] = {}
@@ -460,14 +448,12 @@ class RippleLedger:
         book order, payments and the sequence counter included."""
         payload = {
             "accounts": {
-                a.address: [a.xrp_balance, a.owned_objects, a.deposit_auth,
-                            sorted(a.authorized), str(a.transfer_fee_rate),
-                            sorted(a.frozen_currencies)]
+                a.address: [a.xrp_balance, a.owned_objects]
                 for a in self.accounts.values()
             },
             "states": {
                 "|".join(k): [s.balance, s.low_limit, s.high_limit,
-                              s.low_no_ripple, s.high_no_ripple, s.frozen,
+                              s.low_no_ripple, s.high_no_ripple,
                               sorted(self.state_owners[k])]
                 for k, s in self.states.items()
             },
@@ -545,8 +531,8 @@ class RippleLedger:
         return state
 
     def available_capacity(self, state: RippleState, borrower: str) -> int:
-        """Remaining credit the lender extends toward the borrower. Freeze
-        and no-ripple flags block whole paths, in _open_hops."""
+        """Remaining credit the lender extends toward the borrower.
+        No-ripple flags block whole paths, in _open_hops."""
         if borrower == state.high:
             capacity = state.low_limit - state.balance
         elif borrower == state.low:
@@ -554,15 +540,6 @@ class RippleLedger:
         else:
             raise ValueError(f"{borrower} is not on this line")
         return max(0, capacity)
-
-    def _effectively_frozen(self, state: RippleState) -> bool:
-        if state.frozen:
-            return True
-        for side in (state.low, state.high):
-            acct = self.accounts.get(side)
-            if acct and state.currency in acct.frozen_currencies:
-                return True
-        return False
 
     def net_positions(self, currency: str) -> dict[str, int]:
         """Signed holdings per account in one currency; always sums to 0."""
@@ -596,8 +573,6 @@ class RippleLedger:
                     f"(base reserve {BASE_RESERVE_DROPS})"
                 )
             self.create_account(receiver)
-        elif dst.deposit_auth and sender not in dst.authorized:
-            raise DepositUnauthorizedError(f"{receiver} requires deposit authorization")
         self._add_xrp(sender, -drops)
         self._add_xrp(receiver, drops)
         self._record_payment((sender, receiver), "XRP", drops, drops)
@@ -615,21 +590,16 @@ class RippleLedger:
     def _open_hops(self, payment_path: Sequence[str],
                    currency: str) -> list[RippleState] | None:
         """The path's lines, hop by hop, or None when the path is blocked."""
-        # A missing line blocks, and so does a frozen one at any hop. An
-        # intermediate node blocks rippling only when its no_ripple flag
-        # is set on both incident lines; an account-level default_ripple
-        # overrides the per-line flags.
+        # A missing line blocks. An intermediate node blocks rippling only
+        # when its no_ripple flag is set on both incident lines.
         lines = []
         for i in range(len(payment_path) - 1):
             state = self.line(payment_path[i], payment_path[i + 1], currency)
-            if state is None or self._effectively_frozen(state):
+            if state is None:
                 return None
             lines.append(state)
         for i in range(1, len(payment_path) - 1):
             node = payment_path[i]
-            acct = self.accounts.get(node)
-            if acct is not None and acct.default_ripple:
-                continue
             if lines[i - 1].no_ripple_of(node) and lines[i].no_ripple_of(node):
                 return None
         return lines
@@ -666,7 +636,7 @@ class RippleLedger:
                 found.sort()
                 yield from found
                 found, yielded = [], True
-            if len(chain) > self.path_depth:
+            if len(chain) > PATH_DEPTH:
                 continue
             for borrower, state in self._borrowers_of(chain[-1], currency):
                 if borrower in chain:
@@ -700,82 +670,44 @@ class RippleLedger:
 
     # -- rippling execution ----------------------------------------------------
 
-    def _hop_amounts(self, path: Sequence[str], delivered: int) -> list[int]:
-        """Hop i carries the delivered amount plus the transfer fees of all
-        intermediaries between that hop and the destination (sender pays)."""
-        amounts = [delivered]
-        for node in reversed(path[1:-1]):
-            acct = self.accounts.get(node)
-            rate = acct.transfer_fee_rate if acct is not None else 0
-            amounts.append(amounts[-1] + (floor(delivered * rate) if rate else 0))
-        amounts.reverse()
-        return amounts
-
-    def _path_feasible(self, path: Sequence[str], states: list[RippleState],
-                       delivered: int) -> bool:
-        amounts = self._hop_amounts(path, delivered)
-        for i, state in enumerate(states):
-            borrower = path[i]
-            if self.available_capacity(state, borrower) < amounts[i]:
-                return False
-        return True
+    def _carried(self, path: Sequence[str], states: list[RippleState],
+                 amount: int) -> int:
+        """What the path carries of the amount: every hop carries the
+        delivered amount, so the tightest hop bounds it."""
+        return max(0, min([amount] + [self.available_capacity(state, path[i])
+                                      for i, state in enumerate(states)]))
 
     def deliverable(self, path: Sequence[str], amount: int, currency: str) -> int:
-        """Largest amount (<= requested) this path can carry right now,
-        fees included; 0 when blocked or exhausted. Never mutates."""
+        """Largest amount (<= requested) this path can carry right now; 0
+        when blocked or exhausted. Never mutates."""
         states = self._open_hops(path, currency)
         if states is None:
             return 0
-        return self._most_feasible(path, states, amount)
-
-    def _most_feasible(self, path: Sequence[str], states: list[RippleState],
-                       amount: int) -> int:
-        """Largest delivered amount in [0, amount] the path can carry.
-        Every hop carries at least the delivered amount (fee rates are
-        never negative), so the tightest hop bounds it: the bound itself
-        when the path carries it, which it does whenever no intermediary
-        charges a fee, and otherwise found by binary search below the
-        bound (feasibility is monotone in the delivered amount)."""
-        hi = max(0, min([amount] + [self.available_capacity(state, path[i])
-                                    for i, state in enumerate(states)]))
-        if self._path_feasible(path, states, hi):
-            return hi
-        lo, hi = 0, hi - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self._path_feasible(path, states, mid):
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+        return self._carried(path, states, amount)
 
     def execute_rippling(self, path: Sequence[str], amount: int, currency: str,
                          partial: bool = False) -> int:
         """Settle along a payment-order path; every hop's owed balance rises
-        by its hop amount or nothing changes at all. With partial=True the
-        delivered amount shrinks to what the path can carry. Returns the
-        delivered amount."""
+        by the delivered amount or nothing changes at all. With
+        partial=True the delivered amount shrinks to what the path can
+        carry. Returns the delivered amount."""
         if len(path) < 2:
             raise BadRecordError("a path needs at least sender and destination")
         if amount <= 0:
             raise BadRecordError("amount must be positive")
         states = self._open_hops(path, currency)
         if states is None:
-            raise DriedUpPathError("path blocked by frozen line or no_ripple flags")
-        if self._path_feasible(path, states, amount):
-            delivered = amount
-        elif not partial:
+            raise DriedUpPathError("path blocked by no_ripple flags")
+        delivered = self._carried(path, states, amount)
+        if delivered < amount and not partial:
             raise DriedUpPathError(
                 f"path cannot carry {amount} {currency} at execution time"
             )
-        else:
-            delivered = self._most_feasible(path, states, amount)
-            if delivered <= 0:
-                raise ZeroDeliverableError("path capacity is exhausted")
-        amounts = self._hop_amounts(path, delivered)
+        if delivered <= 0:
+            raise ZeroDeliverableError("path capacity is exhausted")
         for i, state in enumerate(states):
             self._apply_debt(state, lender=path[i + 1], borrower=path[i],
-                             amount=amounts[i])
+                             amount=delivered)
         self._record_payment(path, currency, amount, delivered)
         return delivered
 
@@ -783,6 +715,8 @@ class RippleLedger:
         """Full payment operation: XRP goes direct, issued currency settles
         over the first admissible path (explicit pathset first, then
         discovered paths)."""
+        if spec.account == spec.destination:
+            raise BadRecordError("a payment's account and destination must differ")
         if spec.amount.is_xrp:
             if spec.tf_partial_payment:
                 raise PartialXrpError("direct XRP payments cannot be partial")
@@ -790,13 +724,10 @@ class RippleLedger:
                                     spec.amount.value)
             return {"delivered": spec.amount.value, "path": [spec.account,
                                                              spec.destination]}
-        dst = self.accounts.get(spec.destination)
-        if dst is not None and dst.deposit_auth and spec.account not in dst.authorized:
-            raise DepositUnauthorizedError(
-                f"{spec.destination} requires deposit authorization")
         # discovered paths come one length at a time, so the search stops
-        # with the first path that executes; a rejected path writes
-        # nothing, so the paths still to come see the ledger as it was
+        # with the first path that executes (a full payment's first one
+        # does: each of its hops has room for the amount); a rejected path
+        # writes nothing, so the paths still to come see the ledger as it was
         candidates: Iterable[tuple[str, ...]] = (
             [tuple(p) for p in spec.pathset] or self._paths_by_length(spec))
         if spec.tf_partial_payment:
@@ -933,9 +864,8 @@ class RippleLedger:
 
     def cash_check(self, check_id: int, amount: int, now: int = 0) -> int:
         """Cash up to the remaining face value; the sender needs the funds
-        only now, at cashing time. Checks may pay deposit-auth receivers.
-        A receiver without a line to the issuer gets one, and must cover
-        its reserve (UnfundedOfferError)."""
+        only now, at cashing time. A receiver without a line to the issuer
+        gets one, and must cover its reserve (UnfundedOfferError)."""
         check = self.checks.get(check_id)
         if check is None:
             raise CheckError(f"no check {check_id}")

@@ -143,7 +143,7 @@ def _tangle_step(state: TangleState, cmd: dict, aliases: dict[str, str]):
                   "balances": dict(sorted(state.balances.items()))}
     elif op == "promote":
         head = state.promote(aliases.get(f("tx"), cmd["tx"]), timestamp=timestamp)
-        return {"head": head}
+        result = {"head": head}
     elif op == "select_tips":
         trunk, branch = state.select_tips(f("strategy", str, "uniform-random"),
                                           f("seed", int, 0))

@@ -1,5 +1,6 @@
 """Every function, class and public method in the package is reached by
-the package itself, a demo or the benchmark, not by tests alone.
+the package itself, a demo or the benchmark, not by tests alone, and so
+is every dataclass field with a default: that code gives it a value.
 
 The check reads code, not text: a definition counts as reached when its
 name is used in src/, demos/ or bench/ outside its own definition, as a
@@ -7,6 +8,12 @@ name, an attribute, an imported name or inside an f-string expression.
 A word in a comment, a docstring or any other string (an ``__all__``
 entry included) does not count. Dunder methods are exempt, since Python
 calls them.
+
+A field counts as given a value by a keyword in a call to its class, a
+positional argument to its class, a store to an attribute of its name,
+or a mutating call (``add``, ``update``, ...) on such an attribute. A
+keyword counts only for the class called, so ``dataclass(frozen=True)``
+does not set a field named ``frozen``.
 """
 
 import ast
@@ -15,6 +22,14 @@ import pathlib
 ROOT = pathlib.Path(__file__).parent.parent
 
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+MUTATORS = {"add", "append", "clear", "discard", "extend", "insert", "pop",
+            "remove", "setdefault", "update"}
+
+# Fields that only tests set, to shape the input of other rules. Every
+# run the package, a demo or the benchmark makes uses their defaults.
+TEST_SHAPED = {"RunConfig.window", "RunConfig.subsidy", "UtxoSpec.txs_per_block",
+               "TangleSpec.bundles_per_cycle", "TangleSpec.tip_strategy",
+               "TangleSpec.difficulty"}
 
 
 def definitions(tree):
@@ -42,13 +57,18 @@ def used_names(tree):
             yield node.name, node.lineno
 
 
-def searched_uses(root):
-    """(path, line, name) of every use that can reach a definition."""
+def searched_trees(root):
+    """(path, tree) of every module in src/, demos/ and bench/."""
     for folder in ("src", "demos", "bench"):
         for path in sorted((root / folder).rglob("*.py")):
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            for name, line in used_names(tree):
-                yield path, line, name
+            yield path, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def searched_uses(root):
+    """(path, line, name) of every use that can reach a definition."""
+    for path, tree in searched_trees(root):
+        for name, line in used_names(tree):
+            yield path, line, name
 
 
 def unreached(root):
@@ -89,3 +109,84 @@ def test_the_scan_finds_an_unreached_definition(tmp_path):
         "from ledgergraph.mod import reader\n\nprint(Box().open(), reader())\n")
     assert unreached(tmp_path) == ["src/ledgergraph/mod.py:8 orphan",
                                    "src/ledgergraph/mod.py:20 quoted"]
+
+
+def _name_of(node):
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def defaulted_fields(tree):
+    """(class, field, position, line) of each dataclass field that has a
+    default; the position counts every field of the class."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef) or not any(
+                _name_of(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+                for d in node.decorator_list):
+            continue
+        annotated = [item for item in node.body if isinstance(item, ast.AnnAssign)
+                     and isinstance(item.target, ast.Name)]
+        for position, item in enumerate(annotated):
+            if item.value is not None:
+                yield node.name, item.target.id, position, item.lineno
+
+
+def unset_fields(root):
+    """"path:line Class.field" of each defaulted dataclass field under
+    src/ledgergraph that no searched code gives a value."""
+    keywords: set[tuple[str, str]] = set()  # (class called, keyword)
+    positional: dict[str, int] = {}  # class called -> most positional args
+    stored: set[str] = set()  # attribute names stored to or mutated
+    for _path, tree in searched_trees(root):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                stored.add(node.attr)
+            if not isinstance(node, ast.Call):
+                continue
+            called = _name_of(node.func)
+            keywords.update((called, kw.arg) for kw in node.keywords if kw.arg)
+            count = next((i for i, arg in enumerate(node.args)
+                          if isinstance(arg, ast.Starred)), len(node.args))
+            positional[called] = max(positional.get(called, 0), count)
+            if isinstance(node.func, ast.Attribute) and called in MUTATORS \
+                    and isinstance(node.func.value, ast.Attribute):
+                stored.add(node.func.value.attr)
+    found = []
+    for path in sorted((root / "src" / "ledgergraph").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for cls, name, position, line in defaulted_fields(tree):
+            if (cls, name) not in keywords and name not in stored \
+                    and positional.get(cls, 0) <= position:
+                found.append(f"{path.relative_to(root)}:{line} {cls}.{name}")
+    return found
+
+
+def test_every_defaulted_field_is_set_outside_tests():
+    assert {entry.split()[1] for entry in unset_fields(ROOT)} == TEST_SHAPED
+
+
+def test_the_scan_finds_an_unset_field(tmp_path):
+    package = tmp_path / "src" / "ledgergraph"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(
+        "from dataclasses import dataclass, field\n\n\n"
+        "@dataclass(frozen=True)\n"
+        "class Spec:\n"
+        "    name: str\n"
+        "    size: int = 1\n"
+        "    frozen: bool = False\n"
+        "    tags: set = field(default_factory=set)\n"
+        "    label: str = ''\n"
+        "    mode: str = 'a'\n"
+        "    level: int = 0\n\n\n"
+        "@dataclass\n"
+        "class Other:\n"
+        "    mode: str = 'b'\n")
+    (tmp_path / "demos").mkdir()
+    (tmp_path / "demos" / "demo.py").write_text(
+        "from ledgergraph.mod import Other, Spec\n\n"
+        "spec = Spec('n', 2, label='x')\n"
+        "spec.tags.add(1)\n"
+        "box = Other(mode='c')\n"
+        "box.level = 3\n")
+    assert unset_fields(tmp_path) == ["src/ledgergraph/mod.py:8 Spec.frozen",
+                                      "src/ledgergraph/mod.py:11 Spec.mode"]

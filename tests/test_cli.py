@@ -855,6 +855,14 @@ NO_COINBASE_FIRST = "\n".join([
                  ["ripple", "pay", "s.jsonl"], "partial-xrp",
                  "operation 2 (pay): direct XRP payments cannot be partial",
                  id="ripple-partial-xrp"),
+    *[pytest.param({"s.jsonl": ripple_script({"op": "pay", "account": "a",
+                                             "destination": "a",
+                                             "amount": {"currency": currency,
+                                                        "value": 5}})},
+                   ["ripple", "pay", "s.jsonl"], "bad-record",
+                   "line 3: a payment's account and destination must differ",
+                   id=f"ripple-self-payment-{currency}")
+      for currency in ("XRP", "USD")],
     pytest.param({"s.jsonl": ripple_script({"op": "cancel_offer", "owner": "a",
                                             "sequence": 7})},
                  ["ripple", "pay", "s.jsonl"], "unknown-offer",

@@ -62,29 +62,7 @@ def test_zcash_coinbase_shielding_rule_flag():
         led.validate_coinbase(public_cb, 0, 10)
 
 
-# -- ripple flag corners ---------------------------------------------------------------
-
-def test_default_ripple_overrides_line_flags():
-    led = RippleLedger()
-    for n in ("s", "x", "d"):
-        led.create_account(n, xrp_drops=10**9)
-    led.set_trust("x", "s", "USD", 100, no_ripple=True)
-    led.set_trust("d", "x", "USD", 100, no_ripple=False)
-    led.set_trust("x", "d", "USD", 0, no_ripple=True)  # x's own side opts out
-    spec = PaymentSpec("s", "d", CurrencyValue("USD", None, 10))
-    with pytest.raises(LedgerError):
-        led.find_paths(spec)  # x blocks rippling through itself
-    led.account("x").default_ripple = True
-    assert led.find_paths(spec) == [("s", "x", "d")]
-
-
-def test_issuer_global_freeze_blocks_paths():
-    led = worked_examples.rippling_network()
-    led.account("john").frozen_currencies.add("USD")
-    spec = PaymentSpec("sarah", "bob", CurrencyValue("USD", None, 10))
-    paths = led.find_paths(spec)
-    assert paths == [("sarah", "alice", "bob")]  # the john route is frozen out
-
+# -- ripple corners -------------------------------------------------------------------
 
 def test_issued_currency_check_cash():
     led = RippleLedger()

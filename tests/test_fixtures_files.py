@@ -26,11 +26,10 @@ def test_rippling_script_outcomes():
 
 
 def test_rippling_network_is_the_script_set_up():
-    # known answer recorded when rippling_network() still built the five
-    # accounts, five lines and three debts by hand
+    # known answer: the set-up lines of rippling_payment.jsonl
     led = worked_examples.rippling_network()
     assert hashlib.sha256(led.state_digest().encode()).hexdigest() == \
-        "a8f3fba0969a000a6a7c89502e44b8de563668e11c5bdc770abed4e8f820e2e0"
+        "6c142861cc1bc04814a3ee61df63e007c7f937eeb5b5a91a2367feb1ee212578"
     assert led.writes == 18
 
 

@@ -666,6 +666,19 @@ def test_promotion():
     assert stuck in state.confirmed
 
 
+def test_script_promote_records_its_alias():
+    """A promote's "as" names the promoted head, so a later op can attach
+    on top of it."""
+    script = [{"op": "attach_message", "address": "x", "as": "a"},
+              {"op": "promote", "tx": "a", "as": "p"},
+              {"op": "attach_message", "address": "y", "tips": ["p", "GENESIS"]}]
+    state, log = replay_tangle([json.dumps(cmd) for cmd in script])
+    assert [entry["ok"] for entry in log] == [True, True, True]
+    promoted, last = log[1]["result"]["head"], log[2]["result"]["head"]
+    assert state.transactions[promoted].trunk == log[0]["result"]["head"]
+    assert state.transactions[last].trunk == promoted
+
+
 def test_promote_invalid_rejected():
     state = simple_state()
     g = GENESIS_HASH

@@ -6,10 +6,12 @@ import copy
 import json
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ledgergraph import ripple
 from ledgergraph.cli import main
 from ledgergraph.core import LedgerError
 from ledgergraph.scenario import _ripple_step, replay_ripple
@@ -19,7 +21,6 @@ from ledgergraph.ripple import (
     BelowReserveError,
     CheckError,
     CurrencyValue,
-    DepositUnauthorizedError,
     DriedUpPathError,
     EscrowError,
     NoPathError,
@@ -137,15 +138,6 @@ def test_fresh_line_capacity_is_limit():
     assert led.available_capacity(state, "b") == 123
 
 
-def test_frozen_line_reports_zero_for_rippling():
-    led = funded_ledger(["a", "b"])
-    state = led.set_trust("a", "b", "USD", 123, no_ripple=False)
-    assert led.deliverable(("b", "a"), 50, "USD") == 50
-    state.frozen = True
-    assert led.deliverable(("b", "a"), 50, "USD") == 0
-    assert led.available_capacity(state, "b") == 123
-
-
 # -- direct payments -----------------------------------------------------------------
 
 def test_direct_payment_keeps_reserve():
@@ -159,15 +151,6 @@ def test_direct_payment_below_reserve_rejected():
     led = funded_ledger(["s", "r"])
     with pytest.raises(BelowReserveError):
         led.direct_xrp_payment("s", "r", 85_000_000)  # 15 XRP left < 20
-
-
-def test_deposit_auth_rejects_unauthorized():
-    led = funded_ledger(["s", "r"])
-    led.account("r").deposit_auth = True
-    with pytest.raises(DepositUnauthorizedError):
-        led.direct_xrp_payment("s", "r", 30_000_000)
-    led.account("r").authorized.add("s")
-    led.direct_xrp_payment("s", "r", 30_000_000)
 
 
 def test_new_account_needs_base_reserve_funding():
@@ -212,14 +195,6 @@ def test_single_hop_default_path():
         led.find_paths(PaymentSpec("s", "d", usd(40), tf_no_direct_ripple=True))
 
 
-def test_all_frozen_no_path():
-    led = worked_examples.rippling_network()
-    for state in led.states.values():
-        state.frozen = True
-    with pytest.raises(NoPathError):
-        led.find_paths(PaymentSpec("sarah", "bob", usd(5)))
-
-
 def test_no_ripple_on_both_lines_blocks_intermediate():
     led = funded_ledger(["s", "x", "d"])
     led.set_trust("x", "s", "USD", 100, no_ripple=False)
@@ -244,18 +219,6 @@ def test_iou_conservation_and_endpoint_shift():
     assert after["bob"] - before.get("bob", 0) == 50
     for mid in ("tim", "john", "alice"):
         assert after.get(mid, 0) == before.get(mid, 0)
-
-
-def test_transfer_fee_sender_pays():
-    led = funded_ledger(["s", "gw", "d"])
-    led.account("gw").transfer_fee_rate = Fraction(1, 100)
-    led.set_trust("gw", "s", "USD", 10_000, no_ripple=False)
-    led.set_trust("d", "gw", "USD", 10_000, no_ripple=False)
-    delivered = led.execute_rippling(("s", "gw", "d"), 1000, "USD")
-    assert delivered == 1000
-    # d receives 1000; s owes gw 1000 plus the 1% fee
-    assert led.available_capacity(led.line("gw", "s", "USD"), "s") == 10_000 - 1010
-    assert led.available_capacity(led.line("d", "gw", "USD"), "gw") == 10_000 - 1000
 
 
 def test_partial_zero_deliverable():
@@ -701,10 +664,11 @@ NODES = [f"n{i}" for i in range(5)]
 @st.composite
 def trust_networks(draw):
     """A ledger where each ordered pair of a few accounts may have a USD or
-    EUR line, some partly used, frozen or without rippling, and a
-    payment to route."""
+    EUR line, some partly used or without rippling, a payment to route,
+    and the path depth to search it with."""
     names = NODES[:draw(st.sampled_from([5, 4, 3]))]
-    led = RippleLedger(path_depth=draw(st.sampled_from([4, 3, 2, 1])))
+    depth = draw(st.sampled_from([4, 3, 2, 1]))
+    led = RippleLedger()
     for name in names:
         led.create_account(name, xrp_drops=10**10)
     # each sampled_from list starts with its common case, which Hypothesis
@@ -716,11 +680,10 @@ def trust_networks(draw):
             if lender == borrower or not limit:
                 continue
             currency = draw(st.sampled_from(["USD", "USD", "EUR"]))
-            state = led.set_trust(lender, borrower, currency, limit,
-                                  no_ripple=draw(rarely))
+            led.set_trust(lender, borrower, currency, limit,
+                          no_ripple=draw(rarely))
             led.adjust_line_debt(lender, borrower, currency,
                                  draw(st.sampled_from([0, 10, 30, -20])))
-            state.frozen = draw(rarely)
     sender, dest = draw(st.lists(st.sampled_from(names), min_size=2, max_size=2,
                                  unique=True))
     issuer = st.one_of(st.none(), st.none(), st.none(), st.sampled_from(names))
@@ -729,11 +692,11 @@ def trust_networks(draw):
                        send_max=usd(1, draw(issuer)) if draw(rarely) else None,
                        tf_no_direct_ripple=draw(st.booleans()),
                        tf_partial_payment=draw(st.booleans()))
-    return led, spec
+    return led, spec, depth
 
 
-def brute_force_paths(led, spec):
-    """Every simple sender-to-destination chain of at most path_depth hops
+def brute_force_paths(led, spec, depth):
+    """Every simple sender-to-destination chain of at most `depth` hops
     whose lender extends credit on each hop with room for the amount (1
     for a partial payment), through the same admissibility and rippling
     filters as find_paths, shortest then lexicographically smallest."""
@@ -758,7 +721,7 @@ def brute_force_paths(led, spec):
         if path[-1] == spec.destination:
             found.append(tuple(path))
             return
-        if len(path) > led.path_depth:
+        if len(path) > depth:
             return
         for nxt in names:
             if nxt not in path and room(path[-1], nxt) >= need:
@@ -774,46 +737,37 @@ def brute_force_paths(led, spec):
 @settings(max_examples=300, deadline=None)
 @given(trust_networks())
 def test_find_paths_matches_brute_force(network):
-    led, spec = network
-    expected = brute_force_paths(led, spec)
-    if not expected:
-        with pytest.raises(NoPathError):
-            led.find_paths(spec)
-    else:
-        assert led.find_paths(spec) == expected
+    led, spec, depth = network
+    expected = brute_force_paths(led, spec, depth)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ripple, "PATH_DEPTH", depth)
+        if not expected:
+            with pytest.raises(NoPathError):
+                led.find_paths(spec)
+        else:
+            assert led.find_paths(spec) == expected
 
 
-FEE_RATES = [Fraction(1, 3), Fraction(0), Fraction(1, 100)]
+def brute_force_deliverable(led, path, amount, currency):
+    """The largest amount in [0, amount] that every hop has room for,
+    trying each."""
+    rooms = [led.available_capacity(led.line(borrower, lender, currency), borrower)
+             for borrower, lender in zip(path, path[1:])]
+    return max(d for d in range(amount + 1) if all(room >= d for room in rooms))
 
 
-@st.composite
-def fee_networks(draw):
-    """A trust network whose accounts may charge a transfer fee, so that
-    a path found with room for the amount may still fail to carry it."""
-    led, spec = draw(trust_networks())
-    for acct in led.accounts.values():
-        acct.transfer_fee_rate = draw(st.sampled_from(FEE_RATES))
-    return led, spec
-
-
-def brute_force_deliverable(led, path, states, amount):
-    """The largest amount in [0, amount] the path carries, trying each."""
-    return max(d for d in range(amount + 1) if led._path_feasible(path, states, d))
-
-
-def reference_pay(led, spec):
+def reference_pay(led, spec, depth):
     """pay as a full enumeration runs it: every brute-force path, in
     order, the partial payment's amount found by trying each."""
     currency, amount = spec.amount.currency, spec.amount.value
-    candidates = brute_force_paths(led, spec)
+    candidates = brute_force_paths(led, spec, depth)
     if not candidates:
         raise NoPathError(
             f"no {currency} path from {spec.account} to {spec.destination}")
     if spec.tf_partial_payment:
         best = None
         for path in candidates:
-            states = led._open_hops(path, currency)
-            d = brute_force_deliverable(led, path, states, amount)
+            d = brute_force_deliverable(led, path, amount, currency)
             if d > 0 and (best is None or d > best[0]):
                 best = (d, path)
         if best is None:
@@ -839,49 +793,35 @@ def outcome(pay, led, spec):
 
 
 @settings(max_examples=300, deadline=None)
-@given(fee_networks())
+@given(trust_networks())
 def test_pay_matches_a_full_enumeration(network):
     """Stopping at the first path that settles, and bounding the partial
     amount by the tightest hop, give the same result, error and ledger
     as trying every brute-force path."""
-    led, spec = network
-    expected = outcome(reference_pay, copy.deepcopy(led), spec)
-    assert outcome(RippleLedger.pay, led, spec) == expected
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(st.integers(0, 60), st.sampled_from(FEE_RATES)),
-                min_size=1, max_size=4),
-       st.integers(0, 60))
-def test_most_feasible_is_the_largest_feasible_amount(hops, amount):
-    """Each hop is (capacity, fee rate of the account the hop pays into);
-    the destination's rate is never charged."""
-    names = [f"n{i}" for i in range(len(hops) + 1)]
-    led = funded_ledger(names, drops=10**10)
-    for borrower, lender, (capacity, rate) in zip(names, names[1:], hops):
-        led.set_trust(lender, borrower, "USD", 60, no_ripple=False)
-        led.adjust_line_debt(lender, borrower, "USD", 60 - capacity)
-        led.account(lender).transfer_fee_rate = rate
-    states = led._open_hops(names, "USD")
-    assert led._most_feasible(names, states, amount) == \
-        brute_force_deliverable(led, names, states, amount)
+    led, spec, depth = network
+    expected = outcome(partial(reference_pay, depth=depth), copy.deepcopy(led), spec)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ripple, "PATH_DEPTH", depth)
+        assert outcome(RippleLedger.pay, led, spec) == expected
 
 
 def test_all_fail_text_names_every_candidate_in_order():
-    """Both two-hop paths have room for 30 but not for the 10 in fees, so
-    every candidate is tried and the error joins their texts in order."""
+    """Every path of the pathset is tried, and the error joins their texts
+    in order: s -> b -> d is blocked at b, and s -> a -> d has room for
+    only 20 of the 30. Nothing is written."""
     led = funded_ledger(["s", "a", "b", "d"])
-    for mid in ("a", "b"):
-        led.account(mid).transfer_fee_rate = Fraction(1, 3)
-        led.set_trust(mid, "s", "USD", 35, no_ripple=False)
-        led.set_trust("d", mid, "USD", 100, no_ripple=False)
-    led.set_trust("d", "s", "USD", 100, no_ripple=False)
-    spec = PaymentSpec("s", "d", usd(30), tf_no_direct_ripple=True)
-    expected = outcome(reference_pay, copy.deepcopy(led), spec)
-    assert outcome(RippleLedger.pay, led, spec) == expected
-    assert expected[0] == (DriedUpPathError,
-                           "path cannot carry 30 USD at execution time; "
-                           "path cannot carry 30 USD at execution time")
+    led.set_trust("a", "s", "USD", 20, no_ripple=False)
+    led.set_trust("d", "a", "USD", 100, no_ripple=False)
+    led.set_trust("b", "s", "USD", 100, no_ripple=True)
+    led.set_trust("d", "b", "USD", 100, no_ripple=False)
+    led.set_trust("b", "d", "USD", 0, no_ripple=True)  # b's own side opts out
+    before, writes = led.state_digest(), led.writes
+    spec = PaymentSpec("s", "d", usd(30), pathset=(("s", "b", "d"), ("s", "a", "d")))
+    with pytest.raises(DriedUpPathError) as info:
+        led.pay(spec)
+    assert str(info.value) == ("path blocked by no_ripple flags; "
+                               "path cannot carry 30 USD at execution time")
+    assert (led.state_digest(), led.writes) == (before, writes)
 
 
 def test_settled_direct_path_expands_no_longer_chain(monkeypatch):
