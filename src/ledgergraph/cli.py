@@ -4,18 +4,14 @@ Subcommands: utxo validate|graph, chainlet, account graph|tokens|traces,
 ripple trust|pay|offers|report, iota derive|bundle|grow and generate
 utxo|account|ripple|iota. Exit codes: 0 success, 2 rejected input (a
 LedgerError's code and message as JSON on stderr), 3 I/O error; any other
-exception is a bug. All output is deterministic for fixed inputs, config
-and seed. Defaults come from a key=value --config file, then
-LEDGERGRAPH_* environment variables, then flags; a key names a flag's
-dest in any case, its value parsed with the flag's type: one that does
-not parse or holds a NUL is bad-config.
+exception is a bug. All output is deterministic for fixed inputs, flags
+and seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from contextlib import nullcontext
 from typing import BinaryIO, ContextManager
@@ -38,10 +34,6 @@ EXIT_VALIDATION = 2
 EXIT_IO = 3
 
 
-class ConfigError(LedgerError):
-    code = "bad-config"
-
-
 class EmptyRangeError(LedgerError):
     code = "empty-range"
 
@@ -56,60 +48,6 @@ def _output(path: str | None) -> ContextManager[BinaryIO]:
 def _write_bytes(path: str | None, data: bytes) -> None:
     with _output(path) as fh:
         fh.write(data)
-
-
-def _load_config(path: str | None) -> dict[str, str]:
-    """Key=value config, '#' comments; LEDGERGRAPH_* env vars override."""
-    conf: dict[str, str] = {}
-    if path:
-        for raw in read_lines(path, ConfigError):
-            line = raw.strip()
-            if not line or line.startswith("#") or "=" not in line:
-                continue
-            key, value = line.split("=", 1)
-            conf[key.strip().lower()] = value.strip()
-    for key, value in os.environ.items():
-        if key.startswith("LEDGERGRAPH_"):
-            conf[key[len("LEDGERGRAPH_"):].lower()] = value
-    return conf
-
-
-def _parse_args(parser: argparse.ArgumentParser,
-                argv: list[str] | None) -> argparse.Namespace:
-    """Parse argv. An optional flag that the command line leaves out takes
-    its config/env value, parsed with the flag's own type (switches take
-    1/true/yes), or else its default; a flag given on the command line
-    wins whatever its value. Raises ConfigError, or OSError for an
-    unreadable --config file."""
-    # while parsing, each optional flag defaults to its own action, so a
-    # flag left out can be told from one given, even with a falsy value
-    defaults, parsers = {}, [parser]
-    while parsers:
-        for action in parsers.pop()._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                parsers.extend(action.choices.values())
-            elif action.option_strings and action.default is not argparse.SUPPRESS:
-                defaults[action], action.default = action.default, action
-    args = parser.parse_args(argv)
-    # config and environment keys arrive lower-cased; dests may not be (N)
-    omitted = {dest.lower(): action for dest, action in vars(args).items()
-               if isinstance(action, argparse.Action)}
-    for action in omitted.values():
-        setattr(args, action.dest, defaults[action])
-    for key, value in _load_config(args.config).items():
-        action = omitted.get(key)
-        if action is None:
-            continue
-        if "\0" in value:  # open() refuses it, and no name or number holds one
-            raise ConfigError(f"{key}={value!r}: holds a NUL character")
-        if isinstance(defaults[action], bool):
-            setattr(args, action.dest, value.lower() in ("1", "true", "yes"))
-            continue
-        try:
-            setattr(args, action.dest, action.type(value) if action.type else value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{key}={value!r}: {exc}") from None
-    return args
 
 
 def _parse_range(text: str | None) -> tuple[int | None, int | None]:
@@ -289,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ledgergraph",
         description="Validate ledger data and build blockchain network graphs.")
-    parser.add_argument("--config", help="key=value defaults file")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("utxo", help="UTXO ledger validation and graphs")
@@ -383,7 +320,7 @@ def _print_error(code: str, message: str) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parse_args(build_parser(), argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except OSError as exc:
         _print_error("io-failure", str(exc))

@@ -86,15 +86,15 @@ class BadAmountError(BadRecordError):
 _REQUIRED = object()
 
 
-def read_lines(path: str, error: type[LedgerError] = BadRecordError) -> Iterator[str]:
+def read_lines(path: str) -> Iterator[str]:
     """The lines of a UTF-8 record file, read one at a time as they are
     asked for. Line ends are kept as written, so a \\r inside a quoted CSV
-    cell survives. A file that is not UTF-8 raises ``error`` naming it."""
+    cell survives. A non-UTF-8 file raises BadRecordError naming it."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             yield from fh
     except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text ({exc.reason})") from None
+        raise BadRecordError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def json_value(text: str, where: str) -> Any:

@@ -697,7 +697,9 @@ class RippleLedger:
             raise BadRecordError("amount must be positive")
         states = self._open_hops(path, currency)
         if states is None:
-            raise DriedUpPathError("path blocked by no_ripple flags")
+            missing = [f"no {currency} line between {a} and {b}"
+                       for a, b in zip(path, path[1:]) if self.line(a, b, currency) is None]
+            raise DriedUpPathError((missing or ["path blocked by no_ripple flags"])[0])
         delivered = self._carried(path, states, amount)
         if delivered < amount and not partial:
             raise DriedUpPathError(
@@ -724,6 +726,12 @@ class RippleLedger:
                                     spec.amount.value)
             return {"delivered": spec.amount.value, "path": [spec.account,
                                                              spec.destination]}
+        for path in spec.pathset:
+            if len(path) < 2:
+                raise BadRecordError("a path needs at least sender and destination")
+            if (path[0], path[-1]) != (spec.account, spec.destination):
+                raise BadRecordError(
+                    "a path must run from the payment's account to its destination")
         # discovered paths come one length at a time, so the search stops
         # with the first path that executes (a full payment's first one
         # does: each of its hops has room for the amount); a rejected path

@@ -145,6 +145,8 @@ def _tangle_step(state: TangleState, cmd: dict, aliases: dict[str, str]):
         head = state.promote(aliases.get(f("tx"), cmd["tx"]), timestamp=timestamp)
         result = {"head": head}
     elif op == "select_tips":
+        if alias is not None:
+            raise BadRecordError("select_tips makes no head for 'as' to name")
         trunk, branch = state.select_tips(f("strategy", str, "uniform-random"),
                                           f("seed", int, 0))
         return {"trunk": trunk, "branch": branch}

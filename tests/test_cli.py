@@ -1,4 +1,4 @@
-"""CLI surfaces: subcommands, file formats, exit codes, env overrides."""
+"""CLI surfaces: subcommands, file formats and exit codes."""
 
 import contextlib
 import csv
@@ -10,14 +10,14 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ledgergraph.chainlets import fold_matrix
 from ledgergraph.cli import main
+from ledgergraph.core import export_matrix
 from ledgergraph.pipeline import RunConfig, run_pipeline
-from ledgergraph.utxo import dump_jsonl
-
-import worked_examples
 
 
 FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
@@ -227,31 +227,6 @@ def test_replay_ripple_logs_rejections(tmp_path, capsys):
     line = json.loads(capsys.readouterr().out.splitlines()[0])
     assert code == 0  # with --keep-going, rejected ops are logged, not fatal
     assert line["ok"] is False
-
-
-def test_env_override_applies(tmp_path, capsys, monkeypatch):
-    led_lines = "\n".join(dump_jsonl(worked_examples.weighted_example_ledger())) + "\n"
-    src = tmp_path / "w.jsonl"
-    src.write_text(led_lines)
-    out = tmp_path / "o.csv"
-    monkeypatch.setenv("LEDGERGRAPH_OUT", str(out))
-    code = run_cli(["utxo", "graph", src, "--kind", "address",
-                    "--subsidy", 400_000_000])
-    assert code == 0
-    assert out.exists()
-
-
-def test_config_file_defaults(tmp_path, capsys):
-    led_lines = "\n".join(dump_jsonl(worked_examples.weighted_example_ledger())) + "\n"
-    src = tmp_path / "w.jsonl"
-    src.write_text(led_lines)
-    conf = tmp_path / "lg.conf"
-    out = tmp_path / "conf_out.csv"
-    conf.write_text(f"# defaults\nout={out}\n")
-    code = run_cli(["--config", conf, "utxo", "graph", src, "--kind", "address",
-                    "--subsidy", 400_000_000])
-    assert code == 0
-    assert out.exists()
 
 
 def test_cross_process_determinism_under_hash_randomization(tmp_path):
@@ -565,32 +540,23 @@ def test_ripple_offers_quotes_cells_with_commas_and_quotes(tmp_path, capsys):
     assert rows[1:] == [["E,R", "is,E", 'U"D', 'is"U', "1", "7", "10"]]
 
 
-def test_env_override_is_parsed_with_the_flag_type(fixture_dir, tmp_path,
-                                                   monkeypatch):
+def test_open_upper_bound_and_fold_size_flags(fixture_dir, tmp_path):
     out = tmp_path / "tx.csv"
-    monkeypatch.setenv("LEDGERGRAPH_START", "2")
     code = run_cli(["utxo", "graph", fixture_dir / "six_tx_network.jsonl",
-                    "--subsidy", 600_000_000, "--out", out])
+                    "--subsidy", 600_000_000, "--from", 2, "--out", out])
     assert code == 0
     # block 2 alone holds the three edges into t5 and t6 from block 2 txs
     rows = out.read_text().splitlines()[1:]
     assert rows and all(row.split(",")[1] in ("t5", "t6") for row in rows)
-    # an upper-case dest (--N) takes its environment value too
+    # --N 3 folds the default 20 x 20 matrix down to 3 x 3
     chainlet = ["chainlet", fixture_dir / "amount_network.jsonl",
                 "--subsidy", 1_200_000_000, "--out"]
-    assert run_cli([*chainlet, tmp_path / "flag.csv", "--N", 3]) == 0
-    monkeypatch.setenv("LEDGERGRAPH_N", "3")
-    assert run_cli([*chainlet, tmp_path / "env.csv"]) == 0
-    assert (tmp_path / "env.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
-
-
-def test_unparsable_config_value_is_bad_config(fixture_dir, tmp_path, capsys):
-    conf = tmp_path / "lg.conf"
-    conf.write_text("start=one\n")
-    code = run_cli(["--config", conf, "utxo", "graph",
-                    fixture_dir / "six_tx_network.jsonl", "--subsidy", 600_000_000])
-    assert code == 2
-    assert json.loads(capsys.readouterr().err)["error"] == "bad-config"
+    assert run_cli([*chainlet, tmp_path / "20.csv"]) == 0
+    assert run_cli([*chainlet, tmp_path / "3.csv", "--N", 3]) == 0
+    full = np.array([[int(v) for v in row.split(",")]
+                     for row in (tmp_path / "20.csv").read_text().splitlines()])
+    assert full.shape == (20, 20)
+    assert (tmp_path / "3.csv").read_bytes() == export_matrix(fold_matrix(full, 3))
 
 
 # -- checked option values and trust rows --------------------------------------------
@@ -684,38 +650,24 @@ def test_malformed_trust_row_names_its_line(tmp_path, capsys, row, error):
     assert err["message"].startswith("line 3:")
 
 
-@pytest.mark.parametrize("env,flags", [
-    (("LEDGERGRAPH_SEED", "5"), ["account", "--seed", "0", "--count", "3"]),
-    (("LEDGERGRAPH_REUSE_P", "0.5"), ["utxo", "--reuse-p", "0.0", "--count", "20"]),
-])
-def test_explicit_flag_wins_over_env_whatever_its_value(tmp_path, monkeypatch,
-                                                        env, flags):
-    plain, with_env = tmp_path / "plain", tmp_path / "with_env"
-    assert run_cli(["generate", *flags, "--out", plain]) == 0
-    monkeypatch.setenv(*env)
-    assert run_cli(["generate", *flags, "--out", with_env]) == 0
-    assert with_env.read_bytes() == plain.read_bytes()
-
-
-def test_config_value_applies_when_the_flag_is_omitted(tmp_path):
-    conf = tmp_path / "lg.conf"
-    conf.write_text("seed=5\n")
-    outs = {name: tmp_path / name for name in ("config", "flag", "default")}
-    assert run_cli(["--config", conf, "generate", "account", "--count", 3,
-                    "--out", outs["config"]]) == 0
-    assert run_cli(["generate", "account", "--seed", 5, "--count", 3,
-                    "--out", outs["flag"]]) == 0
-    assert run_cli(["generate", "account", "--count", 3,
-                    "--out", outs["default"]]) == 0
-    assert outs["config"].read_bytes() == outs["flag"].read_bytes()
-    assert outs["config"].read_bytes() != outs["default"].read_bytes()
-    # an upper-case dest (--N) takes its config value too
-    conf.write_text("N=3\n")
-    chainlet = ["chainlet", FIXTURES / "amount_network.jsonl",
-                "--subsidy", 1_200_000_000, "--out"]
-    assert run_cli(["--config", conf, *chainlet, outs["config"]]) == 0
-    assert run_cli([*chainlet, outs["flag"], "--N", 3]) == 0
-    assert outs["config"].read_bytes() == outs["flag"].read_bytes()
+def test_environment_and_config_change_nothing(tmp_path, monkeypatch, capsys):
+    """Flags come from the command line alone: no variable changes the
+    output's bytes or where it goes, and there is no --config flag."""
+    monkeypatch.chdir(tmp_path)
+    args = ["generate", "utxo", "--count", 20]
+    assert run_cli(args) == 0
+    plain = capsys.readouterr().out
+    for env in (("LEDGERGRAPH_SEED", "5"), ("LEDGERGRAPH_REUSE_P", "0.5"),
+                ("LEDGERGRAPH_OUT", "env.out")):
+        with monkeypatch.context() as patch:
+            patch.setenv(*env)
+            assert run_cli(args) == 0
+        assert capsys.readouterr().out == plain, env
+    assert list(tmp_path.iterdir()) == []
+    (tmp_path / "f").write_text("seed=5\n")
+    with pytest.raises(SystemExit) as info:
+        run_cli(["--config", "f", "generate", "ripple"])
+    assert info.value.code == 2
 
 
 # -- the 128-bit amount bound ----------------------------------------------------------
@@ -780,8 +732,6 @@ NO_COINBASE_FIRST = "\n".join([
                  "bad-record", "in.jsonl: not UTF-8 text", id="ledger-not-utf8"),
     pytest.param({"trust.csv": NOT_UTF8}, ["ripple", "report", "--trust", "trust.csv"],
                  "bad-record", "trust.csv: not UTF-8 text", id="trust-not-utf8"),
-    pytest.param({"lg.conf": NOT_UTF8}, ["--config", "lg.conf", "generate", "ripple"],
-                 "bad-config", "lg.conf: not UTF-8 text", id="config-not-utf8"),
     pytest.param({}, ["chainlet", FIXTURES / "amount_network.jsonl", "--N", 0],
                  "bad-record", "N must lie in 1-1000, got 0", id="N-0"),
     pytest.param({}, ["chainlet", FIXTURES / "amount_network.jsonl",
@@ -863,6 +813,13 @@ NO_COINBASE_FIRST = "\n".join([
                    "line 3: a payment's account and destination must differ",
                    id=f"ripple-self-payment-{currency}")
       for currency in ("XRP", "USD")],
+    pytest.param({"s.jsonl": ripple_script(
+        {"op": "create_account", "address": "c"},
+        {"op": "pay", "account": "a", "destination": "b", "paths": [["a", "c", "b"]],
+         "amount": {"currency": "USD", "value": 5}})},
+                 ["ripple", "pay", "s.jsonl"], "dried-up-path",
+                 "operation 3 (pay): no USD line between a and c",
+                 id="ripple-path-without-a-line"),
     pytest.param({"s.jsonl": ripple_script({"op": "cancel_offer", "owner": "a",
                                             "sequence": 7})},
                  ["ripple", "pay", "s.jsonl"], "unknown-offer",
@@ -888,9 +845,6 @@ NO_COINBASE_FIRST = "\n".join([
                  ["account", "tokens", "t.jsonl"],
                  "bad-record", "line 1: token supply must be non-negative",
                  id="token-negative-supply"),
-    pytest.param({"lg.conf": b"out=a\0b\n"},
-                 ["--config", "lg.conf", "generate", "ripple"],
-                 "bad-config", "out='a\\x00b': holds a NUL character", id="config-nul"),
 ])
 def test_each_rejection_has_its_own_code(tmp_path, monkeypatch, capsys, files, args,
                                          error, message):
@@ -921,11 +875,37 @@ def test_tip_rejections_are_logged_with_their_own_codes(tmp_path):
     assert events[-1]["ok"]
 
 
+def test_select_tips_logs_its_pick_and_names_no_head(tmp_path, capsys):
+    """A script's select_tips logs the trunk and branch it picks; it
+    attaches nothing, so an 'as' on it is a bad record."""
+    cmds = [{"op": "attach_message", "address": name, "tips": ["GENESIS", "GENESIS"]}
+            for name in ("m1", "m2")]
+    cmds += [{"op": "select_tips", "strategy": "oldest-first"},
+             {"op": "select_tips", "seed": 3}]
+    script, log = tmp_path / "s.jsonl", tmp_path / "log.jsonl"
+    script.write_text("".join(json.dumps(cmd) + "\n" for cmd in cmds))
+    assert run_cli(["iota", "grow", script, "--out", tmp_path / "t.csv",
+                    "--log", log]) == 0
+    events = [json.loads(line) for line in log.read_text().splitlines()]
+    heads = [e["result"]["head"] for e in events[:2]]
+    picks = [[e["result"]["trunk"], e["result"]["branch"]] for e in events[2:]]
+    assert picks[0] == heads
+    assert sorted(picks[1]) == sorted(heads)
+    with script.open("a") as fh:
+        fh.write(json.dumps({"op": "select_tips", "as": "s"}) + "\n")
+    assert run_cli(["iota", "grow", script]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "bad-record",
+        "message": "line 5: select_tips makes no head for 'as' to name"}
+
+
 @pytest.mark.parametrize("change,message", [
     ({"amount": {"currency": "USD", "value": 0}}, "line 16: amount must be positive"),
     ({"paths": [["sarah"]]},
      "line 16: a path needs at least sender and destination"),
-], ids=["zero-value", "one-name-path"])
+    ({"paths": [["sarah", "bob"], ["tim", "john"]]},
+     "line 16: a path must run from the payment's account to its destination"),
+], ids=["zero-value", "one-name-path", "path-off-the-payment"])
 def test_malformed_payment_stops_the_replay(tmp_path, capsys, change, message):
     """A payment that no path could ever carry is a bad record, not a
     dried-up path logged as a rejection."""
