@@ -650,6 +650,19 @@ def test_malformed_trust_row_names_its_line(tmp_path, capsys, row, error):
     assert err["message"].startswith("line 3:")
 
 
+@pytest.mark.parametrize("env,flags", [
+    (("LEDGERGRAPH_SEED", "5"), ["account", "--seed", "0", "--count", "3"]),
+    (("LEDGERGRAPH_REUSE_P", "0.5"), ["utxo", "--reuse-p", "0.0", "--count", "20"]),
+])
+def test_explicit_flag_wins_over_env_whatever_its_value(tmp_path, monkeypatch,
+                                                        env, flags):
+    plain, with_env = tmp_path / "plain", tmp_path / "with_env"
+    assert run_cli(["generate", *flags, "--out", plain]) == 0
+    monkeypatch.setenv(*env)
+    assert run_cli(["generate", *flags, "--out", with_env]) == 0
+    assert with_env.read_bytes() == plain.read_bytes()
+
+
 def test_environment_and_config_change_nothing(tmp_path, monkeypatch, capsys):
     """Flags come from the command line alone: no variable changes the
     output's bytes or where it goes, and there is no --config flag."""
