@@ -34,12 +34,12 @@ print(f"  members: {[m[0] for m in ring.members[:4]]}...")
 print("\n=== RingCT-style hidden amounts are contagious ===")
 ledger = Ledger()
 cb = UtxoTransaction("g", (), (Output("g", 0, 1000, "a"),), coinbase=True)
-ledger.apply_block(Block(0, 0, (cb,), 1000))
+ledger.apply_block(Block(0, (cb,), 1000))
 cb1 = UtxoTransaction("c1", (), (Output("c1", 0, 1, "m"),), coinbase=True)
 shielded = UtxoTransaction(
     "s", (("g", 0),),
     (Output("s", 0, 990, "b", amount_visible=False),))
-ledger.apply_block(Block(1, 600, (cb1, shielded), 1000))
+ledger.apply_block(Block(1, (cb1, shielded), 1000))
 try:
     build_address_graph(ledger, 1, 1)
 except HiddenAmountError as exc:

@@ -39,7 +39,7 @@ print(f"  token contract deployed at {token.address} (from owner+nonce)")
 ledger.execute_token_transfer(token.address, "issuer", "a2", 50, "seed_tx")
 # a1 already paid a2 100 wei on-chain; a2 answers with 2 TOK internally
 ledger.execute_token_transfer(token.address, "a2", "a1", 2, "tx_block6")
-token_graph = build_token_graph(ledger.transfers, token=token.address)
+token_graph = build_token_graph(ledger.transfers)
 for e in token_graph[token.address].edges:
     print(f"  token edge {e.source} -> {e.target}: {e.weight} TOK")
 print(f"  supply conserved: {token.check_conservation()}")

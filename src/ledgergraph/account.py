@@ -251,19 +251,14 @@ class TokenLedger:
         return xfer
 
 
-def build_token_graph(transfers: Iterable[InternalTransfer],
-                      token: str | None = None) -> dict[str, EdgeList]:
+def build_token_graph(transfers: Iterable[InternalTransfer]) -> dict[str, EdgeList]:
     """Per-token directed weighted multigraphs; nodes are the trader
     addresses and every internal transfer is one edge."""
     graphs: dict[str, EdgeList] = {}
     for t in transfers:
-        if token is not None and t.token != token:
-            continue
         graphs.setdefault(t.token, EdgeList()).add(
             t.sender, t.recipient, t.token_amount, token=t.token,
             tx=t.triggering_tx)
-    if token is not None:
-        graphs.setdefault(token, EdgeList())
     return graphs
 
 

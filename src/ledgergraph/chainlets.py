@@ -56,7 +56,6 @@ class FirstOrderChainlet:
 
 @dataclass(frozen=True)
 class KChainlet:
-    k: int
     tx_nodes: tuple[str, ...]
     address_nodes: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
@@ -110,8 +109,7 @@ def _k_chainlet(ledger: Ledger, tx_nodes: tuple[str, ...],
         for o in tx.outputs:
             addrs.setdefault(o.address)
             edges.append((tx.id, o.address))
-    return KChainlet(len(tx_nodes), tx_nodes, tuple(addrs), tuple(edges),
-                     spend_direction)
+    return KChainlet(tx_nodes, tuple(addrs), tuple(edges), spend_direction)
 
 
 def extract_k_chainlets(ledger: Ledger, k: int, start: int | None = None,

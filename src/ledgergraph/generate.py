@@ -67,11 +67,10 @@ class _AddressPool:
 
 def _partition(rng: random.Random, total: int, parts: int) -> list[int]:
     """Split total into parts random shares, each at least 10% of the even
-    share (keeps long spend chains from decaying into dust too fast)."""
+    share (keeps long spend chains from decaying into dust too fast).
+    make_tx keeps total >= parts whenever parts > 1."""
     if parts == 1:
         return [total]
-    if total < parts:
-        raise ValueError(f"cannot split {total} into {parts} positive parts")
     floor_share = max(1, total // (parts * 10))
     pool = total - floor_share * parts
     weights = [rng.randint(1, 1000) for _ in range(parts)]
@@ -113,9 +112,7 @@ def generate_utxo(spec: UtxoSpec, seed: int) -> Ledger:
             y, x = small, small + rng.randint(1, MAX_DIM)
         else:
             x = y = small
-        x = min(x, len(pool))
-        if x == 0:
-            raise RuntimeError("output pool exhausted; raise COINBASE_OUTPUTS")
+        x = min(x, len(pool))  # the pool never empties: each tx adds outputs
         if cls == "transition":
             y = x
         elif cls == "merge":
@@ -146,7 +143,7 @@ def generate_utxo(spec: UtxoSpec, seed: int) -> Ledger:
     )
     genesis = UtxoTransaction("gen0", (), genesis_outs, coinbase=True,
                               block_height=0)
-    ledger.apply_block(Block(0, 0, (genesis,), INITIAL_SUBSIDY))
+    ledger.apply_block(Block(0, (genesis,), INITIAL_SUBSIDY))
     pool.extend((o.ref, o.amount) for o in genesis_outs)
 
     made = 0
@@ -168,8 +165,7 @@ def generate_utxo(spec: UtxoSpec, seed: int) -> Ledger:
         )
         coinbase = UtxoTransaction(cb_id, (), cb_outs, coinbase=True,
                                    block_height=height)
-        ledger.apply_block(Block(height, height * 600, (coinbase, *txs),
-                                 INITIAL_SUBSIDY))
+        ledger.apply_block(Block(height, (coinbase, *txs), INITIAL_SUBSIDY))
         pool.extend((o.ref, o.amount) for o in cb_outs)
         made += batch
     return ledger
@@ -276,10 +272,9 @@ def generate_tangle(spec: TangleSpec, seed: int):
     spendable = {n: FUNDING for n in names}
     for cycle in range(spec.cycles):
         for b in range(spec.bundles_per_cycle):
-            candidates = [n for n in names if spendable.get(n, 0) > 1]
-            if not candidates:
-                break
-            src = rng.choice(candidates)
+            # spendable always sums to ADDRESSES * FUNDING, so some
+            # address holds more than 1
+            src = rng.choice([n for n in names if spendable.get(n, 0) > 1])
             amount = rng.randint(1, spendable[src])
             dst = rng.choice([n for n in names if n != src])
             level = rng.choice((1, 2, 3))

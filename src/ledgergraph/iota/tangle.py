@@ -174,6 +174,8 @@ class TangleState:
                     rng_seed: int = 0) -> tuple[str, str]:
         """Pick (trunk, branch) from the current valid tip set; equal only
         when a single tip exists. Deterministic under rng_seed."""
+        if strategy not in ("uniform-random", "oldest-first"):
+            raise BadRecordError(f"unknown tip selection strategy {strategy!r}")
         tips = self.valid_tips()
         if not tips:
             raise NoValidTipsError("no valid tips to approve")
@@ -183,10 +185,8 @@ class TangleState:
             rng = random.Random(rng_seed)
             pick = rng.sample(sorted(tips), 2)
             return pick[0], pick[1]
-        if strategy == "oldest-first":
-            ordered = sorted(tips, key=lambda t: self._attach_seq[t])
-            return ordered[0], ordered[1]
-        raise BadRecordError(f"unknown tip selection strategy {strategy!r}")
+        ordered = sorted(tips, key=lambda t: self._attach_seq[t])
+        return ordered[0], ordered[1]
 
     # -- milestones -----------------------------------------------------------
 
@@ -246,20 +246,21 @@ class TangleState:
 
     def _invalidate_with_approvers(self, start_members: list[str]) -> None:
         """Invalidate the bundles of start_members and all their direct and
-        indirect approvers, never confirmed history. A valid trunk or
-        branch left without a valid approver becomes a tip again."""
+        indirect approvers. A valid trunk or branch left without a valid
+        approver becomes a tip again.
+
+        Confirmed history is never reached: the start bundle is
+        unconfirmed, confirmation is closed over ancestors, so nothing
+        that approves it is confirmed, and bundles confirm and fall
+        whole. A hash can be queued twice, hence the invalid check."""
         queue = deque(start_members)
         parents: dict[str, None] = {}
         while queue:
             h = queue.popleft()
             if h in self.invalid:
                 continue
-            if h in self.confirmed:
-                continue  # never demote confirmed history
             # pull in the whole bundle of h
             for m in self.bundles[self._head[h]]:
-                if m in self.invalid or m in self.confirmed:
-                    continue
                 self.invalid.add(m)
                 self.tips.pop(m, None)
                 tx = self.transactions[m]
@@ -270,7 +271,7 @@ class TangleState:
                     a in self.invalid for a in self.approvers.get(ref, [])):
                 self.tips[ref] = None
 
-    def apply_milestone(self, milestone_hash: str) -> dict:
+    def apply_milestone(self, milestone_hash: str) -> None:
         """Confirmation sweep from a coordinator transaction.
 
         Reachable bundles confirm oldest-first, each only once every
@@ -303,7 +304,6 @@ class TangleState:
         # deepest ancestors first, so deposits confirm before their spends
         bundle_order.reverse()
 
-        confirmed_now: list[str] = []
         decreased: set[str] = set()
         pending = []
         for b in bundle_order:
@@ -325,7 +325,6 @@ class TangleState:
                 need = self._bundle_withdrawals(members)
                 if all(self.balances.get(a, 0) >= w for a, w in need.items()):
                     self._confirm_bundle(members)
-                    confirmed_now.append(self.transactions[b].bundle)
                     decreased.update(need)
                     pending.remove(b)
                     progress = True
@@ -346,9 +345,6 @@ class TangleState:
                     continue
                 if any(self.balances.get(a, 0) < w for a, w in need.items()):
                     self._invalidate_with_approvers(members)
-
-        return {"confirmed_bundles": confirmed_now,
-                "invalid_count": len(self.invalid)}
 
     # -- promotion and snapshots ------------------------------------------------
 

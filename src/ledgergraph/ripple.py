@@ -259,17 +259,13 @@ def fill_amounts(maker_gets_rem: int, rate: Fraction, taker_wants_rem: int,
     """Fill quantities at the maker's rate: the taker acquires g units and
     pays p = ceil(g * rate), so the maker never receives below its rate
     and the taker keeps any surplus. Returns (g, p), possibly (0, 0)."""
+    # g <= taker_gives_rem / rate, so g * rate and its ceiling stay
+    # within the taker's integer budget
     g = min(maker_gets_rem, taker_wants_rem,
             floor(Fraction(taker_gives_rem) / rate))
     if g <= 0:
         return 0, 0
-    p = ceil(g * rate)
-    if p > taker_gives_rem:
-        g -= 1
-        p = ceil(g * rate) if g > 0 else 0
-    if g <= 0:
-        return 0, 0
-    return g, p
+    return g, ceil(g * rate)
 
 
 class RippleLedger:
@@ -697,9 +693,7 @@ class RippleLedger:
             raise BadRecordError("amount must be positive")
         states = self._open_hops(path, currency)
         if states is None:
-            missing = [f"no {currency} line between {a} and {b}"
-                       for a, b in zip(path, path[1:]) if self.line(a, b, currency) is None]
-            raise DriedUpPathError((missing or ["path blocked by no_ripple flags"])[0])
+            raise self._blocked(path, currency)
         delivered = self._carried(path, states, amount)
         if delivered < amount and not partial:
             raise DriedUpPathError(
@@ -712,6 +706,14 @@ class RippleLedger:
                              amount=delivered)
         self._record_payment(path, currency, amount, delivered)
         return delivered
+
+    def _blocked(self, path: Sequence[str], currency: str) -> DriedUpPathError:
+        """Why _open_hops blocks the path: its first missing line, else
+        its no_ripple flags."""
+        for a, b in zip(path, path[1:]):
+            if self.line(a, b, currency) is None:
+                return DriedUpPathError(f"no {currency} line between {a} and {b}")
+        return DriedUpPathError("path blocked by no_ripple flags")
 
     def pay(self, spec: PaymentSpec) -> dict:
         """Full payment operation: XRP goes direct, issued currency settles
@@ -750,6 +752,10 @@ class RippleLedger:
                     if d == spec.amount.value:
                         break
             if best is None:
+                # discovered paths are open; explicit ones may all be blocked
+                if spec.pathset and all(self._open_hops(p, spec.amount.currency) is None
+                                        for p in spec.pathset):
+                    raise self._blocked(spec.pathset[0], spec.amount.currency)
                 raise ZeroDeliverableError("every candidate path is exhausted")
             delivered = self.execute_rippling(best[1], spec.amount.value,
                                               spec.amount.currency, partial=True)
@@ -781,6 +787,7 @@ class RippleLedger:
         cannot reserve; either way nothing is written."""
         if taker_gets.value <= 0 or taker_pays.value <= 0:
             raise BadRecordError("offer amounts must be positive")
+        _require_issuer(taker_gets, taker_pays)
         legs = _Legs(self)
         if not legs.funded(owner, taker_gets, taker_gets.value):
             raise UnfundedOfferError(
@@ -864,6 +871,7 @@ class RippleLedger:
                     expiration: int | None = None) -> Check:
         if sender == receiver:
             raise CheckError("cannot write a check to oneself")
+        _require_issuer(amount)
         self.account(sender)
         self.account(receiver)
         check = Check(self.next_seq(), sender, receiver, amount, expiration)
@@ -980,9 +988,10 @@ class _Legs:
 
     `move` takes the legs in order, each crediting an account (debiting
     it when negative), and raises where the ledger could not carry one;
-    `funded` and `position` read the ledger as the legs so far would
-    leave it. RippleLedger._commit then writes them all, so an operation
-    that stops on a leg has written nothing."""
+    `funded` reads the ledger as the legs so far would leave it.
+    RippleLedger._commit then writes them all, so an operation that stops
+    on a leg has written nothing. Every issued-currency leg names its
+    issuer (_require_issuer)."""
 
     def __init__(self, ledger: RippleLedger):
         self.ledger = ledger
@@ -990,31 +999,18 @@ class _Legs:
         self.debt: dict[tuple[str, str, str], int] = {}  # balance change per line
         self.new_lines: dict[tuple[str, str, str], str] = {}  # line -> owner
 
-    def position(self, address: str, currency: str, issuer: str | None) -> int:
-        """Signed position in an issued currency: on the line with the
-        issuer, or summed over the address's lines when issuer is None."""
-        led = self.ledger
-        if issuer is not None:
-            keys = {(*led.canonical_pair(address, issuer), currency)}
-        else:
-            keys = {(*led.canonical_pair(address, peer), currency)
-                    for peer in led.line_index.get((address, currency), ())}
-            keys.update(k for k in self.debt
-                        if k[2] == currency and address in k[:2])
-        total = 0
-        for key in keys:
-            state = led.states.get(key)
-            balance = (state.balance if state else 0) + self.debt.get(key, 0)
-            total += balance if key[0] == address else -balance
-        return total
-
     def funded(self, address: str, cv: CurrencyValue, amount: int) -> bool:
+        """Whether the address holds `amount` (> 0) of cv; an issued
+        currency is held on the line with its issuer."""
         if cv.is_xrp:
             return (self.ledger.account(address).xrp_balance
                     + self.xrp.get(address, 0)) >= amount
         if cv.issuer == address:
             return True  # issuing one's own currency
-        return max(0, self.position(address, cv.currency, cv.issuer)) >= amount
+        key = (*self.ledger.canonical_pair(address, cv.issuer), cv.currency)
+        state = self.ledger.states.get(key)
+        balance = (state.balance if state else 0) + self.debt.get(key, 0)
+        return (balance if key[0] == address else -balance) >= amount
 
     def move(self, address: str, cv: CurrencyValue, amount: int) -> None:
         led = self.ledger
@@ -1022,10 +1018,9 @@ class _Legs:
             led.account(address)
             self.xrp[address] = self.xrp.get(address, 0) + amount
             return
-        issuer = cv.issuer
-        if issuer is None or issuer == address:
+        if cv.issuer == address:
             return  # issuers redeem their own paper
-        low, high = led.canonical_pair(address, issuer)
+        low, high = led.canonical_pair(address, cv.issuer)
         key = (low, high, cv.currency)
         if key not in led.states and key not in self.new_lines:
             # acquiring issued currency writes a trust line object; the
@@ -1039,6 +1034,16 @@ class _Legs:
                 )
             self.new_lines[key] = address
         self.debt[key] = self.debt.get(key, 0) + (amount if low == address else -amount)
+
+
+def _require_issuer(*amounts: CurrencyValue) -> None:
+    """An offer or check moves issued currency on the line with its
+    issuer, so its amounts must name one (a payment's need not: any
+    issuer on a path will do)."""
+    for cv in amounts:
+        if not cv.is_xrp and cv.issuer is None:
+            raise BadRecordError(f"a {cv.currency} amount in an offer or check "
+                                 "must name its issuer")
 
 
 def load_trust_csv(lines: Iterable[str]) -> RippleLedger:

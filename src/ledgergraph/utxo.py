@@ -184,7 +184,6 @@ class UtxoTransaction:
 @dataclass(frozen=True)
 class Block:
     height: int
-    timestamp: int
     transactions: tuple[UtxoTransaction, ...]
     subsidy: int
 
@@ -429,8 +428,7 @@ def _tx_from_record(rec: dict) -> UtxoTransaction:
 
 
 def load_jsonl(lines: Iterable[str], subsidy: int = INITIAL_SUBSIDY) -> Ledger:
-    """Build a ledger from ingestion JSONL, validating every block; block
-    h is stamped 1,231,006,505 + 600 h seconds.
+    """Build a ledger from ingestion JSONL, validating every block.
     Amounts, heights and indexes must be JSON integers; a malformed line
     raises BadJsonError, BadRecordError or BadAmountError naming it, and a
     block whose coinbase is missing or doubled raises one naming the block."""
@@ -444,8 +442,7 @@ def load_jsonl(lines: Iterable[str], subsidy: int = INITIAL_SUBSIDY) -> Ledger:
         txs = by_block[height]
         txs.sort(key=lambda t: not t.coinbase)  # coinbase first, stable otherwise
         with naming(f"block {height}"):
-            block = Block(height, 1_231_006_505 + height * 600, tuple(txs),
-                          subsidy)
+            block = Block(height, tuple(txs), subsidy)
         ledger.apply_block(block)
     return ledger
 

@@ -114,7 +114,7 @@ def test_trade_flow_two_partial_views():
     contract = ledger.register(deploy_token("a3owner", "TOK", 18, 10, nonce=0))
     ledger.execute_token_transfer(contract.address, "a3owner", "a2", 2, "seed")
     xfer = ledger.execute_token_transfer(contract.address, "a2", "a1", 2, "tx_b6")
-    graphs = build_token_graph(ledger.transfers, token=contract.address)
+    graphs = build_token_graph(ledger.transfers)
     pairs = [(e.source, e.target, e.weight) for e in graphs[contract.address].edges]
     assert ("a2", "a1", 2) in pairs
     assert xfer.triggering_tx == "tx_b6"
@@ -184,8 +184,10 @@ def test_walkthrough_hyperedges():
 
 
 def test_plain_transfer_hyperedge_size_two():
-    hg = build_trace_hypergraph([Trace("t", (TraceStep("a", "b", "call", 5),))])
+    hg = build_trace_hypergraph([Trace("t", (TraceStep("a", "b", "call", 5),)),
+                                 Trace("s", (TraceStep("a", "a"),))])
     assert len(hg.edges[0].members) == 2
+    assert [e.label for e in hg.edges] == ["t"]  # a self-call touches one address
 
 
 def test_sequential_step_order_preserved():

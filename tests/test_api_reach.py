@@ -1,6 +1,7 @@
 """Every function, class and public method in the package is reached by
 the package itself, a demo or the benchmark, not by tests alone, and so
-is every dataclass field with a default: that code gives it a value.
+is every dataclass field: that code reads it, and gives it a value when
+it has a default.
 
 The check reads code, not text: a definition counts as reached when its
 name is used in src/, demos/ or bench/ outside its own definition, as a
@@ -14,6 +15,11 @@ positional argument to its class, a store to an attribute of its name,
 or a mutating call (``add``, ``update``, ...) on such an attribute. A
 keyword counts only for the class called, so ``dataclass(frozen=True)``
 does not set a field named ``frozen``.
+
+A field counts as read by a load of an attribute of its name. This
+matches by name alone, so it cannot see a field that nothing reads when
+another class has a field of the same name that is read: a block's
+``timestamp`` went unseen that way while transactions' were read.
 """
 
 import ast
@@ -30,6 +36,14 @@ MUTATORS = {"add", "append", "clear", "discard", "extend", "insert", "pop",
 TEST_SHAPED = {"RunConfig.window", "RunConfig.subsidy", "UtxoSpec.txs_per_block",
                "TangleSpec.bundles_per_cycle", "TangleSpec.tip_strategy",
                "TangleSpec.difficulty"}
+
+# Fields no code reads, and why each stays.
+UNREAD = {
+    "TokenContract.decimals": "a token script's deploy record sets it, and the "
+                              "format keeps it",
+    "KChainlet.address_nodes": "tests check on it that a k=1 chainlet lists each "
+                               "address once",
+}
 
 
 def definitions(tree):
@@ -115,9 +129,9 @@ def _name_of(node):
     return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
 
 
-def defaulted_fields(tree):
-    """(class, field, position, line) of each dataclass field that has a
-    default; the position counts every field of the class."""
+def dataclass_fields(tree):
+    """(class, field, position, line, has a default) of each dataclass
+    field; the position counts every field of the class."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.ClassDef) or not any(
                 _name_of(d.func if isinstance(d, ast.Call) else d) == "dataclass"
@@ -126,8 +140,7 @@ def defaulted_fields(tree):
         annotated = [item for item in node.body if isinstance(item, ast.AnnAssign)
                      and isinstance(item.target, ast.Name)]
         for position, item in enumerate(annotated):
-            if item.value is not None:
-                yield node.name, item.target.id, position, item.lineno
+            yield node.name, item.target.id, position, item.lineno, item.value is not None
 
 
 def unset_fields(root):
@@ -153,11 +166,51 @@ def unset_fields(root):
     found = []
     for path in sorted((root / "src" / "ledgergraph").rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        for cls, name, position, line in defaulted_fields(tree):
-            if (cls, name) not in keywords and name not in stored \
+        for cls, name, position, line, default in dataclass_fields(tree):
+            if default and (cls, name) not in keywords and name not in stored \
                     and positional.get(cls, 0) <= position:
                 found.append(f"{path.relative_to(root)}:{line} {cls}.{name}")
     return found
+
+
+def unread_fields(root):
+    """"path:line Class.field" of each dataclass field under
+    src/ledgergraph whose name no searched code loads as an attribute."""
+    read = {node.attr for _path, tree in searched_trees(root)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    found = []
+    for path in sorted((root / "src" / "ledgergraph").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for cls, name, _position, line, _default in dataclass_fields(tree):
+            if name not in read:
+                found.append(f"{path.relative_to(root)}:{line} {cls}.{name}")
+    return found
+
+
+def test_every_field_is_read_outside_tests():
+    assert {entry.split()[1] for entry in unread_fields(ROOT)} == set(UNREAD)
+
+
+def test_the_scan_finds_an_unread_field(tmp_path):
+    package = tmp_path / "src" / "ledgergraph"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(
+        "from dataclasses import dataclass\n\n\n"
+        "@dataclass\n"
+        "class Chain:\n"
+        "    k: int\n"
+        "    nodes: tuple\n"
+        "    note: str = ''\n\n\n"
+        "def build(nodes):\n"
+        "    chain = Chain(len(nodes), nodes, note='n')\n"
+        "    chain.k = 2\n"
+        "    return chain\n")
+    (tmp_path / "demos").mkdir()
+    (tmp_path / "demos" / "demo.py").write_text(
+        "from ledgergraph.mod import build\n\nprint(build((1,)).nodes, 'note')\n")
+    assert unread_fields(tmp_path) == ["src/ledgergraph/mod.py:6 Chain.k",
+                                       "src/ledgergraph/mod.py:8 Chain.note"]
 
 
 def test_every_defaulted_field_is_set_outside_tests():

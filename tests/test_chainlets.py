@@ -222,8 +222,9 @@ def test_extreme_patterns():
 
 def test_aggregate_shares():
     window = [chainlet(1, 2)] * 4 + [chainlet(2, 1)]
-    [(m, t, s)] = aggregate_timeseries([window])
+    [(m, t, s), empty] = aggregate_timeseries([window, []])
     assert (m, t, s) == (20.0, 0.0, 80.0)
+    assert empty == (0.0, 0.0, 0.0)
 
 
 def test_all_transition_window():

@@ -209,6 +209,19 @@ def test_generate_deterministic_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("args,sha256", [
+    (["ripple", "--seed", 0], "b22220bb907fc0bb9bacf7c85ad2bc25ceed43ef4af6653d5194b7a7d1b60206"),
+    (["ripple", "--seed", 7], "27d52e0f80154752e8892de85b7aad596c8bbf8aa48f5bb0dddb86da3e8eab15"),
+    (["iota", "--seed", 0, "--count", 20],
+     "dc6ada7b42d68fe255654acfdec21768d75965835551924c88db06f2ffb5c192"),
+    (["iota", "--seed", 7, "--count", 20],
+     "11cff6c7eb9320302d9ae333b15af47ad62260116adb6d2368861034328915f0"),
+], ids=["ripple-0", "ripple-7", "iota-0", "iota-7"])
+def test_generate_trust_graph_and_tangle_bytes(capsysbinary, args, sha256):
+    assert run_cli(["generate", *args]) == 0
+    assert hashlib.sha256(capsysbinary.readouterr().out).hexdigest() == sha256
+
+
 def test_generate_ends_every_line_and_writes_nothing_for_no_records(tmp_path):
     empty, three = tmp_path / "empty.jsonl", tmp_path / "three.jsonl"
     assert run_cli(["generate", "account", "--count", 0, "--out", empty]) == 0
@@ -858,6 +871,130 @@ NO_COINBASE_FIRST = "\n".join([
                  ["account", "tokens", "t.jsonl"],
                  "bad-record", "line 1: token supply must be non-negative",
                  id="token-negative-supply"),
+    pytest.param({"in.jsonl": b'{"id":"c","block":0,"coinbase":true,"outputs":[]}\n'},
+                 ["utxo", "validate", "in.jsonl"], "bad-record",
+                 "line 1: coinbase transaction needs at least one output",
+                 id="utxo-coinbase-without-outputs"),
+    pytest.param({"in.jsonl": b'{"id":"c","block":0,"coinbase":true,"inputs":[{"txid":'
+                              b'"x","index":0}],"outputs":[{"amount":1,"address":"m"}]}\n'},
+                 ["utxo", "validate", "in.jsonl"], "bad-record",
+                 "line 1: coinbase transaction must have no inputs",
+                 id="utxo-coinbase-with-inputs"),
+    pytest.param({"in.jsonl": (COINBASE + '{"id":"t","block":0,"inputs":[{"txid":"c",'
+                               '"index":0},{"txid":"c","index":0}],"outputs":[{"amount":1,'
+                               '"address":"x"}]}\n').encode()},
+                 ["utxo", "validate", "in.jsonl"], "bad-record",
+                 "line 2: input references must be distinct", id="utxo-input-twice"),
+    pytest.param({"in.jsonl": (COINBASE + COINBASE.replace('"c"', '"d"')).encode()},
+                 ["utxo", "validate", "in.jsonl"], "bad-record",
+                 "block 0: only one coinbase per block, at position 0",
+                 id="utxo-two-coinbases"),
+    pytest.param({"in.jsonl": COINBASE.replace('"coinbase":true', '"coinbase":true,'
+                                               '"kinds":{"out":["y"]}').encode()},
+                 ["utxo", "validate", "in.jsonl"], "bad-record",
+                 "line 1: kinds 'out' must hold 't' or 'z', got ['y']", id="utxo-kind-y"),
+    pytest.param({"in.jsonl": (COINBASE + COINBASE.replace('"c"', '"c1"').replace(
+        '"block":0', '"block":1') + "".join(
+        '{"id":"%s","block":1,"inputs":[{"txid":"c","index":0}],'
+        '"outputs":[{"amount":1,"address":"x"}]}\n' % txid for txid in ("t1", "t2")))
+                  .encode()}, ["utxo", "validate", "in.jsonl"],
+                 "double-spend", "('c', 0) is already spent",
+                 id="utxo-double-spend-in-block"),
+    pytest.param({"in.jsonl": (COINBASE.replace('"address":"m"', '"address":"m",'
+                                                '"visible":false')
+                               + COINBASE.replace('"c"', '"c1"').replace('"block":0',
+                                                                         '"block":1')
+                               + '{"id":"t","block":1,"inputs":[{"txid":"c","index":0}],'
+                               '"outputs":[{"amount":1,"address":"x"}]}\n').encode()},
+                 ["utxo", "graph", "in.jsonl", "--kind", "address", "--from", 1],
+                 "hidden-amount", "input ('c', 0) has a hidden amount",
+                 id="utxo-hidden-input-before-the-window"),
+    pytest.param({"trust.csv": b"low,high,currency,balance,low_limit,high_limit\n"
+                               b"b,a,USD,0,1,1\n"},
+                 ["ripple", "report", "--trust", "trust.csv"], "bad-record",
+                 "line 2: low account must sort below high account",
+                 id="trust-low-above-high"),
+    pytest.param({"s.jsonl": ripple_script({"op": "set_trust", "lender": "a",
+                                            "borrower": "b", "currency": "USD",
+                                            "limit": -1})},
+                 ["ripple", "pay", "s.jsonl"], "bad-record",
+                 "line 3: trust limit must be >= 0", id="ripple-negative-limit"),
+    pytest.param({"s.jsonl": ripple_script({"op": "offer", "owner": "a",
+                                            "gets": {"currency": "USD", "issuer": "a",
+                                                     "value": 5},
+                                            "pays": {"currency": "USD", "issuer": "a",
+                                                     "value": 6}})},
+                 ["ripple", "pay", "s.jsonl"], "bad-record",
+                 "line 3: offer sides must differ in (currency, issuer)",
+                 id="ripple-offer-equal-sides"),
+    pytest.param({"s.jsonl": ripple_script({"op": "offer", "owner": "a",
+                                            "gets": {"currency": "XRP", "value": 0},
+                                            "pays": {"currency": "USD", "issuer": "b",
+                                                     "value": 6}})},
+                 ["ripple", "pay", "s.jsonl"], "bad-record",
+                 "line 3: offer amounts must be positive", id="ripple-offer-zero"),
+    pytest.param({"s.jsonl": ripple_script({"op": "pay", "account": "a",
+                                            "destination": "b",
+                                            "amount": {"currency": "XRP", "value": 0}})},
+                 ["ripple", "pay", "s.jsonl"], "bad-record",
+                 "line 3: payment must be positive", id="ripple-xrp-pay-zero"),
+    pytest.param({"s.jsonl": ripple_script({"op": "create_escrow", "sender": "a",
+                                            "receiver": "b", "drops": 0,
+                                            "release_time": 0})},
+                 ["ripple", "pay", "s.jsonl"], "bad-record",
+                 "line 3: escrow amount must be positive", id="ripple-escrow-zero"),
+    pytest.param({"s.jsonl": ripple_script(
+        {"op": "create_escrow", "sender": "a", "receiver": "b", "drops": 5,
+         "release_time": 0, "expiration": 5},
+        {"op": "finish_escrow", "escrow_id": 1, "now": 6})},
+                 ["ripple", "pay", "s.jsonl"], "escrow-error",
+                 "operation 3 (finish_escrow): expired", id="ripple-finish-expired-escrow"),
+    pytest.param({"s.jsonl": ripple_script(
+        {"op": "write_check", "sender": "a", "receiver": "b",
+         "amount": {"currency": "XRP", "value": 5}},
+        {"op": "cash_check", "check_id": 1, "amount": 6})},
+                 ["ripple", "pay", "s.jsonl"], "check-error",
+                 "operation 3 (cash_check): cash amount 6 exceeds remaining 5",
+                 id="ripple-cash-past-the-face-value"),
+    pytest.param({"s.jsonl": ripple_script({"op": "pay", "account": "a",
+                                            "destination": "b", "paths": [["a", 1]],
+                                            "amount": {"currency": "USD", "value": 5}})},
+                 ["ripple", "pay", "s.jsonl"], "bad-record",
+                 "line 3: 'paths' must be a list of names, got ['a', 1]",
+                 id="ripple-path-of-non-names"),
+    pytest.param({"s.jsonl": ripple_script(
+        {"op": "create_account", "address": "c"},
+        {"op": "pay", "account": "a", "destination": "b", "paths": [["a", "c", "b"]],
+         "partial": True, "amount": {"currency": "USD", "value": 5}})},
+                 ["ripple", "pay", "s.jsonl"], "dried-up-path",
+                 "operation 3 (pay): no USD line between a and c",
+                 id="ripple-partial-path-without-a-line"),
+    pytest.param({"s.jsonl": b'{"op":"attach_message","address":"m","tips":"GENESIS"}\n'},
+                 ["iota", "grow", "s.jsonl"], "bad-record",
+                 "line 1: 'tips' must be a list of names, got 'GENESIS'",
+                 id="tangle-tips-not-a-list"),
+    pytest.param({"s.jsonl": b'{"op":"attach_message","address":"m",'
+                             b'"tips":["GENESIS","GENESIS","GENESIS"]}\n'},
+                 ["iota", "grow", "s.jsonl"], "bad-record",
+                 "line 1: 'tips' must name a trunk and a branch", id="tangle-three-tips"),
+    pytest.param({"s.jsonl": b'{"op":"select_tips","strategy":"bogus"}\n'},
+                 ["iota", "grow", "s.jsonl"], "bad-record",
+                 "line 1: unknown tip selection strategy 'bogus'",
+                 id="tangle-unknown-strategy-one-tip"),
+    pytest.param({"in.jsonl": ACCOUNT_LINE.replace('"nonce":0', '"nonce":-1')
+                  .replace("%s", "1").encode()},
+                 ["account", "graph", "in.jsonl"], "bad-record",
+                 "line 1: nonce must be non-negative", id="account-negative-nonce"),
+    pytest.param({"t.jsonl": b'{"op":"deploy","owner":"a","symbol":"X","supply":5,'
+                             b'"nonce":0}\n{"op":"transfer","token":"0x'
+                             + hashlib.sha256(b"a:0").hexdigest()[:40].encode()
+                             + b'","from":"a","to":"b","amount":-1}\n'},
+                 ["account", "tokens", "t.jsonl"], "bad-record",
+                 "line 2: token amount must be non-negative", id="token-transfer-minus-1"),
+    pytest.param({"t.jsonl": b'{"op":"behavior","address":"c","calls":[{"to":"d",'
+                             b'"kind":"x"}]}\n{"op":"tx","id":"t","from":"a","to":"c"}\n'},
+                 ["account", "traces", "t.jsonl"], "bad-record",
+                 "line 2: unknown call kind 'x'", id="trace-call-kind-x"),
 ])
 def test_each_rejection_has_its_own_code(tmp_path, monkeypatch, capsys, files, args,
                                          error, message):
@@ -930,6 +1067,32 @@ def test_malformed_payment_stops_the_replay(tmp_path, capsys, change, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err) == {"error": "bad-record", "message": message}
+
+
+@pytest.mark.parametrize("op", [
+    {"op": "offer", "owner": "a", "gets": {"currency": "USD", "value": 10},
+     "pays": {"currency": "XRP", "value": 100}},
+    {"op": "offer", "owner": "b", "gets": {"currency": "XRP", "value": 100},
+     "pays": {"currency": "USD", "value": 10}},
+    {"op": "write_check", "sender": "a", "receiver": "b",
+     "amount": {"currency": "USD", "value": 10}},
+], ids=["offer-gets", "offer-pays", "check"])
+def test_issuerless_offer_or_check_amount_is_a_bad_record(tmp_path, capsys, op):
+    """An offer or check moves issued currency on the line with its
+    issuer, so an amount without one is a bad record, even while a holds
+    10 USD of gw's paper."""
+    script, log = tmp_path / "s.jsonl", tmp_path / "log.jsonl"
+    script.write_bytes(ripple_script(
+        {"op": "create_account", "address": "gw", "xrp": 10**9},
+        {"op": "set_trust", "lender": "a", "borrower": "gw", "currency": "USD",
+         "limit": 100},
+        {"op": "adjust_debt", "lender": "a", "borrower": "gw", "currency": "USD",
+         "amount": 10}, op))
+    assert run_cli(["ripple", "pay", script, "--out", log]) == 2
+    assert not log.exists()
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "bad-record",
+        "message": "line 6: a USD amount in an offer or check must name its issuer"}
 
 
 def test_rejected_payment_exits_2_naming_the_operation(tmp_path, capsys):

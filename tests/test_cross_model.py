@@ -60,7 +60,7 @@ def utxo_ledger(genesis, steps) -> Ledger:
             Output(f"s{n}", i, amount, address)
             for i, (address, amount) in enumerate(outputs)), block_height=0))
     ledger = Ledger()
-    ledger.apply_block(Block(0, 0, tuple(txs), sum(genesis.values())))
+    ledger.apply_block(Block(0, tuple(txs), sum(genesis.values())))
     return ledger
 
 

@@ -2,6 +2,7 @@
 the modules."""
 
 from fractions import Fraction
+from math import ceil
 
 import pytest
 from hypothesis import given, strategies as st
@@ -45,7 +46,7 @@ def test_supply_monotone_and_bounded():
     for h in range(4):
         subsidy = halving_subsidy(h)
         cb = tx(f"c{h}", [], [(f"m{h}", subsidy - h)], coinbase=True)
-        led.apply_block(Block(h, h * 600, (cb,), subsidy))
+        led.apply_block(Block(h, (cb,), subsidy))
         subsidies += subsidy
         assert led.total_supply() >= supply_seen  # never shrinks
         supply_seen = led.total_supply()
@@ -103,8 +104,9 @@ def test_direct_xrp_cannot_be_partial():
 def test_fill_arithmetic_never_cheats_the_maker(gets, pays, wants, budget, extra):
     rate = Fraction(pays, gets)
     g, p = fill_amounts(gets, rate, wants, budget)
+    assert g == max(0, min(gets, wants, budget * gets // pays))
     if g:
-        assert p <= budget
+        assert p == ceil(g * rate) <= budget
         assert Fraction(p, g) >= rate  # maker never paid below its rate
         assert g <= gets and g <= wants
 

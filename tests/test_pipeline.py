@@ -3,6 +3,7 @@ characteristics the ten graph types must carry."""
 
 import contextlib
 import gc
+import hashlib
 import json
 import os
 import pathlib
@@ -126,6 +127,13 @@ def test_pipeline_account(fixture_dir, tmp_path):
         chain="account", input_path=str(fixture_dir / "account_table.jsonl"),
         output_dir=str(out)))
     assert report["summary"]["graph"]["edges"] == 6
+
+
+def test_pipeline_account_generates_when_no_input(tmp_path):
+    report = run_pipeline(RunConfig(chain="account", output_dir=str(tmp_path)))
+    assert report["summary"]["transactions"] == 1000
+    assert hashlib.sha256((tmp_path / "account_graph.csv").read_bytes()).hexdigest() \
+        == "4fea9d118d1b9c0f5e8d1af9a4a9b0dc2194a846de7232f84798a501e64497b4"
 
 
 @pytest.mark.parametrize("chain", ["utxo", "ripple", "iota", "account"])

@@ -230,6 +230,29 @@ def test_partial_zero_deliverable():
                             pathset=(("s", "d"),)))
 
 
+def test_partial_payment_over_blocked_paths_names_the_first_block():
+    """A partial payment whose explicit paths are all blocked raises what
+    the full payment raises for the first of them; one open path, even an
+    exhausted one, leaves it zero-deliverable."""
+    led = funded_ledger(["s", "x", "y", "d"])
+    led.set_trust("x", "s", "USD", 100)  # x's side has no_ripple set
+    led.set_trust("d", "x", "USD", 100)
+    led.set_trust("x", "d", "USD", 0)  # and so does its side of the d line
+    led.set_trust("d", "s", "USD", 10)
+    led.adjust_line_debt("d", "s", "USD", 10)  # the direct line is used up
+    writes = led.writes
+    for first, message in ((("s", "x", "d"), "path blocked by no_ripple flags"),
+                           (("s", "y", "d"), "no USD line between s and y")):
+        for partial in (False, True):
+            with pytest.raises(DriedUpPathError, match=f"^{message}"):
+                led.pay(PaymentSpec("s", "d", usd(5), tf_partial_payment=partial,
+                                    pathset=(first, ("s", "x", "d"))))
+    with pytest.raises(ZeroDeliverableError):
+        led.pay(PaymentSpec("s", "d", usd(5), tf_partial_payment=True,
+                            pathset=(("s", "x", "d"), ("s", "d"))))
+    assert led.writes == writes
+
+
 def test_amount_issuer_must_be_second_to_last():
     led = funded_ledger(["s", "gw1", "gw2", "d"])
     led.set_trust("gw1", "s", "USD", 100, no_ripple=False)
@@ -316,6 +339,12 @@ def test_buying_issued_currency_creates_trust_line_and_reserve():
     led.create_offer("t", usd(10, "issU"), eur(7))
     assert led.line("t", "issE", "EUR") is not None
     assert led.account("t").owned_objects == owned_before + 1
+    # once t's 7 EUR are redeemed, the issuer zeroing its side deletes the
+    # line, which releases t's reserve for it
+    led.adjust_line_debt("t", "issE", "EUR", -7)
+    led.set_trust("issE", "t", "EUR", 0)
+    assert led.line("t", "issE", "EUR") is None
+    assert led.account("t").owned_objects == owned_before
 
 
 # brute-force matcher oracle: same fill convention, naive book as a list

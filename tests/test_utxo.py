@@ -1,5 +1,7 @@
 """UTXO validation, block application, lineage, privacy-coin overlays."""
 
+import json
+
 import pytest
 
 from ledgergraph.core import BadRecordError
@@ -33,7 +35,7 @@ def tx(txid, inputs, outputs, coinbase=False):
 def funded_ledger(amounts, subsidy=10**10):
     led = Ledger()
     g = tx("g", [], [(f"src{i}", v) for i, v in enumerate(amounts)], coinbase=True)
-    led.apply_block(Block(0, 0, (g,), subsidy))
+    led.apply_block(Block(0, (g,), subsidy))
     return led
 
 
@@ -62,7 +64,7 @@ def test_double_spend_across_blocks_rejected():
     led = funded_ledger([500, 500])
     cb1 = tx("c1", [], [("m1", 10**10)], coinbase=True)
     t1 = tx("t1", [("g", 0)], [("a", 400)])
-    led.apply_block(Block(1, 600, (cb1, t1), 10**10))
+    led.apply_block(Block(1, (cb1, t1), 10**10))
     again = tx("t2", [("g", 0)], [("b", 400)])
     with pytest.raises(DoubleSpendError):
         led.validate_transaction(again)
@@ -105,7 +107,7 @@ def test_coinbase_over_cap_rejected():
 def test_underclaiming_destroys_supply():
     led = funded_ledger([1000], subsidy=1000)
     cb = tx("c1", [], [("m", 995)], coinbase=True)
-    led.apply_block(Block(1, 600, (cb,), 1000))
+    led.apply_block(Block(1, (cb,), 1000))
     assert led.destroyed == 5
 
 
@@ -116,7 +118,7 @@ def test_intra_block_spend_of_earlier_tx():
     cb = tx("c1", [], [("m", 10**10)], coinbase=True)
     tx_x = tx("x", [("g", 0)], [("ax", 900)])
     tx_y = tx("y", [("x", 0)], [("ay", 850)])
-    led.apply_block(Block(1, 600, (cb, tx_x, tx_y), 10**10))
+    led.apply_block(Block(1, (cb, tx_x, tx_y), 10**10))
     assert ("x", 0) not in led.utxo
     assert led.output(("x", 0)) == tx_x.outputs[0]
     assert ("y", 0) in led.utxo
@@ -129,14 +131,14 @@ def test_reversed_intra_block_order_rejected_atomically():
     tx_x = tx("x", [("g", 0)], [("ax", 900)])
     tx_y = tx("y", [("x", 0)], [("ay", 850)])
     with pytest.raises(MissingOutputError):
-        led.apply_block(Block(1, 600, (cb, tx_y, tx_x), 10**10))
+        led.apply_block(Block(1, (cb, tx_y, tx_x), 10**10))
     assert led.utxo == before_utxo and led.tip_height == 0
 
 
 def test_coinbase_only_block_accepted():
     led = funded_ledger([1000])
     cb = tx("c1", [], [("m", 42)], coinbase=True)
-    led.apply_block(Block(1, 600, (cb,), 10**10))
+    led.apply_block(Block(1, (cb,), 10**10))
     assert led.tip_height == 1
 
 
@@ -144,12 +146,12 @@ def test_block_must_extend_tip():
     led = funded_ledger([1000])
     cb = tx("c1", [], [("m", 42)], coinbase=True)
     with pytest.raises(Exception):
-        led.apply_block(Block(5, 600, (cb,), 10**10))
+        led.apply_block(Block(5, (cb,), 10**10))
 
 
 def test_block_structure_invariants():
     with pytest.raises(BadRecordError):
-        Block(0, 0, (tx("t", [("g", 0)], [("a", 1)]),), 0)
+        Block(0, (tx("t", [("g", 0)], [("a", 1)]),), 0)
 
 
 # -- lineage --------------------------------------------------------------------
@@ -184,7 +186,7 @@ def test_lineage_three_deep_chain():
     a = tx("a", [("g", 0)], [("x1", 900)])
     b = tx("b", [("a", 0)], [("x2", 800)])
     c = tx("c", [("b", 0)], [("x3", 700)])
-    led.apply_block(Block(1, 600, (cb, a, b, c), 10**10))
+    led.apply_block(Block(1, (cb, a, b, c), 10**10))
     paths = trace_lineage(("c", 0), led)
     assert paths == brute_force_lineage(("c", 0), led)
     assert len(paths) == 1
@@ -198,7 +200,7 @@ def test_lineage_of_a_long_spend_chain():
     for i in range(1, 1500):
         chain.append(tx(f"s{i}", [(f"s{i - 1}", 0)], [("x", 1000)]))
     cb = tx("c1", [], [("m", 10**10)], coinbase=True)
-    led.apply_block(Block(1, 600, (cb, *chain), 10**10))
+    led.apply_block(Block(1, (cb, *chain), 10**10))
     path = (("g", 0),) + tuple((f"s{i}", 0) for i in range(1500))
     assert trace_lineage(("s1499", 0), led) == [path]
     assert len(path) == 1501
@@ -285,6 +287,19 @@ def test_ring_deterministic_under_seed():
 
 
 # -- ingestion round trip ----------------------------------------------------------------
+
+def test_jsonl_round_trip_keeps_kinds():
+    lines = [json.dumps({"id": "c", "block": 0, "coinbase": True, "kinds": {"out": ["z"]},
+                         "outputs": [{"amount": 5, "address": "z1"}]}),
+             json.dumps({"id": "t", "block": 0, "kinds": {"in": ["z"], "out": ["t", "z"]},
+                         "inputs": [{"txid": "c", "index": 0}],
+                         "outputs": [{"amount": 2, "address": "t1"},
+                                     {"amount": 3, "address": "z2"}]})]
+    dumped = list(dump_jsonl(load_jsonl(lines, subsidy=5)))
+    assert [json.loads(line)["kinds"] for line in dumped] == [
+        {"in": [], "out": ["z"]}, {"in": ["z"], "out": ["t", "z"]}]
+    assert list(dump_jsonl(load_jsonl(dumped, subsidy=5))) == dumped
+
 
 def test_jsonl_round_trip():
     led = worked_examples.six_tx_network()

@@ -48,7 +48,7 @@ def test_six_tx_transaction_graph_edges():
 def test_single_coinbase_ledger_graph():
     led = Ledger()
     cb = UtxoTransaction("c", (), (Output("c", 0, 5, "a"),), coinbase=True)
-    led.apply_block(Block(0, 0, (cb,), 5))
+    led.apply_block(Block(0, (cb,), 5))
     graph = build_transaction_graph(led)
     assert [tx.id for tx in txs_in_range(led)] == ["c"] and len(graph) == 0
 
@@ -56,13 +56,13 @@ def test_single_coinbase_ledger_graph():
 def test_chain_of_three_is_a_path():
     led = Ledger()
     cb = UtxoTransaction("g", (), (Output("g", 0, 1000, "a"),), coinbase=True)
-    led.apply_block(Block(0, 0, (cb,), 10**9))
+    led.apply_block(Block(0, (cb,), 10**9))
     cb1 = UtxoTransaction("c1", (), (Output("c1", 0, 1, "m"),), coinbase=True)
     t1 = UtxoTransaction("t1", (("g", 0),),
                          (Output("t1", 0, 900, "b"),))
     t2 = UtxoTransaction("t2", (("t1", 0),),
                          (Output("t2", 0, 800, "c"),))
-    led.apply_block(Block(1, 600, (cb1, t1, t2), 10**9))
+    led.apply_block(Block(1, (cb1, t1, t2), 10**9))
     graph = build_transaction_graph(led, 1, 1)
     assert spend_counts(graph) == {("t1", "t2"): 1}
 
@@ -256,12 +256,12 @@ def test_unspent_output_visible_only_in_address_graph():
 def test_hidden_amounts_block_address_graph():
     led = Ledger()
     cb = UtxoTransaction("g", (), (Output("g", 0, 1000, "a"),), coinbase=True)
-    led.apply_block(Block(0, 0, (cb,), 1000))
+    led.apply_block(Block(0, (cb,), 1000))
     cb1 = UtxoTransaction("c1", (), (Output("c1", 0, 1, "m"),), coinbase=True)
     hidden = UtxoTransaction(
         "h", (("g", 0),),
         (Output("h", 0, 900, "b", amount_visible=False),))
-    led.apply_block(Block(1, 600, (cb1, hidden), 1000))
+    led.apply_block(Block(1, (cb1, hidden), 1000))
     with pytest.raises(HiddenAmountError):
         build_address_graph(led, 1, 1)
 
