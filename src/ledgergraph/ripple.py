@@ -142,7 +142,11 @@ class CurrencyValue:
     value: int
 
     def __post_init__(self) -> None:
-        if self.currency != "XRP" and len(self.currency) not in (3, 40):
+        if self.currency == "XRP":
+            if self.issuer is not None:
+                raise BadRecordError(
+                    f"an XRP amount has no issuer, got {self.issuer!r}")
+        elif len(self.currency) not in (3, 40):
             raise BadRecordError("currency code must be XRP or 3/40 characters")
 
     @property
@@ -275,13 +279,22 @@ class RippleLedger:
     Every write goes through one of the mutators under "writes" below,
     each of which bumps `writes`; a rejected operation leaves `writes`
     as it found it. `line_index` maps (account, currency) to the
-    account's lines in that currency, keyed by peer."""
+    account's lines in that currency, keyed by peer.
+
+    `_credit` holds, per (lender, currency), the (borrower, line) pairs
+    on which the lender extends credit (a limit above 0), sorted by
+    borrower: the list path search expands a lender by. _borrowers_of
+    builds a list on first read. Only line membership and limits decide
+    a list, so _add_line and _drop_line drop the lists of both ends and
+    _set_side drops the list of the side it sets; balances and no_ripple
+    flags are read live from the lines."""
 
     def __init__(self):
         self.accounts: dict[str, RippleAccount] = {}
         self.states: dict[tuple[str, str, str], RippleState] = {}
         self.state_owners: dict[tuple[str, str, str], set[str]] = {}
         self.line_index: dict[tuple[str, str], dict[str, RippleState]] = {}
+        self._credit: dict[tuple[str, str], list[tuple[str, RippleState]]] = {}
         self.books: dict[tuple, list[tuple[Fraction, int, Offer]]] = {}
         self.offers_by_seq: dict[int, Offer] = {}
         self.checks: dict[int, Check] = {}
@@ -316,6 +329,7 @@ class RippleLedger:
             self.accounts[owner].owned_objects += 1
         for account, peer in ((state.low, state.high), (state.high, state.low)):
             self.line_index.setdefault((account, state.currency), {})[peer] = state
+            self._credit.pop((account, state.currency), None)
 
     def _drop_line(self, key: tuple[str, str, str]) -> None:
         self.writes += 1
@@ -327,6 +341,7 @@ class RippleLedger:
             del lines[peer]
             if not lines:
                 del self.line_index[(account, state.currency)]
+            self._credit.pop((account, state.currency), None)
 
     def _set_owner(self, key: tuple[str, str, str], address: str,
                    owns: bool) -> None:
@@ -343,6 +358,7 @@ class RippleLedger:
     def _set_side(self, state: RippleState, side: str, limit: int,
                   no_ripple: bool) -> None:
         self.writes += 1
+        self._credit.pop((side, state.currency), None)
         if side == state.low:
             state.low_limit, state.low_no_ripple = limit, no_ripple
         else:
@@ -528,7 +544,8 @@ class RippleLedger:
 
     def available_capacity(self, state: RippleState, borrower: str) -> int:
         """Remaining credit the lender extends toward the borrower.
-        No-ripple flags block whole paths, in _open_hops."""
+        No-ripple flags block whole paths, in _open_hops and in the
+        path search."""
         if borrower == state.high:
             capacity = state.low_limit - state.balance
         elif borrower == state.low:
@@ -576,12 +593,15 @@ class RippleLedger:
     # -- pathfinding ------------------------------------------------------------
 
     def _borrowers_of(self, lender: str, currency: str) -> list[tuple[str, RippleState]]:
-        """Lines on which the lender extends credit, by borrower."""
-        lines = self.line_index.get((lender, currency))
-        if not lines:
-            return []
-        return [(borrower, state) for borrower, state in sorted(lines.items())
+        """Lines on which the lender extends credit, by borrower; the
+        lender's `_credit` list, built here when a mutator dropped it."""
+        borrowers = self._credit.get((lender, currency))
+        if borrowers is None:
+            lines = self.line_index.get((lender, currency), {})
+            borrowers = self._credit[(lender, currency)] = [
+                (borrower, state) for borrower, state in sorted(lines.items())
                 if state.limit_of(lender) > 0]
+        return borrowers
 
     def _open_hops(self, payment_path: Sequence[str],
                    currency: str) -> list[RippleState] | None:
@@ -615,8 +635,11 @@ class RippleLedger:
         the first chain of length L leaves it every path of length L is
         found: that length's paths are yielded then, sorted, before any
         longer chain is expanded. A caller that stops at the first path
-        it can use never expands the longer chains. Raises NoPathError,
-        after the last chain, when it yielded nothing."""
+        it can use never expands the longer chains. A chain is not
+        extended past a node that would ripple between two lines that
+        both have its no_ripple flag set, so every path found is open.
+        Raises NoPathError, after the last chain, when it yielded
+        nothing."""
         currency = spec.amount.currency
         if currency == "XRP":
             raise XrpRipplingError(
@@ -625,29 +648,33 @@ class RippleLedger:
         shortest = 3 if spec.tf_no_direct_ripple else 2
         found: list[tuple[str, ...]] = []  # paths of one length, not yet yielded
         yielded = False
-        queue: deque[tuple[str, ...]] = deque([(spec.destination,)])
+        # each chain, destination first, with the line of its last hop
+        queue: deque[tuple[tuple[str, ...], RippleState | None]] = deque(
+            [((spec.destination,), None)])
         while queue:
-            chain = queue.popleft()
+            chain, last = queue.popleft()
             if found and len(chain) >= len(found[0]):
                 found.sort()
                 yield from found
                 found, yielded = [], True
             if len(chain) > PATH_DEPTH:
                 continue
-            for borrower, state in self._borrowers_of(chain[-1], currency):
-                if borrower in chain:
+            node = chain[-1]  # the lender; intermediate unless it is the root
+            no_ripple = last is not None and last.no_ripple_of(node)
+            for borrower, state in self._borrowers_of(node, currency):
+                if borrower in chain or (no_ripple and state.no_ripple_of(node)):
                     continue
-                if self.available_capacity(state, borrower) < need:
+                # available_capacity inlined; its floor at 0 is moot, as need >= 1
+                if (state.low_limit - state.balance if borrower == state.high
+                        else state.high_limit + state.balance) < need:
                     continue
                 nxt = chain + (borrower,)
                 if borrower == spec.account:
                     payment_order = nxt[::-1]
-                    if len(nxt) >= shortest and \
-                            self._admissible(payment_order, spec) and \
-                            self._open_hops(payment_order, currency) is not None:
+                    if len(nxt) >= shortest and self._admissible(payment_order, spec):
                         found.append(payment_order)
                 else:
-                    queue.append(nxt)
+                    queue.append((nxt, state))
         found.sort()
         yield from found
         if not (found or yielded):

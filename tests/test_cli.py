@@ -933,6 +933,35 @@ NO_COINBASE_FIRST = "\n".join([
                                                      "value": 6}})},
                  ["ripple", "pay", "s.jsonl"], "bad-record",
                  "line 3: offer amounts must be positive", id="ripple-offer-zero"),
+    pytest.param({"s.jsonl": b'{"op":"create_account","address":"a"}\n'
+                             b'{"op":"offer","owner":"a","gets":{"currency":"XRP",'
+                             b'"issuer":"zz","value":5},"pays":{"currency":"XRP",'
+                             b'"value":6}}\n'},
+                 ["ripple", "offers", "s.jsonl"], "bad-record",
+                 "line 2: an XRP amount has no issuer, got 'zz'",
+                 id="ripple-offer-xrp-with-issuer"),
+    pytest.param({"s.jsonl": ripple_script({"op": "pay", "account": "a",
+                                            "destination": "b",
+                                            "amount": {"currency": "XRP", "issuer": "b",
+                                                       "value": 5}})},
+                 ["ripple", "pay", "s.jsonl"], "bad-record",
+                 "line 3: an XRP amount has no issuer, got 'b'",
+                 id="ripple-pay-xrp-with-issuer"),
+    pytest.param({"s.jsonl": ripple_script({"op": "pay", "account": "a",
+                                            "destination": "b",
+                                            "amount": {"currency": "USD", "value": 5},
+                                            "send_max": {"currency": "XRP",
+                                                         "issuer": "a", "value": 9}})},
+                 ["ripple", "pay", "s.jsonl"], "bad-record",
+                 "line 3: an XRP amount has no issuer, got 'a'",
+                 id="ripple-send-max-xrp-with-issuer"),
+    pytest.param({"s.jsonl": ripple_script({"op": "write_check", "sender": "a",
+                                            "receiver": "b",
+                                            "amount": {"currency": "XRP", "issuer": "a",
+                                                       "value": 5}})},
+                 ["ripple", "pay", "s.jsonl"], "bad-record",
+                 "line 3: an XRP amount has no issuer, got 'a'",
+                 id="ripple-check-xrp-with-issuer"),
     pytest.param({"s.jsonl": ripple_script({"op": "pay", "account": "a",
                                             "destination": "b",
                                             "amount": {"currency": "XRP", "value": 0}})},

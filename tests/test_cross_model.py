@@ -1,8 +1,12 @@
-"""One transfer history rendered in three ledger models yields one address
+"""One transfer history rendered in four ledger models yields one address
 network: the UTXO address graph, the tangle's confirmed value graph and,
-for single-source steps, the account graph agree exactly once self-loops
-(change) are dropped. The weights are exact rationals, so agreement is
-equality; it holds because no step pays a fee."""
+for single-source steps, the account graph and the Ripple payment graph
+of XRP direct payments agree exactly once self-loops (change) are
+dropped. The weights are exact rationals, so agreement is equality; it
+holds because no step pays a fee. Every Ripple account starts with
+1,000 XRP above the base reserve, far more than a history moves (six
+steps of at most 3,000 drops), so the reserve rules reject none of the
+payments."""
 
 from fractions import Fraction
 
@@ -11,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from ledgergraph.account import AccountTx, build_account_graph
 from ledgergraph.iota.bundles import build_bundle
 from ledgergraph.iota.tangle import GENESIS_HASH, TangleState
+from ledgergraph.ripple import BASE_RESERVE_DROPS, CurrencyValue, PaymentSpec, RippleLedger
 from ledgergraph.utxo import Block, Ledger, Output, UtxoTransaction
 from ledgergraph.utxo_graphs import build_address_graph
 
@@ -76,6 +81,20 @@ def tangle(genesis, steps) -> TangleState:
     return state
 
 
+def xrp_payments(single_steps) -> RippleLedger:
+    """Each output of a single-source step, change left out, is one XRP
+    direct payment of its amount in drops."""
+    led = RippleLedger()
+    for address in ADDRESSES:
+        led.create_account(address, BASE_RESERVE_DROPS + 10**9)
+    for spent, outputs in single_steps:
+        sender = spent[0][0]
+        for target, amount in outputs:
+            if target != sender:
+                led.pay(PaymentSpec(sender, target, CurrencyValue("XRP", None, amount)))
+    return led
+
+
 def summed(edges) -> dict[tuple[str, str], Fraction]:
     """Weights summed per (source, target), self-loops dropped."""
     totals: dict[tuple[str, str], Fraction] = {}
@@ -112,6 +131,15 @@ def test_every_model_yields_the_same_address_network(history):
             nonces[sender] = nonces.get(sender, -1) + 1
             account_txs.append(AccountTx(sender, target, amount, nonces[sender],
                                          block_height=n, block_index=i))
-    assert summed(build_account_graph(account_txs).edges) == summed(
+    account_network = summed(build_account_graph(account_txs).edges)
+    assert account_network == summed(
         e for e in address_edges if e.attr_dict["txid"] in single)
 
+    payments = xrp_payments([step for n, step in enumerate(steps)
+                             if f"s{n}" in single]).payment_graph()
+    assert {len(h.members) for h in payments.edges} <= {2}
+    ripple_network: dict[tuple[str, str], Fraction] = {}
+    for h in payments.edges:
+        delivered = dict(h.step_attrs)["delivered"]
+        ripple_network[h.members] = ripple_network.get(h.members, 0) + Fraction(delivered)
+    assert ripple_network == account_network

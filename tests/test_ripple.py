@@ -777,6 +777,97 @@ def test_find_paths_matches_brute_force(network):
             assert led.find_paths(spec) == expected
 
 
+def payment_specs(names):
+    """A USD or EUR payment between two of the names, with or without an
+    amount issuer, partial or not, with or without direct rippling."""
+    return st.builds(
+        lambda pair, currency, value, issuer, no_direct, partial: PaymentSpec(
+            *pair, CurrencyValue(currency, issuer, value),
+            tf_no_direct_ripple=no_direct, tf_partial_payment=partial),
+        st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True),
+        st.sampled_from(["USD", "USD", "EUR"]), st.sampled_from([20, 10, 40, 1, 50]),
+        st.one_of(st.none(), st.none(), st.sampled_from(names)),
+        st.booleans(), st.booleans())
+
+
+@st.composite
+def trust_network_steps(draw):
+    """A trust network, then steps on it, each with a payment spec to
+    search for afterwards: set_trust (creating a line, moving or zeroing
+    a limit, which deletes a line without balance, or flipping
+    no_ripple), adjust_debt and payments (full, partial, with no direct
+    ripple)."""
+    led, _spec, depth = draw(trust_networks())
+    names = sorted(led.accounts)
+    pairs = st.lists(st.sampled_from(names), min_size=2, max_size=2, unique=True)
+    currencies = st.sampled_from(["USD", "USD", "EUR"])
+    steps = st.tuples(st.one_of(
+        st.tuples(st.just("set_trust"), pairs, currencies,
+                  st.sampled_from([0, 0, 100, 50, 5]), st.booleans()),
+        st.tuples(st.just("adjust_debt"), pairs, currencies,
+                  st.sampled_from([10, -10, 30, -30])),
+        st.tuples(st.just("pay"), payment_specs(names))), payment_specs(names))
+    return led, depth, draw(st.lists(steps, min_size=1, max_size=12))
+
+
+def assert_credit_lists_fresh(led):
+    """Every account's credit lists hold the lines that line_index gives."""
+    for lender in led.accounts:
+        for currency in ("USD", "EUR"):
+            lines = led.line_index.get((lender, currency), {})
+            assert [(b, id(s)) for b, s in led._borrowers_of(lender, currency)] \
+                == [(b, id(s)) for b, s in sorted(lines.items())
+                    if s.limit_of(lender) > 0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(trust_network_steps())
+def test_credit_lists_and_paths_track_every_step(network):
+    """After every step, each account's credit lists are the ones
+    line_index gives, and find_paths finds what brute force finds."""
+    led, depth, steps = network
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ripple, "PATH_DEPTH", depth)
+        for (op, *args), probe in steps:
+            try:
+                if op == "set_trust":
+                    (lender, borrower), currency, limit, no_ripple = args
+                    led.set_trust(lender, borrower, currency, limit, no_ripple)
+                elif op == "adjust_debt":
+                    (lender, borrower), currency, amount = args
+                    led.adjust_line_debt(lender, borrower, currency, amount)
+                else:
+                    led.pay(*args)
+            except LedgerError:
+                pass
+            assert_credit_lists_fresh(led)
+            expected = brute_force_paths(led, probe, depth)
+            if not expected:
+                with pytest.raises(NoPathError):
+                    led.find_paths(probe)
+            else:
+                assert led.find_paths(probe) == expected
+
+
+def test_each_line_mutator_drops_the_credit_lists_it_changes():
+    """_add_line, _set_side and _drop_line each keep the credit lists
+    right on their own. Through the ledger's operations only _set_side's
+    drop shows: a line that set_trust or an offer fill creates, or that
+    set_trust deletes, has no limit above 0 at that moment, so it is in no
+    list, and a trust CSV adds lines with limits before any list is read."""
+    led = RippleLedger()
+    for name in "ab":
+        led.create_account(name, xrp_drops=10**10)
+    assert_credit_lists_fresh(led)  # builds the empty lists
+    state = ripple.RippleState("a", "b", "USD", low_limit=50, high_limit=20)
+    led._add_line(state, {"a", "b"})
+    assert_credit_lists_fresh(led)
+    led._set_side(state, "a", 0, False)
+    assert_credit_lists_fresh(led)
+    led._drop_line(state.key)
+    assert_credit_lists_fresh(led)
+
+
 def brute_force_deliverable(led, path, amount, currency):
     """The largest amount in [0, amount] that every hop has room for,
     trying each."""
