@@ -8,6 +8,8 @@ to a smaller boundary, and reports extreme chainlets.
 
 import os
 
+import numpy as np
+
 from ledgergraph.chainlets import (
     aggregate_timeseries,
     build_matrices,
@@ -37,20 +39,20 @@ for c in snapshot:
 
 mats = build_matrices(snapshot, 3)
 print("\n=== occurrence matrix, N=3 ===")
-print(mats.occurrence)
+print(np.array(mats.occurrence))
 print("=== amount matrix in coins ===")
-print(mats.amount / COIN)
+print(np.array(mats.amount) / COIN)
 
 print("\n=== folding the boundary from 3 to 2 ===")
 bigger = fixture_ledger("fold_example.jsonl", 20 * COIN)
 snap2 = snapshot_from_ledger(bigger, 1, 1)
 wide = build_matrices(snap2, 3)
 print("N=3 occurrence:")
-print(wide.occurrence)
+print(np.array(wide.occurrence))
 print("folded to N=2 (boundary row/column absorb everything beyond):")
-print(fold_matrix(wide.occurrence, 2))
+print(np.array(fold_matrix(wide.occurrence, 2)))
 print("amounts, folded, in coins:")
-print(fold_matrix(wide.amount, 2) / COIN)
+print(np.array(fold_matrix(wide.amount, 2)) / COIN)
 
 print("\n=== k=2 chainlets: connected transaction pairs ===")
 for k in extract_k_chainlets(fixture_ledger("six_tx_network.jsonl", 6 * COIN),

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .core import BadRecordError, LedgerError
 from .utxo import Ledger, UtxoTransaction
 from .utxo_graphs import HiddenAmountError, build_transaction_graph, txs_in_range
@@ -26,8 +24,6 @@ __all__ = [
     "UnsupportedKError",
     "classify_first_order",
     "extract_k_chainlets",
-    "occurrence_matrix",
-    "amount_matrix",
     "build_matrices",
     "fold_matrix",
     "extreme_chainlet_report",
@@ -37,7 +33,7 @@ __all__ = [
 ]
 
 DEFAULT_N = 20  # distinguishes 400 chainlet shapes and keeps the matrix dense
-MAX_N = 1_000  # two N x N int64 matrices of at most 8 MB each
+MAX_N = 1_000  # two N x N matrices of at most a million cells each
 
 
 class UnsupportedKError(LedgerError):
@@ -64,11 +60,12 @@ class KChainlet:
 
 @dataclass
 class ChainletMatrices:
-    """Paired N x N occurrence and amount matrices (1-based C(x,y) indexing
-    maps to row x-1, column y-1). Coinbases (x = 0) have no row."""
+    """Paired N x N occurrence and amount matrices, each N rows of N exact
+    Python ints (1-based C(x,y) indexing maps to row x-1, column y-1).
+    Coinbases (x = 0) have no row."""
 
-    occurrence: np.ndarray
-    amount: np.ndarray
+    occurrence: list[list[int]]
+    amount: list[list[int]]
 
 
 def classify_first_order(tx: UtxoTransaction) -> FirstOrderChainlet:
@@ -132,64 +129,43 @@ def extract_k_chainlets(ledger: Ledger, k: int, start: int | None = None,
                 for pair in zip(graph.sources, graph.targets))]
 
 
-def _fold_index(v: int, n: int) -> int:
-    """Map a 1-based dimension onto 0-based matrix index with boundary fold."""
-    return min(v, n) - 1
-
-
 def _accumulate(snapshot: Iterable[FirstOrderChainlet], n: int,
-                want_amount: bool) -> np.ndarray:
+                want_amount: bool) -> list[list[int]]:
     if not 1 <= n <= MAX_N:
         raise BadRecordError(f"N must lie in 1-{MAX_N}, got {n}")
-    core = np.zeros((n, n), dtype=np.int64)
+    core = [[0] * n for _ in range(n)]
     for c in snapshot:
         if want_amount and not c.amounts_visible:
             raise HiddenAmountError(
                 f"tx {c.txid} has hidden output amounts; amount matrix undefined"
             )
-        value = c.output_total if want_amount else 1
         if c.x == 0:
             continue  # coinbases have no input row
-        core[_fold_index(c.x, n), _fold_index(c.y, n)] += value
+        # dimensions at or beyond N fold into the N-th row/column
+        core[min(c.x, n) - 1][min(c.y, n) - 1] += c.output_total if want_amount else 1
     return core
-
-
-def occurrence_matrix(snapshot: Sequence[FirstOrderChainlet], n: int) -> np.ndarray:
-    """Chainlet counts as an N x N matrix; dimensions >= N fold into the
-    N-th row/column."""
-    return _accumulate(snapshot, n, want_amount=False)
-
-
-def amount_matrix(snapshot: Sequence[FirstOrderChainlet], n: int) -> np.ndarray:
-    """Transferred coin totals per chainlet shape, in subunits. vol() is
-    the sum of output amounts of the matching transactions. A
-    hidden-amount transaction raises HiddenAmountError."""
-    return _accumulate(snapshot, n, want_amount=True)
 
 
 def build_matrices(snapshot: Sequence[FirstOrderChainlet],
                    n: int = DEFAULT_N) -> ChainletMatrices:
-    return ChainletMatrices(occurrence_matrix(snapshot, n),
-                            amount_matrix(snapshot, n))
+    """Chainlet counts and transferred coin totals (in subunits: vol() is
+    the sum of output amounts of the matching transactions). A
+    hidden-amount transaction raises HiddenAmountError."""
+    return ChainletMatrices(_accumulate(snapshot, n, want_amount=False),
+                            _accumulate(snapshot, n, want_amount=True))
 
 
-def _fold_axis(a: np.ndarray, n_prime: int, axis: int) -> np.ndarray:
-    """Fold one axis of length N down to N' (1 <= N' <= N): entries at or
-    beyond the new boundary sum into the last position."""
-    n = a.shape[axis]
+def fold_matrix(matrix: Sequence[Sequence[int]], n_prime: int) -> list[list[int]]:
+    """Fold an N x N chainlet matrix down to N' x N' (1 <= N' <= N):
+    entries at or beyond the new boundary sum into the last row/column."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("chainlet matrices are square")
     if not 1 <= n_prime <= n:
         raise ValueError(f"cannot fold {n} to {n_prime}")
-    head, tail = np.split(a, [n_prime - 1], axis=axis)
-    return np.concatenate(
-        [head, tail.sum(axis=axis, keepdims=True, dtype=a.dtype)], axis=axis)
-
-
-def fold_matrix(matrix: np.ndarray, n_prime: int) -> np.ndarray:
-    """Fold an N x N chainlet matrix down to N' x N' (N' <= N): entries at
-    or beyond the new boundary sum into the last row/column."""
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError("chainlet matrices are square")
-    return _fold_axis(_fold_axis(matrix, n_prime, 0), n_prime, 1)
+    k = n_prime - 1
+    rows = [[*row[:k], sum(row[k:])] for row in matrix]
+    return rows[:k] + [[sum(column) for column in zip(*rows[k:])]]
 
 
 def extreme_chainlet_report(snapshot: Sequence[FirstOrderChainlet],

@@ -191,13 +191,18 @@ def _bundle_items(flag: str, text: str, fields: tuple[str, ...]) -> list[tuple]:
 
 def _genesis(text: str | None) -> dict[str, int]:
     """The --genesis address->balance map, checked like a JSONL record:
-    a JSON object whose values are JSON integers."""
+    a JSON object whose values are JSON integers of at least 0."""
     if not text:
         return {}
     balances = json_value(text, "--genesis")
     if type(balances) is not dict:
         raise BadRecordError(f"--genesis: expected an object, got {balances!r}")
-    return {address: get_field(balances, address, int) for address in balances}
+    genesis = {address: get_field(balances, address, int) for address in balances}
+    for address, balance in genesis.items():
+        if balance < 0:
+            raise BadRecordError(f"--genesis: balance of {address!r} must be >= 0, "
+                                 f"got {balance}")
+    return genesis
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:

@@ -470,5 +470,5 @@ def export_hypergraph(graph: Hypergraph, fmt: str = "csv") -> bytes:
 
 
 def export_matrix(matrix) -> bytes:
-    """N rows of N comma-separated integers, LF line endings."""
-    return encode_rows(",".join(str(int(v)) for v in row) for row in matrix)
+    """N rows of N comma-separated exact integers, LF line endings."""
+    return encode_rows(",".join(map(str, row)) for row in matrix)

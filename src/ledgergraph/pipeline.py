@@ -95,8 +95,8 @@ def _utxo_pipeline(config: RunConfig) -> dict:
         **ledger.summary(),
         "tx_graph": graph_stats(tx_el),
         "address_graph": graph_stats(addr_el),
-        "occurrence_total": int(mats.occurrence.sum()),
-        "amount_total": int(mats.amount.sum()),
+        "occurrence_total": sum(map(sum, mats.occurrence)),
+        "amount_total": sum(map(sum, mats.amount)),
     }
     return _report(config, outputs, summary)
 

@@ -71,6 +71,7 @@ __all__ = [
 BASE_RESERVE_DROPS = 20_000_000  # 20 XRP
 OWNER_RESERVE_DROPS = 5_000_000  # 5 XRP per owned object
 PATH_DEPTH = 8  # most lines a discovered path may cross
+TRUST_HEADER = ["low", "high", "currency", "balance", "low_limit", "high_limit"]
 
 
 class ReserveUnmetError(LedgerError):
@@ -1074,7 +1075,8 @@ def _require_issuer(*amounts: CurrencyValue) -> None:
 
 
 def load_trust_csv(lines: Iterable[str]) -> RippleLedger:
-    """Ingest `low,high,currency,balance,low_limit,high_limit` rows.
+    """Ingest `low,high,currency,balance,low_limit,high_limit` rows, after
+    a first row of exactly those six names in any case, if there is one.
     Accounts are auto-created holding 100 XRP; flags default to False for
     ingested graphs.
     A row must have six cells, canonical order, limits >= 0 and a
@@ -1099,7 +1101,7 @@ def load_trust_csv(lines: Iterable[str]) -> RippleLedger:
         with at_line(first_line):
             raise BadRecordError(f"unreadable CSV row: {exc}") from None
     rows = [(n, cells) for n, cells in rows if cells not in ([], [""])]
-    if rows and rows[0][1][0].lower() == "low":
+    if rows and [c.lower() for c in rows[0][1]] == TRUST_HEADER:
         rows = rows[1:]
     for line_no, cells in rows:
         with at_line(line_no):
@@ -1129,7 +1131,7 @@ def _trust_row(cells: list[str]) -> RippleState:
 def dump_trust_csv(ledger: RippleLedger) -> bytes:
     """Inverse of load_trust_csv: a header, then one row per trust line
     in key order."""
-    rows = ["low,high,currency,balance,low_limit,high_limit"]
+    rows = [",".join(TRUST_HEADER)]
     rows += [csv_row([s.low, s.high, s.currency, str(s.balance),
                       str(s.low_limit), str(s.high_limit)])
              for _key, s in sorted(ledger.states.items())]

@@ -399,12 +399,18 @@ def trace_lineage(ref: OutputRef, ledger: Ledger) -> list[tuple[OutputRef, ...]]
 # --------------------------------------------------------------------------
 # JSONL ingestion (one transaction per line)
 
-def _kinds(rec: dict, side: str) -> tuple[str, ...] | None:
+def _kinds(rec: dict, side: str, count: int) -> tuple[str, ...] | None:
+    """The t/z kinds of one side, one per input or output, or None when
+    the record names none."""
     kinds = get_field(get_field(rec, "kinds", dict, {}), side, list, None)
     if kinds is None:
         return None
     if not all(k in ("t", "z") for k in kinds):
         raise BadRecordError(f"kinds {side!r} must hold 't' or 'z', got {kinds!r}")
+    if len(kinds) != count:
+        raise BadRecordError(f"kinds {side!r} must have one entry per "
+                             f"{'input' if side == 'in' else 'output'}: "
+                             f"{count}, got {len(kinds)}")
     return tuple(kinds)
 
 
@@ -415,15 +421,16 @@ def _tx_from_record(rec: dict) -> UtxoTransaction:
                amount_visible=get_field(o, "visible", bool, True))
         for i, o in enumerate(get_field(rec, "outputs", list))
     )
+    inputs = tuple((get_field(i, "txid"), get_field(i, "index", int))
+                   for i in get_field(rec, "inputs", list, []))
     return UtxoTransaction(
         id=txid,
-        inputs=tuple((get_field(i, "txid"), get_field(i, "index", int))
-                     for i in get_field(rec, "inputs", list, [])),
+        inputs=inputs,
         outputs=outputs,
         coinbase=get_field(rec, "coinbase", bool, False),
         block_height=get_field(rec, "block", int),
-        input_kinds=_kinds(rec, "in"),
-        output_kinds=_kinds(rec, "out"),
+        input_kinds=_kinds(rec, "in", len(inputs)),
+        output_kinds=_kinds(rec, "out", len(outputs)),
     )
 
 
@@ -462,7 +469,9 @@ def dump_jsonl(ledger: Ledger) -> Iterator[str]:
                     for o in tx.outputs
                 ],
             }
-            if tx.input_kinds is not None or tx.output_kinds is not None:
-                rec["kinds"] = {"in": list(tx.input_kinds or ()),
-                                "out": list(tx.output_kinds or ())}
+            kinds = {side: list(k) for side, k in (("in", tx.input_kinds),
+                                                   ("out", tx.output_kinds))
+                     if k is not None}
+            if kinds:
+                rec["kinds"] = kinds
             yield json.dumps(rec, sort_keys=True, separators=(",", ":"))

@@ -13,9 +13,8 @@ import pytest
 
 from ledgergraph.chainlets import (
     FirstOrderChainlet,
-    amount_matrix,
+    build_matrices,
     fold_matrix,
-    occurrence_matrix,
     snapshot_from_ledger,
 )
 from ledgergraph.core import LedgerError
@@ -69,16 +68,16 @@ def test_criterion_2_chainlet_matrices():
     with Budget(2, "occurrence/amount matrices and boundary folding", 1.0):
         led = worked_examples.amount_network()
         snap = snapshot_from_ledger(led, *worked_examples.AMOUNT_NETWORK_WINDOW)
-        occ = occurrence_matrix(snap, 3)
-        amt = amount_matrix(snap, 3)
+        mats = build_matrices(snap, 3)
+        occ, amt = mats.occurrence, mats.amount
         assert np.array_equal(occ, [[0, 2, 0], [1, 1, 1], [1, 0, 0]])
         assert np.array_equal(amt, [[0, 358_000_000, 0],
                                     [190_000_000, 175_000_000, 300_000_000],
                                     [280_000_000, 0, 0]])
         led2 = worked_examples.fold_example_ledger()
         snap2 = snapshot_from_ledger(led2, *worked_examples.FOLD_EXAMPLE_WINDOW)
-        occ2 = occurrence_matrix(snap2, 3)
-        amt2 = amount_matrix(snap2, 3)
+        mats2 = build_matrices(snap2, 3)
+        occ2, amt2 = mats2.occurrence, mats2.amount
         assert np.array_equal(fold_matrix(occ2, 2), [[0, 3], [2, 5]])
         assert np.array_equal(fold_matrix(amt2, 2),
                               [[0, 408_000_000], [470_000_000, 875_000_000]])
@@ -98,8 +97,9 @@ def test_criterion_3_fold_consistency():
                     output_total=rng.randint(0, 10**10))
                 for i in range(rng.randint(0, 50))
             ]
-            direct_occ = {n: occurrence_matrix(snap, n) for n in range(1, 26)}
-            direct_amt = {n: amount_matrix(snap, n) for n in range(1, 26)}
+            direct = {n: build_matrices(snap, n) for n in range(1, 26)}
+            direct_occ = {n: m.occurrence for n, m in direct.items()}
+            direct_amt = {n: m.amount for n, m in direct.items()}
             for n in range(2, 26):
                 for n_prime in range(1, n):
                     assert np.array_equal(fold_matrix(direct_occ[n], n_prime),

@@ -1,5 +1,7 @@
 """Chainlet classification, matrices, folding, extreme reports."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,13 +10,11 @@ from ledgergraph.chainlets import (
     FirstOrderChainlet,
     UnsupportedKError,
     aggregate_timeseries,
-    amount_matrix,
     build_matrices,
     classify_first_order,
     extract_k_chainlets,
     extreme_chainlet_report,
     fold_matrix,
-    occurrence_matrix,
     snapshot_from_ledger,
 )
 from ledgergraph.generate import UtxoSpec, generate_utxo
@@ -152,8 +152,8 @@ EXPECTED_A_SUBUNITS = np.array([
 def test_amount_network_matrices_match_text():
     led = worked_examples.amount_network()
     snap = snapshot_from_ledger(led, *worked_examples.AMOUNT_NETWORK_WINDOW)
-    occ = occurrence_matrix(snap, 3)
-    amt = amount_matrix(snap, 3)
+    mats = build_matrices(snap, 3)
+    occ, amt = mats.occurrence, mats.amount
     assert np.array_equal(occ, EXPECTED_O)
     assert np.array_equal(amt, EXPECTED_A_SUBUNITS)
 
@@ -161,8 +161,8 @@ def test_amount_network_matrices_match_text():
 def test_fold_example_matches_text():
     led = worked_examples.fold_example_ledger()
     snap = snapshot_from_ledger(led, *worked_examples.FOLD_EXAMPLE_WINDOW)
-    occ = occurrence_matrix(snap, 3)
-    amt = amount_matrix(snap, 3)
+    mats = build_matrices(snap, 3)
+    occ, amt = mats.occurrence, mats.amount
     assert np.array_equal(occ, [[0, 2, 1], [1, 1, 1], [1, 0, 3]])
     assert np.array_equal(fold_matrix(occ, 2), [[0, 3], [2, 5]])
     # 4.08 / 4.7 / 8.75 coins, in exact subunits
@@ -171,24 +171,23 @@ def test_fold_example_matches_text():
 
 
 def test_empty_snapshot_zero_matrix():
-    occ = occurrence_matrix([], 4)
-    assert not occ.any()
+    occ = build_matrices([], 4).occurrence
+    assert not any(map(any, occ))
 
 
 def test_single_transition_amount():
     snap = [chainlet(1, 1, total=5 * COIN)]
-    amt = amount_matrix(snap, 3)
-    assert amt[0, 0] == 5 * COIN and amt.sum() == 5 * COIN
+    amt = build_matrices(snap, 3).amount
+    assert amt[0][0] == 5 * COIN and sum(map(sum, amt)) == 5 * COIN
 
 
 def test_mass_conservation_independent_of_n():
     led = worked_examples.fold_example_ledger()
     snap = [c for c in snapshot_from_ledger(led, 1, 1) if c.cls != "coinbase"]
     for n in (1, 2, 3, 7, 25):
-        occ = occurrence_matrix(snap, n)
-        amt = amount_matrix(snap, n)
-        assert occ.sum() == len(snap)
-        assert amt.sum() == sum(c.output_total for c in snap)
+        mats = build_matrices(snap, n)
+        assert sum(map(sum, mats.occurrence)) == len(snap)
+        assert sum(map(sum, mats.amount)) == sum(c.output_total for c in snap)
 
 
 @settings(max_examples=60, deadline=None)
@@ -199,10 +198,43 @@ def test_fold_consistency_property(shapes, n, n_prime_raw):
     n_prime = 1 + (n_prime_raw % (n - 1)) if n > 1 else 1
     snap = [chainlet(x, y, total=v, txid=f"t{i}")
             for i, (x, y, v) in enumerate(shapes)]
-    for build in (occurrence_matrix, amount_matrix):
-        wide = build(snap, n)
-        narrow = build(snap, n_prime)
-        assert np.array_equal(fold_matrix(wide, n_prime), narrow)
+    wide, narrow = build_matrices(snap, n), build_matrices(snap, n_prime)
+    for field in ("occurrence", "amount"):
+        assert np.array_equal(fold_matrix(getattr(wide, field), n_prime),
+                              getattr(narrow, field))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 30), st.integers(1, 30),
+                          st.one_of(st.integers(0, 10**9),
+                                    st.integers(2**62, 2**127 - 1))), max_size=40),
+       st.integers(1, 25))
+def test_matrices_and_folds_match_a_naive_dict_sum(shapes, n):
+    """Every cell of the matrices and of each fold is the exact sum of its
+    shapes' counts and amounts, also past 2**63."""
+    snap = [chainlet(x, y, total=v, txid=f"t{i}")
+            for i, (x, y, v) in enumerate(shapes)]
+    mats = build_matrices(snap, n)
+    for n_prime in range(1, n + 1):
+        occ, amt = Counter(), Counter()
+        for c in snap:
+            if c.x:
+                cell = (min(c.x, n_prime) - 1, min(c.y, n_prime) - 1)
+                occ[cell] += 1
+                amt[cell] += c.output_total
+        for matrix, naive in ((mats.occurrence, occ), (mats.amount, amt)):
+            assert fold_matrix(matrix, n_prime) == [
+                [naive[i, j] for j in range(n_prime)] for i in range(n_prime)]
+
+
+@pytest.mark.parametrize("matrix,n_prime,message", [
+    ([[1, 2], [3]], 1, "chainlet matrices are square"),
+    ([[1, 2], [3, 4]], 3, "cannot fold 2 to 3"),
+    ([[1, 2], [3, 4]], 0, "cannot fold 2 to 0"),
+])
+def test_fold_matrix_rejects_what_it_cannot_fold(matrix, n_prime, message):
+    with pytest.raises(ValueError, match=message):
+        fold_matrix(matrix, n_prime)
 
 
 # -- extreme chainlets -----------------------------------------------------------
@@ -243,4 +275,4 @@ def test_build_matrices_bundle():
     led = worked_examples.amount_network()
     snap = snapshot_from_ledger(led, 1, 1)
     mats = build_matrices(snap, 3)
-    assert mats.occurrence.sum() == 6
+    assert sum(map(sum, mats.occurrence)) == 6

@@ -109,6 +109,46 @@ def test_chainlet_matrices(fixture_dir, tmp_path):
     assert amt.read_text().splitlines()[0] == "0,358000000,0"
 
 
+def _big_spends(amounts):
+    """A ledger whose block-1 spends each move one block-0 coinbase output
+    of the given amount to a new address: all of them C(1, 1)."""
+    records = [
+        {"id": "c0", "block": 0, "coinbase": True,
+         "outputs": [{"amount": a, "address": f"m{i}"} for i, a in enumerate(amounts)]},
+        {"id": "c1", "block": 1, "coinbase": True,
+         "outputs": [{"amount": 1, "address": "m"}]},
+    ] + [{"id": f"t{i}", "block": 1, "inputs": [{"txid": "c0", "index": i}],
+          "outputs": [{"amount": a, "address": f"x{i}"}]} for i, a in enumerate(amounts)]
+    return "".join(json.dumps(record) + "\n" for record in records)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("amounts,cell", [
+    ([2**62] * 3, 13835058055282163712),
+    ([2**64], 18446744073709551616),
+])
+def test_chainlet_amounts_past_int64_stay_exact(tmp_path, capsys, amounts, cell):
+    """Matrix cells and the pipeline's amount_total are exact integers of
+    any size: three spends of 2**62 do not wrap, and one of 2**64 does not
+    overflow."""
+    src = tmp_path / "big.jsonl"
+    src.write_text(_big_spends(amounts))
+    occ, amt = tmp_path / "occ.csv", tmp_path / "amt.csv"
+    assert run_cli(["chainlet", src, "--N", 2, "--subsidy", 2**126,
+                    "--out", f"{occ},{amt}"]) == 0
+    assert capsys.readouterr().err == ""
+    assert occ.read_text() == f"{len(amounts)},0\n0,0\n"
+    assert amt.read_text() == f"{cell},0\n0,0\n"
+    run = tmp_path / "run"
+    run_pipeline(RunConfig(input_path=str(src), output_dir=str(run), fold_n=2,
+                           subsidy=2**126))
+    summary = json.loads((run / "summary.json").read_text())
+    assert summary["amount_total"] == cell
+    assert summary["occurrence_total"] == len(amounts)
+    assert (run / "amount.csv").read_bytes() == amt.read_bytes()
+    assert capsys.readouterr().err == ""
+
+
 def test_account_graph(fixture_dir, tmp_path):
     out = tmp_path / "account.csv"
     code = run_cli(["account", "graph", fixture_dir / "account_table.jsonl",
@@ -581,6 +621,7 @@ def test_open_upper_bound_and_fold_size_flags(fixture_dir, tmp_path):
     ('{"a1": true, "funder": 1000}', "bad-amount"),
     ('{"a1": null, "funder": 1000}', "bad-amount"),
     ("{bad", "bad-json"),
+    ('{"A": -5, "B": 3}', "bad-record"),
 ])
 def test_genesis_map_is_checked(fixture_dir, capsys, genesis, error):
     code = run_cli(["iota", "grow", fixture_dir / "tangle_double_spend.jsonl",
@@ -661,6 +702,19 @@ def test_malformed_trust_row_names_its_line(tmp_path, capsys, row, error):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == error
     assert err["message"].startswith("line 3:")
+
+
+def test_only_the_six_column_names_make_a_trust_header(tmp_path, capsys):
+    """The first row is skipped only when its six cells are the column
+    names, in any case: a trust line whose low account is `low` is kept."""
+    trust = tmp_path / "trust.csv"
+    report = ["ripple", "report", "--trust", trust]
+    trust.write_text("low,zed,USD,0,10,10\na,b,USD,0,5,0\n")
+    assert run_cli(report) == 0
+    assert json.loads(capsys.readouterr().out)["trust_lines"] == 2
+    trust.write_text(" LOW , High,CURRENCY,balance,Low_Limit,HIGH_LIMIT\na,b,USD,0,5,0\n")
+    assert run_cli(report) == 0
+    assert json.loads(capsys.readouterr().out)["trust_lines"] == 1
 
 
 @pytest.mark.parametrize("env,flags", [
@@ -893,6 +947,22 @@ NO_COINBASE_FIRST = "\n".join([
                                                '"kinds":{"out":["y"]}').encode()},
                  ["utxo", "validate", "in.jsonl"], "bad-record",
                  "line 1: kinds 'out' must hold 't' or 'z', got ['y']", id="utxo-kind-y"),
+    pytest.param({"in.jsonl": COINBASE.replace('"coinbase":true', '"coinbase":true,'
+                                               '"kinds":{"out":["z","z","z"]}').encode()},
+                 ["utxo", "validate", "in.jsonl"], "bad-record",
+                 "line 1: kinds 'out' must have one entry per output: 1, got 3",
+                 id="utxo-kinds-out-too-long"),
+    pytest.param({"in.jsonl": (COINBASE + '{"id":"t","block":0,"inputs":[{"txid":"c",'
+                               '"index":0}],"outputs":[{"amount":1,"address":"x"}],'
+                               '"kinds":{"in":["t","t"],"out":[]}}\n').encode()},
+                 ["utxo", "validate", "in.jsonl"], "bad-record",
+                 "line 2: kinds 'in' must have one entry per input: 1, got 2",
+                 id="utxo-kinds-in-too-long"),
+    pytest.param({"in.jsonl": COINBASE.replace('"coinbase":true', '"coinbase":true,'
+                                               '"kinds":{"out":[]}').encode()},
+                 ["utxo", "validate", "in.jsonl"], "bad-record",
+                 "line 1: kinds 'out' must have one entry per output: 1, got 0",
+                 id="utxo-kinds-out-empty-on-transparent-coinbase"),
     pytest.param({"in.jsonl": (COINBASE + COINBASE.replace('"c"', '"c1"').replace(
         '"block":0', '"block":1') + "".join(
         '{"id":"%s","block":1,"inputs":[{"txid":"c","index":0}],'
@@ -914,6 +984,9 @@ NO_COINBASE_FIRST = "\n".join([
                  ["ripple", "report", "--trust", "trust.csv"], "bad-record",
                  "line 2: low account must sort below high account",
                  id="trust-low-above-high"),
+    pytest.param({"trust.csv": b"LOW,HIGH\na,b,USD,0,5,0\n"},
+                 ["ripple", "report", "--trust", "trust.csv"], "bad-record",
+                 "line 1: expected 6 cells, got 2", id="trust-two-cell-header"),
     pytest.param({"s.jsonl": ripple_script({"op": "set_trust", "lender": "a",
                                             "borrower": "b", "currency": "USD",
                                             "limit": -1})},

@@ -170,7 +170,7 @@ def test_partial_delivery_equals_min_capacity(hops, requested):
 def test_hidden_amounts_skippable_in_amount_matrix():
     from ledgergraph.chainlets import (
         FirstOrderChainlet,
-        amount_matrix,
+        build_matrices,
         extreme_chainlet_report,
     )
     from ledgergraph.utxo_graphs import HiddenAmountError
@@ -180,7 +180,7 @@ def test_hidden_amounts_skippable_in_amount_matrix():
                            amounts_visible=False),
     ]
     with pytest.raises(HiddenAmountError):
-        amount_matrix(snap, 2)
+        build_matrices(snap, 2)
     report = extreme_chainlet_report(
         [FirstOrderChainlet("big", 1, 30, "split", 0, amounts_visible=False)], 20)
     assert report[0]["amounts_visible"] is False

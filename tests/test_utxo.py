@@ -294,10 +294,13 @@ def test_jsonl_round_trip_keeps_kinds():
              json.dumps({"id": "t", "block": 0, "kinds": {"in": ["z"], "out": ["t", "z"]},
                          "inputs": [{"txid": "c", "index": 0}],
                          "outputs": [{"amount": 2, "address": "t1"},
-                                     {"amount": 3, "address": "z2"}]})]
+                                     {"amount": 3, "address": "z2"}]}),
+             json.dumps({"id": "u", "block": 0, "kinds": {"out": ["t"]},
+                         "inputs": [{"txid": "t", "index": 0}],
+                         "outputs": [{"amount": 2, "address": "t2"}]})]
     dumped = list(dump_jsonl(load_jsonl(lines, subsidy=5)))
     assert [json.loads(line)["kinds"] for line in dumped] == [
-        {"in": [], "out": ["z"]}, {"in": ["z"], "out": ["t", "z"]}]
+        {"out": ["z"]}, {"in": ["z"], "out": ["t", "z"]}, {"out": ["t"]}]
     assert list(dump_jsonl(load_jsonl(dumped, subsidy=5))) == dumped
 
 
