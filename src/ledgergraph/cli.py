@@ -195,14 +195,27 @@ def _genesis(text: str | None) -> dict[str, int]:
     if not text:
         return {}
     balances = json_value(text, "--genesis")
-    if type(balances) is not dict:
-        raise BadRecordError(f"--genesis: expected an object, got {balances!r}")
-    genesis = {address: get_field(balances, address, int) for address in balances}
-    for address, balance in genesis.items():
-        if balance < 0:
-            raise BadRecordError(f"--genesis: balance of {address!r} must be >= 0, "
-                                 f"got {balance}")
+    with naming("--genesis"):
+        if type(balances) is not dict:
+            raise BadRecordError(f"expected an object, got {balances!r}")
+        genesis = {address: get_field(balances, address, int) for address in balances}
+        for address, balance in genesis.items():
+            if balance < 0:
+                raise BadRecordError(f"balance of {address!r} must be >= 0, "
+                                     f"got {balance}")
     return genesis
+
+
+def _check_flags(args: argparse.Namespace) -> None:
+    """Reject a numeric flag outside its domain before any input is read:
+    counts, budgets and subsidies are at least 0, probabilities in [0, 1]."""
+    for name, top in (("subsidy", None), ("count", None), ("budget", None),
+                      ("split_bias", 1), ("reuse_p", 1)):
+        value = getattr(args, name, 0)
+        if not (value >= 0 and (top is None or value <= top)):  # NaN fails
+            domain = ">= 0" if top is None else "in [0, 1]"
+            raise BadRecordError(f"--{name.replace('_', '-')} must be {domain}, "
+                                 f"got {value}")
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -326,6 +339,7 @@ def _print_error(code: str, message: str) -> None:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _check_flags(args)
         return args.func(args)
     except OSError as exc:
         _print_error("io-failure", str(exc))

@@ -97,7 +97,7 @@ def generate_utxo(spec: UtxoSpec, seed: int) -> Ledger:
             picks.append(pool.pop())
         return picks
 
-    def make_tx(txid: str, height: int) -> tuple[UtxoTransaction, int]:
+    def make_tx(txid: str) -> tuple[UtxoTransaction, int]:
         roll = rng.random()
         if roll < spec.split_bias:
             cls = "split"
@@ -133,16 +133,14 @@ def generate_utxo(spec: UtxoSpec, seed: int) -> Ledger:
             Output(txid, i, a, addresses.next())
             for i, a in enumerate(amounts)
         )
-        return UtxoTransaction(txid, tuple(r for r, _a in picks), outputs,
-                               block_height=height), fee
+        return UtxoTransaction(txid, tuple(r for r, _a in picks), outputs), fee
 
     height = 0
     genesis_outs = tuple(
         Output("gen0", i, INITIAL_SUBSIDY // 64, addresses.next())
         for i in range(64)
     )
-    genesis = UtxoTransaction("gen0", (), genesis_outs, coinbase=True,
-                              block_height=0)
+    genesis = UtxoTransaction("gen0", (), genesis_outs, coinbase=True)
     ledger.apply_block(Block(0, (genesis,), INITIAL_SUBSIDY))
     pool.extend((o.ref, o.amount) for o in genesis_outs)
 
@@ -152,7 +150,7 @@ def generate_utxo(spec: UtxoSpec, seed: int) -> Ledger:
         batch = min(spec.txs_per_block, spec.tx_count - made)
         txs, fee_sum = [], 0
         for _ in range(batch):
-            tx, fee = make_tx(f"tx{made + len(txs):08d}", height)
+            tx, fee = make_tx(f"tx{made + len(txs):08d}")
             txs.append(tx)
             fee_sum += fee
             # same-block chaining: fresh outputs are spendable immediately
@@ -163,8 +161,7 @@ def generate_utxo(spec: UtxoSpec, seed: int) -> Ledger:
             Output(cb_id, i, share + (fee_sum if i == 0 else 0), addresses.next())
             for i in range(COINBASE_OUTPUTS)
         )
-        coinbase = UtxoTransaction(cb_id, (), cb_outs, coinbase=True,
-                                   block_height=height)
+        coinbase = UtxoTransaction(cb_id, (), cb_outs, coinbase=True)
         ledger.apply_block(Block(height, (coinbase, *txs), INITIAL_SUBSIDY))
         pool.extend((o.ref, o.amount) for o in cb_outs)
         made += batch

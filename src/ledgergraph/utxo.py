@@ -1,15 +1,15 @@
 """UTXO data model and validation: coin lineage, block application,
 Monero-style ring inputs and Zcash transaction-type classification.
 
-A Ledger is single-writer; apply_block() validates the whole block against
-a staged view and commits atomically.
+A Ledger is single-writer; apply_block() stages and validates the whole
+block, then commits it atomically.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .core import (BadRecordError, LedgerError, _check_bound, at_line,
@@ -89,27 +89,6 @@ class EmptySideError(LedgerError):
 OutputRef = tuple[str, int]
 
 
-class _BlockView:
-    """Copy-free staging overlay for intra-block validation."""
-
-    def __init__(self, base: dict):
-        self.base = base
-        self.added: dict[OutputRef, "Output"] = {}
-        self.consumed: dict[OutputRef, None] = {}  # ordered set, spend order
-
-    def get(self, ref: OutputRef) -> "Output | None":
-        if ref in self.consumed:
-            return None
-        out = self.added.get(ref)
-        return out if out is not None else self.base.get(ref)
-
-    def spend(self, ref: OutputRef) -> None:
-        self.consumed[ref] = None
-
-    def add(self, out: "Output") -> None:
-        self.added[out.ref] = out
-
-
 @dataclass(frozen=True)
 class Output:
     """An indivisible coin parcel, referenced by (txid, index). The amount
@@ -161,7 +140,6 @@ class UtxoTransaction:
     inputs: tuple[OutputRef, ...]
     outputs: tuple[Output, ...]
     coinbase: bool = False
-    block_height: int | None = None
     input_kinds: tuple[str, ...] | None = None  # t / z per input side
     output_kinds: tuple[str, ...] | None = None
 
@@ -268,59 +246,23 @@ class Ledger:
             "destroyed": self.destroyed,
         }
 
-    # -- validation -------------------------------------------------------
-
-    def validate_transaction(self, tx: UtxoTransaction,
-                             view: "_BlockView | None" = None) -> int:
-        """Check a spending transaction against the unspent set; return fee.
-
-        view defaults to the ledger's UTXO set; apply_block passes a staged
-        overlay so intra-block spends of earlier same-block outputs work.
-        """
-        if tx.coinbase:
-            raise ValueError("validate_transaction is for non-coinbase transactions")
-        utxo = view if view is not None else _BlockView(self.utxo)
-        total_in = 0
-        for ref in tx.inputs:
-            out = utxo.get(ref)
-            if out is None:
-                if ref in utxo.consumed or self._created(ref):
-                    raise DoubleSpendError(f"{ref} is already spent")
-                raise MissingOutputError(f"input {ref} does not exist")
-            total_in += out.amount
-        fee = total_in - tx.output_total()
-        if fee < 0:
-            raise OverspendError(
-                f"tx {tx.id} outputs {tx.output_total()} exceed inputs {total_in}"
-            )
-        return _check_bound(fee)
-
-    def validate_coinbase(self, tx: UtxoTransaction, block_fee_sum: int,
-                          subsidy: int) -> int:
-        """Coinbase may claim up to subsidy + fees; less is allowed and the
-        difference is reported as destroyed supply. A coinbase that names
-        its output kinds is a Zcash coinbase, whose rewards must all go to
-        shielded (z) addresses."""
-        if not tx.coinbase:
-            raise ValueError("not a coinbase transaction")
-        claimed = tx.output_total()
-        cap = subsidy + block_fee_sum
-        if claimed > cap:
-            raise ExcessiveRewardError(
-                f"coinbase claims {claimed}, cap is {cap}"
-            )
-        if tx.output_kinds is not None and any(k != "z" for k in tx.output_kinds):
-            raise UnshieldedCoinbaseError(
-                "coinbase rewards must go to shielded addresses")
-        return _check_bound(claimed)
-
     # -- mutation ---------------------------------------------------------
 
     def apply_block(self, block: Block) -> "Ledger":
-        """Validate and append one block atomically.
-
-        Transactions are checked in block order; any error aborts the whole
-        block with the ledger unchanged.
+        """Validate and append one block atomically: the first rule it
+        breaks raises its error and leaves the ledger unchanged. The rules,
+        in the order checked, as README's "UTXO validation" lists them:
+        1. the height is one past the tip (height-mismatch);
+        2. no txid repeats an earlier block's or this one's (duplicate-txid);
+        3. after the coinbase, in block order, each input names an unspent
+           output, committed or made earlier in the block; a spent one is a
+           double-spend, any other a missing-output;
+        4. outputs total at most inputs (overspend); each fee and the fee
+           sum are within the amount bound (amount-overflow);
+        5. the coinbase claims at most subsidy plus fees (excessive-reward),
+           and what it leaves unclaimed is destroyed;
+        6. a Zcash coinbase's out kinds are all z (unshielded-coinbase);
+        7. the claim is within the amount bound (amount-overflow).
         """
         if block.height != self.tip_height + 1:
             raise HeightMismatchError(
@@ -332,30 +274,44 @@ class Ledger:
                 raise DuplicateTxidError(f"duplicate transaction id {tx.id}")
             block_ids.add(tx.id)
 
-        staged = _BlockView(self.utxo)
         coinbase = block.transactions[0]
-        for out in coinbase.outputs:  # spendable later in this very block
-            staged.add(out)
+        # spendable later in this very block
+        added: dict[OutputRef, Output] = {out.ref: out for out in coinbase.outputs}
+        spent: dict[OutputRef, None] = {}  # an ordered set, in spend order
         fees = 0
         for tx in block.transactions[1:]:
-            fee = self.validate_transaction(tx, staged)
-            fees += fee
+            total_in = 0
             for ref in tx.inputs:
-                staged.spend(ref)
-            for out in tx.outputs:
-                staged.add(out)
-        spent_in_block = staged.consumed
-        claimed = self.validate_coinbase(coinbase, _check_bound(fees), block.subsidy)
+                out = None if ref in spent else added.get(ref) or self.utxo.get(ref)
+                if out is None:
+                    if ref in spent or self._created(ref):
+                        raise DoubleSpendError(f"{ref} is already spent")
+                    raise MissingOutputError(f"input {ref} does not exist")
+                total_in += out.amount
+            fee = total_in - tx.output_total()
+            if fee < 0:
+                raise OverspendError(
+                    f"tx {tx.id} outputs {tx.output_total()} exceed inputs {total_in}"
+                )
+            fees += _check_bound(fee)
+            spent.update(dict.fromkeys(tx.inputs))
+            added.update((out.ref, out) for out in tx.outputs)
+        _check_bound(fees)
+        claimed = coinbase.output_total()
+        cap = block.subsidy + fees
+        if claimed > cap:
+            raise ExcessiveRewardError(f"coinbase claims {claimed}, cap is {cap}")
+        if any(k != "z" for k in coinbase.output_kinds or ()):
+            raise UnshieldedCoinbaseError(
+                "coinbase rewards must go to shielded addresses")
+        _check_bound(claimed)
 
         # commit
-        self.destroyed += block.subsidy + fees - claimed
+        self.destroyed += cap - claimed
         for tx in block.transactions:
-            if tx.block_height != block.height:
-                tx = replace(tx, block_height=block.height)
             self.transactions[tx.id] = tx
-            for out in tx.outputs:
-                self.utxo[out.ref] = out
-        for ref in spent_in_block:
+        self.utxo.update(added)
+        for ref in spent:
             del self.utxo[ref]
         self.blocks.append(block)
         return self
@@ -414,7 +370,8 @@ def _kinds(rec: dict, side: str, count: int) -> tuple[str, ...] | None:
     return tuple(kinds)
 
 
-def _tx_from_record(rec: dict) -> UtxoTransaction:
+def _tx_from_record(rec: dict) -> tuple[int, UtxoTransaction]:
+    """The record's block height and its transaction."""
     txid = get_field(rec, "id")
     outputs = tuple(
         Output(txid, i, get_field(o, "amount", int), get_field(o, "address"),
@@ -423,15 +380,11 @@ def _tx_from_record(rec: dict) -> UtxoTransaction:
     )
     inputs = tuple((get_field(i, "txid"), get_field(i, "index", int))
                    for i in get_field(rec, "inputs", list, []))
-    return UtxoTransaction(
-        id=txid,
-        inputs=inputs,
-        outputs=outputs,
-        coinbase=get_field(rec, "coinbase", bool, False),
-        block_height=get_field(rec, "block", int),
-        input_kinds=_kinds(rec, "in", len(inputs)),
-        output_kinds=_kinds(rec, "out", len(outputs)),
-    )
+    coinbase = get_field(rec, "coinbase", bool, False)
+    height = get_field(rec, "block", int)
+    return height, UtxoTransaction(txid, inputs, outputs, coinbase,
+                                   input_kinds=_kinds(rec, "in", len(inputs)),
+                                   output_kinds=_kinds(rec, "out", len(outputs)))
 
 
 def load_jsonl(lines: Iterable[str], subsidy: int = INITIAL_SUBSIDY) -> Ledger:
@@ -442,8 +395,8 @@ def load_jsonl(lines: Iterable[str], subsidy: int = INITIAL_SUBSIDY) -> Ledger:
     by_block: dict[int, list[UtxoTransaction]] = {}
     for line_no, rec in jsonl_records(lines):
         with at_line(line_no):
-            tx = _tx_from_record(rec)
-        by_block.setdefault(tx.block_height, []).append(tx)
+            height, tx = _tx_from_record(rec)
+        by_block.setdefault(height, []).append(tx)
     ledger = Ledger()
     for height in sorted(by_block):
         txs = by_block[height]

@@ -52,6 +52,30 @@ def test_utxo_validate_prints_the_pipeline_summary_fields(fixture_dir, tmp_path,
         "blocks", "transactions", "unspent_outputs", "total_supply", "destroyed")}
 
 
+def test_ledger_lines_may_come_in_any_order_of_blocks(fixture_dir, tmp_path, capsys):
+    """load_jsonl groups lines by their block and puts each block's
+    coinbase first: the blocks written in reverse, each coinbase last in
+    its block, give the same summary and address-graph bytes."""
+    path = fixture_dir / "six_tx_network.jsonl"
+    blocks = {}
+    for line in path.read_text().splitlines(keepends=True):
+        rec = json.loads(line)
+        blocks.setdefault(rec["block"], []).append((rec["coinbase"], line))
+    shuffled = tmp_path / "shuffled.jsonl"
+    shuffled.write_text("".join(line for height in sorted(blocks, reverse=True)
+                                for _coinbase, line in sorted(blocks[height],
+                                                              key=lambda p: p[0])))
+    assert shuffled.read_text() != path.read_text()
+    results = []
+    for ledger in (path, shuffled):
+        assert run_cli(["utxo", "validate", ledger, "--subsidy", 600_000_000]) == 0
+        out = tmp_path / "address.csv"
+        assert run_cli(["utxo", "graph", ledger, "--kind", "address",
+                        "--subsidy", 600_000_000, "--out", out]) == 0
+        results.append((capsys.readouterr().out, out.read_bytes()))
+    assert results[0] == results[1]
+
+
 def test_utxo_validate_bad_input_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text(
@@ -622,12 +646,15 @@ def test_open_upper_bound_and_fold_size_flags(fixture_dir, tmp_path):
     ('{"a1": null, "funder": 1000}', "bad-amount"),
     ("{bad", "bad-json"),
     ('{"A": -5, "B": 3}', "bad-record"),
+    ('{"a1": "x"}', "bad-amount"),
 ])
 def test_genesis_map_is_checked(fixture_dir, capsys, genesis, error):
     code = run_cli(["iota", "grow", fixture_dir / "tangle_double_spend.jsonl",
                     "--genesis", genesis])
     assert code == 2
-    assert json.loads(capsys.readouterr().err)["error"] == error
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == error
+    assert err["message"].startswith("--genesis: ")
 
 
 @pytest.mark.parametrize("window", ["a:b", "1:x", "2.5", "1:+2"])
@@ -1097,6 +1124,22 @@ NO_COINBASE_FIRST = "\n".join([
                              b'"kind":"x"}]}\n{"op":"tx","id":"t","from":"a","to":"c"}\n'},
                  ["account", "traces", "t.jsonl"], "bad-record",
                  "line 2: unknown call kind 'x'", id="trace-call-kind-x"),
+    pytest.param({}, ["utxo", "validate", str(FIXTURES / "six_tx_network.jsonl"),
+                      "--subsidy", "-1"], "bad-record",
+                 "--subsidy must be >= 0, got -1", id="utxo-negative-subsidy"),
+    pytest.param({}, ["chainlet", "absent.jsonl", "--subsidy", "-1"], "bad-record",
+                 "--subsidy must be >= 0, got -1", id="chainlet-negative-subsidy"),
+    pytest.param({}, ["generate", "iota", "--count", "-1"], "bad-record",
+                 "--count must be >= 0, got -1", id="generate-iota-negative-count"),
+    pytest.param({}, ["generate", "utxo", "--count", "-5"], "bad-record",
+                 "--count must be >= 0, got -5", id="generate-utxo-negative-count"),
+    pytest.param({}, ["generate", "utxo", "--reuse-p", "2"], "bad-record",
+                 "--reuse-p must be in [0, 1], got 2.0", id="generate-reuse-p-2"),
+    pytest.param({}, ["generate", "utxo", "--split-bias", "nan"], "bad-record",
+                 "--split-bias must be in [0, 1], got nan", id="generate-split-bias-nan"),
+    pytest.param({}, ["account", "traces", str(FIXTURES / "trace_calls.jsonl"),
+                      "--budget", "-1"], "bad-record",
+                 "--budget must be >= 0, got -1", id="trace-negative-budget"),
 ])
 def test_each_rejection_has_its_own_code(tmp_path, monkeypatch, capsys, files, args,
                                          error, message):

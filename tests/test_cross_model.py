@@ -54,7 +54,7 @@ def utxo_ledger(genesis, steps) -> Ledger:
     coinbase = UtxoTransaction("g", (), tuple(
         Output("g", i, amount, address)
         for i, (address, amount) in enumerate(sorted(genesis.items()))),
-        coinbase=True, block_height=0)
+        coinbase=True)
     held: dict[str, list] = {}
     txs = [coinbase]
     for n, (spent, outputs) in enumerate(steps):
@@ -63,7 +63,7 @@ def utxo_ledger(genesis, steps) -> Ledger:
         inputs = tuple(ref for source, _ in spent for ref in held.pop(source))
         txs.append(UtxoTransaction(f"s{n}", inputs, tuple(
             Output(f"s{n}", i, amount, address)
-            for i, (address, amount) in enumerate(outputs)), block_height=0))
+            for i, (address, amount) in enumerate(outputs))))
     ledger = Ledger()
     ledger.apply_block(Block(0, tuple(txs), sum(genesis.values())))
     return ledger

@@ -57,10 +57,11 @@ def test_supply_monotone_and_bounded():
 def test_zcash_coinbase_shielding_rule_flag():
     led = Ledger()  # a coinbase that names its output kinds must be all z
     shielded_cb = tx("c", [], [("z1", 10)], coinbase=True, output_kinds=("z",))
-    led.validate_coinbase(shielded_cb, 0, 10)
+    led.apply_block(Block(0, (shielded_cb,), 10))
     public_cb = tx("c2", [], [("t1", 10)], coinbase=True, output_kinds=("t",))
     with pytest.raises(UnshieldedCoinbaseError):
-        led.validate_coinbase(public_cb, 0, 10)
+        led.apply_block(Block(1, (public_cb,), 10))
+    assert led.tip_height == 0
 
 
 # -- ripple corners -------------------------------------------------------------------

@@ -39,41 +39,57 @@ def funded_ledger(amounts, subsidy=10**10):
     return led
 
 
-# -- validate_transaction ----------------------------------------------------
+def next_block(led, *txs, claim=10**10, subsidy=10**10):
+    """The block after the ledger's tip: a coinbase claiming claim, then txs."""
+    height = led.tip_height + 1
+    cb = tx(f"c{height}", [], [("m", claim)], coinbase=True)
+    return Block(height, (cb, *txs), subsidy)
+
+
+# -- spending rules ------------------------------------------------------------
 
 def test_spending_fee_from_coinbase_output():
-    # 1B satoshi output spent into 500M + 495M leaves a 5M fee
+    # 1B satoshi output spent into 500M + 495M leaves a 5M fee, which the
+    # coinbase may claim to the satoshi
     led = funded_ledger([1_000_000_000])
     t2 = tx("t2", [("g", 0)], [("a3", 500_000_000), ("a4", 495_000_000)])
-    assert led.validate_transaction(t2) == 5_000_000
+    with pytest.raises(ExcessiveRewardError):
+        led.apply_block(next_block(led, t2, claim=10**10 + 5_000_001))
+    destroyed = led.destroyed
+    led.apply_block(next_block(led, t2, claim=10**10 + 5_000_000))
+    assert led.destroyed == destroyed
 
 
 def test_zero_fee_is_legal():
     led = funded_ledger([777])
     t = tx("t", [("g", 0)], [("a", 777)])
-    assert led.validate_transaction(t) == 0
+    with pytest.raises(ExcessiveRewardError):
+        led.apply_block(next_block(led, t, claim=10**10 + 1))
+    destroyed = led.destroyed
+    led.apply_block(next_block(led, t))
+    assert led.destroyed == destroyed and ("t", 0) in led.utxo
 
 
 def test_overspend_rejected():
     led = funded_ledger([100])
     with pytest.raises(OverspendError):
-        led.validate_transaction(tx("t", [("g", 0)], [("a", 101)]))
+        led.apply_block(next_block(led, tx("t", [("g", 0)], [("a", 101)])))
+    assert led.tip_height == 0 and ("g", 0) in led.utxo
 
 
 def test_double_spend_across_blocks_rejected():
     led = funded_ledger([500, 500])
-    cb1 = tx("c1", [], [("m1", 10**10)], coinbase=True)
     t1 = tx("t1", [("g", 0)], [("a", 400)])
-    led.apply_block(Block(1, (cb1, t1), 10**10))
+    led.apply_block(next_block(led, t1))
     again = tx("t2", [("g", 0)], [("b", 400)])
     with pytest.raises(DoubleSpendError):
-        led.validate_transaction(again)
+        led.apply_block(next_block(led, again))
 
 
 def test_missing_output_rejected():
     led = funded_ledger([500])
     with pytest.raises(MissingOutputError):
-        led.validate_transaction(tx("t", [("nope", 0)], [("a", 1)]))
+        led.apply_block(next_block(led, tx("t", [("nope", 0)], [("a", 1)])))
 
 
 @pytest.mark.parametrize("index", [-1, 1])
@@ -81,27 +97,27 @@ def test_index_outside_the_creating_tx_is_missing(index):
     led = funded_ledger([500])  # ("g", 0) is its one output
     ref = ("g", index)
     with pytest.raises(MissingOutputError):
-        led.validate_transaction(tx("t", [ref], [("a", 1)]))
+        led.apply_block(next_block(led, tx("t", [ref], [("a", 1)])))
     with pytest.raises(MissingOutputError):
         led.output(ref)
     with pytest.raises(MissingOutputError):
         led.creating_tx(ref)
 
 
-# -- validate_coinbase ---------------------------------------------------------
+# -- the coinbase cap ------------------------------------------------------------
 
 def test_coinbase_may_claim_subsidy_plus_fees():
-    led = Ledger()
-    cb = tx("c", [], [("m", 1_270_000_000)], coinbase=True)
-    claimed = led.validate_coinbase(cb, 20_000_000, 1_250_000_000)
-    assert claimed == 1_270_000_000
+    led = funded_ledger([100_000_000], subsidy=100_000_000)
+    t = tx("t", [("g", 0)], [("a", 80_000_000)])  # a 20M fee
+    led.apply_block(next_block(led, t, claim=1_270_000_000, subsidy=1_250_000_000))
+    assert led.total_supply() == 100_000_000 + 1_270_000_000 and led.destroyed == 0
 
 
 def test_coinbase_over_cap_rejected():
-    led = Ledger()
-    cb = tx("c", [], [("m", 1_270_000_001)], coinbase=True)
+    led = funded_ledger([100_000_000])
+    t = tx("t", [("g", 0)], [("a", 80_000_000)])
     with pytest.raises(ExcessiveRewardError):
-        led.validate_coinbase(cb, 20_000_000, 1_250_000_000)
+        led.apply_block(next_block(led, t, claim=1_270_000_001, subsidy=1_250_000_000))
 
 
 def test_underclaiming_destroys_supply():
